@@ -1,7 +1,7 @@
 """Command line front end: compile, match, fuzz, bench.
 
 Exit codes: 0 ok, 1 no match, 2 usage or syntax error, 3 fuzz divergence,
-4 resource cap exceeded.
+4 resource cap exceeded, 5 internal error.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import time
 from . import Pattern
 from .determinize import ResourceLimit, Tdfa, determinize
 from .multipass import determinize_multipass, render_tstring
-from .optimizer import build_cfg, minimize, optimize
+from .optimizer import build_cfg, interferes, minimize, optimize
 from .resyntax import ParseError, ast_to_json, parse_regex
 from .tnfa import build_tnfa, tnfa_to_dot
 
@@ -22,6 +22,7 @@ EX_NOMATCH = 1
 EX_USAGE = 2
 EX_DIVERGENCE = 3
 EX_RESOURCE = 4
+EX_INTERNAL = 5
 
 
 def _engine_flags(p: argparse.ArgumentParser):
@@ -57,7 +58,7 @@ def _liveness_grid(cfg, L) -> str:
     n = cfg.n_regs
     lines = ["block " + " ".join(f"r{r}" for r in range(1, n + 1))]
     for i, row in enumerate(L):
-        cells = " ".join(("*" if r in row else ".").rjust(len(f"r{r}")) for r in range(1, n + 1))
+        cells = " ".join(("*" if row >> r & 1 else ".").rjust(len(f"r{r}")) for r in range(1, n + 1))
         lines.append(f"{i:5d} {cells}")
     return "\n".join(lines)
 
@@ -67,7 +68,7 @@ def _interference_grid(cfg, I) -> str:
     head = "    " + " ".join(f"r{r}" for r in range(1, n + 1))
     lines = [head]
     for a in range(1, n + 1):
-        cells = " ".join(("*" if b in I[a] else ".").rjust(len(f"r{b}")) for b in range(1, n + 1))
+        cells = " ".join(("*" if interferes(I, a, b) else ".").rjust(len(f"r{b}")) for b in range(1, n + 1))
         lines.append(f"r{a:<3d}{cells}")
     return "\n".join(lines)
 
@@ -287,6 +288,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EX_INTERNAL
 
 
 if __name__ == "__main__":

@@ -89,22 +89,6 @@ class Tdfa:
     def invalidate(self):
         self._table = None
 
-    def tree_registers(self) -> frozenset[int]:
-        """Registers holding history-tree indices rather than scalar offsets."""
-        regs = {self.rf[t] for t in self.multi}
-        regs.update(self.r0[t] for t in self.multi)
-        for ops in list(self.phi.values()) + list(self.psi.values()):
-            for op in ops:
-                if op[0] == APPEND:
-                    regs.add(op[1])
-                    regs.add(op[2])
-        for _, ops in self.delta.values():
-            for op in ops:
-                if op[0] == APPEND:
-                    regs.add(op[1])
-                    regs.add(op[2])
-        return frozenset(regs)
-
     def op_count(self) -> int:
         n = sum(len(ops) for _, ops in self.delta.values())
         n += sum(len(ops) for ops in self.phi.values())
@@ -203,11 +187,6 @@ class _State:
         # rows: ((q, regs tuple, lookahead tuple), ...) in precedence order.
         self.rows = rows
         self.final = False
-
-
-def precedence(C) -> tuple[int, ...]:
-    """The TNFA states of a closure in claim order."""
-    return tuple(cfg[0] for cfg in C)
 
 
 class Determinizer:

@@ -16,6 +16,8 @@ partition refinement treating operation lists as part of the transition
 label) runs last, after normalization has canonicalized the lists.
 """
 
+from bisect import insort
+
 from .determinize import Tdfa
 from .regops import APPEND, COPY, SET, remove_duplicates, topological_sort
 
@@ -34,11 +36,8 @@ def find_fallback_states(tdfa: Tdfa):
     final states.
     """
     finals = tdfa.finals
-    out: dict[int, int] = {}
-    for (s, _), (target, _) in tdfa.delta.items():
-        if s in finals and target not in finals:
-            out.setdefault(s, 0)
-    fallback = set(out)
+    fallback = {s for (s, _), (target, _) in tdfa.delta.items()
+                if s in finals and target not in finals}
 
     clobbered: dict[int, set[int]] = {}
     for s in fallback:
@@ -115,9 +114,6 @@ class RegCfg:
         self.blocks: list[Block] = []
         self.fallthrough: dict[int, list[int]] = {}
         self.n_regs = tdfa.max_reg
-
-    def block_ids(self, kind: str):
-        return [i for i, b in enumerate(self.blocks) if b.kind == kind]
 
     def to_dot(self) -> str:
         from .regops import format_op
@@ -263,95 +259,115 @@ def renaming(cfg: RegCfg, V: dict[int, int]):
     tdfa.max_reg = cfg.n_regs
 
 
-def _live_in(ops, live_out: set) -> set:
-    live = set(live_out)
-    for op in reversed(ops):
-        if op[0] == SET:
-            live.discard(op[1])
-        elif op[1] in live:
-            live.discard(op[1])
-            live.add(op[2])
-    return live
+def _bits(mask: int):
+    """Register numbers in a bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _postorder(cfg: RegCfg) -> list[int]:
-    seen = set()
-    order: list[int] = []
-
-    def dfs(b: int):
-        seen.add(b)
-        for s in cfg.blocks[b].succ:
-            if s not in seen:
-                dfs(s)
-        order.append(b)
-
-    dfs(0)
-    for b in range(len(cfg.blocks)):
-        if b not in seen:
-            dfs(b)
-    return order
+def _mask(regs) -> int:
+    m = 0
+    for r in regs:
+        m |= 1 << r
+    return m
 
 
-def liveness_analysis(cfg: RegCfg) -> list[set[int]]:
-    """Live registers per block (at block exit), by iterative data flow.
+def _sources(ops) -> dict[int, int | None]:
+    """Each register a block writes, mapped to the register live on entry
+    whose value it holds at exit (None when a set produced it).
 
-    Final registers are live in final blocks; the fixpoint expands over
-    basic blocks; finally backup registers are marked live along every
+    Liveness through a block is distributive and maps each live-out
+    register to at most one live-in register, so this map is the whole
+    transfer function."""
+    src: dict[int, int | None] = {}
+    for op in ops:
+        src[op[1]] = None if op[0] == SET else src.get(op[2], op[2])
+    return src
+
+
+def liveness_analysis(cfg: RegCfg) -> list[int]:
+    """Live registers per block (at block exit) as bitsets, by a worklist
+    data-flow analysis over predecessors.
+
+    Final registers are live in final blocks; the least fixpoint expands
+    over basic blocks.  Each block's live-in set is cached, and only the
+    registers newly live at its exit are pushed through it and on to its
+    predecessors.  Finally backup registers are marked live along every
     path that may fall through to a fallback block.
     """
-    tdfa = cfg.tdfa
-    final_regs = set(tdfa.rf.values())
-    L: list[set[int]] = [set() for _ in cfg.blocks]
-    for i, b in enumerate(cfg.blocks):
-        if b.kind == "final":
-            L[i] = set(final_regs)
+    blocks = cfg.blocks
+    final_regs = _mask(cfg.tdfa.rf.values())
+    L = [final_regs if b.kind == "final" else 0 for b in blocks]
+    live_in = [0] * len(blocks)
+    preds: list[list[int]] = [[] for _ in blocks]
+    for i, b in enumerate(blocks):
+        if b.kind == "basic":
+            for s in b.succ:
+                preds[s].append(i)
+    sources = [_sources(b.ops) for b in blocks]
+    written = [_mask(src) for src in sources]
 
-    basics = [i for i in _postorder(cfg) if cfg.blocks[i].kind == "basic"]
-    changed = True
-    while changed:
-        changed = False
-        for i in basics:
-            new: set[int] = set()
-            for s in cfg.blocks[i].succ:
-                new |= _live_in(cfg.blocks[s].ops, L[s])
-            if new != L[i]:
-                L[i] = new
-                changed = True
+    pending = list(L)  # live at exit, not yet pushed through the block
+    work = {i for i, b in enumerate(blocks) if b.kind == "final"}
+    while work:
+        i = work.pop()
+        out, pending[i] = pending[i], 0
+        live = out & ~written[i]
+        for r in _bits(out & written[i]):
+            src = sources[i][r]
+            if src is not None:
+                live |= 1 << src
+        live &= ~live_in[i]
+        if not live:
+            continue
+        live_in[i] |= live
+        for p in preds[i]:
+            new = live & ~L[p]
+            if new:
+                L[p] |= new
+                pending[p] |= new
+                work.add(p)
 
-    for i, b in enumerate(cfg.blocks):
+    for i, b in enumerate(blocks):
         if b.kind != "fallback":
             continue
         L[i] |= final_regs
-        lb = set(L[i])
-        for op in b.ops:
-            lb.discard(op[1])
-        for op in b.ops:
-            if op[0] != SET:
-                lb.add(op[2])
+        lb = L[i] & ~_mask(op[1] for op in b.ops)
+        lb |= _mask(op[2] for op in b.ops if op[0] != SET)
         for s in cfg.fallthrough.get(i, ()):
             L[s] |= lb
     return L
 
 
-def dead_code_elimination(cfg: RegCfg, L: list[set[int]]):
+def dead_code_elimination(cfg: RegCfg, L: list[int]):
     """Drop operations writing registers that are not live afterwards."""
     for i, b in enumerate(cfg.blocks):
         if b.kind != "basic":
             continue
-        live = set(L[i])
+        live = L[i]
         kept = []
         for op in reversed(b.ops):
-            if op[1] in live:
-                live.discard(op[1])
+            d = 1 << op[1]
+            if live & d:
+                live &= ~d
                 if op[0] != SET:
-                    live.add(op[2])
+                    live |= 1 << op[2]
                 kept.append(op)
         kept.reverse()
         b.ops = kept
 
 
-def interference_analysis(cfg: RegCfg, L: list[set[int]]) -> list[set[int]]:
-    """Symmetric interference matrix (as adjacency sets).
+def interferes(I: list[int], a: int, b: int) -> bool:
+    """The symmetric interference relation over one-sided bitset rows."""
+    return bool((I[a] >> b | I[b] >> a) & 1)
+
+
+def interference_analysis(cfg: RegCfg, L: list[int]) -> list[int]:
+    """Interference as one-sided bitset rows: a and b interfere iff bit b
+    of I[a] or bit a of I[b] is set (see `interferes`); no row has its own
+    bit.
 
     Within a block, an operation's destination interferes with every
     register live after it that provably holds a different value; value
@@ -360,69 +376,72 @@ def interference_analysis(cfg: RegCfg, L: list[set[int]]) -> list[set[int]]:
     registers that are not.
     """
     n = cfg.n_regs
-    I: list[set[int]] = [set() for _ in range(n + 1)]
-
-    def mark(a: int, b: int):
-        if a != b:
-            I[a].add(b)
-            I[b].add(a)
-
+    I = [0] * (n + 1)
+    append_regs = 0
     for bi, b in enumerate(cfg.blocks):
         ops = b.ops
         if not ops:
             continue
-        live = set(L[bi])
-        after: list[set[int]] = [set()] * len(ops)
+        live = L[bi]
+        after = [0] * len(ops)
         for k in range(len(ops) - 1, -1, -1):
-            after[k] = set(live)
+            after[k] = live
             op = ops[k]
+            d = 1 << op[1]
             if op[0] == SET:
-                live.discard(op[1])
-            elif op[1] in live:
-                live.discard(op[1])
-                live.add(op[2])
+                live &= ~d
+            elif live & d:
+                live = live & ~d | 1 << op[2]
 
-        value: dict[int, object] = {}
+        # holders[v]: the registers holding value v at this point.
+        value: dict[int, tuple] = {}
+        holders: dict[tuple, int] = {}
         for op in ops:
-            if op[0] != SET:
-                value.setdefault(op[2], ("reg", op[2]))
+            if op[0] != SET and op[2] not in value:
+                value[op[2]] = v = ("reg", op[2])
+                holders[v] = 1 << op[2]
         for k, op in enumerate(ops):
             d = op[1]
             if op[0] == SET:
-                value[d] = ("val", op[2])
+                v = ("val", op[2])
             elif op[0] == COPY:
-                value[d] = value[op[2]]
+                v = value[op[2]]
             else:
-                value[d] = ("app", value[op[2]], op[3])
-            vd = value[d]
-            for r in after[k]:
-                if r != d and value.get(r) != vd:
-                    mark(d, r)
+                v = ("app", value[op[2]], op[3])
+                append_regs |= 1 << d | 1 << op[2]
+            if d in value:
+                holders[value[d]] &= ~(1 << d)
+            value[d] = v
+            holders[v] = holders.get(v, 0) | 1 << d
+            I[d] |= after[k] & ~holders[v]
 
-    append_regs: set[int] = set()
-    for b in cfg.blocks:
-        for op in b.ops:
-            if op[0] == APPEND:
-                append_regs.add(op[1])
-                append_regs.add(op[2])
     if append_regs:
         for r in range(1, n + 1):
-            if r not in append_regs:
-                for a in append_regs:
-                    mark(r, a)
+            if not append_regs >> r & 1:
+                I[r] |= append_regs
     return I
 
 
-def register_allocation(cfg: RegCfg, I: list[set[int]]) -> dict[int, int]:
+def register_allocation(cfg: RegCfg, I: list[int]) -> dict[int, int]:
     """Partition registers into non-interfering classes (copy coalescing
     first, then class merging, then leftover placement) and renumber the
-    classes consecutively."""
+    classes consecutively.
+
+    A class is its representative's member bitset M[x] plus the union U[x]
+    of its members' interference rows, so testing a register against a
+    class takes two mask tests."""
     n = cfg.n_regs
     B: dict[int, int] = {}
-    S: dict[int, set[int]] = {}
+    M: dict[int, int] = {}
+    U: dict[int, int] = {}
 
-    def compatible(cls: set[int], r: int) -> bool:
-        return all(r not in I[k] for k in cls)
+    def compatible(x: int, r: int) -> bool:
+        return not (U[x] >> r & 1 or I[r] & M[x])
+
+    def join(x: int, r: int):
+        B[r] = x
+        M[x] |= 1 << r
+        U[x] |= I[r]
 
     for b in cfg.blocks:
         for op in b.ops:
@@ -431,50 +450,45 @@ def register_allocation(cfg: RegCfg, I: list[set[int]]) -> dict[int, int]:
             i, j = op[1], op[2]
             x, y = B.get(i), B.get(j)
             if x is None and y is None:
-                if j not in I[i]:
+                if not interferes(I, i, j):
                     B[i] = B[j] = i
-                    S[i] = {i, j}
+                    M[i] = 1 << i | 1 << j
+                    U[i] = I[i] | I[j]
             elif x is not None and y is None:
-                if compatible(S[x], j):
-                    B[j] = x
-                    S[x].add(j)
+                if compatible(x, j):
+                    join(x, j)
             elif x is None and y is not None:
-                if compatible(S[y], i):
-                    B[i] = y
-                    S[y].add(i)
+                if compatible(y, i):
+                    join(y, i)
 
-    reps = [r for r in sorted(S) if B.get(r) == r]
+    reps = sorted(M)
     for i in reps:
-        if not S.get(i):
+        if not M[i]:
             continue
         for j in reps:
-            if j <= i or not S.get(j):
+            if j <= i or not M[j]:
                 continue
-            if all(compatible(S[i], k) for k in S[j]):
+            if not (U[i] & M[j] or U[j] & M[i]):
                 B[j] = i
-                S[i] |= S[j]
-                S[j] = set()
+                M[i] |= M[j]
+                U[i] |= U[j]
+                M[j] = 0
 
+    live = [x for x in reps if M[x]]
     for r in range(1, n + 1):
         if B.get(r) is not None:
             continue
-        for i in sorted(S):
-            if B.get(i) == i and S[i] and compatible(S[i], r):
-                B[r] = i
-                S[i].add(r)
+        for x in live:
+            if compatible(x, r):
+                join(x, r)
                 break
         else:
             B[r] = r
-            S[r] = {r}
+            M[r] = 1 << r
+            U[r] = I[r]
+            insort(live, r)
 
-    V: dict[int, int] = {}
-    nxt = 0
-    for i in sorted(S):
-        if B.get(i) == i and S[i]:
-            nxt += 1
-            for j in S[i]:
-                V[j] = nxt
-    return V
+    return {r: cls for cls, x in enumerate(live, 1) for r in _bits(M[x])}
 
 
 def normalization(cfg: RegCfg):

@@ -13,10 +13,8 @@ SET = "s"
 COPY = "c"
 APPEND = "a"
 
-RegOp = tuple
 
-
-def format_op(op: RegOp) -> str:
+def format_op(op: tuple) -> str:
     kind = op[0]
     if kind == SET:
         return f"r{op[1]} <- {op[2]}"

@@ -68,6 +68,19 @@ def test_resource_cap_exit_four(capsys):
     assert "cap" in err
 
 
+def test_internal_error_exit_five(capsys, monkeypatch):
+    import tdfa.optimizer
+
+    def boom(cfg):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(tdfa.optimizer, "liveness_analysis", boom)
+    code, out, err = run(capsys, "match", GOLDEN, "aab")
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: injected"
+
+
 def test_compile_golden_stats(capsys):
     code, out, _ = run(capsys, "compile", GOLDEN, "--multi=none", "--dump=cfg", "--out=/tmp/tdfa_cli_test")
     assert code == 0

@@ -1,0 +1,42 @@
+"""Byte-identity gate for the optimizer and minimizer.
+
+tests/identity_pins.json pins the sha256 of Tdfa.to_json() for the golden
+pattern, the first 50 patterns of gen_pattern(Random(2024)) and the larger
+patterns in EXTRA, each as [pattern, optimized (default options),
+minimized (use_minimize=True, fixed_tags=True)].  The small fuzz patterns
+leave register allocation few choices; the EXTRA automata change when the
+allocator visits registers or classes in another order.  A change that
+alters either automaton fails here; if the change is intended, say why and
+re-record the pins.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+from random import Random
+
+import tdfa
+from tdfa.fuzz import gen_pattern
+
+GOLDEN = "(a)*#(?:a|#b)#b*"
+EXTRA = ["(?:#a)*a{20}", "(a|b)*(?:#a){8}", "((a)|(b))*#(a|b){3}", "((?:a|b|c)+)(?:,((?:a|b|c)+))*"]
+PINS = json.loads((Path(__file__).parent / "identity_pins.json").read_text())
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pinned_corpus_is_golden_fuzz_seed_2024_and_extra():
+    rng = Random(2024)
+    assert [p for p, _, _ in PINS] == [GOLDEN] + [gen_pattern(rng) for _ in range(50)] + EXTRA
+
+
+def test_optimized_and_minimized_automata_byte_identical():
+    differ = []
+    for pattern, opt, minimized in PINS:
+        got_opt = sha(tdfa.compile(pattern).tdfa.to_json())
+        got_min = sha(tdfa.compile(pattern, use_minimize=True, fixed_tags=True).tdfa.to_json())
+        if (got_opt, got_min) != (opt, minimized):
+            differ.append(pattern)
+    assert differ == []
