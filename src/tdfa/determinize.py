@@ -55,6 +55,14 @@ def byte_classes(alphabet) -> tuple[tuple[int, ...], list[int]]:
     return tuple(alphabet), b2c
 
 
+def class_translation(b2c: list[int]) -> bytes:
+    """A bytes.translate table from byte to class.  Dead bytes go to the
+    sentinel class len(alphabet), whose column is None in every row; a full
+    256-byte alphabet has no dead bytes and no sentinel."""
+    sentinel = max(b2c) + 1
+    return bytes(sentinel if c < 0 else c for c in b2c)
+
+
 class Tdfa:
     def __init__(self, nfa: Tnfa, multi: frozenset[int]):
         self.tags = nfa.tags
@@ -72,22 +80,15 @@ class Tdfa:
         # Fallback support, filled by the optimizer.
         self.fallback: set[int] = set()
         self.psi: dict[int, tuple] = {}
-        self._table = None
+        # The runtime's match plan, built on the first match.
+        self._plan = None
 
     def n_classes(self) -> int:
         return len(self.alphabet)
 
-    def table(self) -> list[list]:
-        """delta as a dense (state x class) array for the execution loop."""
-        if self._table is None:
-            t = [[None] * self.n_classes() for _ in range(self.n_states)]
-            for (s, c), cell in self.delta.items():
-                t[s][c] = cell
-            self._table = t
-        return self._table
-
     def invalidate(self):
-        self._table = None
+        """Drop the match plan after delta, phi or psi changed."""
+        self._plan = None
 
     def op_count(self) -> int:
         n = sum(len(ops) for _, ops in self.delta.values())
@@ -108,15 +109,6 @@ class Tdfa:
                 if op[0] != SET:
                     regs.add(op[2])
         return len(regs)
-
-    def stats(self) -> dict:
-        return {
-            "states": self.n_states,
-            "finals": sorted(self.finals),
-            "registers": self.register_count(),
-            "final_registers": len(set(self.rf.values())),
-            "operations": self.op_count(),
-        }
 
     def to_dot(self) -> str:
         lines = ["digraph tdfa {", "  rankdir=LR;", "  node [shape=circle];"]
@@ -176,7 +168,7 @@ class Tdfa:
         }
         self.phi = {s: tuple(tuple(op) for op in ops) for s, ops in doc["phi"]}
         self.psi = {s: tuple(tuple(op) for op in ops) for s, ops in doc["psi"]}
-        self._table = None
+        self._plan = None
         return self
 
 

@@ -11,7 +11,7 @@ string.
 
 from collections import deque
 
-from .determinize import ResourceLimit, byte_classes
+from .determinize import ResourceLimit, byte_classes, class_translation
 from .tnfa import Tnfa
 
 
@@ -33,11 +33,15 @@ class MultipassTdfa:
         return len(self.alphabet)
 
     def table(self):
+        """(translate table, rows) for the forward pass: the input maps to
+        classes with bytes.translate, and the rows have a None column for
+        the sentinel class of dead bytes."""
         if self._table is None:
-            t = [[None] * self.n_classes() for _ in range(self.n_states)]
+            classes = class_translation(self.byte_to_class)
+            t = [[None] * (max(classes) + 1) for _ in range(self.n_states)]
             for (s, c), cell in self.delta.items():
                 t[s][c] = cell
-            self._table = t
+            self._table = classes, t
         return self._table
 
     def stats(self) -> dict:
@@ -169,14 +173,12 @@ def match_forward(mp: MultipassTdfa, data: bytes):
     """Run the forward pass; returns (state sequence, backlink array
     sequence) or None.  The arrays are recorded to save lookups in the
     backward passes."""
-    b2c = mp.byte_to_class
-    table = mp.table()
+    classes, table = mp.table()
     s = mp.s0
     seq = [s]
     arrays = []
-    for byte in data:
-        cls = b2c[byte]
-        cell = table[s][cls] if cls >= 0 else None
+    for cls in data.translate(classes):
+        cell = table[s][cls]
         if cell is None:
             return None
         s = cell[0]

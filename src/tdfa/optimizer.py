@@ -603,7 +603,7 @@ def minimize(tdfa: Tdfa) -> Tdfa:
     out.delta = {}
     out.phi = {}
     out.psi = {}
-    out._table = None
+    out._plan = None
     for c, m in enumerate(rep):
         for cls in cls_range:
             cell = tdfa.delta.get((m, cls))

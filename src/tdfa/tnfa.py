@@ -164,14 +164,13 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
     )
 
 
-def sim_epsilon_closure(C: list, nfa: Tnfa, k: int) -> list:
+def sim_epsilon_closure(C: list, nfa: Tnfa, k: int, idx: dict[int, int]) -> list:
     """Depth-first closure; first arrival at a state wins.
 
     Configurations are (state, value list); k is the number of characters
-    consumed so far.  Keeps configurations at the final state or with an
-    outgoing symbol transition, in claim order.
+    consumed so far and idx is nfa.tag_index().  Keeps configurations at
+    the final state or with an outgoing symbol transition, in claim order.
     """
-    idx = nfa.tag_index()
     out = []
     seen = set()
     stack = list(reversed(C))
@@ -208,13 +207,14 @@ def sim_step_on_symbol(C: list, nfa: Tnfa, a: int) -> list:
 
 def simulate(nfa: Tnfa, data: bytes) -> dict[int, int | None] | None:
     """Match the whole input; returns tag values or None on failure."""
+    idx = nfa.tag_index()
     C = [(nfa.q0, [None] * len(nfa.tags))]
-    C = sim_epsilon_closure(C, nfa, 0)
+    C = sim_epsilon_closure(C, nfa, 0, idx)
     for k, byte in enumerate(data):
         C = sim_step_on_symbol(C, nfa, byte)
         if not C:
             return None
-        C = sim_epsilon_closure(C, nfa, k + 1)
+        C = sim_epsilon_closure(C, nfa, k + 1, idx)
     for q, m in C:
         if q == nfa.qf:
             return dict(zip(nfa.tags, m))

@@ -1,14 +1,75 @@
+import json
 from random import Random
 
-from tdfa.determinize import determinize
+import pytest
+
+import tdfa
+from tdfa.determinize import Tdfa, determinize
 from tdfa.regops import APPEND, COPY, SET
-from tdfa.runtime import PrefixTree, exec_tdfa, run_ops
-from tdfa.tnfa import build_tnfa
+from tdfa.runtime import MatchPlan, PrefixTree, exec_tdfa, run_ops
+from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
-from helpers import NaiveRegisters
+from helpers import NaiveRegisters, all_inputs
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
+CSV = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
+# Every byte, metacharacters escaped.
+ANY_BYTE = b"(?:" + b"|".join((b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)) + b")"
+
+
+def naive_walk(a, data: bytes, mode: str = "full"):
+    """One transition of delta per byte with run_ops, no plan and no skip.
+
+    Returns ((end, values) or None, counters)."""
+    tree = PrefixTree()
+    regs = [None] * (a.max_reg + 1)
+    for t in a.multi:
+        regs[a.r0[t]] = 0
+    state, pos, n_ops = a.s0, 0, 0
+    match_pos, match_state = (0 if state in a.finals else -1), state
+    for byte in data:
+        cell = a.delta.get((state, a.byte_to_class[byte]))
+        if cell is None:
+            break
+        run_ops(cell[1], regs, tree, pos)
+        n_ops += len(cell[1])
+        state, pos = cell[0], pos + 1
+        if state in a.finals:
+            match_pos, match_state = pos, state
+    counters = {"transitions": pos, "operations": n_ops}
+    if match_pos < 0 or (mode == "full" and match_pos != len(data)):
+        return None, counters
+    run_ops(a.phi[match_state] if match_pos == pos else a.psi[match_state], regs, tree, match_pos)
+    values = {}
+    for t in a.tags:
+        r = regs[a.rf[t]]
+        values[t] = [-1 if x is None else x for x in tree.unpack(r)] if t in a.multi else r
+    return (match_pos, values), counters
+
+
+def check_against_walk(a, data: bytes):
+    """exec_tdfa agrees with naive_walk in both modes, counters included;
+    returns the full-mode outcome."""
+    for mode in ("prefix", "full"):
+        counters = {}
+        out = exec_tdfa(a, data, mode, counters)
+        want, want_counters = naive_walk(a, data, mode)
+        assert counters == want_counters, (data, mode)
+        assert ((out.end, out.values) if out else None) == want, (data, mode)
+    return out
+
+
+def state_after(a, data: bytes) -> int:
+    state = a.s0
+    for byte in data:
+        state = a.delta[(state, a.byte_to_class[byte])][0]
+    return state
+
+
+def self_loops(a, state) -> list:
+    """Classes on which state loops to itself without operations."""
+    return [c for c in range(a.n_classes()) if a.delta.get((state, c)) == (state, ())]
 
 
 def test_tree_append_empty_history():
@@ -103,6 +164,7 @@ def test_prefix_tree_vs_naive_registers():
         for r in trees:
             regs[r] = 0
         naive = NaiveRegisters(6, set(trees))
+        program = []
         for pos in range(30):
             ops = []
             for _ in range(rng.randint(1, 3)):
@@ -123,7 +185,88 @@ def test_prefix_tree_vs_naive_registers():
                     unique.append(op)
             run_ops(unique, regs, tree, pos)
             naive.run(unique, pos)
+            program.append(unique)
         for r in scalar:
             assert regs[r] == naive.vals[r]
         for r in trees:
             assert tree.unpack(regs[r]) == naive.vals[r]
+        # The same program as the decoded steps of exec_tdfa: a chain of
+        # one transition per list, register r read back as tag r.
+        chain = Tdfa.from_json(json.dumps({
+            "tags": scalar + trees, "multi": trees, "alphabet": [97],
+            "r0": {r: r for r in scalar + trees}, "rf": {r: r for r in scalar + trees},
+            "max_reg": 6, "n_states": len(program) + 1, "s0": 0, "finals": [len(program)],
+            "fallback": [], "delta": [[i, 0, i + 1, ops] for i, ops in enumerate(program)],
+            "phi": [[len(program), []]], "psi": [],
+        }))
+        counters = {}
+        values = exec_tdfa(chain, b"a" * len(program), counters=counters).values
+        assert counters == {"transitions": len(program), "operations": sum(map(len, program))}
+        for r in scalar:
+            assert values[r] == naive.vals[r]
+        for r in trees:
+            assert values[r] == [-1 if x is None else x for x in naive.vals[r]]
+
+
+@pytest.mark.parametrize("pattern", ["(?:a|b)*(c)(?:a|b)*", "(?:a|b)*#(?:a|b)*"])
+def test_skip_from_start_state(pattern):
+    p = tdfa.compile(pattern, multi="none")
+    a = p.tdfa
+    assert len(self_loops(a, a.s0)) == 2
+    for data in all_inputs(b"abc", 6):
+        out = check_against_walk(a, data)
+        assert (out.values if out else None) == simulate(p.tnfa, data)
+
+
+@pytest.mark.parametrize("multi", ["none", "auto"])
+def test_skip_in_final_state_then_fallback(multi):
+    p = tdfa.compile(CSV, multi=multi)
+    a = p.tdfa
+    out = exec_tdfa(a, b"abca,bc,d", "prefix")
+    assert (out.kind, out.end) == ("prefix", 7)
+    # The field state loops on every letter; ",d" leaves it for a dead end.
+    state = state_after(a, b"abca,bc")
+    assert state in a.finals and state in a.psi and len(self_loops(a, state)) == 3
+    check_against_walk(a, b"abca,bc,d")
+    want = exec_tdfa(a, b"abca,bc").values
+    assert out.values == want
+    if multi == "none":
+        assert want == simulate(p.tnfa, b"abca,bc")
+
+
+@pytest.mark.parametrize("multi", ["none", "auto"])
+def test_skip_runs_of_length_zero_one_two(multi):
+    # Fields of 1, 2 and 3 letters leave skip runs of 0, 1 and 2 bytes.
+    p = tdfa.compile(CSV, multi=multi)
+    for data in all_inputs(b"abc,", 6):
+        out = check_against_walk(p.tdfa, data)
+        if multi == "none":
+            assert (out.values if out else None) == simulate(p.tnfa, data)
+
+
+def test_full_byte_alphabet_has_no_sentinel():
+    # The start state loops on every byte but the backslash: its skip span
+    # is a class set with a gap at a metacharacter.
+    p = tdfa.compile(ANY_BYTE + b"*#\\\\" + ANY_BYTE + b"*", multi="none")
+    a = p.tdfa
+    plan = MatchPlan(a)
+    assert a.n_classes() == 256 and max(plan.classes) == 255
+    assert all(len(row) == 256 for row in plan.rows)
+    assert len(self_loops(a, a.s0)) == 255
+    rng = Random(3)
+    inputs = [bytes(range(256)), bytes(range(255, -1, -1)), b"", b"\\", b"]^-\\"]
+    inputs += [bytes(rng.choice(b"\x00\xff]^-\\ab") for _ in range(rng.randint(0, 12))) for _ in range(200)]
+    for data in inputs:
+        out = check_against_walk(a, data)
+        assert (out.values if out else None) == simulate(p.tnfa, data)
+
+
+def test_prefix_without_fallback_operations_raises():
+    a = tdfa.compile(CSV, multi="none").tdfa
+    state = state_after(a, b"abca,bc")
+    doc = json.loads(a.to_json())
+    doc["psi"] = [entry for entry in doc["psi"] if entry[0] != state]
+    clone = Tdfa.from_json(json.dumps(doc))
+    assert exec_tdfa(clone, b"abca,bc", "prefix").end == 7
+    with pytest.raises(ValueError, match=f"state {state} "):
+        exec_tdfa(clone, b"abca,bc,d", "prefix")

@@ -96,7 +96,7 @@ def test_simulate_deterministic():
 
 def test_closure_initial_rows():
     nfa = golden_nfa()
-    C = sim_epsilon_closure([(nfa.q0, [None] * 5)], nfa, 0)
+    C = sim_epsilon_closure([(nfa.q0, [None] * 5)], nfa, 0, nfa.tag_index())
     assert [q for q, _ in C] == [2, 9, 12]
     by_state = {q: m for q, m in C}
     assert by_state[2] == [0, None, None, None, None]
@@ -106,13 +106,13 @@ def test_closure_initial_rows():
 
 def test_closure_symbol_only_state():
     nfa = build_tnfa(Sym(A))
-    C = sim_epsilon_closure([(nfa.q0, [])], nfa, 0)
+    C = sim_epsilon_closure([(nfa.q0, [])], nfa, 0, nfa.tag_index())
     assert C == [(nfa.q0, [])]
 
 
 def test_closure_alt_order():
     nfa = build_tnfa(parse_regex("a|b"))
-    C = sim_epsilon_closure([(nfa.q0, [])], nfa, 0)
+    C = sim_epsilon_closure([(nfa.q0, [])], nfa, 0, nfa.tag_index())
     states = [q for q, _ in C]
     # left branch claimed before right branch
     assert states == sorted(states)
@@ -122,7 +122,7 @@ def test_closure_alt_order():
 
 def test_step_on_symbol():
     nfa = golden_nfa()
-    C = sim_epsilon_closure([(nfa.q0, [None] * 5)], nfa, 0)
+    C = sim_epsilon_closure([(nfa.q0, [None] * 5)], nfa, 0, nfa.tag_index())
     stepped = sim_step_on_symbol(C, nfa, A)
     assert [q for q, _ in stepped] == [3, 10]
     assert sim_step_on_symbol(C, nfa, ord("c")) == []
