@@ -15,7 +15,7 @@ from . import resyntax as _syn
 from . import tnfa as _tnfa
 from .determinize import ResourceLimit, Tdfa, determinize
 from .optimizer import add_fallback_regops, minimize as _minimize, optimize
-from .resyntax import ParseError, TagInfo
+from .resyntax import ParseError
 from .runtime import NO_MATCH, MatchOutcome, exec_tdfa
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "MatchOutcome",
     "ParseError",
     "ResourceLimit",
-    "TagInfo",
 ]
 
 
@@ -67,9 +66,6 @@ class Pattern:
         self.tags = _syn.collect_tags(ast)
         self.multi = _resolve_multi(multi, ast)
         self.fixes: dict[int, tuple[int, int]] = {}
-        self.tag_info = {
-            t: TagInfo(t, multi=t in self.multi) for t in self.tags
-        }
 
         if engine == "simulation":
             self.tnfa = _tnfa.build_tnfa(ast)
@@ -83,9 +79,6 @@ class Pattern:
 
         if fixed_tags:
             self.fixes = _syn.find_fixed_tags(ast)
-            for t, (base, dist) in self.fixes.items():
-                self.tag_info[t].base = base
-                self.tag_info[t].distance = dist
             ast = _syn.strip_fixed_tags(ast, set(self.fixes))
         self.tnfa = _tnfa.build_tnfa(ast)
         free_multi = frozenset(t for t in self.multi if t not in self.fixes)
@@ -117,7 +110,7 @@ class Pattern:
             return MatchOutcome("match", len(data), self._finish(values, len(data)))
 
         if self.engine == "multipass":
-            fw = _mp.match_forward(self.mp, data)
+            fw = _mp.match_forward(self.mp, data, counters)
             if fw is None:
                 return NO_MATCH
             if repr_ == "offsets":

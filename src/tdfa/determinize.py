@@ -15,6 +15,7 @@ sides share a register, but different tags never share one.
 """
 
 import json
+import re
 from collections import deque
 
 from .regops import APPEND, COPY, SET, format_ops, topological_sort
@@ -61,6 +62,15 @@ def class_translation(b2c: list[int]) -> bytes:
     256-byte alphabet has no dead bytes and no sentinel."""
     sentinel = max(b2c) + 1
     return bytes(sentinel if c < 0 else c for c in b2c)
+
+
+def loop_span(classes):
+    """The `match` of a compiled `[...]*` over the given class bytes: it
+    consumes a run of self-loops a matcher may skip.  None for no classes."""
+    if not classes:
+        return None
+    span = b"".join(re.escape(bytes([c])) for c in sorted(classes))
+    return re.compile(b"[" + span + b"]*").match
 
 
 class Tdfa:

@@ -7,11 +7,30 @@ an origin share their inherited tag sequence, so one backlink per unique
 origin suffices.  A forward pass records the traversed backlink arrays, and
 backward passes decode single offsets, offset lists, or the full tagged
 string.
+
+The passes run on a match plan, built from the automaton on its first match:
+
+- the input is mapped to class bytes once with `bytes.translate`; dead bytes
+  map to a sentinel class whose column is None in every row;
+- rows are dense lists of cells (target, backlinks, skip or None);
+- a self-loop whose backlink array maps every slot i to (i, ()) is a no-op:
+  walking back over it changes neither the slot nor the tags.  A state with
+  no-op self-loops has a compiled `re` span over their classes, and on entry
+  to the state the forward pass lets it consume the whole run at C speed.
+  Each entry costs one `re` call, so skipping pays off on runs longer than a
+  few bytes.
+
+The forward pass returns the last state and a step list: the backlink array
+of each transition taken, in input order, and an int L for a run of L bytes
+consumed by a span.  The backward passes walk that list from the end; a run
+is one subtraction from the offset.  Offsets stop as soon as every tag has
+its last value: only the first occurrence from the end counts.
 """
 
 from collections import deque
+from itertools import chain
 
-from .determinize import ResourceLimit, byte_classes, class_translation
+from .determinize import ResourceLimit, byte_classes, class_translation, loop_span
 from .tnfa import Tnfa
 
 
@@ -27,22 +46,11 @@ class MultipassTdfa:
         self.delta: dict[tuple[int, int], tuple[int, tuple]] = {}
         # phi[state] = (index into the incoming array, final tag sequence)
         self.phi: dict[int, tuple[int, tuple]] = {}
-        self._table = None
+        # The forward pass's match plan, built on the first match.
+        self._plan = None
 
     def n_classes(self) -> int:
         return len(self.alphabet)
-
-    def table(self):
-        """(translate table, rows) for the forward pass: the input maps to
-        classes with bytes.translate, and the rows have a None column for
-        the sentinel class of dead bytes."""
-        if self._table is None:
-            classes = class_translation(self.byte_to_class)
-            t = [[None] * (max(classes) + 1) for _ in range(self.n_states)]
-            for (s, c), cell in self.delta.items():
-                t[s][c] = cell
-            self._table = classes, t
-        return self._table
 
     def stats(self) -> dict:
         return {
@@ -169,51 +177,111 @@ def determinize_multipass(nfa: Tnfa, max_states: int = 100_000) -> MultipassTdfa
     return mp
 
 
-def match_forward(mp: MultipassTdfa, data: bytes):
-    """Run the forward pass; returns (state sequence, backlink array
-    sequence) or None.  The arrays are recorded to save lookups in the
-    backward passes."""
-    classes, table = mp.table()
+class MatchPlan:
+    """The automaton laid out for the forward pass (see the module docstring)."""
+
+    __slots__ = ("classes", "rows", "final", "skip0")
+
+    def __init__(self, mp: MultipassTdfa):
+        self.classes = class_translation(mp.byte_to_class)
+        width = max(self.classes) + 1
+        n = mp.n_states
+        loops: list[list[int]] = [[] for _ in range(n)]
+        for (s, c), (target, links) in mp.delta.items():
+            if target == s and all(link == (i, ()) for i, link in enumerate(links)):
+                loops[s].append(c)
+        skip = [loop_span(cs) for cs in loops]
+        self.rows = [[None] * width for _ in range(n)]
+        for (s, c), (target, links) in mp.delta.items():
+            self.rows[s][c] = (target, links, skip[target])
+        self.final = [s in mp.finals for s in range(n)]
+        self.skip0 = skip[mp.s0]
+
+
+def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
+    """Run the forward pass; returns (last state, steps) or None.
+
+    steps holds, in input order, the backlink array of each transition taken
+    and an int L for each run of L bytes consumed by a span.  With counters,
+    adds the bytes consumed to "transitions" and those consumed by spans to
+    "skipped".
+    """
+    plan = mp._plan
+    if plan is None:
+        plan = mp._plan = MatchPlan(mp)
+    rows = plan.rows
+    text = data.translate(plan.classes)
+    it = iter(text)
+    steps: list = []
+    append = steps.append
+    # Bytes consumed beyond one per step: the position is len(steps) + extra.
+    extra = 0
     s = mp.s0
-    seq = [s]
-    arrays = []
-    for cls in data.translate(classes):
-        cell = table[s][cls]
+    skip = plan.skip0
+    if skip is not None:
+        end = skip(text).end()
+        if end:
+            append(end)
+            extra = end - 1
+            # A bytes iterator's __setstate__ (its pickle support) sets its
+            # position: one call, where islice would step through the run.
+            it.__setstate__(end)
+    row = rows[s]
+    for cls in it:
+        cell = row[cls]
         if cell is None:
-            return None
-        s = cell[0]
-        seq.append(s)
-        arrays.append(cell[1])
-    if s not in mp.finals:
+            break
+        s, links, skip = cell
+        append(links)
+        if skip is not None:
+            pos = len(steps) + extra
+            end = skip(text, pos).end()
+            if end > pos:
+                append(end - pos)
+                extra += end - pos - 1
+                it.__setstate__(end)
+        row = rows[s]
+    consumed = len(steps) + extra
+    if counters is not None:
+        counters["transitions"] = counters.get("transitions", 0) + consumed
+        counters["skipped"] = counters.get("skipped", 0) + sum(x for x in steps if x.__class__ is int)
+    if consumed < len(text) or not plan.final[s]:
         return None
-    return seq, arrays
+    return s, steps
 
 
-def _backlink_walk(mp: MultipassTdfa, arrays, last_state: int):
-    """Yield (k, tag sequence) from the match end back to the start."""
-    i, h = mp.phi[last_state]
-    k = len(arrays)
-    while True:
-        yield k, h
-        if k == 0:
-            return
-        i, h = arrays[k - 1][i]
-        k -= 1
+def _backward(mp: MultipassTdfa, forward):
+    """The steps of a backward walk, last first.  The walk starts in slot 0
+    at offset len(data) + 1 of a one-slot array holding the final backlink,
+    so each array step moves one offset back and reads the tags there."""
+    s, steps = forward
+    return chain(((mp.phi[s],),), reversed(steps))
 
 
 def extract_offsets(mp: MultipassTdfa, data: bytes, forward) -> dict:
-    """Last offset per tag; negative occurrences record nil (None)."""
-    seq, arrays = forward
-    missing = object()
-    E = {t: missing for t in mp.tags}
-    for k, h in _backlink_walk(mp, arrays, seq[-1]):
-        for t in reversed(h):
-            if t > 0:
-                if E[t] is missing:
-                    E[t] = k
-            elif E[-t] is missing:
-                E[-t] = None
-    return {t: (None if v is missing else v) for t, v in E.items()}
+    """Last offset per tag; negative occurrences record nil (None).  Only
+    the first occurrence from the end counts, so the walk stops once every
+    tag has one."""
+    E: dict = {}
+    n = len(mp.tags)
+    i, k = 0, len(data) + 1
+    if n:
+        for step in _backward(mp, forward):
+            if step.__class__ is int:
+                k -= step
+                continue
+            i, h = step[i]
+            k -= 1
+            if h:
+                for t in reversed(h):
+                    if t > 0:
+                        if t not in E:
+                            E[t] = k
+                    elif -t not in E:
+                        E[-t] = None
+                if len(E) == n:
+                    break
+    return {t: E.get(t) for t in mp.tags}
 
 
 def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward) -> dict:
@@ -222,9 +290,14 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward) -> dict:
     The walk runs backwards, so offsets are collected in reverse and each
     list flipped once at the end (prepending would be quadratic).
     """
-    seq, arrays = forward
     E: dict[int, list] = {t: [] for t in mp.tags}
-    for k, h in _backlink_walk(mp, arrays, seq[-1]):
+    i, k = 0, len(data) + 1
+    for step in _backward(mp, forward):
+        if step.__class__ is int:
+            k -= step
+            continue
+        i, h = step[i]
+        k -= 1
         for t in reversed(h):
             if t > 0:
                 E[t].append(k)
@@ -235,25 +308,39 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward) -> dict:
     return E
 
 
+# One-byte bytes objects, the symbols of a tagged string.
+_BYTES = [bytes([b]) for b in range(256)]
+
+
 def extract_tstring(mp: MultipassTdfa, data: bytes, forward) -> list:
     """The matched string interleaved with tags: ints are (signed) tag ids,
     single bytes are input symbols."""
-    seq, arrays = forward
+    s, steps = forward
+    i0, h = mp.phi[s]
     # Pre-size: one slot per symbol plus the history lengths.
-    size = len(data)
-    for _, h in _backlink_walk(mp, arrays, seq[-1]):
-        size += len(h)
+    size = len(data) + len(h)
+    i = i0
+    for step in reversed(steps):
+        if step.__class__ is not int:
+            i, g = step[i]
+            size += len(g)
     out: list = [None] * size
-    pos = size
-    first = True
-    for k, h in _backlink_walk(mp, arrays, seq[-1]):
-        if not first:
-            pos -= 1
-            out[pos] = bytes(data[k : k + 1])
-        first = False
-        for t in reversed(h):
-            pos -= 1
-            out[pos] = t
+    pos = size - len(h)
+    out[pos:] = h
+    i, k = i0, len(data)
+    for step in reversed(steps):
+        if step.__class__ is int:
+            out[pos - step : pos] = map(_BYTES.__getitem__, data[k - step : k])
+            pos -= step
+            k -= step
+            continue
+        k -= 1
+        pos -= 1
+        out[pos] = _BYTES[data[k]]
+        i, h = step[i]
+        if h:
+            out[pos - len(h) : pos] = h
+            pos -= len(h)
     assert pos == 0
     return out
 

@@ -64,16 +64,6 @@ class Rep:
 TaggedRegex = Empty | Sym | Tag | Alt | Cat | Rep
 
 
-@dataclass
-class TagInfo:
-    """Per-tag metadata: value arity and the fixed-tag fixation, if any."""
-
-    tid: int
-    multi: bool = False
-    base: int | None = None  # base tag id, RIGHTMOST, or None (free tag)
-    distance: int = 0
-
-
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} at position {pos}")

@@ -31,10 +31,9 @@ quasi-transitions and is the reference the decoded steps are tested
 against.
 """
 
-import re
 from dataclasses import dataclass, field
 
-from .determinize import Tdfa, class_translation
+from .determinize import Tdfa, class_translation, loop_span
 from .regops import COPY, SET
 
 
@@ -128,11 +127,7 @@ class MatchPlan:
         for (s, c), (target, ops) in tdfa.delta.items():
             if target == s and not ops:
                 loops[s].append(c)
-        skip = [None] * n
-        for s, cs in enumerate(loops):
-            if cs:
-                span = b"".join(re.escape(bytes([c])) for c in sorted(cs))
-                skip[s] = re.compile(b"[" + span + b"]*").match
+        skip = [loop_span(cs) for cs in loops]
         decoded: dict = {}
         self.rows = [[None] * width for _ in range(n)]
         for (s, c), (target, ops) in tdfa.delta.items():

@@ -1,5 +1,7 @@
+from itertools import chain
 from random import Random
 
+import pytest
 from helpers import all_inputs
 
 from tdfa.multipass import (
@@ -16,6 +18,9 @@ from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
+CSV = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
+# Every byte, metacharacters escaped.
+ANY_BYTE = b"(?:" + b"|".join((b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)) + b")"
 
 
 def golden_mp():
@@ -64,18 +69,22 @@ def test_construct_backlinks_dedup_and_empty():
 
 def test_match_forward_golden():
     mp = golden_mp()
-    seq, arrays = match_forward(mp, b"aab")
-    assert seq == [0, 1, 1, 2]
-    assert len(seq) == len(b"aab") + 1
-    assert len(arrays) == 3
+    a, b = cls_of(mp, "a"), cls_of(mp, "b")
+    s, steps = match_forward(mp, b"aab")
+    assert s == 2
+    assert steps == [mp.delta[(0, a)][1], mp.delta[(1, a)][1], mp.delta[(1, b)][1]]
+    # The b* loop of state 3 is a no-op: its run is one int step.
+    s, steps = match_forward(mp, b"abbbb")
+    assert s == 3
+    assert steps == [mp.delta[(0, a)][1], mp.delta[(1, b)][1], mp.delta[(2, b)][1], 2]
     assert match_forward(mp, b"ax") is None
     assert match_forward(mp, b"") is None  # empty string not in the language
 
 
 def test_match_forward_empty_input_final_start():
     mp = determinize_multipass(build_tnfa(parse_regex("#")))
-    seq, arrays = match_forward(mp, b"")
-    assert seq == [mp.s0] and arrays == []
+    s, steps = match_forward(mp, b"")
+    assert s == mp.s0 and steps == []
 
 
 def test_extract_offsets_golden():
@@ -130,25 +139,120 @@ def test_extract_tstring_tag_free():
     assert render_tstring(extract_tstring(mp, b"ab", fw)) == "a b"
 
 
+def check_reprs(nfa, mp, data: bytes) -> dict:
+    """Match data and check the three representations against
+    tnfa.simulate and against each other; returns the counters."""
+    from tdfa.fuzz import _lists_from_tstring
+
+    c: dict = {}
+    fw = match_forward(mp, data, c)
+    want = simulate(nfa, data)
+    if fw is None:
+        assert want is None, data
+        return c
+    offsets = extract_offsets(mp, data, fw)
+    lists = extract_offset_lists(mp, data, fw)
+    ts = extract_tstring(mp, data, fw)
+    assert offsets == want, data
+    for t in mp.tags:
+        last = lists[t][-1] if lists[t] else None
+        assert (None if last == -1 else last) == offsets[t]
+    assert _lists_from_tstring(ts, mp.tags) == lists
+    assert b"".join(x for x in ts if isinstance(x, bytes)) == data
+    assert c["transitions"] == len(data)
+    return c
+
+
+def mp_of(pattern):
+    nfa = build_tnfa(parse_regex(pattern))
+    return nfa, determinize_multipass(nfa)
+
+
 def test_cross_representation_consistency():
-    from tdfa.fuzz import gen_pattern, _lists_from_tstring
+    from tdfa.fuzz import gen_pattern
 
     rng = Random(17)
     for _ in range(40):
         pattern = gen_pattern(rng, max_nodes=9, max_tags=5)
         nfa = build_tnfa(parse_regex(pattern))
         mp = determinize_multipass(nfa)
-        for data in all_inputs(b"ab", 5):
-            fw = match_forward(mp, data)
-            want = simulate(nfa, data)
-            if fw is None:
-                assert want is None, (pattern, data)
-                continue
-            offsets = extract_offsets(mp, data, fw)
-            lists = extract_offset_lists(mp, data, fw)
-            ts = extract_tstring(mp, data, fw)
-            assert offsets == want, (pattern, data)
-            for t in mp.tags:
-                last = lists[t][-1] if lists[t] else None
-                assert (None if last == -1 else last) == offsets[t]
-            assert _lists_from_tstring(ts, mp.tags) == lists
+        for data in chain(all_inputs(b"ab", 5), all_inputs(b"abc", 4)):
+            check_reprs(nfa, mp, data)
+
+
+@pytest.mark.parametrize("run", [0, 1, 2, 1500])
+def test_noop_runs_are_skipped(run):
+    # The first b enters the loop state; the rest is the run.
+    nfa, mp = mp_of("a#b*#c")
+    data = b"ab" + b"b" * run + b"c"
+    assert check_reprs(nfa, mp, data)["skipped"] == run
+    _, steps = match_forward(mp, data)
+    assert [x for x in steps if isinstance(x, int)] == ([run] if run else [])
+
+
+def test_noop_runs_in_csv_fields():
+    # Fields of 1, 2 and 3 letters leave runs of 0, 1 and 2 bytes.
+    nfa, mp = mp_of(CSV)
+    for data in all_inputs(b"abc,", 5):
+        check_reprs(nfa, mp, data)
+    data = b",".join(b"abc" * n for n in (1, 400, 2))
+    assert check_reprs(nfa, mp, data)["skipped"] == 2 + 1199 + 5
+
+
+def test_self_looping_start_state():
+    nfa, mp = mp_of("(?:a|b)*(c)(?:a|b)*")
+    for data in all_inputs(b"abc", 6):
+        check_reprs(nfa, mp, data)
+    assert mp._plan.skip0 is not None
+    data = b"ab" * 700 + b"c" + b"ba" * 700
+    # After c, the first letter enters the second loop state.
+    assert check_reprs(nfa, mp, data)["skipped"] == 1400 + 1399
+    _, steps = match_forward(mp, data)
+    assert steps[0] == 1400 and steps[-1] == 1399
+
+
+def test_dead_byte_inside_skipped_run():
+    nfa, mp = mp_of("a#b*#c")
+    c = check_reprs(nfa, mp, b"a" + b"b" * 500 + b"x" + b"b" * 500 + b"c")
+    assert c["transitions"] == 501 and c["skipped"] == 499
+    # a byte of the alphabet that leaves the loop ends the run as well
+    check_reprs(nfa, mp, b"a" + b"b" * 500 + b"a" + b"b" * 500 + b"c")
+
+
+def test_full_byte_alphabet():
+    # The start state loops on every byte but the backslash.
+    nfa, mp = mp_of(ANY_BYTE + b"*#\\\\" + ANY_BYTE + b"*")
+    assert mp.n_classes() == 256
+    rng = Random(3)
+    inputs = [bytes(range(256)), bytes(range(255, -1, -1)), b"", b"\\", b"]^-\\"]
+    inputs += [bytes(rng.choice(b"\x00\xff]^-\\ab") for _ in range(rng.randint(0, 12))) for _ in range(200)]
+    for data in inputs:
+        check_reprs(nfa, mp, data)
+    assert max(mp._plan.classes) == 255
+
+
+def test_loop_with_history_is_not_skipped():
+    nfa, mp = mp_of("(?:#a)*")
+    data = b"a" * 1200
+    assert check_reprs(nfa, mp, data)["skipped"] == 0
+    _, steps = match_forward(mp, data)
+    assert len(steps) == 1200
+
+
+def test_loop_moving_between_slots_is_not_skipped():
+    # State 3 loops on a with empty histories, but its array sends slot 2 to
+    # slot 1: walking back over the a's decides where the group began.
+    nfa, mp = mp_of("ba*aa(b*)?")
+    assert mp.delta[(3, cls_of(mp, "a"))] == (3, ((0, ()), (0, ()), (1, ())))
+    for data in all_inputs(b"ab", 7):
+        check_reprs(nfa, mp, data)
+    assert check_reprs(nfa, mp, b"b" + b"a" * 1200 + b"b")["skipped"] == 0
+
+
+@pytest.mark.parametrize("pattern", ["#(?:a|b)*#", "#(?:#a)*"])
+def test_offsets_walk_back_to_a_tag_at_the_start(pattern):
+    # Tag 2 is resolved at the end; tag 1 only at offset 0, 1500 bytes back.
+    nfa, mp = mp_of(pattern)
+    data = b"a" * 1500
+    check_reprs(nfa, mp, data)
+    assert extract_offsets(mp, data, match_forward(mp, data))[1] == 0
