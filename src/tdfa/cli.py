@@ -208,7 +208,7 @@ def _bench_one(p: Pattern, data: bytes, repr_: str = "offsets"):
     dt = time.perf_counter() - t0
     mbps = len(data) / dt / 1e6 if dt else float("inf")
     opb = counters.get("operations", 0) / max(len(data), 1)
-    return out, dt, mbps, opb
+    return out, dt, mbps, opb, counters.get("tree_nodes")
 
 
 def cmd_bench(args) -> int:
@@ -218,16 +218,16 @@ def cmd_bench(args) -> int:
     rows = []
     for pat in patterns:
         p = Pattern(pat, engine="tdfa", opt="full")
-        out, dt, mbps, opb = _bench_one(p, data)
-        rows.append((pat, "tdfa", f"{mbps:8.1f}", f"{opb:8.2f}",
+        out, dt, mbps, opb, nodes = _bench_one(p, data)
+        rows.append((pat, "tdfa", f"{mbps:8.1f}", f"{opb:8.2f}", nodes,
                      p.tdfa.register_count(), p.tdfa.op_count(), out.kind))
         mp = Pattern(pat, engine="multipass")
         for repr_ in args.repr.split(","):
-            out, dt, mbps, _ = _bench_one(mp, data, repr_)
-            rows.append((pat, f"multipass/{repr_}", f"{mbps:8.1f}", "       -", "-", "-", out.kind))
-    print(f"{'pattern':24} {'engine':20} {'MB/s':>8} {'ops/byte':>8} {'regs':>5} {'ops':>5} result")
-    for pat, eng, mbps, opb, regs, ops, kind in rows:
-        print(f"{pat:24} {eng:20} {mbps:>8} {opb:>8} {regs!s:>5} {ops!s:>5} {kind}")
+            out, dt, mbps, _, _ = _bench_one(mp, data, repr_)
+            rows.append((pat, f"multipass/{repr_}", f"{mbps:8.1f}", "-", "-", "-", "-", out.kind))
+    print(f"{'pattern':24} {'engine':20} {'MB/s':>8} {'ops/byte':>8} {'nodes':>9} {'regs':>5} {'ops':>5} result")
+    for pat, eng, mbps, opb, nodes, regs, ops, kind in rows:
+        print(f"{pat:24} {eng:20} {mbps:>8} {opb:>8} {nodes!s:>9} {regs!s:>5} {ops!s:>5} {kind}")
     return EX_OK
 
 

@@ -206,9 +206,9 @@ class Determinizer:
     # -- closure machinery ------------------------------------------------
 
     def epsilon_closure(self, B):
-        """B: seed configs [state, regs list, inherited tags]; returns commit-
-        ordered configs [state, regs copy, inherited, lookahead] filtered to
-        final or symbol-bearing states."""
+        """B: seed configs (state, regs, inherited tags), read only; returns
+        commit-ordered configs [state, regs list copy, inherited, lookahead]
+        filtered to final or symbol-bearing states."""
         nfa = self.nfa
         out = []
         seen = set()
@@ -230,12 +230,13 @@ class Determinizer:
 
     def step_on_symbol(self, state: _State, byte: int):
         """Seed configs across symbol transitions; the stored lookahead
-        becomes the inherited tag sequence of the seed."""
+        becomes the inherited tag sequence of the seed.  The seeds share the
+        state's register lists: epsilon_closure copies them."""
         seeds = []
         for q, regs, l in state.rows:
             p = self.nfa.syms[q].get(byte)
             if p is not None:
-                seeds.append((p, list(regs), l))
+                seeds.append((p, regs, l))
         return seeds
 
     # -- register operations ----------------------------------------------

@@ -14,24 +14,49 @@ match and kept until `Tdfa.invalidate()`:
   bytes map to a sentinel class whose column is None in every row (a full
   256-byte alphabet has no dead bytes and no sentinel);
 - rows are dense lists of cells (target, steps or None, operation count,
-  skip or None);
+  skip or None), where skip is the op-free span of the target (below);
 - each distinct operation list is decoded once into flat (kind, dst, src)
   steps that the loop runs inline; an append of a multi-character history
   is one step per character;
+- copies with one offset src - dst whose destinations form an arithmetic
+  progression (the shift chain r4..r101 <- r5..r102 of `(?:#a)*a{100}`,
+  the stride-3 chains of `(a|b)*(?:#a){k}`) become one copy step whose
+  dst and src are `slice`s, so `regs[dst] = regs[src]` moves them all.
+  Only progressions of at least SLICE_MIN = 8 copies do: a slice move
+  costs about as much as 5-6 plain copies.  The moves and the other
+  operations are ordered so every source is read before it is
+  overwritten, and the result is checked symbolically against the list
+  when the plan is built; a cycle in that order or a failed check keeps
+  the plain steps;
 - a state with op-free self-loops has a compiled `re` span over those
   classes; on entry to the state the loop lets it consume the whole run of
   such bytes at C speed.  Each entry costs one `re` call, so skipping
-  pays off on runs longer than a few bytes.
+  pays off on runs longer than a few bytes;
+- a state with no op-free self-loop whose self-loops all carry one list of
+  sets `r <- p|n` and single-character self-appends `r <- r.h` has a bulk
+  loop.  The steps of its self-loop cells end in a bulk step holding the
+  span of those classes and the list's closed form, so the first loop
+  byte runs as usual (entries that leave at once pay no `re` call) and
+  the step consumes the rest of the run, L bytes, at C speed.  Each
+  append then extends the prefix tree by a chain of L nodes with
+  `range`s, each set register gets the last position of the run (or
+  nil), and the operation count grows by k * L for a list of k.  The tree
+  records each chain, and `PrefixTree.unpack` reads it as one reversed
+  slice of `offs`.
 
-Counters come from the same loop: `transitions` is the number of bytes
-consumed, `operations` the number of operations of the automaton's lists
-on the transitions taken (skipped self-loops carry none).  `run_ops`
-applies operation lists as written; it runs the final and fallback
-quasi-transitions and is the reference the decoded steps are tested
-against.
+Counters come from the same loop and add to what the dict holds:
+`transitions` is the number of bytes consumed, `operations` the number of
+operations of the automaton's lists on the transitions taken (skipped
+op-free loops carry none, a bulk run counts every byte), `tree_nodes` the
+prefix-tree nodes those transitions created (the final and fallback
+operations run after the count), and `fallback` is 1 when the match took
+the fallback quasi-transition.  `run_ops` applies operation lists as
+written; it runs the final and fallback quasi-transitions and is the
+reference the decoded steps are tested against.
 """
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .determinize import Tdfa, class_translation, loop_span
 from .regops import COPY, SET
@@ -41,14 +66,17 @@ class PrefixTree:
     """Growable tree of (pred, offs) nodes; index 0 is the empty sequence.
 
     Appends only; common prefixes are shared, so copying a history is
-    copying an index.
+    copying an index.  `runs` maps the last node of each chain appended in
+    bulk to its first node; the nodes of a chain are consecutive, each the
+    pred of the next.
     """
 
-    __slots__ = ("pred", "offs")
+    __slots__ = ("pred", "offs", "runs")
 
     def __init__(self):
         self.pred = [0]
         self.offs = [None]
+        self.runs = {}
 
     def append(self, idx: int, hist: str, pos: int) -> int:
         pred, offs = self.pred, self.offs
@@ -59,10 +87,20 @@ class PrefixTree:
         return idx
 
     def unpack(self, idx: int) -> list:
+        pred, offs, runs = self.pred, self.offs, self.runs
         out = []
+        if not runs:  # no chains: spare the walk a lookup per node
+            while idx:
+                out.append(offs[idx])
+                idx = pred[idx]
         while idx:
-            out.append(self.offs[idx])
-            idx = self.pred[idx]
+            if idx in runs:
+                first = runs[idx]
+                out += offs[idx:first - 1:-1]
+                idx = pred[first]
+            else:
+                out.append(offs[idx])
+                idx = pred[idx]
         out.reverse()
         return out
 
@@ -95,7 +133,11 @@ def run_ops(ops, regs, tree: PrefixTree, pos: int):
 
 
 # Decoded step kinds, in the order the loop tests them.
-_COPY, _APPEND_P, _SET_P, _SET_N, _APPEND_N = range(5)
+_COPY, _APPEND_P, _SET_P, _SET_N, _APPEND_N, _BULK = range(6)
+
+# Copies in one arithmetic progression become one slice move from this
+# many on; below it the plain copies cost less.
+SLICE_MIN = 8
 
 
 def _decode_ops(ops) -> tuple:
@@ -111,7 +153,127 @@ def _decode_ops(ops) -> tuple:
             for ch in op[3]:
                 steps.append((_APPEND_P if ch == "p" else _APPEND_N, op[1], src))
                 src = op[1]
+    if sum(step[0] == _COPY for step in steps) >= SLICE_MIN:
+        steps = _with_slice_moves(steps) or steps
     return tuple(steps)
+
+
+def _progressions(dsts: list) -> list:
+    """Split sorted register numbers into (members, stride) arithmetic
+    progressions: each starts at the least number left and strides to the
+    next number left."""
+    left = set(dsts)
+    out = []
+    for i, d in enumerate(dsts):
+        if d not in left:
+            continue
+        left.discard(d)
+        members, stride = [d], 1
+        j = i + 1
+        while j < len(dsts) and dsts[j] not in left:
+            j += 1
+        if j < len(dsts):
+            stride = dsts[j] - d
+            while members[-1] + stride in left:
+                members.append(members[-1] + stride)
+                left.discard(members[-1])
+        out.append((members, stride))
+    return out
+
+
+def _effect(steps) -> dict:
+    """Symbolic run of steps: each written register maps to a term over the
+    values before the list (a register number), "p", "n" and appends
+    (term, character)."""
+    val = {}
+    for kind, dst, src in steps:
+        if kind == _COPY:
+            if type(dst) is slice:
+                terms = [val.get(r, r) for r in range(src.start, src.stop, src.step)]
+                val.update(zip(range(dst.start, dst.stop, dst.step), terms))
+            else:
+                val[dst] = val.get(src, src)
+        elif kind == _SET_P:
+            val[dst] = "p"
+        elif kind == _SET_N:
+            val[dst] = "n"
+        else:
+            val[dst] = (val.get(src, src), "p" if kind == _APPEND_P else "n")
+    return val
+
+
+def _with_slice_moves(plain: list) -> list | None:
+    """The plain steps of a list with each progression of at least
+    SLICE_MIN copies of one offset src - dst as one slice move, ordered so
+    every source is read before it is overwritten.  None when no
+    progression is that long, the order has a cycle or the steps differ
+    from the plain ones."""
+    # The steps of one operation are consecutive and share its destination,
+    # which no other operation of the list writes.
+    per_op: list[list] = []
+    for step in plain:
+        if per_op and per_op[-1][0][1] == step[1]:
+            per_op[-1].append(step)
+        else:
+            per_op.append([step])
+    by_offset: dict[int, dict[int, int]] = {}
+    for i, steps in enumerate(per_op):
+        kind, dst, src = steps[0]
+        if kind == _COPY and dst != src:
+            by_offset.setdefault(src - dst, {})[dst] = i
+    # Units: (position in ops, steps, registers read, registers written).
+    units = []
+    moved = set()
+    for offset, members in by_offset.items():
+        for dsts, stride in _progressions(sorted(members)):
+            if len(dsts) >= SLICE_MIN:
+                src = range(dsts[0] + offset, dsts[-1] + offset + 1, stride)
+                move = (_COPY, slice(dsts[0], dsts[-1] + 1, stride), slice(src.start, src.stop, stride))
+                where = [members[d] for d in dsts]
+                moved.update(where)
+                units.append((min(where), [move], src, dsts))
+    if not units:
+        return None
+    for i, steps in enumerate(per_op):
+        if i not in moved:
+            kind, dst, src = steps[0]
+            units.append((i, steps, () if kind in (_SET_P, _SET_N) else (src,), (dst,)))
+    writer = {r: u for u, unit in enumerate(units) for r in unit[3]}
+    later: list[list[int]] = [[] for _ in units]
+    waits = [0] * len(units)
+    for u, unit in enumerate(units):
+        for r in unit[2]:
+            w = writer.get(r, u)
+            if w != u:
+                later[u].append(w)
+                waits[w] += 1
+    ready = [(unit[0], u) for u, unit in enumerate(units) if not waits[u]]
+    heapify(ready)
+    out = []
+    while ready:
+        u = heappop(ready)[1]
+        out += units[u][1]
+        for w in later[u]:
+            waits[w] -= 1
+            if not waits[w]:
+                heappush(ready, (units[w][0], w))
+    # A cycle leaves its operations out of the order, so the check fails.
+    return out if _effect(out) == _effect(plain) else None
+
+
+def _bulk_form(ops) -> tuple | None:
+    """(operation count, appends, sets) of a self-loop list made only of
+    sets and single-character self-appends, each as (register, is "p");
+    None for any other list."""
+    appends, sets = [], []
+    for op in ops:
+        if op[0] == SET:
+            sets.append((op[1], op[2] == "p"))
+        elif op[0] != COPY and op[1] == op[2] and len(op[3]) == 1:
+            appends.append((op[1], op[3] == "p"))
+        else:
+            return None
+    return len(ops), tuple(appends), tuple(sets)
 
 
 class MatchPlan:
@@ -123,11 +285,23 @@ class MatchPlan:
         self.classes = class_translation(tdfa.byte_to_class)
         width = max(self.classes) + 1
         n = tdfa.n_states
-        loops: list[list[int]] = [[] for _ in range(n)]
+        # Self-loop classes per state: op-free ones, and per operation list.
+        free_loops: list[list[int]] = [[] for _ in range(n)]
+        op_loops: list[dict] = [{} for _ in range(n)]
         for (s, c), (target, ops) in tdfa.delta.items():
-            if target == s and not ops:
-                loops[s].append(c)
-        skip = [loop_span(cs) for cs in loops]
+            if target == s:
+                if ops:
+                    op_loops[s].setdefault(ops, []).append(c)
+                else:
+                    free_loops[s].append(c)
+        skip = [loop_span(cs) for cs in free_loops]
+        bulk: list = [None] * n
+        for s in range(n):
+            if not free_loops[s] and len(op_loops[s]) == 1:
+                [(ops, cs)] = op_loops[s].items()
+                form = _bulk_form(ops)
+                if form is not None:
+                    bulk[s] = (_BULK, loop_span(cs), form)
         decoded: dict = {}
         self.rows = [[None] * width for _ in range(n)]
         for (s, c), (target, ops) in tdfa.delta.items():
@@ -136,6 +310,8 @@ class MatchPlan:
                 steps = decoded.get(ops)
                 if steps is None:
                     steps = decoded[ops] = _decode_ops(ops)
+            if target == s and bulk[s] is not None:
+                steps += (bulk[s],)
             self.rows[s][c] = (target, steps, len(ops), skip[target])
         self.final = [s in tdfa.finals for s in range(n)]
         self.skip0 = skip[tdfa.s0]
@@ -170,7 +346,7 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     text = data.translate(plan.classes)
     n = len(text)
     tree = PrefixTree()
-    pred, offs = tree.pred, tree.offs
+    pred, offs, runs = tree.pred, tree.offs, tree.runs
     regs = plan.regs0.copy()
 
     state = tdfa.s0
@@ -198,10 +374,26 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                     regs[dst] = pos
                 elif kind == _SET_N:
                     regs[dst] = None
-                else:  # _APPEND_N
+                elif kind == _APPEND_N:
                     pred.append(regs[src])
                     regs[dst] = len(offs)
                     offs.append(None)
+                else:  # _BULK: dst is the span of the loop, src its closed form
+                    end = dst(text, pos + 1).end()
+                    run = end - pos - 1
+                    if run:
+                        loop_ops, appends, sets = src
+                        n_ops += loop_ops * run
+                        for r, p in appends:
+                            node = len(pred)
+                            pred.append(regs[r])
+                            pred += range(node, node + run - 1)
+                            offs += range(pos + 1, end) if p else [None] * run
+                            regs[r] = last = node + run - 1
+                            runs[last] = node
+                        for r, p in sets:
+                            regs[r] = end - 1 if p else None
+                        pos = end - 1
         pos += 1
         if skip is not None:
             pos = skip(text, pos).end()
@@ -213,6 +405,8 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     if counters is not None:
         counters["transitions"] = counters.get("transitions", 0) + pos
         counters["operations"] = counters.get("operations", 0) + n_ops
+        counters["tree_nodes"] = counters.get("tree_nodes", 0) + len(pred) - 1
+        counters["fallback"] = counters.get("fallback", 0) + (mode != "full" and 0 <= match_pos < pos)
 
     if mode == "full":
         if match_pos != n:

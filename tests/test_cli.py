@@ -135,6 +135,12 @@ def test_bench_runs_and_reports(capsys):
     code, out, _ = run(capsys, "bench", "--size-mb=0.02", "--pattern=(?:#a)*")
     assert code == 0
     assert "MB/s" in out and "multipass/tstring" in out
+    header, *rows = out.splitlines()
+    assert header.split()[3:5] == ["ops/byte", "nodes"]
+    # one history node per input byte on the tdfa engine, none on multipass
+    tdfa_row = next(row.split() for row in rows if row.split()[1] == "tdfa")
+    assert tdfa_row[3:5] == ["1.00", "20000"]
+    assert all(row.split()[4] == "-" for row in rows if row.split()[1].startswith("multipass"))
 
 
 def test_library_compile_match_api():

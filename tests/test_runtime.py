@@ -5,8 +5,10 @@ import pytest
 
 import tdfa
 from tdfa.determinize import Tdfa, determinize
+from tdfa.fuzz import gen_pattern
 from tdfa.regops import APPEND, COPY, SET
-from tdfa.runtime import MatchPlan, PrefixTree, exec_tdfa, run_ops
+from tdfa.runtime import (SLICE_MIN, _APPEND_P, _BULK, _COPY, _SET_N, _SET_P, MatchPlan, PrefixTree,
+                          _decode_ops, exec_tdfa, run_ops)
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
@@ -21,7 +23,8 @@ ANY_BYTE = b"(?:" + b"|".join((b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b
 def naive_walk(a, data: bytes, mode: str = "full"):
     """One transition of delta per byte with run_ops, no plan and no skip.
 
-    Returns ((end, values) or None, counters)."""
+    Returns ((end, values) or None, counters); the counters are those of
+    exec_tdfa, tree nodes counted before the final or fallback operations."""
     tree = PrefixTree()
     regs = [None] * (a.max_reg + 1)
     for t in a.multi:
@@ -37,10 +40,11 @@ def naive_walk(a, data: bytes, mode: str = "full"):
         state, pos = cell[0], pos + 1
         if state in a.finals:
             match_pos, match_state = pos, state
-    counters = {"transitions": pos, "operations": n_ops}
+    fallback = mode != "full" and 0 <= match_pos < pos
+    counters = {"transitions": pos, "operations": n_ops, "tree_nodes": len(tree.pred) - 1, "fallback": int(fallback)}
     if match_pos < 0 or (mode == "full" and match_pos != len(data)):
         return None, counters
-    run_ops(a.phi[match_state] if match_pos == pos else a.psi[match_state], regs, tree, match_pos)
+    run_ops(a.psi[match_state] if fallback else a.phi[match_state], regs, tree, match_pos)
     values = {}
     for t in a.tags:
         r = regs[a.rf[t]]
@@ -201,7 +205,9 @@ def test_prefix_tree_vs_naive_registers():
         }))
         counters = {}
         values = exec_tdfa(chain, b"a" * len(program), counters=counters).values
-        assert counters == {"transitions": len(program), "operations": sum(map(len, program))}
+        assert counters == {"transitions": len(program), "operations": sum(map(len, program)),
+                            "tree_nodes": sum(len(op[3]) for ops in program for op in ops if op[0] == APPEND),
+                            "fallback": 0}
         for r in scalar:
             assert values[r] == naive.vals[r]
         for r in trees:
@@ -270,3 +276,242 @@ def test_prefix_without_fallback_operations_raises():
     assert exec_tdfa(clone, b"abca,bc", "prefix").end == 7
     with pytest.raises(ValueError, match=f"state {state} "):
         exec_tdfa(clone, b"abca,bc,d", "prefix")
+
+
+# -- slice moves and bulk self-loops -----------------------------------------
+
+
+def run_steps(steps, regs, tree: PrefixTree, pos):
+    """Decoded steps (no bulk step) with the effect exec_tdfa's loop gives them."""
+    for kind, dst, src in steps:
+        if kind == _COPY:
+            regs[dst] = regs[src]
+        elif kind in (_SET_P, _SET_N):
+            regs[dst] = pos if kind == _SET_P else None
+        else:
+            regs[dst] = tree.append(regs[src], "p" if kind == _APPEND_P else "n", pos)
+
+
+def check_decoded(ops, rng) -> tuple:
+    """The decoded steps of ops agree with run_ops on a random register file
+    whose registers hold nil or nodes of a random tree; returns the steps."""
+    steps = _decode_ops(ops)
+    size = 2 + max(max(op[1], op[2] if op[0] != SET else 0) for op in ops)
+    tree = PrefixTree()
+    for _ in range(20):
+        tree.append(rng.randrange(len(tree.pred)), rng.choice("np"), rng.randrange(100))
+    regs = [rng.choice([None, rng.randrange(len(tree.pred))]) for _ in range(size)]
+    want, want_tree = list(regs), PrefixTree()
+    want_tree.pred, want_tree.offs = list(tree.pred), list(tree.offs)
+    # "P" stands for the position: a set or an append stores it as given.
+    run_ops(ops, want, want_tree, "P")
+    run_steps(steps, regs, tree, "P")
+    for r in range(size):
+        if type(want[r]) is int:
+            assert type(regs[r]) is int and tree.unpack(regs[r]) == want_tree.unpack(want[r]), (ops, r)
+        else:
+            assert regs[r] == want[r], (ops, r)
+    return steps
+
+
+def has_slice(steps) -> bool:
+    return any(type(dst) is slice for _, dst, _ in steps)
+
+
+def test_decoded_steps_match_run_ops():
+    rng = Random(2024)
+    patterns = [GOLDEN] + [gen_pattern(rng) for _ in range(50)]
+    patterns += [f"(?:#a)*a{{{k}}}" for k in (1, 2, 5, 9, 10, 16)]
+    patterns += [f"(a|b)*(?:#a){{{k}}}" for k in (1, 2, 3, 8, 9, 16)]
+    lists = set()
+    for pattern in patterns:
+        for kw in ({}, {"use_minimize": True, "fixed_tags": True}):
+            a = tdfa.compile(pattern, **kw).tdfa
+            lists.update(ops for _, ops in a.delta.values())
+            lists.update(a.phi.values())
+            lists.update(a.psi.values())
+    lists.discard(())
+    rng = Random(5)
+    moved = [ops for ops in sorted(lists) if has_slice(check_decoded(ops, rng))]
+    # the shift chains of (?:#a)*a{k}, k >= 10, and the stride-3 chains of
+    # (a|b)*(?:#a){k}, k >= 9
+    assert len(moved) >= 4
+    for pattern, strides in (("(?:#a)*a{16}", [1]), ("(a|b)*(?:#a){16}", [3, 3])):
+        a = tdfa.compile(pattern).tdfa
+        longest = max((ops for _, ops in a.delta.values()), key=len)
+        moves = [dst for _, dst, _ in _decode_ops(longest) if type(dst) is slice]
+        assert [m.step for m in moves] == strides, pattern
+
+
+def test_slice_moves_only_from_slice_min_copies():
+    rng = Random(1)
+    for n in (SLICE_MIN - 1, SLICE_MIN):
+        chain = tuple((COPY, r, r + 1) for r in range(1, n + 1))
+        steps = check_decoded(chain, rng)
+        assert has_slice(steps) == (n == SLICE_MIN)
+        # reversed order: every copy overwrites the source of the next, so
+        # the list reads back to front and the move keeps its meaning
+        check_decoded(chain[::-1], rng)
+
+
+def test_decoded_steps_keep_cycles_and_reads_after_writes_plain():
+    rng = Random(2)
+    # A nontrivial cycle in input order, as the optimizer leaves it: no
+    # order reads every source first.
+    cycle = tuple((COPY, r, r + 1) for r in range(1, 10)) + ((COPY, 10, 1),)
+    # A copy that reads r5 after the chain overwrote it.
+    after = tuple((COPY, r, r + 1) for r in range(1, 10)) + ((COPY, 20, 5),)
+    # A copy that reads r5 before: it moves ahead of the slice move.
+    before = ((COPY, 20, 5),) + after[:-1]
+    for ops, sliced in ((cycle, False), (after, False), (before, True)):
+        steps = check_decoded(ops, rng)
+        assert has_slice(steps) == sliced, ops
+        if not sliced:
+            assert list(steps) == [step for op in ops for step in _decode_ops((op,))]
+
+
+def bulk_states(a) -> set:
+    plan = MatchPlan(a)
+    return {s for s, row in enumerate(plan.rows) for cell in row
+            if cell is not None and cell[1] and cell[1][-1][0] == _BULK}
+
+
+def check_bulk(p, data: bytes, simulated: bool):
+    out = check_against_walk(p.tdfa, data)
+    if simulated:
+        assert (out.values if out else None) == simulate(p.tnfa, data), data
+    return out
+
+
+BULK_CASES = [
+    # (pattern, multi): appends of p on a loop on one class
+    ("(?:#a)*", "auto"),
+    # sets only
+    ("(?:#a)*", "none"),
+    # p and n histories, two bulk states
+    ("(?:(a)|b)*", "auto"),
+    ("(?:#a|#b)*", "auto"),
+    # one loop list on two classes
+    ("(#(?:a|b))*c", "all"),
+    # several bulk states, sets only with multi="none"
+    ("((?:#a)*b)*", "auto"),
+    ("((?:#a)*b)*", "none"),
+]
+
+
+@pytest.mark.parametrize("pattern, multi", BULK_CASES)
+def test_bulk_loops_against_walk_and_simulation(pattern, multi):
+    p = tdfa.compile(pattern, multi=multi)
+    assert bulk_states(p.tdfa)
+    for data in all_inputs(b"abc", 6):
+        check_bulk(p, data, multi == "none")
+
+
+@pytest.mark.parametrize("pattern, multi", BULK_CASES)
+def test_bulk_runs_of_zero_one_two_and_1500_bytes(pattern, multi):
+    p = tdfa.compile(pattern, multi=multi)
+    # The loop byte of the state entered on "a" (or "b"), alone and in runs.
+    for run in (0, 1, 2, 3, 1500):
+        for data in (b"a" * run, b"b" + b"a" * run + b"b", b"a" * run + b"b" * run + b"c", b"ab" * run):
+            check_bulk(p, data, multi == "none")
+
+
+@pytest.mark.parametrize("multi", ["auto", "none"])
+def test_bulk_final_state_left_then_fallback(multi):
+    # State 1 loops on a and is final; "b" leaves it for a state that "x"
+    # kills, so the match falls back to the end of the run through psi.
+    p = tdfa.compile("(?:#a)*(?:bc)?", multi=multi)
+    a = p.tdfa
+    state = state_after(a, b"aa")
+    assert state in bulk_states(a) and state in a.finals and state in a.psi
+    for run in (1, 2, 3, 1500):
+        data = b"a" * run + b"bx"
+        counters = {}
+        out = exec_tdfa(a, data, "prefix", counters)
+        assert (out.kind, out.end) == ("prefix", run)
+        assert counters["fallback"] == 1 and counters["transitions"] == run + 1
+        check_against_walk(a, data)
+        assert out.values == exec_tdfa(a, b"a" * run).values
+        if multi == "none":
+            assert out.values == simulate(p.tnfa, b"a" * run)
+    counters = {}
+    exec_tdfa(a, b"aabc", "prefix", counters)
+    assert counters["fallback"] == 0
+
+
+@pytest.mark.parametrize("multi", ["auto", "none"])
+def test_golden_fixed_tags_loop_is_bulk(multi):
+    p = tdfa.compile(GOLDEN, fixed_tags=True, multi=multi)
+    plain = tdfa.compile(GOLDEN, multi=multi)
+    assert bulk_states(p.tdfa) and not bulk_states(plain.tdfa)
+    sim = tdfa.compile(GOLDEN, engine="simulation")
+    for data in list(all_inputs(b"ab", 7)) + [b"a" * 1500 + b"b" * 3, b"a" * 2 + b"b" * 1500, b"a" * 1500 + b"c"]:
+        check_against_walk(p.tdfa, data)
+        for mode in ("full", "prefix"):
+            assert p.match(data, mode=mode) == plain.match(data, mode=mode), (data, mode)
+        if multi == "none":
+            assert p.match(data) == sim.match(data), data
+
+
+def test_bulk_appends_count_tree_nodes():
+    p = tdfa.compile("(?:(a)|b)*", multi="auto")
+    counters = {}
+    out = exec_tdfa(p.tdfa, b"a" * 700 + b"b" * 800, counters=counters)
+    # two multi-valued tags, one node each per byte
+    assert counters["tree_nodes"] == 2 * 1500
+    assert out.values[1] == list(range(700)) + [-1] * 800
+
+
+def naive_unpack(tree: PrefixTree, idx: int) -> list:
+    out = []
+    while idx:
+        out.append(tree.offs[idx])
+        idx = tree.pred[idx]
+    return out[::-1]
+
+
+def test_unpack_mixes_bulk_chains_and_single_nodes(monkeypatch):
+    a = tdfa.compile("(?:(a)|b|c#)*", multi="all").tdfa
+    trees = []
+    init = PrefixTree.__init__
+
+    def keep(tree):
+        init(tree)
+        trees.append(tree)
+    monkeypatch.setattr(PrefixTree, "__init__", keep)
+    rng = Random(11)
+    for _ in range(40):
+        data = bytes(rng.choice(b"aabc") for _ in range(rng.randint(0, 60))) + b"a" * rng.choice((0, 1, 2, 40))
+        trees.clear()
+        assert exec_tdfa(a, data)
+        tree = trees[0]
+        for idx in range(len(tree.pred)):
+            assert tree.unpack(idx) == naive_unpack(tree, idx)
+        check_against_walk(a, data)
+    # the last input holds both kinds of node
+    assert tree.runs and len(tree.pred) - 1 > sum(last - first + 1 for last, first in tree.runs.items())
+
+
+def one_state_loop(ops) -> Tdfa:
+    """State 0, final, loops on "a" with ops; registers 1 and 2 are tags 1
+    (multi-valued) and 2, read back unchanged."""
+    return Tdfa.from_json(json.dumps({
+        "tags": [1, 2], "multi": [1], "alphabet": [97], "r0": {1: 1, 2: 2}, "rf": {1: 1, 2: 2},
+        "max_reg": 2, "n_states": 1, "s0": 0, "finals": [0], "fallback": [],
+        "delta": [[0, 0, 0, ops]], "phi": [[0, []]], "psi": [],
+    }))
+
+
+@pytest.mark.parametrize("ops, bulk", [
+    ([(APPEND, 1, 1, "p"), (SET, 2, "p")], True),
+    ([(APPEND, 1, 1, "n"), (SET, 2, "n")], True),
+    # a two-character history appends two nodes per byte
+    ([(APPEND, 1, 1, "np"), (SET, 2, "p")], False),
+    # a copy has no closed form here
+    ([(APPEND, 1, 1, "p"), (COPY, 2, 2)], False),
+])
+def test_bulk_loop_only_for_sets_and_one_character_self_appends(ops, bulk):
+    a = one_state_loop(ops)
+    assert bool(bulk_states(a)) == bulk
+    for n in (0, 1, 2, 3, 1500):
+        check_against_walk(a, b"a" * n)
