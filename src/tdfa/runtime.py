@@ -18,16 +18,14 @@ match and kept until `Tdfa.invalidate()`:
 - each distinct operation list is decoded once into flat (kind, dst, src)
   steps that the loop runs inline; an append of a multi-character history
   is one step per character;
-- copies with one offset src - dst whose destinations form an arithmetic
-  progression (the shift chain r4..r101 <- r5..r102 of `(?:#a)*a{100}`,
-  the stride-3 chains of `(a|b)*(?:#a){k}`) become one copy step whose
-  dst and src are `slice`s, so `regs[dst] = regs[src]` moves them all.
-  Only progressions of at least SLICE_MIN = 8 copies do: a slice move
-  costs about as much as 5-6 plain copies.  The moves and the other
-  operations are ordered so every source is read before it is
-  overwritten, and the result is checked symbolically against the list
-  when the plan is built; a cycle in that order or a failed check keeps
-  the plain steps;
+- copies with one offset src - dst to consecutive destinations (the
+  shift chain r4..r101 <- r5..r102 of `(?:#a)*a{100}`) become one copy
+  step whose dst and src are `slice`s, so `regs[dst] = regs[src]` moves
+  them all.  Only runs of at least SLICE_MIN = 8 copies do: a slice move
+  costs about as much as 5-6 plain copies.  The move takes the place of
+  the run's first copy in the list, and the result is checked
+  symbolically against the list when the plan is built; a failed check
+  keeps the plain steps;
 - a state with op-free self-loops has a compiled `re` span over those
   classes; on entry to the state the loop lets it consume the whole run of
   such bytes at C speed.  Each entry costs one `re` call, so skipping
@@ -56,7 +54,6 @@ reference the decoded steps are tested against.
 """
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 
 from .determinize import Tdfa, class_translation, loop_span
 from .regops import COPY, SET
@@ -89,18 +86,21 @@ class PrefixTree:
     def unpack(self, idx: int) -> list:
         pred, offs, runs = self.pred, self.offs, self.runs
         out = []
-        if not runs:  # no chains: spare the walk a lookup per node
+        if not runs:
+            # No chains, so no lookup per node: all long-scan tdfa rows
+            # together run about 3% faster than with the lookup.
             while idx:
                 out.append(offs[idx])
                 idx = pred[idx]
-        while idx:
-            if idx in runs:
-                first = runs[idx]
-                out += offs[idx:first - 1:-1]
-                idx = pred[first]
-            else:
-                out.append(offs[idx])
-                idx = pred[idx]
+        else:
+            while idx:
+                if idx in runs:
+                    first = runs[idx]
+                    out += offs[idx:first - 1:-1]
+                    idx = pred[first]
+                else:
+                    out.append(offs[idx])
+                    idx = pred[idx]
         out.reverse()
         return out
 
@@ -135,8 +135,8 @@ def run_ops(ops, regs, tree: PrefixTree, pos: int):
 # Decoded step kinds, in the order the loop tests them.
 _COPY, _APPEND_P, _SET_P, _SET_N, _APPEND_N, _BULK = range(6)
 
-# Copies in one arithmetic progression become one slice move from this
-# many on; below it the plain copies cost less.
+# A run of consecutive copies of one offset becomes one slice move from
+# this many on; below it the plain copies cost less.
 SLICE_MIN = 8
 
 
@@ -158,27 +158,15 @@ def _decode_ops(ops) -> tuple:
     return tuple(steps)
 
 
-def _progressions(dsts: list) -> list:
-    """Split sorted register numbers into (members, stride) arithmetic
-    progressions: each starts at the least number left and strides to the
-    next number left."""
-    left = set(dsts)
-    out = []
-    for i, d in enumerate(dsts):
-        if d not in left:
-            continue
-        left.discard(d)
-        members, stride = [d], 1
-        j = i + 1
-        while j < len(dsts) and dsts[j] not in left:
-            j += 1
-        if j < len(dsts):
-            stride = dsts[j] - d
-            while members[-1] + stride in left:
-                members.append(members[-1] + stride)
-                left.discard(members[-1])
-        out.append((members, stride))
-    return out
+def _consecutive(dsts: list) -> list:
+    """Split sorted register numbers into runs of consecutive numbers."""
+    runs = [[dsts[0]]]
+    for d in dsts[1:]:
+        if d == runs[-1][-1] + 1:
+            runs[-1].append(d)
+        else:
+            runs.append([d])
+    return runs
 
 
 def _effect(steps) -> dict:
@@ -189,8 +177,8 @@ def _effect(steps) -> dict:
     for kind, dst, src in steps:
         if kind == _COPY:
             if type(dst) is slice:
-                terms = [val.get(r, r) for r in range(src.start, src.stop, src.step)]
-                val.update(zip(range(dst.start, dst.stop, dst.step), terms))
+                terms = [val.get(r, r) for r in range(src.start, src.stop)]
+                val.update(zip(range(dst.start, dst.stop), terms))
             else:
                 val[dst] = val.get(src, src)
         elif kind == _SET_P:
@@ -203,61 +191,26 @@ def _effect(steps) -> dict:
 
 
 def _with_slice_moves(plain: list) -> list | None:
-    """The plain steps of a list with each progression of at least
-    SLICE_MIN copies of one offset src - dst as one slice move, ordered so
-    every source is read before it is overwritten.  None when no
-    progression is that long, the order has a cycle or the steps differ
-    from the plain ones."""
-    # The steps of one operation are consecutive and share its destination,
-    # which no other operation of the list writes.
-    per_op: list[list] = []
-    for step in plain:
-        if per_op and per_op[-1][0][1] == step[1]:
-            per_op[-1].append(step)
-        else:
-            per_op.append([step])
+    """The plain steps of a list with each run of at least SLICE_MIN copies
+    of one offset src - dst to consecutive registers as one slice move,
+    placed where the first copy of the run stands.  None when no run is
+    that long or the steps differ from the plain ones."""
     by_offset: dict[int, dict[int, int]] = {}
-    for i, steps in enumerate(per_op):
-        kind, dst, src = steps[0]
+    for i, (kind, dst, src) in enumerate(plain):
         if kind == _COPY and dst != src:
             by_offset.setdefault(src - dst, {})[dst] = i
-    # Units: (position in ops, steps, registers read, registers written).
-    units = []
-    moved = set()
+    out = list(plain)
     for offset, members in by_offset.items():
-        for dsts, stride in _progressions(sorted(members)):
+        for dsts in _consecutive(sorted(members)):
             if len(dsts) >= SLICE_MIN:
-                src = range(dsts[0] + offset, dsts[-1] + offset + 1, stride)
-                move = (_COPY, slice(dsts[0], dsts[-1] + 1, stride), slice(src.start, src.stop, stride))
-                where = [members[d] for d in dsts]
-                moved.update(where)
-                units.append((min(where), [move], src, dsts))
-    if not units:
+                where = sorted(members[d] for d in dsts)
+                first, last = dsts[0], dsts[-1] + 1
+                out[where[0]] = (_COPY, slice(first, last), slice(first + offset, last + offset))
+                for i in where[1:]:
+                    out[i] = None
+    out = [step for step in out if step is not None]
+    if len(out) == len(plain):
         return None
-    for i, steps in enumerate(per_op):
-        if i not in moved:
-            kind, dst, src = steps[0]
-            units.append((i, steps, () if kind in (_SET_P, _SET_N) else (src,), (dst,)))
-    writer = {r: u for u, unit in enumerate(units) for r in unit[3]}
-    later: list[list[int]] = [[] for _ in units]
-    waits = [0] * len(units)
-    for u, unit in enumerate(units):
-        for r in unit[2]:
-            w = writer.get(r, u)
-            if w != u:
-                later[u].append(w)
-                waits[w] += 1
-    ready = [(unit[0], u) for u, unit in enumerate(units) if not waits[u]]
-    heapify(ready)
-    out = []
-    while ready:
-        u = heappop(ready)[1]
-        out += units[u][1]
-        for w in later[u]:
-            waits[w] -= 1
-            if not waits[w]:
-                heappush(ready, (units[w][0], w))
-    # A cycle leaves its operations out of the order, so the check fails.
     return out if _effect(out) == _effect(plain) else None
 
 

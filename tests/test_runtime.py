@@ -333,14 +333,13 @@ def test_decoded_steps_match_run_ops():
     lists.discard(())
     rng = Random(5)
     moved = [ops for ops in sorted(lists) if has_slice(check_decoded(ops, rng))]
-    # the shift chains of (?:#a)*a{k}, k >= 10, and the stride-3 chains of
-    # (a|b)*(?:#a){k}, k >= 9
-    assert len(moved) >= 4
-    for pattern, strides in (("(?:#a)*a{16}", [1]), ("(a|b)*(?:#a){16}", [3, 3])):
+    # the shift chains of (?:#a)*a{k}, k >= 10
+    assert len(moved) >= 2
+    # r4..r17 <- r5..r18; the stride-3 chains of (a|b)*(?:#a){k} stay plain
+    for pattern, want in (("(?:#a)*a{16}", [(slice(4, 18), slice(5, 19))]), ("(a|b)*(?:#a){16}", [])):
         a = tdfa.compile(pattern).tdfa
         longest = max((ops for _, ops in a.delta.values()), key=len)
-        moves = [dst for _, dst, _ in _decode_ops(longest) if type(dst) is slice]
-        assert [m.step for m in moves] == strides, pattern
+        assert [(dst, src) for _, dst, src in _decode_ops(longest) if type(dst) is slice] == want, pattern
 
 
 def test_slice_moves_only_from_slice_min_copies():
@@ -350,20 +349,23 @@ def test_slice_moves_only_from_slice_min_copies():
         steps = check_decoded(chain, rng)
         assert has_slice(steps) == (n == SLICE_MIN)
         # reversed order: every copy overwrites the source of the next, so
-        # the list reads back to front and the move keeps its meaning
-        check_decoded(chain[::-1], rng)
+        # a move would change the meaning and the steps stay plain
+        assert not has_slice(check_decoded(chain[::-1], rng))
 
 
-def test_decoded_steps_keep_cycles_and_reads_after_writes_plain():
+def test_decoded_steps_keep_cycles_and_reads_of_overwritten_sources():
     rng = Random(2)
-    # A nontrivial cycle in input order, as the optimizer leaves it: no
-    # order reads every source first.
-    cycle = tuple((COPY, r, r + 1) for r in range(1, 10)) + ((COPY, 10, 1),)
-    # A copy that reads r5 after the chain overwrote it.
-    after = tuple((COPY, r, r + 1) for r in range(1, 10)) + ((COPY, 20, 5),)
-    # A copy that reads r5 before: it moves ahead of the slice move.
-    before = ((COPY, 20, 5),) + after[:-1]
-    for ops, sliced in ((cycle, False), (after, False), (before, True)):
+    chain = tuple((COPY, r, r + 1) for r in range(1, 10))
+    # A nontrivial cycle in input order, as the optimizer leaves it: the
+    # last copy reads r1 after the chain overwrote it, in both forms.
+    cycle = chain + ((COPY, 10, 1),)
+    # Copies that read r5 before and after the chain.
+    before = ((COPY, 20, 5),) + chain
+    after = chain + ((COPY, 20, 5),)
+    # A copy that reads r5 between the copies of the chain: the move would
+    # have overwritten it, so the steps stay plain.
+    middle = chain[:3] + ((COPY, 20, 5),) + chain[3:]
+    for ops, sliced in ((cycle, True), (before, True), (after, True), (middle, False)):
         steps = check_decoded(ops, rng)
         assert has_slice(steps) == sliced, ops
         if not sliced:
