@@ -20,7 +20,6 @@ from .runtime import NO_MATCH, MatchOutcome, exec_tdfa
 
 __all__ = [
     "compile",
-    "match",
     "Pattern",
     "MatchOutcome",
     "ParseError",
@@ -139,8 +138,3 @@ class Pattern:
 def compile(pattern: str | bytes, **kwargs) -> Pattern:
     """Compile a pattern; see Pattern for the options."""
     return Pattern(pattern, **kwargs)
-
-
-def match(handle: Pattern, data: str | bytes, mode: str = "full") -> MatchOutcome:
-    """Module-level convenience mirroring compile/match handle APIs."""
-    return handle.match(data, mode=mode)

@@ -11,11 +11,11 @@ import sys
 import time
 
 from . import Pattern
-from .determinize import ResourceLimit, Tdfa, determinize
-from .multipass import determinize_multipass, render_tstring
+from .determinize import ResourceLimit, determinize
+from .multipass import render_tstring
 from .optimizer import build_cfg, interferes, minimize, optimize
-from .resyntax import ParseError, ast_to_json, parse_regex
-from .tnfa import build_tnfa, tnfa_to_dot
+from .resyntax import ParseError, ast_to_json
+from .tnfa import tnfa_to_dot
 
 EX_OK = 0
 EX_NOMATCH = 1
@@ -87,16 +87,10 @@ def cmd_compile(args) -> int:
         with open(os.path.join(out_dir, name), "w") as f:
             f.write(text + "\n")
 
-    ast = parse_regex(args.pattern)
-    if args.auto_tags:
-        from .resyntax import auto_tag
-
-        ast = auto_tag(ast)
-    if "ast" in dumps:
-        write("ast.json", json.dumps(ast_to_json(ast), indent=2))
-
     stats = {}
     p = _compile(args, args.pattern)
+    if "ast" in dumps:
+        write("ast.json", json.dumps(ast_to_json(p.ast), indent=2))
     stats["tnfa_states"] = p.tnfa.n_states
     if "tnfa" in dumps:
         write("tnfa.dot", tnfa_to_dot(p.tnfa))

@@ -1,8 +1,21 @@
-"""Lookahead-aware powerset construction: TNFA to TDFA with registers.
+"""Lookahead-aware powerset construction, shared by both engines.
 
-A TDFA state is the ordered set of closure configurations (TNFA state,
-register vector, lookahead tag sequence); the order doubles as the
-precedence vector.  Tag sequences collected by the closure are stored as
+A state is the ordered set of closure configurations; the order doubles as
+the precedence vector.  A configuration is (TNFA state, payload, inherited
+tag sequence h, lookahead tag sequence l), and the payload is what tells
+the engines apart: a register vector for the register TDFA built here, the
+origin TNFA state for multi-pass TDFA (`multipass`).  Both engines share:
+
+- `epsilon_closure`, one depth-first closure over seeds (q, payload, h);
+- `Powerset`, one worklist BFS over one step, `expand(state, class)`: it
+  seeds configurations across the symbol transitions of one class, closes
+  them, and stores the cell the engine builds from the closure (register
+  operations here, backlinks in multi-pass);
+- `Automaton`, the container base (tags, byte classes, `delta`, `phi`,
+  the lazy match plan slot, dot output), and `PlanFrame`, the part of a
+  match plan both engines lay out the same way.
+
+In the register TDFA, tag sequences collected by the closure are stored as
 lookahead and turned into register operations on the *outgoing*
 transitions, filtered by the next symbol.  New states are first matched by
 identity, then by a register bijection (mapping) that rewrites the pending
@@ -19,7 +32,7 @@ import re
 from collections import deque
 
 from .regops import APPEND, COPY, SET, format_ops, topological_sort
-from .tnfa import Tnfa
+from .tnfa import Tnfa, dot_symbol
 
 
 class ResourceLimit(Exception):
@@ -56,14 +69,6 @@ def byte_classes(alphabet) -> tuple[tuple[int, ...], list[int]]:
     return tuple(alphabet), b2c
 
 
-def class_translation(b2c: list[int]) -> bytes:
-    """A bytes.translate table from byte to class.  Dead bytes go to the
-    sentinel class len(alphabet), whose column is None in every row; a full
-    256-byte alphabet has no dead bytes and no sentinel."""
-    sentinel = max(b2c) + 1
-    return bytes(sentinel if c < 0 else c for c in b2c)
-
-
 def loop_span(classes):
     """The `match` of a compiled `[...]*` over the given class bytes: it
     consumes a run of self-loops a matcher may skip.  None for no classes."""
@@ -73,32 +78,193 @@ def loop_span(classes):
     return re.compile(b"[" + span + b"]*").match
 
 
-class Tdfa:
-    def __init__(self, nfa: Tnfa, multi: frozenset[int]):
-        self.tags = nfa.tags
-        self.multi = multi
-        self.alphabet, self.byte_to_class = byte_classes(nfa.alphabet)
-        ntags = len(self.tags)
-        self.r0 = {t: i + 1 for i, t in enumerate(self.tags)}
-        self.rf = {t: ntags + i + 1 for i, t in enumerate(self.tags)}
-        self.max_reg = 2 * ntags
+def epsilon_closure(nfa: Tnfa, seeds) -> list:
+    """Depth-first closure of seed configurations (q, payload, h); the first
+    arrival at a state wins.  Returns the configurations (q, payload, h, l)
+    in commit order, l being the tags met on the way, filtered to final or
+    symbol-bearing states.  Payloads are passed on, never copied."""
+    out = []
+    seen = set()
+    stack = [(q, x, h, ()) for q, x, h in reversed(seeds)]
+    while stack:
+        cfg = stack.pop()
+        q = cfg[0]
+        if q in seen:
+            continue
+        seen.add(q)
+        out.append(cfg)
+        _, x, h, l = cfg
+        for _, tag, p in reversed(nfa.eps[q]):
+            if p not in seen:
+                stack.append((p, x, h, l if tag == 0 else l + (tag,)))
+    qf, syms = nfa.qf, nfa.syms
+    return [cfg for cfg in out if cfg[0] == qf or syms[cfg[0]]]
+
+
+class Automaton:
+    """The container both engines' automata share.
+
+    delta[(state, class)] = (target, cell) and phi[state] = final cell; what
+    a cell holds is the engine's, and so are `dot_name`, `format_cell` (a
+    cell as a dot label) and `dot_quasi` (the quasi-transitions to draw).
+    The match plan is built on the first match and kept in `_plan` until
+    `invalidate()`.
+    """
+
+    def __init__(self, tags, alphabet):
+        self.tags = tuple(tags)
+        self.alphabet, self.byte_to_class = byte_classes(alphabet)
         self.n_states = 0
         self.s0 = 0
         self.finals: set[int] = set()
-        self.delta: dict[tuple[int, int], tuple[int, tuple]] = {}
+        self.delta: dict[tuple[int, int], tuple] = {}
         self.phi: dict[int, tuple] = {}
-        # Fallback support, filled by the optimizer.
-        self.fallback: set[int] = set()
-        self.psi: dict[int, tuple] = {}
-        # The runtime's match plan, built on the first match.
         self._plan = None
 
     def n_classes(self) -> int:
         return len(self.alphabet)
 
     def invalidate(self):
-        """Drop the match plan after delta, phi or psi changed."""
+        """Drop the match plan after a cell changed."""
         self._plan = None
+
+    def to_dot(self) -> str:
+        lines = [f"digraph {self.dot_name} {{", "  rankdir=LR;", "  node [shape=circle];"]
+        lines += [f"  {s} [shape=doublecircle];" for s in sorted(self.finals)]
+        for (s, c), (target, cell) in sorted(self.delta.items()):
+            label = dot_symbol(self.alphabet[c])
+            if cell:
+                label += " / " + self.format_cell(cell)
+            lines.append(f'  {s} -> {target} [label="{label}", style=bold];')
+        for node, style, s, label in self.dot_quasi():
+            lines.append(f'  {node}{s} [shape=point]; {s} -> {node}{s} [label="{label}", style={style}];')
+        lines.append("}")
+        return "\n".join(lines)
+
+
+class PlanFrame:
+    """The part of a match plan both engines lay out the same way:
+
+    - `classes`, a bytes.translate table from byte to class.  Dead bytes go
+      to the sentinel class len(alphabet), whose column is None in every
+      row; a full 256-byte alphabet has no dead bytes and no sentinel;
+    - `rows`, dense lists of cells (target, *part, skip of target), part
+      being what the engine's `cell_payload(dfa, loops)` function gives for
+      the cell;
+    - a state whose self-loops on some classes have a no-op cell (`no_op`)
+      has a skip: the `loop_span` over those classes.  `skip0` is the start
+      state's;
+    - `final`, the final flag per state.
+    """
+
+    __slots__ = ("classes", "rows", "final", "skip0")
+
+    def __init__(self, dfa: Automaton):
+        b2c = dfa.byte_to_class
+        sentinel = max(b2c) + 1
+        self.classes = bytes(sentinel if c < 0 else c for c in b2c)
+        n = dfa.n_states
+        loops: list[list[int]] = [[] for _ in range(n)]
+        for (s, c), (target, cell) in dfa.delta.items():
+            if target == s and self.no_op(cell):
+                loops[s].append(c)
+        skip = [loop_span(cs) for cs in loops]
+        part = self.cell_payload(dfa, loops)
+        self.rows = [[None] * (max(self.classes) + 1) for _ in range(n)]
+        for (s, c), (target, cell) in dfa.delta.items():
+            self.rows[s][c] = (target, *part(s, target, cell), skip[target])
+        self.final = [s in dfa.finals for s in range(n)]
+        self.skip0 = skip[dfa.s0]
+
+
+class _State:
+    __slots__ = ("rows", "U")
+
+    def __init__(self, rows, U=None):
+        # rows: ((q, payload, lookahead), ...) in precedence order; the
+        # payload is what configurations seeded from the row carry.
+        self.rows = rows
+        # Multi-pass only: closure state -> backlink slot of its origin.
+        self.U = U
+
+
+class Powerset:
+    """The worklist BFS both engines run over `expand`.  An engine supplies
+    `add_state` (find or `insert` the state of a closure), `cell` (the
+    target and cell of a transition, from its closure) and `final_cell`."""
+
+    def __init__(self, nfa: Tnfa, tdfa: Automaton, max_states: int, payload0):
+        self.nfa = nfa
+        self.tdfa = tdfa
+        self.max_states = max_states
+        self.payload0 = payload0
+        self.states: list[_State] = []
+        self.index: dict = {}
+        self.worklist: deque[int] = deque()
+
+    def run(self):
+        nfa = self.nfa
+        self.add_state(epsilon_closure(nfa, [(nfa.q0, self.payload0, ())]))
+        n_classes = self.tdfa.n_classes()
+        while self.worklist:
+            sid = self.worklist.popleft()
+            for cls in range(n_classes):
+                self.expand(sid, cls)
+        self.tdfa.n_states = len(self.states)
+        return self.tdfa
+
+    def expand(self, sid: int, cls: int):
+        """Expand state sid on class cls: seed, close, store the cell."""
+        seeds = self.step_on_symbol(self.states[sid], self.tdfa.alphabet[cls])
+        if seeds:
+            C = epsilon_closure(self.nfa, seeds)
+            if C:
+                self.tdfa.delta[(sid, cls)] = self.cell(sid, C)
+
+    def step_on_symbol(self, state: _State, byte: int) -> list:
+        """Seed configurations across symbol transitions: a row (q, x, l)
+        seeds (p, x, l), so its lookahead becomes the inherited tags."""
+        syms = self.nfa.syms
+        seeds = []
+        for q, x, l in state.rows:
+            p = syms[q].get(byte)
+            if p is not None:
+                seeds.append((p, x, l))
+        return seeds
+
+    def insert(self, key, state: _State) -> int:
+        """Add and queue a new state; a row at the final TNFA state makes it
+        final, with the engine's final cell."""
+        if len(self.states) >= self.max_states:
+            raise ResourceLimit(f"state cap {self.max_states} exceeded")
+        sid = len(self.states)
+        self.states.append(state)
+        self.index[key] = sid
+        self.worklist.append(sid)
+        for q, x, l in state.rows:
+            if q == self.nfa.qf:
+                self.tdfa.finals.add(sid)
+                self.tdfa.phi[sid] = self.final_cell(state, q, x, l)
+                break
+        return sid
+
+
+class Tdfa(Automaton):
+    """Register TDFA: cells are operation lists, psi holds the fallback
+    quasi-transitions."""
+
+    dot_name = "tdfa"
+
+    def __init__(self, tags, alphabet, multi: frozenset[int]):
+        super().__init__(tags, alphabet)
+        self.multi = multi
+        ntags = len(self.tags)
+        self.r0 = {t: i + 1 for i, t in enumerate(self.tags)}
+        self.rf = {t: ntags + i + 1 for i, t in enumerate(self.tags)}
+        self.max_reg = 2 * ntags
+        # Fallback support, filled by the optimizer.
+        self.fallback: set[int] = set()
+        self.psi: dict[int, tuple] = {}
 
     def op_count(self) -> int:
         n = sum(len(ops) for _, ops in self.delta.values())
@@ -108,35 +274,23 @@ class Tdfa:
 
     def register_count(self) -> int:
         regs = set()
-        for _, ops in self.delta.values():
-            for op in ops:
-                regs.add(op[1])
-                if op[0] != SET:
-                    regs.add(op[2])
-        for ops in list(self.phi.values()) + list(self.psi.values()):
+        lists = [ops for _, ops in self.delta.values()] + list(self.phi.values()) + list(self.psi.values())
+        for ops in lists:
             for op in ops:
                 regs.add(op[1])
                 if op[0] != SET:
                     regs.add(op[2])
         return len(regs)
 
-    def to_dot(self) -> str:
-        lines = ["digraph tdfa {", "  rankdir=LR;", "  node [shape=circle];"]
-        for s in sorted(self.finals):
-            lines.append(f"  {s} [shape=doublecircle];")
-        for (s, c), (target, ops) in sorted(self.delta.items()):
-            byte = self.alphabet[c]
-            sym = chr(byte) if 32 <= byte < 127 else f"\\\\x{byte:02x}"
-            label = sym if not ops else f"{sym} / {format_ops(ops)}"
-            lines.append(f'  {s} -> {target} [label="{label}", style=bold];')
+    format_cell = staticmethod(format_ops)
+
+    def dot_quasi(self):
         for s, ops in sorted(self.phi.items()):
             if ops:
-                lines.append(f'  f{s} [shape=point]; {s} -> f{s} [label="{format_ops(ops)}", style=dashed];')
+                yield "f", "dashed", s, format_ops(ops)
         for s, ops in sorted(self.psi.items()):
             if ops:
-                lines.append(f'  p{s} [shape=point]; {s} -> p{s} [label="fb: {format_ops(ops)}", style=dotted];')
-        lines.append("}")
-        return "\n".join(lines)
+                yield "p", "dotted", s, "fb: " + format_ops(ops)
 
     def to_json(self) -> str:
         def enc_ops(ops):
@@ -162,10 +316,7 @@ class Tdfa:
     @classmethod
     def from_json(cls, text: str) -> "Tdfa":
         doc = json.loads(text)
-        self = cls.__new__(cls)
-        self.tags = tuple(doc["tags"])
-        self.multi = frozenset(doc["multi"])
-        self.alphabet, self.byte_to_class = byte_classes(doc["alphabet"])
+        self = cls(doc["tags"], doc["alphabet"], frozenset(doc["multi"]))
         self.r0 = {int(k): v for k, v in doc["r0"].items()}
         self.rf = {int(k): v for k, v in doc["rf"].items()}
         self.max_reg = doc["max_reg"]
@@ -178,101 +329,71 @@ class Tdfa:
         }
         self.phi = {s: tuple(tuple(op) for op in ops) for s, ops in doc["phi"]}
         self.psi = {s: tuple(tuple(op) for op in ops) for s, ops in doc["psi"]}
-        self._plan = None
         return self
 
 
-class _State:
-    __slots__ = ("rows", "final")
+class Determinizer(Powerset):
+    """The register TDFA's side of the construction: register operations on
+    transitions, and a register mapping onto existing states."""
 
-    def __init__(self, rows):
-        # rows: ((q, regs tuple, lookahead tuple), ...) in precedence order.
-        self.rows = rows
-        self.final = False
-
-
-class Determinizer:
     def __init__(self, nfa: Tnfa, multi: frozenset[int] = frozenset(), max_states: int = 100_000, mutate=None):
-        self.nfa = nfa
+        tdfa = Tdfa(nfa.tags, nfa.alphabet, multi)
+        super().__init__(nfa, tdfa, max_states, tuple(tdfa.r0[t] for t in nfa.tags))
         self.multi = multi
-        self.max_states = max_states
         self.mutate = mutate
-        self.tdfa = Tdfa(nfa, multi)
-        self.states: list[_State] = []
-        self.by_key: dict = {}
+        # States by (state, lookahead) signature, the mapping candidates.
         self.by_sig: dict = {}
-        self.worklist: deque[int] = deque()
+        # Fresh registers of the state being expanded, by (tag, rhs).
+        self.fresh_for = None
+        self.fresh: dict = {}
 
-    # -- closure machinery ------------------------------------------------
-
-    def epsilon_closure(self, B):
-        """B: seed configs (state, regs, inherited tags), read only; returns
-        commit-ordered configs [state, regs list copy, inherited, lookahead]
-        filtered to final or symbol-bearing states."""
-        nfa = self.nfa
-        out = []
-        seen = set()
-        stack = [(q, regs, h, ()) for q, regs, h in reversed(B)]
-        while stack:
-            q, regs, h, l = stack.pop()
-            if q in seen:
-                continue
-            seen.add(q)
-            out.append([q, regs, h, l])
-            for _, tag, p in reversed(nfa.eps[q]):
-                if p not in seen:
-                    stack.append((p, regs, h, l if tag == 0 else l + (tag,)))
-        return [
-            [q, list(regs), h, l]
-            for q, regs, h, l in out
-            if q == nfa.qf or nfa.syms[q]
-        ]
-
-    def step_on_symbol(self, state: _State, byte: int):
-        """Seed configs across symbol transitions; the stored lookahead
-        becomes the inherited tag sequence of the seed.  The seeds share the
-        state's register lists: epsilon_closure copies them."""
-        seeds = []
-        for q, regs, l in state.rows:
-            p = self.nfa.syms[q].get(byte)
-            if p is not None:
-                seeds.append((p, regs, l))
-        return seeds
+    def cell(self, sid: int, C):
+        if self.fresh_for != sid:
+            self.fresh_for, self.fresh = sid, {}
+        C, ops = self.transition_regops(C, self.fresh)
+        target, ops = self.add_state(C, ops)
+        return target, tuple(ops)
 
     # -- register operations ----------------------------------------------
 
-    def transition_regops(self, C, V) -> list:
+    def transition_regops(self, C, V) -> tuple[list, list]:
         """Rewrite configuration registers for tags with inherited history.
 
-        One fresh register per distinct (tag, rhs) per source state; the
-        operation itself is emitted on every transition that needs it, at
-        most once per destination register.
+        Returns the configurations with their new register vectors, and the
+        operations.  One fresh register per distinct (tag, rhs) per source
+        state; the operation itself is emitted on every transition that
+        needs it, at most once per destination register.
         """
         ops = []
+        out = []
         written = set()
         tags = self.nfa.tags
         for cfg in C:
-            regs, h = cfg[1], cfg[2]
-            for tpos, t in enumerate(tags):
-                h_t = history(h, t)
-                if not h_t:
-                    continue
-                rhs = regop_rhs(regs, h_t, tpos, t in self.multi)
-                reg = V.get((t, rhs))
-                if reg is None:
-                    self.tdfa.max_reg += 1
-                    reg = self.tdfa.max_reg
-                    V[(t, rhs)] = reg
-                if reg not in written:
-                    written.add(reg)
-                    if rhs[0] == SET:
-                        ops.append((SET, reg, rhs[1]))
-                    else:
-                        ops.append((APPEND, reg, rhs[1], rhs[2]))
-                regs[tpos] = reg
-        return ops
+            q, regs, h, l = cfg
+            if h:
+                regs = list(regs)
+                for tpos, t in enumerate(tags):
+                    h_t = history(h, t)
+                    if not h_t:
+                        continue
+                    rhs = regop_rhs(regs, h_t, tpos, t in self.multi)
+                    reg = V.get((t, rhs))
+                    if reg is None:
+                        self.tdfa.max_reg += 1
+                        reg = self.tdfa.max_reg
+                        V[(t, rhs)] = reg
+                    if reg not in written:
+                        written.add(reg)
+                        if rhs[0] == SET:
+                            ops.append((SET, reg, rhs[1]))
+                        else:
+                            ops.append((APPEND, reg, rhs[1], rhs[2]))
+                    regs[tpos] = reg
+                cfg = (q, tuple(regs), h, l)
+            out.append(cfg)
+        return out, ops
 
-    def final_regops(self, regs, l) -> tuple:
+    def final_cell(self, state: _State, q, regs, l) -> tuple:
         """Operations on the final quasi-transition: one per tag, targeting
         the final registers; tags without lookahead history get a copy."""
         ops = []
@@ -335,10 +456,10 @@ class Determinizer:
         out, acyclic = topological_sort(out)
         return out if acyclic else None
 
-    def add_state(self, C, ops):
+    def add_state(self, C, ops=()):
         """Identity hit, else mapping hit (rewriting ops), else insert."""
         rows = tuple((q, tuple(regs), l) for q, regs, _, l in C)
-        sid = self.by_key.get(rows)
+        sid = self.index.get(rows)
         if sid is not None:
             return sid, ops
         sig = tuple((q, l) for q, _, l in rows)
@@ -346,42 +467,9 @@ class Determinizer:
             mapped = self.map_states(rows, self.states[cand], ops)
             if mapped is not None:
                 return cand, mapped
-        if len(self.states) >= self.max_states:
-            raise ResourceLimit(f"state cap {self.max_states} exceeded")
-        state = _State(rows)
-        sid = len(self.states)
-        self.states.append(state)
-        self.by_key[rows] = sid
+        sid = self.insert(rows, _State(rows))
         self.by_sig.setdefault(sig, []).append(sid)
-        self.worklist.append(sid)
-        for q, regs, l in rows:
-            if q == self.nfa.qf:
-                state.final = True
-                self.tdfa.finals.add(sid)
-                self.tdfa.phi[sid] = self.final_regops(list(regs), l)
-                break
         return sid, ops
-
-    def run(self) -> Tdfa:
-        nfa = self.nfa
-        r0 = [self.tdfa.r0[t] for t in nfa.tags]
-        C = self.epsilon_closure([(nfa.q0, r0, ())])
-        self.add_state(C, [])
-        while self.worklist:
-            sid = self.worklist.popleft()
-            V: dict = {}
-            for cls, byte in enumerate(self.tdfa.alphabet):
-                B = self.step_on_symbol(self.states[sid], byte)
-                if not B:
-                    continue
-                C = self.epsilon_closure(B)
-                if not C:
-                    continue
-                ops = self.transition_regops(C, V)
-                target, ops = self.add_state(C, ops)
-                self.tdfa.delta[(sid, cls)] = (target, tuple(ops))
-        self.tdfa.n_states = len(self.states)
-        return self.tdfa
 
 
 def determinize(nfa: Tnfa, multi: frozenset[int] = frozenset(), max_states: int = 100_000, mutate=None) -> Tdfa:

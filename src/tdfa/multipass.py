@@ -1,24 +1,24 @@
 """Multi-pass TDFA: register-free determinization plus backward extraction.
 
-Transitions carry backlink arrays instead of register operations.  Closure
-configurations are extended with an origin component (the TNFA state in the
-source TDFA state the configuration descends from); configurations sharing
-an origin share their inherited tag sequence, so one backlink per unique
-origin suffices.  A forward pass records the traversed backlink arrays, and
-backward passes decode single offsets, offset lists, or the full tagged
-string.
+Transitions carry backlink arrays instead of register operations.  The
+automaton comes from the powerset construction the register TDFA uses
+(`determinize.Powerset`), with the origin of a configuration as its
+payload: the TNFA state in the source TDFA state the configuration
+descends from.  Configurations sharing an origin share their inherited tag
+sequence, so one backlink per unique origin suffices, and the cell of a
+transition is that backlink array.  A forward pass records the traversed
+backlink arrays, and backward passes decode single offsets, offset lists,
+or the full tagged string.
 
-The passes run on a match plan, built from the automaton on its first match:
-
-- the input is mapped to class bytes once with `bytes.translate`; dead bytes
-  map to a sentinel class whose column is None in every row;
-- rows are dense lists of cells (target, backlinks, skip or None);
-- a self-loop whose backlink array maps every slot i to (i, ()) is a no-op:
-  walking back over it changes neither the slot nor the tags.  A state with
-  no-op self-loops has a compiled `re` span over their classes, and on entry
-  to the state the forward pass lets it consume the whole run at C speed.
-  Each entry costs one `re` call, so skipping pays off on runs longer than a
-  few bytes.
+The passes run on a match plan, built from the automaton on its first match
+on the frame both engines share (`determinize.PlanFrame`): the input is
+mapped to class bytes once with `bytes.translate`, and rows are dense lists
+of cells (target, backlinks, skip or None).  A self-loop whose backlink
+array maps every slot i to (i, ()) is a no-op: walking back over it changes
+neither the slot nor the tags.  A state with no-op self-loops has a
+compiled `re` span over their classes, and on entry to the state the
+forward pass lets it consume the whole run at C speed.  Each entry costs
+one `re` call, so skipping pays off on runs longer than a few bytes.
 
 The forward pass returns the last state and a step list: the backlink array
 of each transition taken, in input order, and an int L for a run of L bytes
@@ -27,30 +27,24 @@ is one subtraction from the offset.  Offsets stop as soon as every tag has
 its last value: only the first occurrence from the end counts.
 """
 
-from collections import deque
 from itertools import chain
 
-from .determinize import ResourceLimit, byte_classes, class_translation, loop_span
+from .determinize import Automaton, PlanFrame, Powerset, _State
 from .tnfa import Tnfa
 
 
-class MultipassTdfa:
-    def __init__(self, nfa: Tnfa):
-        self.tags = nfa.tags
-        self.alphabet, self.byte_to_class = byte_classes(nfa.alphabet)
-        self.n_states = 0
-        self.s0 = 0
-        self.finals: set[int] = set()
-        # delta[(state, class)] = (target, backlinks); a backlink is
-        # (index into the previous transition's array, tag sequence).
-        self.delta: dict[tuple[int, int], tuple[int, tuple]] = {}
-        # phi[state] = (index into the incoming array, final tag sequence)
-        self.phi: dict[int, tuple[int, tuple]] = {}
-        # The forward pass's match plan, built on the first match.
-        self._plan = None
+def _format_link(link) -> str:
+    i, h = link
+    return f"({i},{'.'.join(map(str, h)) or 'e'})"
 
-    def n_classes(self) -> int:
-        return len(self.alphabet)
+
+class MultipassTdfa(Automaton):
+    """Cells are backlink arrays: delta[(state, class)] = (target,
+    backlinks), a backlink being (index into the previous transition's
+    array, tag sequence); phi[state] = (index into the incoming array, final
+    tag sequence)."""
+
+    dot_name = "multipass"
 
     def stats(self) -> dict:
         return {
@@ -59,20 +53,12 @@ class MultipassTdfa:
             "backlinks": sum(len(b) for _, b in self.delta.values()),
         }
 
-    def to_dot(self) -> str:
-        lines = ["digraph multipass {", "  rankdir=LR;", "  node [shape=circle];"]
-        for s in sorted(self.finals):
-            lines.append(f"  {s} [shape=doublecircle];")
-        for (s, c), (target, links) in sorted(self.delta.items()):
-            byte = self.alphabet[c]
-            sym = chr(byte) if 32 <= byte < 127 else f"\\\\x{byte:02x}"
-            body = " ".join(f"({i},{'.'.join(map(str, h)) or 'e'})" for i, h in links)
-            lines.append(f'  {s} -> {target} [label="{sym} / {body}", style=bold];')
-        for s, (i, l) in sorted(self.phi.items()):
-            body = f"({i},{'.'.join(map(str, l)) or 'e'})"
-            lines.append(f'  f{s} [shape=point]; {s} -> f{s} [label="{body}", style=dashed];')
-        lines.append("}")
-        return "\n".join(lines)
+    def format_cell(self, links) -> str:
+        return " ".join(map(_format_link, links))
+
+    def dot_quasi(self):
+        for s, link in sorted(self.phi.items()):
+            yield "f", "dashed", s, _format_link(link)
 
 
 def unique_origins(C) -> dict[int, int]:
@@ -100,102 +86,44 @@ def construct_backlinks(C, U: dict[int, int], U2: dict[int, int]) -> tuple:
     return tuple(links)
 
 
-class _State:
-    __slots__ = ("rows", "U", "final")
+class _Multipass(Powerset):
+    """Multi-pass TDFA's side of the construction.  A state's rows are
+    (q, q, l): a configuration seeded from the row has q as its origin.
+    Identity includes the origin partition: every closure reaching a state
+    must agree on which rows share a backlink slot."""
 
-    def __init__(self, rows, U):
-        self.rows = rows  # ((q, lookahead), ...) in precedence order
-        self.U = U
-        self.final = False
+    def add_state(self, C):
+        U2 = unique_origins(C)
+        rows = tuple((q, q, l) for q, _, _, l in C)
+        key = (rows, tuple(U2[q] for q, *_ in C))
+        sid = self.index.get(key)
+        if sid is not None:
+            return sid, self.states[sid].U
+        return self.insert(key, _State(rows, U2)), U2
+
+    def cell(self, sid: int, C):
+        target, U2 = self.add_state(C)
+        return target, construct_backlinks(C, self.states[sid].U, U2)
+
+    def final_cell(self, state: _State, q, x, l):
+        return state.U[q], l
 
 
 def determinize_multipass(nfa: Tnfa, max_states: int = 100_000) -> MultipassTdfa:
-    mp = MultipassTdfa(nfa)
-    states: list[_State] = []
-    # Identity includes the origin partition: every closure reaching a state
-    # must agree on which rows share a backlink slot.
-    index: dict = {}
-    worklist: deque[int] = deque()
-
-    def closure(seeds):
-        out = []
-        seen = set()
-        stack = [(q, o, h, ()) for q, o, h in reversed(seeds)]
-        while stack:
-            q, o, h, l = stack.pop()
-            if q in seen:
-                continue
-            seen.add(q)
-            out.append((q, o, h, l))
-            for _, tag, p in reversed(nfa.eps[q]):
-                if p not in seen:
-                    stack.append((p, o, h, l if tag == 0 else l + (tag,)))
-        return [cfg for cfg in out if cfg[0] == nfa.qf or nfa.syms[cfg[0]]]
-
-    def add_state(C):
-        U2 = unique_origins(C)
-        rows = tuple((q, l) for q, _, _, l in C)
-        partition = tuple(U2[q] for q, *_ in C)
-        key = (rows, partition)
-        sid = index.get(key)
-        if sid is not None:
-            return sid, states[sid].U
-        if len(states) >= max_states:
-            raise ResourceLimit(f"state cap {max_states} exceeded")
-        state = _State(rows, U2)
-        sid = len(states)
-        states.append(state)
-        index[key] = sid
-        worklist.append(sid)
-        for q, o, _, l in C:
-            if q == nfa.qf:
-                state.final = True
-                mp.finals.add(sid)
-                mp.phi[sid] = (U2[q], l)
-                break
-        return sid, U2
-
-    C0 = closure([(nfa.q0, nfa.q0, ())])
-    add_state(C0)
-    while worklist:
-        sid = worklist.popleft()
-        state = states[sid]
-        for cls, byte in enumerate(mp.alphabet):
-            seeds = []
-            for q, l in state.rows:
-                p = nfa.syms[q].get(byte)
-                if p is not None:
-                    seeds.append((p, q, l))
-            if not seeds:
-                continue
-            C = closure(seeds)
-            if not C:
-                continue
-            target, U2 = add_state(C)
-            mp.delta[(sid, cls)] = (target, construct_backlinks(C, state.U, U2))
-    mp.n_states = len(states)
-    return mp
+    return _Multipass(nfa, MultipassTdfa(nfa.tags, nfa.alphabet), max_states, nfa.q0).run()
 
 
-class MatchPlan:
+class MatchPlan(PlanFrame):
     """The automaton laid out for the forward pass (see the module docstring)."""
 
-    __slots__ = ("classes", "rows", "final", "skip0")
+    __slots__ = ()
 
-    def __init__(self, mp: MultipassTdfa):
-        self.classes = class_translation(mp.byte_to_class)
-        width = max(self.classes) + 1
-        n = mp.n_states
-        loops: list[list[int]] = [[] for _ in range(n)]
-        for (s, c), (target, links) in mp.delta.items():
-            if target == s and all(link == (i, ()) for i, link in enumerate(links)):
-                loops[s].append(c)
-        skip = [loop_span(cs) for cs in loops]
-        self.rows = [[None] * width for _ in range(n)]
-        for (s, c), (target, links) in mp.delta.items():
-            self.rows[s][c] = (target, links, skip[target])
-        self.final = [s in mp.finals for s in range(n)]
-        self.skip0 = skip[mp.s0]
+    @staticmethod
+    def no_op(links) -> bool:
+        return all(link == (i, ()) for i, link in enumerate(links))
+
+    def cell_payload(self, mp: MultipassTdfa, loops):
+        return lambda s, target, links: (links,)
 
 
 def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):

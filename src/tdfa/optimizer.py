@@ -25,36 +25,40 @@ from .regops import APPEND, COPY, SET, remove_duplicates, topological_sort
 # -- fallback operations ----------------------------------------------------
 
 
+def non_accepting_arcs(tdfa: Tdfa, s: int) -> list[tuple[int, int]]:
+    """The transitions (state, class) on a non-accepting path out of s: the
+    walk follows transitions into non-final states only.  Paths through a
+    final state refresh the match point and never fall back to s."""
+    finals = tdfa.finals
+    arcs = []
+    seen = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for cls in range(tdfa.n_classes()):
+            cell = tdfa.delta.get((u, cls))
+            if cell is None or cell[0] in finals:
+                continue
+            arcs.append((u, cls))
+            if cell[0] not in seen:
+                seen.add(cell[0])
+                stack.append(cell[0])
+    return arcs
+
+
 def find_fallback_states(tdfa: Tdfa):
     """Final states with non-accepting continuations, plus the registers
     that may be clobbered on those continuations.
 
     The input may end anywhere, so every non-final state lies on a
     non-accepting path; a final state falls back iff some transition leaves
-    it for a non-final state.  Paths through another final state refresh
-    the match point and never fall back here, so the clobber scan stops at
-    final states.
+    it for a non-final state.
     """
     finals = tdfa.finals
     fallback = {s for (s, _), (target, _) in tdfa.delta.items()
                 if s in finals and target not in finals}
-
-    clobbered: dict[int, set[int]] = {}
-    for s in fallback:
-        dests: set[int] = set()
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for cls in range(tdfa.n_classes()):
-                cell = tdfa.delta.get((u, cls))
-                if cell is None or cell[0] in finals:
-                    continue
-                dests.update(op[1] for op in cell[1])
-                if cell[0] not in seen:
-                    seen.add(cell[0])
-                    stack.append(cell[0])
-        clobbered[s] = dests
+    clobbered = {s: {op[1] for key in non_accepting_arcs(tdfa, s) for op in tdfa.delta[key][1]}
+                 for s in fallback}
     return fallback, clobbered
 
 
@@ -69,27 +73,21 @@ def add_fallback_regops(tdfa: Tdfa):
     """
     fallback, clobbered = find_fallback_states(tdfa)
     tdfa.fallback = fallback
-    finals = tdfa.finals
-
-    def backup(s: int, i: int, j: int):
-        # Prepended: the backup must read j before the transition's own
-        # operations overwrite it (that overwrite is the clobber being
-        # protected against).
-        for cls in range(tdfa.n_classes()):
-            cell = tdfa.delta.get((s, cls))
-            if cell is not None and cell[0] not in finals:
-                tdfa.delta[(s, cls)] = (cell[0], ((COPY, i, j),) + cell[1])
-
     for s in sorted(fallback):
+        exits = [key for key in non_accepting_arcs(tdfa, s) if key[0] == s] if clobbered[s] else []
         ops = []
         for op in tdfa.phi[s]:
-            if op[0] == APPEND and op[2] in clobbered[s]:
-                backup(s, op[1], op[2])
-                ops.append((APPEND, op[1], op[1], op[3]))
-            elif op[0] == COPY and op[2] in clobbered[s]:
-                backup(s, op[1], op[2])
-            else:
+            if op[0] == SET or op[2] not in clobbered[s]:
                 ops.append(op)
+                continue
+            # Prepended: the backup must read the source before the
+            # transition's own operations overwrite it (that overwrite is the
+            # clobber being protected against).
+            for key in exits:
+                target, risky = tdfa.delta[key]
+                tdfa.delta[key] = (target, ((COPY, op[1], op[2]),) + risky)
+            if op[0] == APPEND:
+                ops.append((APPEND, op[1], op[1], op[3]))
         tdfa.psi[s] = tuple(ops)
     tdfa.invalidate()
     return tdfa.psi
@@ -191,21 +189,7 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
     # Fallback blocks: arcs to every block on a non-accepting path out of
     # their state (where execution may fall through to them).
     for s, bid in by_fallback.items():
-        path_blocks: set[int] = set()
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for cls in range(tdfa.n_classes()):
-                cell = tdfa.delta.get((u, cls))
-                if cell is None or cell[0] in tdfa.finals:
-                    continue
-                tb = by_trans.get((u, cls))
-                if tb is not None:
-                    path_blocks.add(tb)
-                if cell[0] not in seen:
-                    seen.add(cell[0])
-                    stack.append(cell[0])
+        path_blocks = {by_trans[key] for key in non_accepting_arcs(tdfa, s) if key in by_trans}
         blocks[bid].succ = sorted(path_blocks)
         cfg.fallthrough[bid] = sorted(path_blocks)
     return cfg
@@ -588,11 +572,7 @@ def minimize(tdfa: Tdfa) -> Tdfa:
         if rep[part[s]] is None:
             rep[part[s]] = s
 
-    out = Tdfa.__new__(Tdfa)
-    out.tags = tdfa.tags
-    out.multi = tdfa.multi
-    out.alphabet = tdfa.alphabet
-    out.byte_to_class = tdfa.byte_to_class
+    out = Tdfa(tdfa.tags, tdfa.alphabet, tdfa.multi)
     out.r0 = dict(tdfa.r0)
     out.rf = dict(tdfa.rf)
     out.max_reg = tdfa.max_reg
@@ -600,10 +580,6 @@ def minimize(tdfa: Tdfa) -> Tdfa:
     out.s0 = part[tdfa.s0]
     out.finals = {part[s] for s in tdfa.finals}
     out.fallback = {part[s] for s in tdfa.fallback}
-    out.delta = {}
-    out.phi = {}
-    out.psi = {}
-    out._plan = None
     for c, m in enumerate(rep):
         for cls in cls_range:
             cell = tdfa.delta.get((m, cls))

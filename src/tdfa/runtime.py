@@ -8,13 +8,12 @@ where the closure observed the tags), final and fallback quasi-transitions
 run at the match end position.
 
 `exec_tdfa` runs on a match plan, built from the automaton on its first
-match and kept until `Tdfa.invalidate()`:
+match and kept until `Tdfa.invalidate()`.  The frame both engines share
+(`determinize.PlanFrame`) maps the input to class bytes once with
+`bytes.translate` and lays out dense rows of cells (target, steps or None,
+operation count, skip or None), skip being the op-free span of the target
+(below).  The register TDFA adds the steps and the count:
 
-- the input is mapped to class bytes once with `bytes.translate`; dead
-  bytes map to a sentinel class whose column is None in every row (a full
-  256-byte alphabet has no dead bytes and no sentinel);
-- rows are dense lists of cells (target, steps or None, operation count,
-  skip or None), where skip is the op-free span of the target (below);
 - each distinct operation list is decoded once into flat (kind, dst, src)
   steps that the loop runs inline; an append of a multi-character history
   is one step per character;
@@ -27,9 +26,9 @@ match and kept until `Tdfa.invalidate()`:
   symbolically against the list when the plan is built; a failed check
   keeps the plain steps;
 - a state with op-free self-loops has a compiled `re` span over those
-  classes; on entry to the state the loop lets it consume the whole run of
-  such bytes at C speed.  Each entry costs one `re` call, so skipping
-  pays off on runs longer than a few bytes;
+  classes (the frame's skip); on entry to the state the loop lets it
+  consume the whole run of such bytes at C speed.  Each entry costs one
+  `re` call, so skipping pays off on runs longer than a few bytes;
 - a state with no op-free self-loop whose self-loops all carry one list of
   sets `r <- p|n` and single-character self-appends `r <- r.h` has a bulk
   loop.  The steps of its self-loop cells end in a bulk step holding the
@@ -55,7 +54,7 @@ reference the decoded steps are tested against.
 
 from dataclasses import dataclass, field
 
-from .determinize import Tdfa, class_translation, loop_span
+from .determinize import PlanFrame, Tdfa, loop_span
 from .regops import COPY, SET
 
 
@@ -229,25 +228,25 @@ def _bulk_form(ops) -> tuple | None:
     return len(ops), tuple(appends), tuple(sets)
 
 
-class MatchPlan:
+class MatchPlan(PlanFrame):
     """The automaton decoded for exec_tdfa (see the module docstring)."""
 
-    __slots__ = ("classes", "rows", "final", "skip0", "regs0")
+    __slots__ = ("regs0",)
 
-    def __init__(self, tdfa: Tdfa):
-        self.classes = class_translation(tdfa.byte_to_class)
-        width = max(self.classes) + 1
+    @staticmethod
+    def no_op(ops) -> bool:
+        return not ops
+
+    def cell_payload(self, tdfa: Tdfa, free_loops):
         n = tdfa.n_states
-        # Self-loop classes per state: op-free ones, and per operation list.
-        free_loops: list[list[int]] = [[] for _ in range(n)]
+        self.regs0 = [None] * (tdfa.max_reg + 1)
+        for t in tdfa.multi:
+            self.regs0[tdfa.r0[t]] = 0
+        # Self-loop classes per state and operation list.
         op_loops: list[dict] = [{} for _ in range(n)]
         for (s, c), (target, ops) in tdfa.delta.items():
-            if target == s:
-                if ops:
-                    op_loops[s].setdefault(ops, []).append(c)
-                else:
-                    free_loops[s].append(c)
-        skip = [loop_span(cs) for cs in free_loops]
+            if target == s and ops:
+                op_loops[s].setdefault(ops, []).append(c)
         bulk: list = [None] * n
         for s in range(n):
             if not free_loops[s] and len(op_loops[s]) == 1:
@@ -256,8 +255,8 @@ class MatchPlan:
                 if form is not None:
                     bulk[s] = (_BULK, loop_span(cs), form)
         decoded: dict = {}
-        self.rows = [[None] * width for _ in range(n)]
-        for (s, c), (target, ops) in tdfa.delta.items():
+
+        def cell(s, target, ops):
             steps = None
             if ops:
                 steps = decoded.get(ops)
@@ -265,12 +264,9 @@ class MatchPlan:
                     steps = decoded[ops] = _decode_ops(ops)
             if target == s and bulk[s] is not None:
                 steps += (bulk[s],)
-            self.rows[s][c] = (target, steps, len(ops), skip[target])
-        self.final = [s in tdfa.finals for s in range(n)]
-        self.skip0 = skip[tdfa.s0]
-        self.regs0 = [None] * (tdfa.max_reg + 1)
-        for t in tdfa.multi:
-            self.regs0[tdfa.r0[t]] = 0
+            return steps, len(ops)
+
+        return cell
 
 
 def _read_values(tdfa: Tdfa, regs, tree: PrefixTree) -> dict:

@@ -221,13 +221,17 @@ def simulate(nfa: Tnfa, data: bytes) -> dict[int, int | None] | None:
     return None
 
 
+def dot_symbol(byte: int) -> str:
+    """A byte as a dot label: printable ASCII as is, the rest escaped."""
+    return chr(byte) if 32 <= byte < 127 else f"\\\\x{byte:02x}"
+
+
 def tnfa_to_dot(nfa: Tnfa) -> str:
     lines = ["digraph tnfa {", "  rankdir=LR;", "  node [shape=circle];"]
     lines.append(f"  {nfa.qf} [shape=doublecircle];")
     for q in range(nfa.n_states):
         for byte, p in sorted(nfa.syms[q].items()):
-            label = chr(byte) if 32 <= byte < 127 else f"\\\\x{byte:02x}"
-            lines.append(f'  {q} -> {p} [label="{label}", style=bold];')
+            lines.append(f'  {q} -> {p} [label="{dot_symbol(byte)}", style=bold];')
         for pri, tag, p in nfa.eps[q]:
             if tag == 0:
                 lines.append(f'  {q} -> {p} [label="{pri}"];')

@@ -145,9 +145,9 @@ def test_bench_runs_and_reports(capsys):
 
 def test_library_compile_match_api():
     handle = tdfa.compile(GOLDEN, multi="none")
-    out = tdfa.match(handle, b"aab")
+    out = handle.match(b"aab")
     assert out.values == {1: 1, 2: 2, 3: 2, 4: 2, 5: 3}
-    assert not tdfa.match(handle, b"")
+    assert not handle.match(b"")
 
 
 def test_library_engine_validation():

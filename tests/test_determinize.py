@@ -4,10 +4,10 @@ import pytest
 
 from helpers import all_inputs
 
-from tdfa.determinize import Determinizer, ResourceLimit, Tdfa, determinize, history, regop_rhs
+from tdfa.determinize import Determinizer, ResourceLimit, Tdfa, determinize, epsilon_closure, history, regop_rhs
 from tdfa.regops import APPEND, COPY, SET
 from tdfa.runtime import exec_tdfa
-from tdfa.tnfa import build_tnfa, simulate
+from tdfa.tnfa import build_tnfa, sim_epsilon_closure, simulate
 from tdfa.resyntax import parse_regex
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
@@ -70,30 +70,52 @@ def test_initial_closure_rows():
     nfa = build_tnfa(parse_regex(GOLDEN))
     d = Determinizer(nfa)
     r0 = [d.tdfa.r0[t] for t in nfa.tags]
-    C = d.epsilon_closure([(nfa.q0, r0, ())])
+    C = epsilon_closure(nfa, [(nfa.q0, r0, ())])
     assert [(c[0], c[3]) for c in C] == [(2, (1,)), (9, (-1, -2, 3)), (12, (-1, -2, 3, 4))]
 
 
 def test_closure_without_eps_is_identity():
     nfa = build_tnfa(parse_regex("a"))
     d = Determinizer(nfa)
-    C = d.epsilon_closure([(nfa.q0, [], ())])
+    C = epsilon_closure(nfa, [(nfa.q0, [], ())])
     assert [(c[0], c[3]) for c in C] == [(nfa.q0, ())]
 
 
 def test_closure_eps_loop_terminates():
     nfa = build_tnfa(parse_regex("(?:#)*"))
     d = Determinizer(nfa)
-    C = d.epsilon_closure([(nfa.q0, [1], ())])
+    C = epsilon_closure(nfa, [(nfa.q0, [1], ())])
     states = [c[0] for c in C]
     assert len(states) == len(set(states))
+
+
+def test_shared_closure_agrees_with_simulation_closure():
+    # The simulation's closure is kept apart as the reference: the shared
+    # one must visit the same states, and each lookahead applied at offset
+    # 0 must give the values the simulation computed.  Starting from -1 as
+    # well as from nil also checks the negative tags.
+    from tdfa.fuzz import gen_pattern
+
+    rng = Random(2024)
+    for pattern in [GOLDEN] + [gen_pattern(rng) for _ in range(50)]:
+        nfa = build_tnfa(parse_regex(pattern))
+        idx = nfa.tag_index()
+        got = epsilon_closure(nfa, [(nfa.q0, None, ())])
+        for start in (None, -1):
+            want = sim_epsilon_closure([(nfa.q0, [start] * len(nfa.tags))], nfa, 0, idx)
+            assert [c[0] for c in got] == [q for q, _ in want], pattern
+            for (_, _, _, l), (_, m) in zip(got, want):
+                values = [start] * len(nfa.tags)
+                for t in l:
+                    values[idx[abs(t)]] = 0 if t > 0 else None
+                assert values == m, pattern
 
 
 def test_step_on_symbol_order_and_h_inheritance():
     nfa = build_tnfa(parse_regex(GOLDEN))
     d = Determinizer(nfa)
     r0 = [d.tdfa.r0[t] for t in nfa.tags]
-    C = d.epsilon_closure([(nfa.q0, r0, ())])
+    C = epsilon_closure(nfa, [(nfa.q0, r0, ())])
     d.add_state(C, [])
     seeds = d.step_on_symbol(d.states[0], ord("a"))
     assert [(q, h) for q, _, h in seeds] == [(3, (1,)), (10, (-1, -2, 3))]

@@ -1,13 +1,15 @@
-"""Byte-identity gate for the optimizer and minimizer.
+"""Byte-identity gate for determinization, the optimizer and minimizer.
 
-tests/identity_pins.json pins the sha256 of Tdfa.to_json() for the golden
-pattern, the first 50 patterns of gen_pattern(Random(2024)) and the larger
-patterns in EXTRA, each as [pattern, optimized (default options),
-minimized (use_minimize=True, fixed_tags=True)].  The small fuzz patterns
-leave register allocation few choices; the EXTRA automata change when the
-allocator visits registers or classes in another order.  A change that
-alters either automaton fails here; if the change is intended, say why and
-re-record the pins.
+tests/identity_pins.json pins sha256 hashes for the golden pattern, the
+first 50 patterns of gen_pattern(Random(2024)) and the larger patterns in
+EXTRA, each as [pattern, optimized (default options), minimized
+(use_minimize=True, fixed_tags=True), unoptimized (opt="none"),
+multipass].  The first three hash Tdfa.to_json(); the multipass hash is of
+the canonical JSON below.  The small fuzz patterns leave register
+allocation few choices; the EXTRA automata change when the allocator
+visits registers or classes in another order.  A change that alters any
+automaton fails here; if the change is intended, say why and re-record the
+pins.
 """
 
 import hashlib
@@ -29,14 +31,36 @@ def sha(text: str) -> str:
 
 def test_pinned_corpus_is_golden_fuzz_seed_2024_and_extra():
     rng = Random(2024)
-    assert [p for p, _, _ in PINS] == [GOLDEN] + [gen_pattern(rng) for _ in range(50)] + EXTRA
+    assert [p for p, *_ in PINS] == [GOLDEN] + [gen_pattern(rng) for _ in range(50)] + EXTRA
+
+
+def multipass_json(mp) -> str:
+    """The multipass automaton as canonical JSON: states, start, finals,
+    transitions and final backlinks, sorted."""
+    return json.dumps({
+        "n_states": mp.n_states,
+        "s0": mp.s0,
+        "finals": sorted(mp.finals),
+        "delta": [[s, c, target, links] for (s, c), (target, links) in sorted(mp.delta.items())],
+        "phi": [[s, i, l] for s, (i, l) in sorted(mp.phi.items())],
+    })
 
 
 def test_optimized_and_minimized_automata_byte_identical():
     differ = []
-    for pattern, opt, minimized in PINS:
+    for pattern, opt, minimized, _, _ in PINS:
         got_opt = sha(tdfa.compile(pattern).tdfa.to_json())
         got_min = sha(tdfa.compile(pattern, use_minimize=True, fixed_tags=True).tdfa.to_json())
         if (got_opt, got_min) != (opt, minimized):
+            differ.append(pattern)
+    assert differ == []
+
+
+def test_unoptimized_and_multipass_automata_byte_identical():
+    differ = []
+    for pattern, _, _, none, multipass in PINS:
+        got_none = sha(tdfa.compile(pattern, opt="none").tdfa.to_json())
+        got_mp = sha(multipass_json(tdfa.compile(pattern, engine="multipass").mp))
+        if (got_none, got_mp) != (none, multipass):
             differ.append(pattern)
     assert differ == []
