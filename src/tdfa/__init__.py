@@ -13,7 +13,7 @@ backwards; supports offset lists and tagged strings).
 from . import multipass as _mp
 from . import resyntax as _syn
 from . import tnfa as _tnfa
-from .determinize import ResourceLimit, Tdfa, determinize
+from .determinize import ResourceLimit, determinize
 from .optimizer import add_fallback_regops, minimize as _minimize, optimize
 from .resyntax import ParseError
 from .runtime import NO_MATCH, MatchOutcome, exec_tdfa
@@ -51,6 +51,7 @@ class Pattern:
         auto_tags: bool = False,
         max_states: int = 100_000,
         _mutate=None,
+        _stage=None,
     ):
         if engine not in ("tdfa", "simulation", "multipass"):
             raise ValueError(f"unknown engine {engine!r}")
@@ -61,35 +62,43 @@ class Pattern:
         ast = _syn.parse_regex(pattern)
         if auto_tags:
             ast = _syn.auto_tag(ast)
-        self.ast = ast
+        # _stage(name, value, L=None, I=None) sees each stage as it is built:
+        # "ast", "tnfa", then "multipass", or "tdfa_raw", the optimizer's
+        # steps (see `optimize`), "tdfa_opt" and "tdfa_min".  Later stages
+        # change an automaton in place, so a view must be taken in the call.
+        report = _stage or (lambda *args: None)
+        report("ast", ast)
         self.tags = _syn.collect_tags(ast)
         self.multi = _resolve_multi(multi, ast)
         self.fixes: dict[int, tuple[int, int]] = {}
 
-        if engine == "simulation":
-            self.tnfa = _tnfa.build_tnfa(ast)
-            return
-        if engine == "multipass":
-            # Tagged strings need every tag present, so the full automaton
-            # is always built here.
-            self.tnfa = _tnfa.build_tnfa(ast)
-            self.mp = _mp.determinize_multipass(self.tnfa, max_states)
-            return
-
-        if fixed_tags:
+        # Tagged strings need every tag present, so the multipass engine
+        # always builds the full automaton.
+        if fixed_tags and engine == "tdfa":
             self.fixes = _syn.find_fixed_tags(ast)
             ast = _syn.strip_fixed_tags(ast, set(self.fixes))
         self.tnfa = _tnfa.build_tnfa(ast)
+        report("tnfa", self.tnfa)
+        if engine == "simulation":
+            return
+        if engine == "multipass":
+            self.mp = _mp.determinize_multipass(self.tnfa, max_states)
+            report("multipass", self.mp)
+            return
+
         free_multi = frozenset(t for t in self.multi if t not in self.fixes)
         det_mutate = _mutate if _mutate in ("skip-map-copies", "skip-map-toposort") else None
         self.tdfa = determinize(self.tnfa, free_multi, max_states, mutate=det_mutate)
+        report("tdfa_raw", self.tdfa)
         if opt == "full":
-            optimize(self.tdfa, skip_normalization=_mutate == "skip-normalization")
+            optimize(self.tdfa, stage=report, skip_normalization=_mutate == "skip-normalization")
+            report("tdfa_opt", self.tdfa)
         else:
             # Longest-prefix mode needs fallback operations regardless.
             add_fallback_regops(self.tdfa)
         if use_minimize:
             self.tdfa = _minimize(self.tdfa)
+            report("tdfa_min", self.tdfa)
 
     def match(self, data: str | bytes, mode: str = "full", repr_: str = "offsets",
               counters: dict | None = None) -> MatchOutcome:

@@ -11,9 +11,9 @@ import sys
 import time
 
 from . import Pattern
-from .determinize import ResourceLimit, determinize
+from .determinize import ResourceLimit
 from .multipass import render_tstring
-from .optimizer import build_cfg, interferes, minimize, optimize
+from .optimizer import RegCfg, build_cfg, interferes, minimize
 from .resyntax import ParseError, ast_to_json
 from .tnfa import tnfa_to_dot
 
@@ -41,9 +41,9 @@ def _multi_arg(value: str):
     return frozenset(int(x) for x in value.split(","))
 
 
-def _compile(args, pattern: str) -> Pattern:
+def _compile(args, stage=None) -> Pattern:
     return Pattern(
-        pattern,
+        args.pattern,
         engine=args.engine,
         opt=args.opt,
         use_minimize=args.minimize,
@@ -51,25 +51,17 @@ def _compile(args, pattern: str) -> Pattern:
         multi=_multi_arg(args.multi),
         auto_tags=args.auto_tags,
         max_states=args.max_states,
+        _stage=stage,
     )
 
 
-def _liveness_grid(cfg, L) -> str:
-    n = cfg.n_regs
-    lines = ["block " + " ".join(f"r{r}" for r in range(1, n + 1))]
-    for i, row in enumerate(L):
-        cells = " ".join(("*" if row >> r & 1 else ".").rjust(len(f"r{r}")) for r in range(1, n + 1))
-        lines.append(f"{i:5d} {cells}")
-    return "\n".join(lines)
-
-
-def _interference_grid(cfg, I) -> str:
-    n = cfg.n_regs
-    head = "    " + " ".join(f"r{r}" for r in range(1, n + 1))
-    lines = [head]
-    for a in range(1, n + 1):
-        cells = " ".join(("*" if interferes(I, a, b) else ".").rjust(len(f"r{b}")) for b in range(1, n + 1))
-        lines.append(f"r{a:<3d}{cells}")
+def _grid(corner: str, rows, n: int, marked) -> str:
+    """A register grid: columns r1..rn, one line per (label, row), "*" where
+    marked(row, r)."""
+    regs = range(1, n + 1)
+    lines = [corner + " ".join(f"r{r}" for r in regs)]
+    for label, row in rows:
+        lines.append(label + " ".join(("*" if marked(row, r) else ".").rjust(len(f"r{r}")) for r in regs))
     return "\n".join(lines)
 
 
@@ -77,62 +69,62 @@ def cmd_compile(args) -> int:
     dumps = set(args.dump.split(",")) if args.dump else set()
     if "all" in dumps:
         dumps = {"ast", "tnfa", "tdfa", "cfg", "opt", "min", "multipass", "json"}
-    out_dir = args.out
-    if dumps and out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-
-    def write(name: str, text: str):
-        if not out_dir:
-            return
-        with open(os.path.join(out_dir, name), "w") as f:
-            f.write(text + "\n")
-
     stats = {}
-    p = _compile(args, args.pattern)
-    if "ast" in dumps:
-        write("ast.json", json.dumps(ast_to_json(p.ast), indent=2))
-    stats["tnfa_states"] = p.tnfa.n_states
-    if "tnfa" in dumps:
-        write("tnfa.dot", tnfa_to_dot(p.tnfa))
+    files = {}  # dump file name -> text, written once the compile succeeds
 
+    def stage(name, value, L=None, I=None):
+        if name == "ast":
+            if "ast" in dumps:
+                files["ast.json"] = json.dumps(ast_to_json(value), indent=2)
+        elif name == "tnfa":
+            stats["tnfa_states"] = value.n_states
+            if "tnfa" in dumps:
+                files["tnfa.dot"] = tnfa_to_dot(value)
+        elif name == "tdfa_raw":
+            stats["tdfa_states"] = value.n_states
+            stats["tdfa_finals"] = sorted(value.finals)
+            stats["raw_registers"] = value.register_count()
+            stats["raw_operations"] = value.op_count()
+            if "tdfa" in dumps:
+                files["tdfa_raw.dot"] = value.to_dot()
+        elif name == "tdfa_opt":
+            if "cfg" in dumps:
+                stats["cfg_blocks"] = len(build_cfg(value).blocks)
+            if "opt" in dumps:
+                files["tdfa_opt.dot"] = value.to_dot()
+        elif name == "multipass":
+            stats.update(value.stats())
+            if "multipass" in dumps:
+                files["multipass.dot"] = value.to_dot()
+        elif isinstance(value, RegCfg) and "cfg" in dumps:  # an optimizer step
+            files[f"cfg_{name}.dot"] = value.to_dot()
+            if L is not None:
+                n = value.n_regs
+                files[f"liveness_{name}.txt"] = _grid(
+                    "block ", ((f"{i:5d} ", row) for i, row in enumerate(L)), n, lambda row, r: row >> r & 1)
+                files[f"interference_{name}.txt"] = _grid(
+                    "    ", ((f"r{a:<3d}", a) for a in range(1, n + 1)), n, lambda a, b: interferes(I, a, b))
+
+    p = _compile(args, stage)
     if args.engine == "tdfa":
-        raw = determinize(p.tnfa, p.tdfa.multi, args.max_states)
-        stats["tdfa_states"] = raw.n_states
-        stats["tdfa_finals"] = sorted(raw.finals)
-        stats["raw_registers"] = raw.register_count()
-        stats["raw_operations"] = raw.op_count()
-        if "tdfa" in dumps:
-            write("tdfa_raw.dot", raw.to_dot())
-        if "cfg" in dumps:
-
-            def dump_stage(stage, cfg, L, I):
-                write(f"cfg_{stage}.dot", cfg.to_dot())
-                if L is not None:
-                    write(f"liveness_{stage}.txt", _liveness_grid(cfg, L))
-                if I is not None:
-                    write(f"interference_{stage}.txt", _interference_grid(cfg, I))
-
-            optimize(raw, dump=dump_stage)
-            stats["cfg_blocks"] = len(build_cfg(raw).blocks)
         stats["registers"] = p.tdfa.register_count()
         stats["final_registers"] = len(set(p.tdfa.rf.values()))
         stats["operations"] = p.tdfa.op_count()
         stats["states"] = p.tdfa.n_states
-        if "opt" in dumps and args.opt == "full":
-            write("tdfa_opt.dot", p.tdfa.to_dot())
-        if "min" in dumps:
-            write("tdfa_min.dot", minimize(p.tdfa).to_dot())
+        if "min" in dumps:  # without --minimize, a minimized view of the result
+            files["tdfa_min.dot"] = (p.tdfa if args.minimize else minimize(p.tdfa)).to_dot()
         if "json" in dumps:
-            write("tdfa.json", p.tdfa.to_json())
+            files["tdfa.json"] = p.tdfa.to_json()
         if p.fixes:
             stats["fixed_tags"] = {
                 f"t{t}": f"t{b}-{d}" if b else f"len-{d}" for t, (b, d) in sorted(p.fixes.items())
             }
-    elif args.engine == "multipass":
-        stats.update(p.mp.stats())
-        if "multipass" in dumps:
-            write("multipass.dot", p.mp.to_dot())
 
+    if dumps and args.out:
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(args.out, name), "w") as f:
+                f.write(text + "\n")
     print(json.dumps(stats, indent=2))
     return EX_OK
 
@@ -144,7 +136,7 @@ def _format_value(v) -> str:
 
 
 def cmd_match(args) -> int:
-    p = _compile(args, args.pattern)
+    p = _compile(args)
     if args.file:
         with open(args.file, "rb") as f:
             data = f.read()

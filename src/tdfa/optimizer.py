@@ -9,7 +9,7 @@ passing other register operations; fallback blocks additionally connect to
 every block on a non-accepting path out of their state, which is where
 control may fall through to them.
 
-The pipeline is: compaction once, then N rounds of liveness analysis, dead
+The pipeline is: compaction once, then two rounds of liveness analysis, dead
 code elimination, interference analysis, register allocation with copy
 coalescing, renaming, and local normalization.  Minimization (Moore
 partition refinement treating operation lists as part of the transition
@@ -110,7 +110,6 @@ class RegCfg:
     def __init__(self, tdfa: Tdfa):
         self.tdfa = tdfa
         self.blocks: list[Block] = []
-        self.fallthrough: dict[int, list[int]] = {}
         self.n_regs = tdfa.max_reg
 
     def to_dot(self) -> str:
@@ -191,7 +190,6 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
     for s, bid in by_fallback.items():
         path_blocks = {by_trans[key] for key in non_accepting_arcs(tdfa, s) if key in by_trans}
         blocks[bid].succ = sorted(path_blocks)
-        cfg.fallthrough[bid] = sorted(path_blocks)
     return cfg
 
 
@@ -320,7 +318,7 @@ def liveness_analysis(cfg: RegCfg) -> list[int]:
         L[i] |= final_regs
         lb = L[i] & ~_mask(op[1] for op in b.ops)
         lb |= _mask(op[2] for op in b.ops if op[0] != SET)
-        for s in cfg.fallthrough.get(i, ()):
+        for s in b.succ:
             L[s] |= lb
     return L
 
@@ -498,16 +496,16 @@ def normalization(cfg: RegCfg):
         b.ops = out
 
 
-def optimize(tdfa: Tdfa, rounds: int = 2, dump=None, skip_normalization: bool = False) -> Tdfa:
-    """Full register-optimization pipeline, in place."""
+def optimize(tdfa: Tdfa, stage=lambda *args: None, skip_normalization: bool = False) -> Tdfa:
+    """Full register-optimization pipeline, in place.  `stage(name, cfg,
+    L=None, I=None)` sees the register CFG after each step: "cfg",
+    "compaction", and "round<n>" with its liveness L and interference I."""
     add_fallback_regops(tdfa)
     cfg = build_cfg(tdfa)
-    if dump:
-        dump("cfg", cfg, None, None)
+    stage("cfg", cfg)
     renaming(cfg, compaction(cfg))
-    if dump:
-        dump("compaction", cfg, None, None)
-    for r in range(1, rounds + 1):
+    stage("compaction", cfg)
+    for r in (1, 2):
         L = liveness_analysis(cfg)
         dead_code_elimination(cfg, L)
         I = interference_analysis(cfg, L)
@@ -515,8 +513,7 @@ def optimize(tdfa: Tdfa, rounds: int = 2, dump=None, skip_normalization: bool = 
         renaming(cfg, V)
         if not skip_normalization:
             normalization(cfg)
-        if dump:
-            dump(f"round{r}", cfg, L, I)
+        stage(f"round{r}", cfg, L, I)
     flush_cfg(cfg)
     return tdfa
 

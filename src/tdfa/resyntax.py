@@ -70,13 +70,13 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _fold_cat(parts: list) -> TaggedRegex:
+def _fold(node, parts: list) -> TaggedRegex:
     # Balanced fold: keeps tree depth logarithmic so the structural
-    # recursions elsewhere handle very long literal patterns.
+    # recursions elsewhere handle very long concatenations and alternations.
     if len(parts) == 1:
         return parts[0]
     mid = len(parts) // 2
-    return Cat(_fold_cat(parts[:mid]), _fold_cat(parts[mid:]))
+    return node(_fold(node, parts[:mid]), _fold(node, parts[mid:]))
 
 
 class _Parser:
@@ -102,11 +102,11 @@ class _Parser:
         return node
 
     def alternation(self) -> TaggedRegex:
-        node = self.concatenation()
+        branches = [self.concatenation()]
         while self.peek() == ord("|"):
             self.i += 1
-            node = Alt(node, self.concatenation())
-        return node
+            branches.append(self.concatenation())
+        return _fold(Alt, branches)
 
     def concatenation(self) -> TaggedRegex:
         parts = []
@@ -117,7 +117,7 @@ class _Parser:
             parts.append(self.postfix())
         if not parts:
             return Empty()
-        return _fold_cat(parts)
+        return _fold(Cat, parts)
 
     def postfix(self) -> TaggedRegex:
         node = self.atom()

@@ -63,10 +63,11 @@ def test_invalid_config_exit_two(capsys):
     assert code == 2
 
 
-def test_resource_cap_exit_four(capsys):
-    code, _, err = run(capsys, "compile", GOLDEN, "--max-states=2")
+def test_resource_cap_exit_four(tmp_path, capsys):
+    code, _, err = run(capsys, "compile", GOLDEN, "--max-states=2", "--dump=all", f"--out={tmp_path / 'd'}")
     assert code == 4
     assert "cap" in err
+    assert not (tmp_path / "d").exists()  # a failed compile writes no dumps
 
 
 def test_internal_error_exit_five(capsys, monkeypatch):
@@ -82,8 +83,8 @@ def test_internal_error_exit_five(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: injected"
 
 
-def test_compile_golden_stats(capsys):
-    code, out, _ = run(capsys, "compile", GOLDEN, "--multi=none", "--dump=cfg", "--out=/tmp/tdfa_cli_test")
+def test_compile_golden_stats(tmp_path, capsys):
+    code, out, _ = run(capsys, "compile", GOLDEN, "--multi=none", "--dump=cfg", f"--out={tmp_path}")
     assert code == 0
     stats = json.loads(out)
     assert stats["tnfa_states"] == 18
@@ -113,6 +114,47 @@ def test_compile_dumps_roundtrip(tmp_path, capsys):
 
     clone = Tdfa.from_json((tmp_path / "tdfa.json").read_text())
     assert exec_tdfa(clone, b"aab").values == {1: 1, 2: 2, 3: 2, 4: 2, 5: 3}
+
+
+def test_compile_dumps_from_the_patterns_own_run(tmp_path, capsys, monkeypatch):
+    import tdfa.cli
+    from tdfa.determinize import Determinizer
+
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Determinizer, "run")
+    for owner in (tdfa, tdfa.cli):
+        if hasattr(owner, "optimize"):
+            counted(owner, "optimize")
+    code, _, _ = run(capsys, "compile", GOLDEN, "--multi=none", "--dump=all", f"--out={tmp_path}")
+    assert code == 0
+    assert sorted(calls) == ["optimize", "run"]
+
+
+def test_compile_opt_none_dumps_no_optimizer_stages(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "compile", GOLDEN, "--multi=none", "--opt=none", "--dump=all", f"--out={tmp_path}")
+    assert code == 0
+    assert "cfg_blocks" not in json.loads(out)
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == {"ast.json", "tnfa.dot", "tdfa_raw.dot", "tdfa_min.dot", "tdfa.json"}
+
+
+def test_compile_minimize_dumps_the_optimized_automaton_before_minimization(tmp_path, capsys):
+    code, out, _ = run(capsys, "compile", "(?:a|aa)*#b", "--minimize", "--dump=opt,min", f"--out={tmp_path}")
+    assert code == 0
+    assert json.loads(out)["states"] == 2
+    assert (tmp_path / "tdfa_opt.dot").read_text().count("->") == 4
+    assert (tmp_path / "tdfa_min.dot").read_text().count("->") == 2
 
 
 def test_fuzz_seeded_reproducible(capsys):

@@ -148,7 +148,6 @@ def test_fallback_arcs_cover_non_accepting_paths():
     fb = [i for i, b in enumerate(cfg.blocks) if b.kind == "fallback"]
     assert fb
     for i in fb:
-        assert cfg.fallthrough[i] == cfg.blocks[i].succ
         # recompute reachability: every successor block sits on a path
         # from the fallback state through non-final states only
         s = cfg.blocks[i].loc
