@@ -69,34 +69,36 @@ def cmd_compile(args) -> int:
     dumps = set(args.dump.split(",")) if args.dump else set()
     if "all" in dumps:
         dumps = {"ast", "tnfa", "tdfa", "cfg", "opt", "min", "multipass", "json"}
+    # Texts are rendered only to be written; "cfg" also adds a stat.
+    render = dumps if args.out else set()
     stats = {}
     files = {}  # dump file name -> text, written once the compile succeeds
 
     def stage(name, value, L=None, I=None):
         if name == "ast":
-            if "ast" in dumps:
+            if "ast" in render:
                 files["ast.json"] = json.dumps(ast_to_json(value), indent=2)
         elif name == "tnfa":
             stats["tnfa_states"] = value.n_states
-            if "tnfa" in dumps:
+            if "tnfa" in render:
                 files["tnfa.dot"] = tnfa_to_dot(value)
         elif name == "tdfa_raw":
             stats["tdfa_states"] = value.n_states
             stats["tdfa_finals"] = sorted(value.finals)
             stats["raw_registers"] = value.register_count()
             stats["raw_operations"] = value.op_count()
-            if "tdfa" in dumps:
+            if "tdfa" in render:
                 files["tdfa_raw.dot"] = value.to_dot()
         elif name == "tdfa_opt":
             if "cfg" in dumps:
                 stats["cfg_blocks"] = len(build_cfg(value).blocks)
-            if "opt" in dumps:
+            if "opt" in render:
                 files["tdfa_opt.dot"] = value.to_dot()
         elif name == "multipass":
             stats.update(value.stats())
-            if "multipass" in dumps:
+            if "multipass" in render:
                 files["multipass.dot"] = value.to_dot()
-        elif isinstance(value, RegCfg) and "cfg" in dumps:  # an optimizer step
+        elif isinstance(value, RegCfg) and "cfg" in render:  # an optimizer step
             files[f"cfg_{name}.dot"] = value.to_dot()
             if L is not None:
                 n = value.n_regs
@@ -111,16 +113,16 @@ def cmd_compile(args) -> int:
         stats["final_registers"] = len(set(p.tdfa.rf.values()))
         stats["operations"] = p.tdfa.op_count()
         stats["states"] = p.tdfa.n_states
-        if "min" in dumps:  # without --minimize, a minimized view of the result
+        if "min" in render:  # without --minimize, a minimized view of the result
             files["tdfa_min.dot"] = (p.tdfa if args.minimize else minimize(p.tdfa)).to_dot()
-        if "json" in dumps:
+        if "json" in render:
             files["tdfa.json"] = p.tdfa.to_json()
         if p.fixes:
             stats["fixed_tags"] = {
                 f"t{t}": f"t{b}-{d}" if b else f"len-{d}" for t, (b, d) in sorted(p.fixes.items())
             }
 
-    if dumps and args.out:
+    if render:
         os.makedirs(args.out, exist_ok=True)
         for name, text in files.items():
             with open(os.path.join(args.out, name), "w") as f:

@@ -29,17 +29,27 @@ operation count, skip or None), skip being the op-free span of the target
   classes (the frame's skip); on entry to the state the loop lets it
   consume the whole run of such bytes at C speed.  Each entry costs one
   `re` call, so skipping pays off on runs longer than a few bytes;
-- a state with no op-free self-loop whose self-loops all carry one list of
-  sets `r <- p|n` and single-character self-appends `r <- r.h` has a bulk
-  loop.  The steps of its self-loop cells end in a bulk step holding the
-  span of those classes and the list's closed form, so the first loop
-  byte runs as usual (entries that leave at once pay no `re` call) and
-  the step consumes the rest of the run, L bytes, at C speed.  Each
-  append then extends the prefix tree by a chain of L nodes with
-  `range`s, each set register gets the last position of the run (or
-  nil), and the operation count grows by k * L for a list of k.  The tree
-  records each chain, and `PrefixTree.unpack` reads it as one reversed
-  slice of `offs`.
+- a state with no op-free self-loop whose self-loops all carry one list
+  with a loop summary has a bulk loop.  The summary is read off the list's
+  symbolic effect: each written register is a head, a set `r <- p|n` or a
+  single-character self-append `r <- r.h`, or a copy whose chain of copies
+  ends in a head or in a register the list does not write (golden's
+  `r6 <- r7 <- r7.p`, the shift chain of `(?:#a)*a{100}`).  Copy cycles,
+  appends from another register and longer histories have none.  The
+  steps of its self-loop cells end in a bulk step holding the span of
+  those classes and the summary, so the first loop byte runs as usual
+  (entries that leave at once pay no `re` call) and the step consumes the
+  rest of the run, L bytes, at C speed.  After it, a register at depth d
+  of a chain holds, for L <= d, the value before the run of the member L
+  steps closer to the head, and otherwise the head's value after
+  iteration L - d: a set position, nil, the unwritten register, or node
+  n0 + L - d - 1 of the head's appended chain.  So each append extends
+  the prefix tree by a chain of L nodes with `range`s, each set register
+  gets the last position of the run (or nil), the copies are filled in one
+  pass over each chain, and the operation count grows by k * L for a list
+  of k.  Plain set and append loops are the chains of depth 0.  The tree
+  records each appended chain, and `PrefixTree.unpack` reads it as one
+  reversed slice of `offs`.
 
 Counters come from the same loop and add to what the dict holds:
 `transitions` is the number of bytes consumed, `operations` the number of
@@ -59,7 +69,8 @@ from .regops import COPY, SET
 
 
 class PrefixTree:
-    """Growable tree of (pred, offs) nodes; index 0 is the empty sequence.
+    """Growable tree of (pred, offs) nodes; index 0 is the empty sequence
+    and a bypassed offset is stored as -1, as outcomes report it.
 
     Appends only; common prefixes are shared, so copying a history is
     copying an index.  `runs` maps the last node of each chain appended in
@@ -71,14 +82,14 @@ class PrefixTree:
 
     def __init__(self):
         self.pred = [0]
-        self.offs = [None]
+        self.offs = [-1]
         self.runs = {}
 
     def append(self, idx: int, hist: str, pos: int) -> int:
         pred, offs = self.pred, self.offs
         for ch in hist:
             pred.append(idx)
-            offs.append(pos if ch == "p" else None)
+            offs.append(pos if ch == "p" else -1)
             idx = len(pred) - 1
         return idx
 
@@ -213,19 +224,48 @@ def _with_slice_moves(plain: list) -> list | None:
     return out if _effect(out) == _effect(plain) else None
 
 
-def _bulk_form(ops) -> tuple | None:
-    """(operation count, appends, sets) of a self-loop list made only of
-    sets and single-character self-appends, each as (register, is "p");
-    None for any other list."""
-    appends, sets = [], []
-    for op in ops:
-        if op[0] == SET:
-            sets.append((op[1], op[2] == "p"))
-        elif op[0] != COPY and op[1] == op[2] and len(op[3]) == 1:
-            appends.append((op[1], op[3] == "p"))
+def _bulk_form(steps, n_ops: int) -> tuple | None:
+    """The loop summary of a self-loop list of n_ops operations, decoded to
+    steps: (operation count, appends, sets, chains), or None.
+
+    It is read off the list's symbolic effect.  Its heads are the
+    single-character self-appends and the sets, each as (register, is
+    "p").  Every other written register must copy one register: the copies
+    form trees that hang from a head or from a register the list does not
+    write.  A chain is one such tree as (head, kind, members), kind being
+    the index of the head's append, "p" or "n" for a set and None for an
+    unwritten head, and members its (register, depth) pairs in preorder.
+    Copy cycles, appends from another register and histories of more than
+    one character have no summary."""
+    appends, sets, parent = [], [], {}
+    for r, term in _effect(steps).items():
+        if term == r:  # a self-copy writes nothing
+            continue
+        if term in ("p", "n"):
+            sets.append((r, term == "p"))
+        elif type(term) is int:
+            parent[r] = term
+        elif term[0] == r:
+            appends.append((r, term[1] == "p"))
         else:
             return None
-    return len(ops), tuple(appends), tuple(sets)
+    children: dict = {}
+    for r, src in parent.items():
+        children.setdefault(src, []).append(r)
+    kinds = {r: k for k, (r, _) in enumerate(appends)}
+    kinds.update((r, "p" if p else "n") for r, p in sets)
+    chains = []
+    for head in [r for r in children if r not in parent]:
+        members = []
+        stack = [(r, 1) for r in children[head]]
+        while stack:
+            r, d = stack.pop()
+            members.append((r, d))
+            stack += [(c, d + 1) for c in children.get(r, ())]
+        chains.append((head, kinds.get(head), tuple(members)))
+    if sum(len(chain[2]) for chain in chains) < len(parent):
+        return None  # the copies not reached from a head lie on a cycle
+    return n_ops, tuple(appends), tuple(sets), tuple(chains)
 
 
 class MatchPlan(PlanFrame):
@@ -247,21 +287,24 @@ class MatchPlan(PlanFrame):
         for (s, c), (target, ops) in tdfa.delta.items():
             if target == s and ops:
                 op_loops[s].setdefault(ops, []).append(c)
+        decoded: dict = {}
+
+        def steps_of(ops):
+            steps = decoded.get(ops)
+            if steps is None:
+                steps = decoded[ops] = _decode_ops(ops)
+            return steps
+
         bulk: list = [None] * n
         for s in range(n):
             if not free_loops[s] and len(op_loops[s]) == 1:
                 [(ops, cs)] = op_loops[s].items()
-                form = _bulk_form(ops)
+                form = _bulk_form(steps_of(ops), len(ops))
                 if form is not None:
                     bulk[s] = (_BULK, loop_span(cs), form)
-        decoded: dict = {}
 
         def cell(s, target, ops):
-            steps = None
-            if ops:
-                steps = decoded.get(ops)
-                if steps is None:
-                    steps = decoded[ops] = _decode_ops(ops)
+            steps = steps_of(ops) if ops else None
             if target == s and bulk[s] is not None:
                 steps += (bulk[s],)
             return steps, len(ops)
@@ -274,7 +317,7 @@ def _read_values(tdfa: Tdfa, regs, tree: PrefixTree) -> dict:
     for t in tdfa.tags:
         r = regs[tdfa.rf[t]]
         if t in tdfa.multi:
-            values[t] = [-1 if x is None else x for x in tree.unpack(r)]
+            values[t] = tree.unpack(r)
         else:
             values[t] = r
     return values
@@ -326,18 +369,42 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                 elif kind == _APPEND_N:
                     pred.append(regs[src])
                     regs[dst] = len(offs)
-                    offs.append(None)
+                    offs.append(-1)
                 else:  # _BULK: dst is the span of the loop, src its closed form
                     end = dst(text, pos + 1).end()
                     run = end - pos - 1
                     if run:
-                        loop_ops, appends, sets = src
+                        loop_ops, appends, sets, chains = src
                         n_ops += loop_ops * run
+                        # Copies first: they read the values before the run.
+                        node = len(pred)
+                        for head, head_kind, members in chains:
+                            # The head's value after the run, which a
+                            # member at depth d < run holds from d
+                            # iterations earlier: one less per iteration
+                            # for appends and set positions.
+                            moves = True
+                            if head_kind == "p":
+                                top = end - 1
+                            elif head_kind == "n":
+                                top, moves = None, False
+                            elif head_kind is None:
+                                top, moves = regs[head], False
+                            else:
+                                top = node + (head_kind + 1) * run - 1
+                            old = [regs[head]]  # values before the run, by depth
+                            for r, d in members:
+                                del old[d:]
+                                old.append(regs[r])
+                                if run <= d:
+                                    regs[r] = old[d - run]
+                                else:
+                                    regs[r] = top - d if moves else top
                         for r, p in appends:
                             node = len(pred)
                             pred.append(regs[r])
                             pred += range(node, node + run - 1)
-                            offs += range(pos + 1, end) if p else [None] * run
+                            offs += range(pos + 1, end) if p else [-1] * run
                             regs[r] = last = node + run - 1
                             runs[last] = node
                         for r, p in sets:

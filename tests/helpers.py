@@ -102,8 +102,9 @@ def number_tags(e, counter=None):
 
 
 class NaiveRegisters:
-    """Reference register file: every register holds a full value list
-    (offsets and None), copied wholesale on copy operations."""
+    """Reference register file: a scalar register holds an offset or None,
+    a history register the full list of offsets and -1 for bypasses,
+    copied wholesale on copy operations."""
 
     def __init__(self, n_regs: int, tree_regs):
         self.vals = {}
@@ -119,4 +120,4 @@ class NaiveRegisters:
                 self.vals[op[1]] = list(src) if isinstance(src, list) else src
             else:
                 src = self.vals[op[2]]
-                self.vals[op[1]] = list(src) + [pos if ch == "p" else None for ch in op[3]]
+                self.vals[op[1]] = list(src) + [pos if ch == "p" else -1 for ch in op[3]]

@@ -149,6 +149,22 @@ def test_compile_opt_none_dumps_no_optimizer_stages(tmp_path, capsys):
     assert names == {"ast.json", "tnfa.dot", "tdfa_raw.dot", "tdfa_min.dot", "tdfa.json"}
 
 
+def test_compile_dumps_without_out_print_the_stats_and_render_nothing(tmp_path, capsys, monkeypatch):
+    import tdfa.cli
+    from tdfa.determinize import Automaton
+    from tdfa.optimizer import RegCfg
+
+    code, out, _ = run(capsys, "compile", GOLDEN, "--multi=none", "--dump=all", f"--out={tmp_path}")
+    assert code == 0
+    rendered = []
+    for owner, name in ((Automaton, "to_dot"), (RegCfg, "to_dot"), (tdfa.cli, "tnfa_to_dot")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: rendered.append(name))
+    code, bare, _ = run(capsys, "compile", GOLDEN, "--multi=none", "--dump=all")
+    assert code == 0
+    assert json.loads(bare) == json.loads(out) and "cfg_blocks" in json.loads(bare)
+    assert rendered == []
+
+
 def test_compile_minimize_dumps_the_optimized_automaton_before_minimization(tmp_path, capsys):
     code, out, _ = run(capsys, "compile", "(?:a|aa)*#b", "--minimize", "--dump=opt,min", f"--out={tmp_path}")
     assert code == 0

@@ -48,7 +48,7 @@ def naive_walk(a, data: bytes, mode: str = "full"):
     values = {}
     for t in a.tags:
         r = regs[a.rf[t]]
-        values[t] = [-1 if x is None else x for x in tree.unpack(r)] if t in a.multi else r
+        values[t] = tree.unpack(r) if t in a.multi else r
     return (match_pos, values), counters
 
 
@@ -95,14 +95,14 @@ def test_tree_shares_prefixes():
     b = tree.append(parent, "n", 2)
     assert tree.pred[a] == parent and tree.pred[b] == parent
     assert tree.unpack(a) == [1, 2]
-    assert tree.unpack(b) == [1, None]
+    assert tree.unpack(b) == [1, -1]
 
 
 def test_tree_unpack_root_and_np():
     tree = PrefixTree()
     assert tree.unpack(0) == []
     idx = tree.append(0, "np", 5)
-    assert tree.unpack(idx) == [None, 5]
+    assert tree.unpack(idx) == [-1, 5]
 
 
 def test_run_ops_basic():
@@ -123,7 +123,7 @@ def test_run_ops_append_preserves_source_history():
     run_ops([(APPEND, 2, 1, "p")], regs, tree, 2)
     run_ops([(APPEND, 1, 1, "n")], regs, tree, 3)
     assert tree.unpack(regs[2]) == [1, 2]
-    assert tree.unpack(regs[1]) == [1, None]
+    assert tree.unpack(regs[1]) == [1, -1]
 
 
 def test_exec_golden_full_match():
@@ -211,7 +211,7 @@ def test_prefix_tree_vs_naive_registers():
         for r in scalar:
             assert values[r] == naive.vals[r]
         for r in trees:
-            assert values[r] == [-1 if x is None else x for x in naive.vals[r]]
+            assert values[r] == naive.vals[r]
 
 
 @pytest.mark.parametrize("pattern", ["(?:a|b)*(c)(?:a|b)*", "(?:a|b)*#(?:a|b)*"])
@@ -445,10 +445,11 @@ def test_bulk_final_state_left_then_fallback(multi):
 def test_golden_fixed_tags_loop_is_bulk(multi):
     p = tdfa.compile(GOLDEN, fixed_tags=True, multi=multi)
     plain = tdfa.compile(GOLDEN, multi=multi)
-    assert bulk_states(p.tdfa) and not bulk_states(plain.tdfa)
+    assert bulk_states(p.tdfa) and bulk_states(plain.tdfa)
     sim = tdfa.compile(GOLDEN, engine="simulation")
     for data in list(all_inputs(b"ab", 7)) + [b"a" * 1500 + b"b" * 3, b"a" * 2 + b"b" * 1500, b"a" * 1500 + b"c"]:
         check_against_walk(p.tdfa, data)
+        check_against_walk(plain.tdfa, data)
         for mode in ("full", "prefix"):
             assert p.match(data, mode=mode) == plain.match(data, mode=mode), (data, mode)
         if multi == "none":
@@ -494,13 +495,22 @@ def test_unpack_mixes_bulk_chains_and_single_nodes(monkeypatch):
     assert tree.runs and len(tree.pred) - 1 > sum(last - first + 1 for last, first in tree.runs.items())
 
 
-def one_state_loop(ops) -> Tdfa:
-    """State 0, final, loops on "a" with ops; registers 1 and 2 are tags 1
-    (multi-valued) and 2, read back unchanged."""
+def loop_automaton(ops, multi=None, prelude=()) -> Tdfa:
+    """A final state that loops on "a" with ops, entered from the start
+    state by one "b" per prelude list.  Register r is tag r, read back
+    unchanged; the multi-valued ones are register 1 and the registers of
+    appends unless given."""
+    lists = [ops, *prelude]
+    n_regs = max([2] + [r for ops_ in lists for op in ops_ for r in op[1:3] if type(r) is int])
+    if multi is None:
+        multi = {1} | {r for ops_ in lists for op in ops_ if op[0] == APPEND for r in op[1:3]}
+    m = len(prelude)
+    regs = list(range(1, n_regs + 1))
     return Tdfa.from_json(json.dumps({
-        "tags": [1, 2], "multi": [1], "alphabet": [97], "r0": {1: 1, 2: 2}, "rf": {1: 1, 2: 2},
-        "max_reg": 2, "n_states": 1, "s0": 0, "finals": [0], "fallback": [],
-        "delta": [[0, 0, 0, ops]], "phi": [[0, []]], "psi": [],
+        "tags": regs, "multi": sorted(multi), "alphabet": [97, 98], "r0": {r: r for r in regs},
+        "rf": {r: r for r in regs}, "max_reg": n_regs, "n_states": m + 1, "s0": 0, "finals": [m],
+        "fallback": [], "delta": [[i, 1, i + 1, ops_] for i, ops_ in enumerate(prelude)] + [[m, 0, m, ops]],
+        "phi": [[m, []]], "psi": [],
     }))
 
 
@@ -509,11 +519,73 @@ def one_state_loop(ops) -> Tdfa:
     ([(APPEND, 1, 1, "n"), (SET, 2, "n")], True),
     # a two-character history appends two nodes per byte
     ([(APPEND, 1, 1, "np"), (SET, 2, "p")], False),
-    # a copy has no closed form here
-    ([(APPEND, 1, 1, "p"), (COPY, 2, 2)], False),
+    # a self-copy writes nothing
+    ([(APPEND, 1, 1, "p"), (COPY, 2, 2)], True),
+    # a copy cycle: r2 and r3 swap through r4
+    ([(COPY, 4, 2), (COPY, 2, 3), (COPY, 3, 4)], False),
+    # an append from another register
+    ([(APPEND, 1, 3, "p"), (APPEND, 3, 3, "p")], False),
 ])
 def test_bulk_loop_only_for_sets_and_one_character_self_appends(ops, bulk):
-    a = one_state_loop(ops)
+    a = loop_automaton(ops)
     assert bool(bulk_states(a)) == bulk
     for n in (0, 1, 2, 3, 1500):
         check_against_walk(a, b"a" * n)
+
+
+@pytest.mark.parametrize("ops, multi, depth", [
+    # a tree of copies from a set: r3 <- r2 <- p, r4 and r6 <- r3, r5 <- r4
+    ([(COPY, 6, 3), (COPY, 5, 4), (COPY, 4, 3), (COPY, 3, 2), (SET, 2, "p")], {1}, 3),
+    # two branches from one set: r5 <- r4 <- r3 <- r2 <- p and r8 <- r7 <- r6 <- r2
+    ([(COPY, 5, 4), (COPY, 4, 3), (COPY, 3, 2), (COPY, 8, 7), (COPY, 7, 6), (COPY, 6, 2), (SET, 2, "p")],
+     {1}, 3),
+    ([(COPY, 3, 2), (SET, 2, "n")], {1}, 1),
+    # golden's loop: r3 <- r4 <- r4.p
+    ([(COPY, 3, 4), (APPEND, 4, 4, "p"), (APPEND, 5, 5, "p"), (SET, 2, "p")], {1, 3, 4, 5}, 1),
+    ([(COPY, 4, 3), (COPY, 3, 1), (APPEND, 1, 1, "n")], {1, 3, 4}, 2),
+    # two appending heads: the nodes of r2's chain follow those of r4's
+    ([(COPY, 6, 5), (COPY, 5, 4), (APPEND, 4, 4, "n"), (COPY, 3, 2), (APPEND, 2, 2, "p")],
+     {1, 2, 3, 4, 5, 6}, 2),
+    # chains from registers the list does not write
+    ([(COPY, 4, 3), (COPY, 3, 2), (SET, 5, "p")], {1}, 2),
+    ([(COPY, 4, 3), (COPY, 3, 1)], {1, 3, 4}, 2),
+    # the shift chain of (?:#a)*a{10}, decoded to a slice move
+    ([(COPY, r, r + 1) for r in range(2, 12)] + [(APPEND, 12, 12, "p")], set(range(1, 13)), 10),
+])
+def test_loop_summaries_of_copy_chains(ops, multi, depth):
+    # The prelude gives every register its own value: its position.
+    regs = range(1, max(op[1] for op in ops) + 1)
+    prelude = [[(APPEND, r, r, "p") if r in multi else (SET, r, "p")] for r in regs]
+    a = loop_automaton(ops, multi, prelude)
+    assert bulk_states(a)
+    # The first loop byte runs the plain steps, the bulk step the other n - 1.
+    for n in (depth - 1, depth, depth + 1, depth + 2, 1500):
+        check_against_walk(a, b"b" * len(prelude) + b"a" * n)
+
+
+LONG_RUN_CONFIGS = [{}, {"multi": "all"}, {"multi": "none"}, {"opt": "none", "multi": "all"},
+                    {"fixed_tags": True}]
+
+
+def test_loop_summaries_against_walk_on_runs_of_one_symbol():
+    """Random automata with bulk states on inputs made of runs of one
+    symbol: only runs of two bytes or more reach the bulk step.  Patterns
+    of golden's shape, a group under a star and then more, give copy
+    chains; about half of their automata have a bulk state, a third of
+    those chains."""
+    rng = Random(21)
+    automata = with_chains = 0
+    for _ in range(150):
+        pattern = "(" + gen_pattern(rng, max_nodes=5) + ")*" + gen_pattern(rng, max_nodes=5)
+        for kw in LONG_RUN_CONFIGS:
+            a = tdfa.compile(pattern, **kw).tdfa
+            forms = [step[2] for row in MatchPlan(a).rows for cell in row if cell and cell[1]
+                     for step in cell[1] if step[0] == _BULK]
+            if not forms:
+                continue
+            automata += 1
+            with_chains += any(form[3] for form in forms)
+            for _ in range(8):
+                data = b"".join(bytes([rng.choice(b"ab")]) * rng.randint(1, 40) for _ in range(rng.randint(1, 6)))
+                check_against_walk(a, data)
+    assert automata >= 300 and with_chains >= 100, (automata, with_chains)
