@@ -27,14 +27,19 @@ __all__ = [
 ]
 
 
-def _resolve_multi(spec, ast):
+def _resolve_multi(spec, ast, tags):
     if spec == "auto":
         return _syn.default_multi_tags(ast)
     if spec == "none":
         return frozenset()
     if spec == "all":
-        return frozenset(_syn.collect_tags(ast))
-    return frozenset(spec)
+        return frozenset(tags)
+    if isinstance(spec, str):
+        raise ValueError(f"unknown multi {spec!r}: auto, none, all or a set of tag ids")
+    multi = frozenset(spec)
+    if not multi.issubset(tags):
+        raise ValueError(f"multi names {sorted(multi.difference(tags), key=str)}, which are not tags of the pattern")
+    return multi
 
 
 class Pattern:
@@ -59,26 +64,30 @@ class Pattern:
             raise ValueError(f"unknown optimization level {opt!r}")
         self.pattern = pattern
         self.engine = engine
-        ast = _syn.parse_regex(pattern)
-        if auto_tags:
-            ast = _syn.auto_tag(ast)
         # _stage(name, value, L=None, I=None) sees each stage as it is built:
         # "ast", "tnfa", then "multipass", or "tdfa_raw", the optimizer's
         # steps (see `optimize`), "tdfa_opt" and "tdfa_min".  Later stages
         # change an automaton in place, so a view must be taken in the call.
         report = _stage or (lambda *args: None)
-        report("ast", ast)
-        self.tags = _syn.collect_tags(ast)
-        self.multi = _resolve_multi(multi, ast)
         self.fixes: dict[int, tuple[int, int]] = {}
-
-        # Tagged strings need every tag present, so the multipass engine
-        # always builds the full automaton.
-        if fixed_tags and engine == "tdfa":
-            self.fixes = _syn.find_fixed_tags(ast)
-            ast = _syn.strip_fixed_tags(ast, set(self.fixes))
-        self.tnfa = _tnfa.build_tnfa(ast)
-        report("tnfa", self.tnfa)
+        # The front end walks the syntax tree recursively, so its depth is
+        # bounded by the interpreter's recursion limit.
+        try:
+            ast = _syn.parse_regex(pattern)
+            if auto_tags:
+                ast = _syn.auto_tag(ast)
+            report("ast", ast)
+            self.tags = _syn.collect_tags(ast)
+            self.multi = _resolve_multi(multi, ast, self.tags)
+            # Tagged strings need every tag present, so the multipass engine
+            # always builds the full automaton.
+            if fixed_tags and engine == "tdfa":
+                self.fixes = _syn.find_fixed_tags(ast)
+                ast = _syn.strip_fixed_tags(ast, set(self.fixes))
+            self.tnfa = _tnfa.build_tnfa(ast)
+            report("tnfa", self.tnfa)
+        except RecursionError:
+            raise ResourceLimit("pattern nested too deeply for the recursion limit") from None
         if engine == "simulation":
             return
         if engine == "multipass":
@@ -87,11 +96,10 @@ class Pattern:
             return
 
         free_multi = frozenset(t for t in self.multi if t not in self.fixes)
-        det_mutate = _mutate if _mutate in ("skip-map-copies", "skip-map-toposort") else None
-        self.tdfa = determinize(self.tnfa, free_multi, max_states, mutate=det_mutate)
+        self.tdfa = determinize(self.tnfa, free_multi, max_states, mutate=_mutate)
         report("tdfa_raw", self.tdfa)
         if opt == "full":
-            optimize(self.tdfa, stage=report, skip_normalization=_mutate == "skip-normalization")
+            optimize(self.tdfa, stage=report)
             report("tdfa_opt", self.tdfa)
         else:
             # Longest-prefix mode needs fallback operations regardless.

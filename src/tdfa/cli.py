@@ -1,7 +1,7 @@
 """Command line front end: compile, match, fuzz, bench.
 
-Exit codes: 0 ok, 1 no match, 2 usage or syntax error, 3 fuzz divergence,
-4 resource cap exceeded, 5 internal error.
+Exit codes: 0 ok, 1 no match, 2 usage or syntax error or an unreadable
+input file, 3 fuzz divergence, 4 resource cap exceeded, 5 internal error.
 """
 
 import argparse
@@ -65,10 +65,16 @@ def _grid(corner: str, rows, n: int, marked) -> str:
     return "\n".join(lines)
 
 
+DUMPS = {"ast", "tnfa", "tdfa", "cfg", "opt", "min", "multipass", "json"}
+
+
 def cmd_compile(args) -> int:
     dumps = set(args.dump.split(",")) if args.dump else set()
+    unknown = dumps - DUMPS - {"all"}
+    if unknown:
+        raise ValueError(f"unknown --dump entry {','.join(sorted(unknown))}")
     if "all" in dumps:
-        dumps = {"ast", "tnfa", "tdfa", "cfg", "opt", "min", "multipass", "json"}
+        dumps = DUMPS
     # Texts are rendered only to be written; "cfg" also adds a stat.
     render = dumps if args.out else set()
     stats = {}
@@ -101,7 +107,7 @@ def cmd_compile(args) -> int:
         elif isinstance(value, RegCfg) and "cfg" in render:  # an optimizer step
             files[f"cfg_{name}.dot"] = value.to_dot()
             if L is not None:
-                n = value.n_regs
+                n = value.tdfa.max_reg
                 files[f"liveness_{name}.txt"] = _grid(
                     "block ", ((f"{i:5d} ", row) for i, row in enumerate(L)), n, lambda row, r: row >> r & 1)
                 files[f"interference_{name}.txt"] = _grid(
@@ -248,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--max-len", type=int, default=6)
     f.add_argument("--max-rep", type=int, default=3)
     f.add_argument("--multi", default="auto")
-    f.add_argument("--mutate", choices=["skip-map-copies", "skip-map-toposort", "skip-normalization"],
+    f.add_argument("--mutate", choices=["skip-map-copies", "skip-map-toposort"],
                    help="inject a bug into the pipeline (harness self-test)")
     f.add_argument("--progress", action="store_true")
     f.set_defaults(func=cmd_fuzz)
@@ -273,7 +279,7 @@ def main(argv=None) -> int:
     except ResourceLimit as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_RESOURCE
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # OSError: an unreadable --file or unwritable --out
         print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
     except Exception as e:

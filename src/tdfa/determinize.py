@@ -150,7 +150,8 @@ class PlanFrame:
       row; a full 256-byte alphabet has no dead bytes and no sentinel;
     - `rows`, dense lists of cells (target, *part, skip of target), part
       being what the engine's `cell_payload(dfa, loops)` function gives for
-      the cell;
+      the cell, loops being the self-loop table: per state, its self-loop
+      classes grouped by cell;
     - a state whose self-loops on some classes have a no-op cell (`no_op`)
       has a skip: the `loop_span` over those classes.  `skip0` is the start
       state's;
@@ -164,11 +165,12 @@ class PlanFrame:
         sentinel = max(b2c) + 1
         self.classes = bytes(sentinel if c < 0 else c for c in b2c)
         n = dfa.n_states
-        loops: list[list[int]] = [[] for _ in range(n)]
+        loops: list[dict] = [{} for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
-            if target == s and self.no_op(cell):
-                loops[s].append(c)
-        skip = [loop_span(cs) for cs in loops]
+            if target == s:
+                loops[s].setdefault(cell, []).append(c)
+        skip = [loop_span([c for cell, cs in by_cell.items() if self.no_op(cell) for c in cs])
+                for by_cell in loops]
         part = self.cell_payload(dfa, loops)
         self.rows = [[None] * (max(self.classes) + 1) for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
@@ -262,8 +264,7 @@ class Tdfa(Automaton):
         self.r0 = {t: i + 1 for i, t in enumerate(self.tags)}
         self.rf = {t: ntags + i + 1 for i, t in enumerate(self.tags)}
         self.max_reg = 2 * ntags
-        # Fallback support, filled by the optimizer.
-        self.fallback: set[int] = set()
+        # Filled by the optimizer; its keys are the fallback states.
         self.psi: dict[int, tuple] = {}
 
     def op_count(self) -> int:
@@ -306,7 +307,7 @@ class Tdfa(Automaton):
             "n_states": self.n_states,
             "s0": self.s0,
             "finals": sorted(self.finals),
-            "fallback": sorted(self.fallback),
+            "fallback": sorted(self.psi),
             "delta": [[s, c, target, enc_ops(ops)] for (s, c), (target, ops) in sorted(self.delta.items())],
             "phi": [[s, enc_ops(ops)] for s, ops in sorted(self.phi.items())],
             "psi": [[s, enc_ops(ops)] for s, ops in sorted(self.psi.items())],
@@ -323,7 +324,6 @@ class Tdfa(Automaton):
         self.n_states = doc["n_states"]
         self.s0 = doc["s0"]
         self.finals = set(doc["finals"])
-        self.fallback = set(doc["fallback"])
         self.delta = {
             (s, c): (target, tuple(tuple(op) for op in ops)) for s, c, target, ops in doc["delta"]
         }

@@ -112,21 +112,19 @@ def _lists_from_tstring(tokens, tags) -> dict:
 
 
 def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
-                multi: str = "auto", mutate=None, max_states: int = 100_000):
+                multi: str = "auto", mutate=None):
     """Compare all engines on all inputs; returns a Divergence or None."""
     sim = Pattern(pattern, engine="simulation")
     tags = sim.tags
     engines = {
-        "tdfa-raw": Pattern(pattern, engine="tdfa", opt="none", multi=multi,
-                            max_states=max_states, _mutate=mutate),
-        "tdfa-opt": Pattern(pattern, engine="tdfa", opt="full", multi=multi,
-                            max_states=max_states, _mutate=mutate),
+        "tdfa-raw": Pattern(pattern, engine="tdfa", opt="none", multi=multi, _mutate=mutate),
+        "tdfa-opt": Pattern(pattern, engine="tdfa", opt="full", multi=multi, _mutate=mutate),
         "tdfa-min": Pattern(pattern, engine="tdfa", opt="full", use_minimize=True,
-                            multi=multi, max_states=max_states, _mutate=mutate),
+                            multi=multi, _mutate=mutate),
         "tdfa-fixed": Pattern(pattern, engine="tdfa", opt="full", fixed_tags=True,
-                              multi=multi, max_states=max_states, _mutate=mutate),
+                              multi=multi, _mutate=mutate),
     }
-    mp = Pattern(pattern, engine="multipass", max_states=max_states)
+    mp = Pattern(pattern, engine="multipass")
 
     raw, opt = engines["tdfa-raw"].tdfa, engines["tdfa-opt"].tdfa
     if opt.register_count() > raw.register_count() or opt.op_count() > raw.op_count():

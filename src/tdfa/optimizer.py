@@ -72,7 +72,6 @@ def add_fallback_regops(tdfa: Tdfa):
     way and the fallback list appends onto the backup (i <- i.h).
     """
     fallback, clobbered = find_fallback_states(tdfa)
-    tdfa.fallback = fallback
     for s in sorted(fallback):
         exits = [key for key in non_accepting_arcs(tdfa, s) if key[0] == s] if clobbered[s] else []
         ops = []
@@ -110,7 +109,6 @@ class RegCfg:
     def __init__(self, tdfa: Tdfa):
         self.tdfa = tdfa
         self.blocks: list[Block] = []
-        self.n_regs = tdfa.max_reg
 
     def to_dot(self) -> str:
         from .regops import format_op
@@ -146,9 +144,9 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
             blocks.append(Block("final", s, tdfa.phi.get(s, ())))
     by_fallback: dict[int, int] = {}
     if tdfa.tags:
-        for s in sorted(tdfa.fallback):
+        for s in sorted(tdfa.psi):
             by_fallback[s] = len(blocks)
-            blocks.append(Block("fallback", s, tdfa.psi.get(s, ())))
+            blocks.append(Block("fallback", s, tdfa.psi[s]))
 
     # States reachable from u without passing register operations.
     reach_memo: dict[int, frozenset[int]] = {}
@@ -237,8 +235,7 @@ def renaming(cfg: RegCfg, V: dict[int, int]):
     tdfa = cfg.tdfa
     tdfa.rf = {t: V[r] for t, r in tdfa.rf.items()}
     tdfa.r0 = {t: V[r] for t, r in tdfa.r0.items() if r in V}
-    cfg.n_regs = max(V.values(), default=0)
-    tdfa.max_reg = cfg.n_regs
+    tdfa.max_reg = max(V.values(), default=0)
 
 
 def _bits(mask: int):
@@ -357,7 +354,7 @@ def interference_analysis(cfg: RegCfg, L: list[int]) -> list[int]:
     registers used in append operations (history trees) interfere with all
     registers that are not.
     """
-    n = cfg.n_regs
+    n = cfg.tdfa.max_reg
     I = [0] * (n + 1)
     append_regs = 0
     for bi, b in enumerate(cfg.blocks):
@@ -412,7 +409,7 @@ def register_allocation(cfg: RegCfg, I: list[int]) -> dict[int, int]:
     A class is its representative's member bitset M[x] plus the union U[x]
     of its members' interference rows, so testing a register against a
     class takes two mask tests."""
-    n = cfg.n_regs
+    n = cfg.tdfa.max_reg
     B: dict[int, int] = {}
     M: dict[int, int] = {}
     U: dict[int, int] = {}
@@ -496,7 +493,7 @@ def normalization(cfg: RegCfg):
         b.ops = out
 
 
-def optimize(tdfa: Tdfa, stage=lambda *args: None, skip_normalization: bool = False) -> Tdfa:
+def optimize(tdfa: Tdfa, stage=lambda *args: None) -> Tdfa:
     """Full register-optimization pipeline, in place.  `stage(name, cfg,
     L=None, I=None)` sees the register CFG after each step: "cfg",
     "compaction", and "round<n>" with its liveness L and interference I."""
@@ -511,8 +508,7 @@ def optimize(tdfa: Tdfa, stage=lambda *args: None, skip_normalization: bool = Fa
         I = interference_analysis(cfg, L)
         V = register_allocation(cfg, I)
         renaming(cfg, V)
-        if not skip_normalization:
-            normalization(cfg)
+        normalization(cfg)
         stage(f"round{r}", cfg, L, I)
     flush_cfg(cfg)
     return tdfa
@@ -546,7 +542,7 @@ def minimize(tdfa: Tdfa) -> Tdfa:
         (
             s in tdfa.finals,
             opid(tdfa.phi.get(s, ())) if s in tdfa.finals else -1,
-            opid(tdfa.psi.get(s, ())) if s in tdfa.fallback else -1,
+            opid(tdfa.psi[s]) if s in tdfa.psi else -1,
         )
         for s in range(n)
     )
@@ -576,7 +572,6 @@ def minimize(tdfa: Tdfa) -> Tdfa:
     out.n_states = n_classes
     out.s0 = part[tdfa.s0]
     out.finals = {part[s] for s in tdfa.finals}
-    out.fallback = {part[s] for s in tdfa.fallback}
     for c, m in enumerate(rep):
         for cls in cls_range:
             cell = tdfa.delta.get((m, cls))

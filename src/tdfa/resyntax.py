@@ -297,7 +297,7 @@ def default_multi_tags(e: TaggedRegex) -> frozenset[int]:
     return frozenset(out)
 
 
-def fixed_tags(e, base, dist, level, fixes, counter=None):
+def fixed_tags(e, base, dist, level, fixes):
     """Structural recursion locating tags at fixed distance from a base.
 
     ``base`` is the current base tag id (None when there is none on this
@@ -306,24 +306,22 @@ def fixed_tags(e, base, dist, level, fixes, counter=None):
     arithmetic.  Fixations are recorded into ``fixes`` as tag -> (base,
     distance).  Returns the updated (base, dist, level).
     """
-    if counter is not None:
-        counter[0] += 1
     match e:
         case Empty():
             return base, dist, level
         case Sym(_):
             return base, dist + 1, level + 1
         case Alt(l, r):
-            _, _, k1 = fixed_tags(l, None, NAN, 0, fixes, counter)
-            _, _, k2 = fixed_tags(r, None, NAN, 0, fixes, counter)
+            _, _, k1 = fixed_tags(l, None, NAN, 0, fixes)
+            _, _, k2 = fixed_tags(r, None, NAN, 0, fixes)
             if k1 == k2:
                 return base, dist + k1, level + k1
             return base, NAN, NAN
         case Cat(l, r):
-            base, dist, level = fixed_tags(r, base, dist, level, fixes, counter)
-            return fixed_tags(l, base, dist, level, fixes, counter)
+            base, dist, level = fixed_tags(r, base, dist, level, fixes)
+            return fixed_tags(l, base, dist, level, fixes)
         case Rep(b, lo, hi):
-            _, _, k1 = fixed_tags(b, None, NAN, 0, fixes, counter)
+            _, _, k1 = fixed_tags(b, None, NAN, 0, fixes)
             if hi is not None and lo == hi:
                 return base, dist + lo * k1, level + lo * k1
             return base, NAN, NAN
@@ -335,7 +333,7 @@ def fixed_tags(e, base, dist, level, fixes, counter=None):
     raise TypeError(f"not a regex node: {e!r}")
 
 
-def find_fixed_tags(e: TaggedRegex, counter=None) -> dict[int, tuple[int, int]]:
+def find_fixed_tags(e: TaggedRegex) -> dict[int, tuple[int, int]]:
     """Run the fixed-tag analysis from the top level.
 
     The initial base is the rightmost-position pseudo tag, whose value is
@@ -343,7 +341,7 @@ def find_fixed_tags(e: TaggedRegex, counter=None) -> dict[int, tuple[int, int]]:
     becomes the base of its level or gets fixed, never both.
     """
     fixes: dict[int, tuple[int, int]] = {}
-    fixed_tags(e, RIGHTMOST, 0, 0, fixes, counter)
+    fixed_tags(e, RIGHTMOST, 0, 0, fixes)
     for base, _ in fixes.values():
         assert base not in fixes, "a base tag must never itself be fixed"
     return fixes

@@ -277,16 +277,10 @@ class MatchPlan(PlanFrame):
     def no_op(ops) -> bool:
         return not ops
 
-    def cell_payload(self, tdfa: Tdfa, free_loops):
-        n = tdfa.n_states
+    def cell_payload(self, tdfa: Tdfa, loops):
         self.regs0 = [None] * (tdfa.max_reg + 1)
         for t in tdfa.multi:
             self.regs0[tdfa.r0[t]] = 0
-        # Self-loop classes per state and operation list.
-        op_loops: list[dict] = [{} for _ in range(n)]
-        for (s, c), (target, ops) in tdfa.delta.items():
-            if target == s and ops:
-                op_loops[s].setdefault(ops, []).append(c)
         decoded: dict = {}
 
         def steps_of(ops):
@@ -295,10 +289,10 @@ class MatchPlan(PlanFrame):
                 steps = decoded[ops] = _decode_ops(ops)
             return steps
 
-        bulk: list = [None] * n
-        for s in range(n):
-            if not free_loops[s] and len(op_loops[s]) == 1:
-                [(ops, cs)] = op_loops[s].items()
+        bulk: list = [None] * len(loops)
+        for s, by_ops in enumerate(loops):
+            if len(by_ops) == 1 and () not in by_ops:
+                [(ops, cs)] = by_ops.items()
                 form = _bulk_form(steps_of(ops), len(ops))
                 if form is not None:
                     bulk[s] = (_BULK, loop_span(cs), form)

@@ -1,5 +1,7 @@
 from random import Random
 
+import pytest
+
 import tdfa
 from tdfa.multipass import render_tstring
 from tdfa.tnfa import build_tnfa, simulate
@@ -48,6 +50,13 @@ def test_multi_override_subset():
     out = p.match(b"aa")
     assert out.values[1] == [0, 1]
     assert out.values[2] == 2
+
+
+def test_multi_checked_at_compile_time():
+    with pytest.raises(ValueError, match="not tags"):
+        tdfa.compile("(a)", multi={7})
+    with pytest.raises(ValueError, match="unknown multi"):
+        tdfa.compile("(a)", multi="Auto")
 
 
 def test_match_accepts_str_and_bytes():

@@ -1,10 +1,11 @@
+import argparse
 import json
 import re
 
 import pytest
 
 import tdfa
-from tdfa.cli import main
+from tdfa.cli import build_parser, main
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 
@@ -61,6 +62,25 @@ def test_bad_pattern_exit_two(capsys):
 def test_invalid_config_exit_two(capsys):
     code, _, err = run(capsys, "match", "a", "a", "--engine=multipass", "--mode=prefix")
     assert code == 2
+
+
+def test_unknown_multi_tag_exit_two(capsys):
+    code, _, err = run(capsys, "match", "(a)", "a", "--multi=7")
+    assert code == 2
+    assert "not tags" in err
+
+
+def test_unreadable_input_file_exit_two(tmp_path, capsys):
+    code, out, err = run(capsys, "match", "a", "--file", str(tmp_path / "missing"))
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and "missing" in err
+
+
+def test_unknown_dump_entry_exit_two(tmp_path, capsys):
+    code, out, err = run(capsys, "compile", "(a)*", "--dump=cfgs,opt", f"--out={tmp_path / 'd'}")
+    assert code == 2
+    assert out == "" and err == "error: unknown --dump entry cfgs"
+    assert not (tmp_path / "d").exists()
 
 
 def test_resource_cap_exit_four(tmp_path, capsys):
@@ -165,6 +185,18 @@ def test_compile_dumps_without_out_print_the_stats_and_render_nothing(tmp_path, 
     assert rendered == []
 
 
+def test_compile_multipass_stats_and_dump(tmp_path, capsys):
+    csv = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
+    code, out, _ = run(capsys, "compile", csv, "--engine=multipass", "--dump=multipass", f"--out={tmp_path}")
+    assert code == 0
+    stats = json.loads(out)
+    assert {"states", "finals", "backlinks"} <= stats.keys()
+    assert stats["states"] > 0 and stats["finals"] and stats["backlinks"] > 0
+    assert {p.name for p in tmp_path.iterdir()} == {"multipass.dot"}
+    dot = (tmp_path / "multipass.dot").read_text()
+    assert dot.startswith("digraph multipass") and "style=dashed" in dot
+
+
 def test_compile_minimize_dumps_the_optimized_automaton_before_minimization(tmp_path, capsys):
     code, out, _ = run(capsys, "compile", "(?:a|aa)*#b", "--minimize", "--dump=opt,min", f"--out={tmp_path}")
     assert code == 0
@@ -183,8 +215,15 @@ def test_fuzz_seeded_reproducible(capsys):
     assert "no divergence" in out1
 
 
-def test_fuzz_detects_injected_mutation(capsys):
-    code, out, _ = run(capsys, "fuzz", "--count=200", "--seed=42", "--mutate=skip-map-copies")
+def _mutate_choices():
+    """The --mutate choices the fuzz command offers."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices["fuzz"]._actions if a.dest == "mutate")
+
+
+@pytest.mark.parametrize("mutation", _mutate_choices())
+def test_fuzz_detects_injected_mutation(capsys, mutation):
+    code, out, _ = run(capsys, "fuzz", "--count=200", "--seed=42", f"--mutate={mutation}")
     assert code == 3
     assert "DIVERGENCE" in out and "reproduce:" in out
 

@@ -1,9 +1,20 @@
 """Patterns at the documented limits (bounds <= 1000) compile and match;
-they never end in a RecursionError."""
+nesting deeper than the recursion limit allows fails as ResourceLimit, never
+as a RecursionError."""
 
 import pytest
 
 import tdfa
+from tdfa.cli import main
+
+ENGINES = {
+    "tdfa": {"engine": "tdfa"},
+    "min-fixed": {"engine": "tdfa", "use_minimize": True, "fixed_tags": True},
+    "multipass": {"engine": "multipass"},
+    "simulation": {"engine": "simulation"},
+}
+NEST600 = "(" * 600 + "a" + ")" * 600
+STAR3000 = "a" + "*" * 3000
 
 
 @pytest.mark.parametrize(
@@ -21,3 +32,21 @@ def test_alternation_of_2000_branches_compiles_and_matches(engine):
     p = tdfa.compile("|".join(["a"] * 2000), engine=engine)
     assert p.match(b"a").kind == "match"
     assert not p.match(b"aa")
+
+
+@pytest.mark.parametrize("options", ENGINES.values(), ids=ENGINES.keys())
+def test_600_nested_groups_fail_as_resource_limit(options):
+    with pytest.raises(tdfa.ResourceLimit, match="nested"):
+        tdfa.compile(NEST600, **options)
+
+
+@pytest.mark.parametrize("options", ENGINES.values(), ids=ENGINES.keys())
+def test_3000_stacked_stars_fail_as_resource_limit(options):
+    with pytest.raises(tdfa.ResourceLimit, match="nested"):
+        tdfa.Pattern(STAR3000, **options)
+
+
+@pytest.mark.parametrize("pattern", [NEST600, STAR3000], ids=["nest600", "star3000"])
+def test_cli_nesting_past_the_recursion_limit_exits_four(capsys, pattern):
+    assert main(["match", pattern, "a"]) == 4
+    assert "nested" in capsys.readouterr().err

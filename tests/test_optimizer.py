@@ -107,9 +107,9 @@ def test_fallback_prefix_match_equals_truncated_full_match():
 def test_fallback_append_kept_with_self_source():
     tdfa = build("(aab)+", multi=frozenset({1, 2}))
     add_fallback_regops(tdfa)
-    assert tdfa.fallback
+    assert tdfa.psi
     saw_append = False
-    for s in tdfa.fallback:
+    for s in tdfa.psi:
         for op in tdfa.psi[s]:
             if op[0] == APPEND:
                 saw_append = True
@@ -273,10 +273,10 @@ def _golden_interference():
 
 def test_interference_symmetric_no_diagonal():
     cfg, I = _golden_interference()
-    for a in range(1, cfg.n_regs + 1):
+    for a in range(1, cfg.tdfa.max_reg + 1):
         assert a not in regs(I[a])
         assert not interferes(I, a, a)
-        for b in range(1, cfg.n_regs + 1):
+        for b in range(1, cfg.tdfa.max_reg + 1):
             assert interferes(I, a, b) == interferes(I, b, a)
 
 

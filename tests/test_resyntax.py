@@ -1,5 +1,6 @@
 import pytest
 
+from tdfa import resyntax
 from tdfa.resyntax import (
     NAN,
     RIGHTMOST,
@@ -139,11 +140,17 @@ def test_fixed_tags_recursion_values():
     assert table == {}
 
 
-def test_fixed_tags_linear_visits():
+def test_fixed_tags_linear_visits(monkeypatch):
     ast = parse_regex("(a)*#(?:a|#b)#b*(ab(?:a|b))+")
-    counter = [0]
-    find_fixed_tags(ast, counter)
-    assert counter[0] <= ast_size(ast)
+    visits = []
+
+    def counting(e, *args):
+        visits.append(e)
+        return fixed_tags(e, *args)
+
+    monkeypatch.setattr(resyntax, "fixed_tags", counting)
+    find_fixed_tags(ast)
+    assert 0 < len(visits) <= ast_size(ast)
 
 
 def test_same_level_fixation_only():
