@@ -36,9 +36,12 @@ def _engine_flags(p: argparse.ArgumentParser):
 
 
 def _multi_arg(value: str):
-    if value in ("auto", "none", "all"):
+    """A comma list of ints as a set of tag ids; any other value goes to
+    the library as is, which takes auto, none and all and rejects the rest."""
+    try:
+        return frozenset(int(x) for x in value.split(","))
+    except ValueError:
         return value
-    return frozenset(int(x) for x in value.split(","))
 
 
 def _compile(args, stage=None) -> Pattern:
@@ -253,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--alphabet", default="ab")
     f.add_argument("--max-len", type=int, default=6)
     f.add_argument("--max-rep", type=int, default=3)
-    f.add_argument("--multi", default="auto")
+    f.add_argument("--multi", default="auto",
+                   help="multi-valued tags: auto, none, all, or comma ids; a pattern runs with "
+                        "those of the ids that are its tags")
     f.add_argument("--mutate", choices=["skip-map-copies", "skip-map-toposort"],
                    help="inject a bug into the pipeline (harness self-test)")
     f.add_argument("--progress", action="store_true")

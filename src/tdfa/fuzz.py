@@ -11,6 +11,7 @@ from itertools import product
 from random import Random
 
 from . import Pattern
+from .resyntax import collect_tags, parse_regex
 
 _ESCAPE = set("|()*+?{}#\\")
 
@@ -175,11 +176,16 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
 def run_corpus(seed: int, count: int, max_nodes: int = 10, max_tags: int = 6,
                alphabet: str = "ab", max_len: int = 6, max_rep: int = 3,
                multi: str = "auto", mutate=None, progress=None):
-    """Generate and cross-check a corpus; returns (checked, first divergence)."""
+    """Generate and cross-check a corpus; returns (checked, first divergence).
+
+    A set of tag ids in multi is cut down to each pattern's own tags."""
     rng = Random(seed)
     for i in range(count):
         pattern = gen_pattern(rng, max_nodes, max_tags, alphabet, max_rep)
-        div = cross_check(pattern, alphabet, max_len, multi, mutate)
+        ids = multi
+        if not isinstance(multi, str):
+            ids = frozenset(multi).intersection(collect_tags(parse_regex(pattern)))
+        div = cross_check(pattern, alphabet, max_len, ids, mutate)
         if div is not None:
             return i + 1, div
         if progress and (i + 1) % progress == 0:

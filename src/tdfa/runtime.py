@@ -44,12 +44,13 @@ operation count, skip or None), skip being the op-free span of the target
   steps closer to the head, and otherwise the head's value after
   iteration L - d: a set position, nil, the unwritten register, or node
   n0 + L - d - 1 of the head's appended chain.  So each append extends
-  the prefix tree by a chain of L nodes with `range`s, each set register
-  gets the last position of the run (or nil), the copies are filled in one
-  pass over each chain, and the operation count grows by k * L for a list
-  of k.  Plain set and append loops are the chains of depth 0.  The tree
-  records each appended chain, and `PrefixTree.unpack` reads it as one
-  reversed slice of `offs`.
+  the prefix tree by a chain of L nodes, each set register gets the last
+  position of the run (or nil), the copies are filled in one pass over
+  each chain, and the operation count grows by k * L for a list of k.
+  Plain set and append loops are the chains of depth 0.  A chain costs
+  O(1) new objects: its first node is stored as usual and its L - 1 later
+  nodes repeat one shared marker, so `PrefixTree.unpack` jumps from any
+  node of a chain to its first in one step (see `PrefixTree`).
 
 Counters come from the same loop and add to what the dict holds:
 `transitions` is the number of bytes consumed, `operations` the number of
@@ -70,20 +71,25 @@ from .regops import COPY, SET
 
 class PrefixTree:
     """Growable tree of (pred, offs) nodes; index 0 is the empty sequence
-    and a bypassed offset is stored as -1, as outcomes report it.
+    and a bypassed offset is stored as -1, as outcomes report it.  A nil
+    pred counts as the root.
 
     Appends only; common prefixes are shared, so copying a history is
-    copying an index.  `runs` maps the last node of each chain appended in
-    bulk to its first node; the nodes of a chain are consecutive, each the
-    pred of the next.
+    copying an index.  The nodes of a chain appended in bulk are
+    consecutive, each the pred of the next.  Its first node is stored as
+    any other; each later node holds offs None and pred ~first, one marker
+    object shared by the chain, and its offset is offs[first] plus its
+    distance from the first node, or -1 when offs[first] is -1.  Other
+    nodes may point into a chain anywhere.  `chained` is set once a chain
+    is appended; until then `unpack` walks the nodes with no test per node.
     """
 
-    __slots__ = ("pred", "offs", "runs")
+    __slots__ = ("pred", "offs", "chained")
 
     def __init__(self):
         self.pred = [0]
         self.offs = [-1]
-        self.runs = {}
+        self.chained = False
 
     def append(self, idx: int, hist: str, pos: int) -> int:
         pred, offs = self.pred, self.offs
@@ -94,22 +100,25 @@ class PrefixTree:
         return idx
 
     def unpack(self, idx: int) -> list:
-        pred, offs, runs = self.pred, self.offs, self.runs
+        pred, offs = self.pred, self.offs
         out = []
-        if not runs:
-            # No chains, so no lookup per node: all long-scan tdfa rows
-            # together run about 3% faster than with the lookup.
+        if not self.chained:
             while idx:
                 out.append(offs[idx])
                 idx = pred[idx]
         else:
             while idx:
-                if idx in runs:
-                    first = runs[idx]
-                    out += offs[idx:first - 1:-1]
+                off = offs[idx]
+                if off is None:  # inside a chain: emit it down to its first node
+                    first = ~pred[idx]
+                    off = offs[first]
+                    if off < 0:
+                        out += [-1] * (idx - first + 1)
+                    else:
+                        out += range(off + idx - first, off - 1, -1)
                     idx = pred[first]
                 else:
-                    out.append(offs[idx])
+                    out.append(off)
                     idx = pred[idx]
         out.reverse()
         return out
@@ -332,7 +341,7 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     text = data.translate(plan.classes)
     n = len(text)
     tree = PrefixTree()
-    pred, offs, runs = tree.pred, tree.offs, tree.runs
+    pred, offs = tree.pred, tree.offs
     regs = plan.regs0.copy()
 
     state = tdfa.s0
@@ -397,10 +406,11 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                         for r, p in appends:
                             node = len(pred)
                             pred.append(regs[r])
-                            pred += range(node, node + run - 1)
-                            offs += range(pos + 1, end) if p else [-1] * run
-                            regs[r] = last = node + run - 1
-                            runs[last] = node
+                            offs.append(pos + 1 if p else -1)
+                            pred += [~node] * (run - 1)
+                            offs += [None] * (run - 1)
+                            regs[r] = node + run - 1
+                            tree.chained = True
                         for r, p in sets:
                             regs[r] = end - 1 if p else None
                         pos = end - 1

@@ -70,6 +70,12 @@ def test_unknown_multi_tag_exit_two(capsys):
     assert "not tags" in err
 
 
+def test_unknown_multi_word_exit_two(capsys):
+    code, _, err = run(capsys, "match", "(a)", "a", "--multi=Auto")
+    assert code == 2
+    assert "unknown multi 'Auto'" in err
+
+
 def test_unreadable_input_file_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "match", "a", "--file", str(tmp_path / "missing"))
     assert code == 2
@@ -203,6 +209,13 @@ def test_compile_minimize_dumps_the_optimized_automaton_before_minimization(tmp_
     assert json.loads(out)["states"] == 2
     assert (tmp_path / "tdfa_opt.dot").read_text().count("->") == 4
     assert (tmp_path / "tdfa_min.dot").read_text().count("->") == 2
+
+
+def test_fuzz_multi_ids_apply_to_the_patterns_that_have_them(capsys):
+    # None of these 20 patterns has tag 2, and 13 have no tag at all.
+    code, out, _ = run(capsys, "fuzz", "--count=20", "--multi=1,2", "--seed=5")
+    assert code == 0, out
+    assert out.startswith("ok: 20 patterns")
 
 
 def test_fuzz_seeded_reproducible(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import tdfa
 from tdfa.determinize import Tdfa, determinize
-from tdfa.fuzz import gen_pattern
+from tdfa.fuzz import _last, gen_pattern
 from tdfa.regops import APPEND, COPY, SET
 from tdfa.runtime import (SLICE_MIN, _APPEND_P, _BULK, _COPY, _SET_N, _SET_P, MatchPlan, PrefixTree,
                           _decode_ops, exec_tdfa, run_ops)
@@ -465,34 +465,107 @@ def test_bulk_appends_count_tree_nodes():
     assert out.values[1] == list(range(700)) + [-1] * 800
 
 
-def naive_unpack(tree: PrefixTree, idx: int) -> list:
+def expand_tree(tree: PrefixTree) -> tuple:
+    """The tree's (pred, offs) with every node stored on its own: a node
+    inside a bulk chain (offs None, pred ~first) follows the node before
+    it, with offs[first] + its distance from first, or -1 in a chain of
+    bypasses."""
+    pred, offs = list(tree.pred), list(tree.offs)
+    for idx, off in enumerate(tree.offs):
+        if off is None:
+            first = ~tree.pred[idx]
+            pred[idx] = idx - 1
+            offs[idx] = -1 if offs[first] < 0 else offs[first] + idx - first
+    return pred, offs
+
+
+def naive_unpack(pred: list, offs: list, idx: int) -> list:
     out = []
     while idx:
-        out.append(tree.offs[idx])
-        idx = tree.pred[idx]
+        out.append(offs[idx])
+        idx = pred[idx]
     return out[::-1]
 
 
-def test_unpack_mixes_bulk_chains_and_single_nodes(monkeypatch):
-    a = tdfa.compile("(?:(a)|b|c#)*", multi="all").tdfa
-    trees = []
+@pytest.fixture
+def trees(monkeypatch) -> list:
+    """Every PrefixTree made while the test runs, in order."""
+    made = []
     init = PrefixTree.__init__
 
     def keep(tree):
         init(tree)
-        trees.append(tree)
+        made.append(tree)
     monkeypatch.setattr(PrefixTree, "__init__", keep)
+    return made
+
+
+def test_unpack_mixes_bulk_chains_and_single_nodes(trees):
+    a = tdfa.compile("(?:(a)|b|c#)*", multi="all").tdfa
     rng = Random(11)
     for _ in range(40):
         data = bytes(rng.choice(b"aabc") for _ in range(rng.randint(0, 60))) + b"a" * rng.choice((0, 1, 2, 40))
         trees.clear()
         assert exec_tdfa(a, data)
         tree = trees[0]
+        pred, offs = expand_tree(tree)
         for idx in range(len(tree.pred)):
-            assert tree.unpack(idx) == naive_unpack(tree, idx)
+            assert tree.unpack(idx) == naive_unpack(pred, offs, idx)
         check_against_walk(a, data)
-    # the last input holds both kinds of node
-    assert tree.runs and len(tree.pred) - 1 > sum(last - first + 1 for last, first in tree.runs.items())
+    # the last input holds both kinds of node: chain interiors, and nodes
+    # that are neither inside a chain nor the first node of one
+    firsts = {~p for p, off in zip(tree.pred, tree.offs) if off is None}
+    assert tree.chained and firsts
+    assert any(off is not None and idx not in firsts for idx, off in enumerate(tree.offs[1:], 1))
+
+
+def check_histories(p, data: bytes):
+    """check_against_walk, and the last values of both modes against the
+    simulation of the input and of the matched prefix."""
+    full = check_against_walk(p.tdfa, data)
+    assert ({t: _last(v) for t, v in full.values.items()} if full else None) == simulate(p.tnfa, data), data
+    prefix = exec_tdfa(p.tdfa, data, "prefix")
+    if prefix:
+        assert {t: _last(v) for t, v in prefix.values.items()} == simulate(p.tnfa, data[:prefix.end]), data
+
+
+@pytest.mark.parametrize("pattern, k", [(GOLDEN, 1), ("(?:#a)*a{1}", 1), ("(?:#a)*a{10}", 10),
+                                        ("(?:#a)*a{100}", 100)])
+def test_bulk_chains_read_from_the_middle(monkeypatch, pattern, k):
+    # Golden's r6 <- r7 and the copy chain of (?:#a)*a{k} leave registers
+    # that point into the middle of the chain a bulk run appended.
+    p = tdfa.compile(pattern)
+    assert bulk_states(p.tdfa)
+    inside = []
+    unpack = PrefixTree.unpack
+
+    def spy(tree, idx):
+        if tree.offs[idx] is None and idx + 1 < len(tree.offs) and tree.pred[idx + 1] == tree.pred[idx]:
+            inside.append(idx)
+        return unpack(tree, idx)
+    monkeypatch.setattr(PrefixTree, "unpack", spy)
+    for run in (0, 1, 2, k, 1500):
+        for data in (b"a" * run, b"a" * (run + k), b"a" * (run + k) + b"b" * 3, b"a" * (run + k) + b"c"):
+            check_histories(p, data)
+    assert inside
+
+
+def test_bulk_chains_after_leaving_and_reentering_the_loop(trees):
+    # Each run of "a" appends chains whose history goes on from the chains
+    # of the runs before it, through the nodes of the bytes between them.
+    p = tdfa.compile("(?:(a)|b|c#)*", multi="all")
+    for runs in ((4, 3), (40, 1, 40), (1500, 2, 1500), (3, 0, 40, 7)):
+        for sep in (b"b", b"c", b"bc", b"cb"):
+            data = sep.join(b"a" * run for run in runs)
+            trees.clear()
+            check_histories(p, data)
+            tree = trees[0]
+            pred, offs = expand_tree(tree)
+            assert tree.chained
+            # some node outside a chain continues one from inside it
+            assert any(tree.offs[q] is None for q, off in zip(tree.pred, tree.offs) if off is not None and q)
+            for idx in range(0, len(tree.pred), 7):
+                assert tree.unpack(idx) == naive_unpack(pred, offs, idx)
 
 
 def loop_automaton(ops, multi=None, prelude=()) -> Tdfa:
