@@ -191,7 +191,7 @@ def cmd_fuzz(args) -> int:
         return EX_OK
     print(f"DIVERGENCE after {checked} patterns ({dt:.1f}s)")
     print(f"  {div}")
-    print(f"  reproduce: tdfa match --engine=tdfa {div.pattern!r} {div.data.decode()!r}")
+    print(f"  reproduce: {div.reproduce()}")
     return EX_DIVERGENCE
 
 

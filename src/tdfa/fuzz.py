@@ -6,6 +6,7 @@ configurations, and matched against every input up to a length bound; the
 tagged NFA simulation is the reference for match results and tag values.
 """
 
+import shlex
 from dataclasses import dataclass
 from itertools import product
 from random import Random
@@ -15,6 +16,19 @@ from .resyntax import collect_tags, parse_regex
 
 _ESCAPE = set("|()*+?{}#\\")
 
+# The `tdfa match` flags that select each configuration cross_check runs;
+# the tdfa ones also take the pattern's --multi.
+MATCH_FLAGS = {
+    "tdfa-raw": ["--opt=none"],
+    "tdfa-raw-lists": ["--opt=none"],
+    "tdfa-opt": [],
+    "tdfa-min": ["--minimize"],
+    "tdfa-fixed": ["--fixed-tags"],
+    "multipass": ["--engine=multipass"],
+    "multipass-lists": ["--engine=multipass", "--repr=lists"],
+    "multipass-tstring": ["--engine=multipass", "--repr=tstring"],
+}
+
 
 @dataclass
 class Divergence:
@@ -22,12 +36,24 @@ class Divergence:
     engine: str
     data: bytes
     detail: str
+    multi: str | frozenset  # what the tdfa engines ran with
 
     def __str__(self):
         return (
             f"engine {self.engine} diverges on pattern {self.pattern!r} "
             f"input {self.data!r}: {self.detail}"
         )
+
+    def reproduce(self) -> str:
+        """The `tdfa match` command line that replays this configuration."""
+        flags = MATCH_FLAGS[self.engine]
+        if self.engine.startswith("tdfa"):
+            multi = self.multi
+            if not isinstance(multi, str):
+                multi = ",".join(map(str, sorted(multi))) or "none"
+            flags = flags + [f"--multi={multi}"]
+        # "--": a pattern or input may start with "-"
+        return shlex.join(["tdfa", "match", *flags, "--", self.pattern, self.data.decode()])
 
 
 def gen_pattern(rng: Random, max_nodes: int = 10, max_tags: int = 6,
@@ -127,9 +153,12 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
     }
     mp = Pattern(pattern, engine="multipass")
 
+    def diverge(engine, data, detail):
+        return Divergence(pattern, engine, data, detail, multi)
+
     raw, opt = engines["tdfa-raw"].tdfa, engines["tdfa-opt"].tdfa
     if opt.register_count() > raw.register_count() or opt.op_count() > raw.op_count():
-        return Divergence(pattern, "tdfa-opt", b"", "optimization increased registers or operations")
+        return diverge("tdfa-opt", b"", "optimization increased registers or operations")
 
     multi_tags = engines["tdfa-raw"].tdfa.multi
 
@@ -138,18 +167,17 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
         for name, eng in engines.items():
             got = eng.match(data)
             if got.kind != want.kind:
-                return Divergence(pattern, name, data, f"kind {got.kind} != {want.kind}")
+                return diverge(name, data, f"kind {got.kind} != {want.kind}")
             if not want:
                 continue
             for t in tags:
                 if _last(got.values[t]) != want.values[t]:
-                    return Divergence(
-                        pattern, name, data,
-                        f"t{t}: {got.values[t]!r} vs simulation {want.values[t]!r}")
+                    return diverge(name, data,
+                                   f"t{t}: {got.values[t]!r} vs simulation {want.values[t]!r}")
 
         mp_off = mp.match(data)
         if mp_off.kind != want.kind:
-            return Divergence(pattern, "multipass", data, f"kind {mp_off.kind} != {want.kind}")
+            return diverge("multipass", data, f"kind {mp_off.kind} != {want.kind}")
         if not want:
             continue
         mp_lists = mp.match(data, repr_="lists")
@@ -157,19 +185,19 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
         ts_lists = _lists_from_tstring(ts.tstring, tags)
         for t in tags:
             if mp_off.values[t] != want.values[t]:
-                return Divergence(pattern, "multipass", data,
-                                  f"t{t}: {mp_off.values[t]!r} vs {want.values[t]!r}")
+                return diverge("multipass", data,
+                               f"t{t}: {mp_off.values[t]!r} vs {want.values[t]!r}")
             if _last(mp_lists.values[t]) != want.values[t]:
-                return Divergence(pattern, "multipass-lists", data,
-                                  f"t{t}: {mp_lists.values[t]!r} last vs {want.values[t]!r}")
+                return diverge("multipass-lists", data,
+                               f"t{t}: {mp_lists.values[t]!r} last vs {want.values[t]!r}")
             if ts_lists[t] != mp_lists.values[t]:
-                return Divergence(pattern, "multipass-tstring", data,
-                                  f"t{t}: {ts_lists[t]!r} vs lists {mp_lists.values[t]!r}")
+                return diverge("multipass-tstring", data,
+                               f"t{t}: {ts_lists[t]!r} vs lists {mp_lists.values[t]!r}")
             if t in multi_tags:
                 got = engines["tdfa-raw"].match(data).values[t]
                 if got != mp_lists.values[t]:
-                    return Divergence(pattern, "tdfa-raw-lists", data,
-                                      f"t{t}: {got!r} vs multipass {mp_lists.values[t]!r}")
+                    return diverge("tdfa-raw-lists", data,
+                                   f"t{t}: {got!r} vs multipass {mp_lists.values[t]!r}")
     return None
 
 

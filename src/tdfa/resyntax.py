@@ -214,16 +214,6 @@ def parse_regex(pattern: str | bytes) -> TaggedRegex:
     return _Parser(data).parse()
 
 
-def ast_size(e: TaggedRegex) -> int:
-    match e:
-        case Alt(l, r) | Cat(l, r):
-            return 1 + ast_size(l) + ast_size(r)
-        case Rep(b, _, _):
-            return 1 + ast_size(b)
-        case _:
-            return 1
-
-
 def collect_tags(e: TaggedRegex) -> tuple[int, ...]:
     """All tag ids in the AST, ascending."""
     out = []

@@ -6,12 +6,15 @@ which yields leftmost-greedy semantics.
 
 States are numbered in the left-to-right reading order of the expression
 (bypass chains after the body they skip, join states when the following
-element starts), so dumps of small automata are easy to eyeball.
+element starts), so dumps of small automata are easy to eyeball.  The
+builder creates states right to left, in exactly the reverse of that
+order, and numbers them by reversal, so the build is one pass, linear in
+the TNFA's size.
 """
 
 from dataclasses import dataclass
 
-from .resyntax import Alt, Cat, Empty, Rep, Sym,TaggedRegex, Tag, collect_tags
+from .resyntax import Alt, Cat, Empty, Rep, Sym, TaggedRegex, Tag, collect_tags
 
 
 @dataclass
@@ -30,136 +33,98 @@ class Tnfa:
         return {t: i for i, t in enumerate(self.tags)}
 
 
-def ntags(tag_ids, qf: int, first_state: int):
-    """Chain of eps-transitions emitting the negative of every tag.
-
-    Returns (start, new_states, transitions); an empty tag set yields no new
-    states and the chain collapses to qf.
-    """
-    tag_ids = sorted(tag_ids)
-    if not tag_ids:
-        return qf, [], []
-    states = list(range(first_state, first_state + len(tag_ids)))
-    transitions = []
-    for i, t in enumerate(tag_ids):
-        target = states[i + 1] if i + 1 < len(states) else qf
-        transitions.append((states[i], 1, -t, target))
-    return states[0], states, transitions
-
-
 class _Builder:
+    """Builds fragments right to left: each fragment after the fragments
+    that follow it, so states are created in exactly the reverse of
+    reading order and build_tnfa numbers the q-th state created n - 1 - q.
+    eps[q] holds that state's eps-transitions as (priority, tag, target)."""
+
     def __init__(self):
-        self.next_state = 0
-        self.eps: list[tuple[int, int, int, int]] = []  # (q, pri, tag, p)
+        self.eps: list[tuple[tuple[int, int, int], ...]] = []
         self.syms: list[tuple[int, int, int]] = []  # (q, byte, p)
 
-    def new_state(self) -> int:
-        s = self.next_state
-        self.next_state += 1
-        return s
+    def new_state(self, eps=()) -> int:
+        self.eps.append(eps)
+        return len(self.eps) - 1
 
-    def build(self, e: TaggedRegex, qf: int):
-        """Returns (start, order): order lists this fragment's own states in
-        reading order; qf is owned by the caller."""
+    def fork(self, first: int, second: int) -> int:
+        return self.new_state(((1, 0, first), (2, 0, second)))
+
+    def build(self, e: TaggedRegex, qf: int) -> int:
+        """Returns the fragment's start state; qf is owned by the caller."""
         match e:
             case Empty():
-                return qf, []
+                return qf
             case Sym(c):
                 q0 = self.new_state()
                 self.syms.append((q0, c, qf))
-                return q0, [q0]
+                return q0
             case Tag(t):
-                q0 = self.new_state()
-                self.eps.append((q0, 1, t, qf))
-                return q0, [q0]
+                return self.new_state(((1, t, qf),))
             case Cat(l, r):
-                sr, order_r = self.build(r, qf)
-                sl, order_l = self.build(l, sr)
-                return sl, order_l + order_r
+                return self.build(l, self.build(r, qf))
             case Alt(l, r):
-                s2, order2 = self.build(r, qf)
-                s2n, order2n = self.chain(collect_tags(r), qf)
-                s1, order1 = self.build(l, s2n)
-                s1n, order1n = self.chain(collect_tags(l), s2)
-                q0 = self.new_state()
-                self.eps.append((q0, 1, 0, s1))
-                self.eps.append((q0, 2, 0, s1n))
-                return q0, [q0] + order1 + order2n + order1n + order2
+                s2 = self.build(r, qf)
+                s1n = self.chain(collect_tags(l), s2)
+                s1 = self.build(l, self.chain(collect_tags(r), qf))
+                return self.fork(s1, s1n)
             case Rep(body, lo, hi):
                 return self.repeat(body, lo, hi, qf)
         raise TypeError(f"not a regex node: {e!r}")
 
-    def chain(self, tag_ids, qf: int):
-        start, states, transitions = ntags(tag_ids, qf, self.next_state)
-        self.next_state += len(states)
-        self.eps.extend(transitions)
-        return start, states
+    def chain(self, tag_ids, qf: int) -> int:
+        """Eps-transitions emitting the negative of every tag, ascending;
+        an empty tag set adds no state and the chain collapses to qf."""
+        for t in sorted(tag_ids, reverse=True):
+            qf = self.new_state(((1, -t, qf),))
+        return qf
 
-    def repeat(self, body: TaggedRegex, lo: int, hi: int | None, qf: int):
+    def repeat(self, body: TaggedRegex, lo: int, hi: int | None, qf: int) -> int:
         if hi == 0:
             # Zero repetitions: only the bypass, marking inner tags absent.
             return self.chain(collect_tags(body), qf)
         if lo == 0:
-            s1, order1 = self.repeat(body, 1, hi, qf)
-            s1n, order_n = self.chain(collect_tags(body), qf)
-            q0 = self.new_state()
-            self.eps.append((q0, 1, 0, s1))
-            self.eps.append((q0, 2, 0, s1n))
-            return q0, [q0] + order1 + order_n
+            bypass = self.chain(collect_tags(body), qf)
+            return self.fork(self.repeat(body, 1, hi, qf), bypass)
         # lo >= 1.  Built innermost-first and unrolled iteratively: bounds
         # reach the parse-time cap, too deep for structural recursion.
         if hi is None:
             q1 = self.new_state()
-            start, order = self.build(body, q1)
-            self.eps.append((q1, 1, 0, start))  # repeat first: greedy
-            self.eps.append((q1, 2, 0, qf))
-            order = order + [q1]
+            start = self.build(body, q1)
+            self.eps[q1] = ((1, 0, start), (2, 0, qf))  # repeat first: greedy
             optional = 0
         else:
-            start, order = self.build(body, qf)
+            start = self.build(body, qf)
             optional = hi - lo
         # optional copies: a greedy junction continues into what follows
         for _ in range(optional):
-            q1 = self.new_state()
-            s_first, order_first = self.build(body, q1)
-            self.eps.append((q1, 1, 0, start))
-            self.eps.append((q1, 2, 0, qf))
-            start, order = s_first, order_first + [q1] + order
+            start = self.build(body, self.fork(start, qf))
         # mandatory copies chain straight through
         for _ in range(lo - 1):
-            s_first, order_first = self.build(body, start)
-            start, order = s_first, order_first + order
-        return start, order
+            start = self.build(body, start)
+        return start
 
 
 def build_tnfa(e: TaggedRegex) -> Tnfa:
     b = _Builder()
     qf = b.new_state()
-    q0, order = b.build(e, qf)
-    order = order + [qf]
-    assert not order or q0 == order[0]
-    assert len(order) == b.next_state
-
-    remap = {old: new for new, old in enumerate(order)}
-    n = len(order)
-    eps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    syms: list[dict[int, int]] = [{} for _ in range(n)]
-    for q, pri, tag, p in b.eps:
-        eps[remap[q]].append((pri, tag, remap[p]))
+    q0 = b.build(e, qf)
+    last = len(b.eps) - 1
+    eps = [
+        tuple([(pri, tag, last - p) for pri, tag, p in out]) if out else ()
+        for out in reversed(b.eps)
+    ]
+    syms: list[dict[int, int]] = [{} for _ in b.eps]
     for q, byte, p in b.syms:
-        syms[remap[q]][byte] = remap[p]
-    for lst in eps:
-        lst.sort()
-        priorities = [pri for pri, _, _ in lst]
-        assert priorities == list(range(1, len(lst) + 1))
-    alphabet = tuple(sorted({byte for s in syms for byte in s}))
+        syms[last - q][byte] = last - p
+    alphabet = tuple(sorted({byte for _, byte, _ in b.syms}))
     return Tnfa(
-        n_states=n,
-        q0=remap[q0],
-        qf=remap[qf],
+        n_states=last + 1,
+        q0=last - q0,
+        qf=last - qf,
         tags=collect_tags(e),
         alphabet=alphabet,
-        eps=[tuple(lst) for lst in eps],
+        eps=eps,
         syms=syms,
     )
 

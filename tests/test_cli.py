@@ -1,11 +1,13 @@
 import argparse
 import json
 import re
+import shlex
 
 import pytest
 
 import tdfa
-from tdfa.cli import build_parser, main
+from tdfa.cli import _multi_arg, build_parser, main
+from tdfa.fuzz import MATCH_FLAGS, Divergence, run_corpus
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 
@@ -239,6 +241,55 @@ def test_fuzz_detects_injected_mutation(capsys, mutation):
     code, out, _ = run(capsys, "fuzz", "--count=200", "--seed=42", f"--mutate={mutation}")
     assert code == 3
     assert "DIVERGENCE" in out and "reproduce:" in out
+
+
+# (engine, opt, minimize, fixed_tags, repr) of each configuration fuzz runs
+FUZZ_CONFIGS = {
+    "tdfa-raw": ("tdfa", "none", False, False, "offsets"),
+    "tdfa-raw-lists": ("tdfa", "none", False, False, "offsets"),
+    "tdfa-opt": ("tdfa", "full", False, False, "offsets"),
+    "tdfa-min": ("tdfa", "full", True, False, "offsets"),
+    "tdfa-fixed": ("tdfa", "full", False, True, "offsets"),
+    "multipass": ("multipass", "full", False, False, "offsets"),
+    "multipass-lists": ("multipass", "full", False, False, "lists"),
+    "multipass-tstring": ("multipass", "full", False, False, "tstring"),
+}
+
+
+def check_hint(hint: str, div: Divergence):
+    """The hint parses as `tdfa match` of the divergence's configuration."""
+    argv = shlex.split(hint)
+    assert argv[:2] == ["tdfa", "match"]
+    args = build_parser().parse_args(argv[1:])
+    assert (args.pattern, args.input) == (div.pattern, div.data.decode())
+    assert (args.engine, args.opt, args.minimize, args.fixed_tags, args.repr) == FUZZ_CONFIGS[div.engine]
+    assert _multi_arg(args.multi) == (div.multi if args.engine == "tdfa" else "auto")
+    return argv
+
+
+@pytest.mark.parametrize("engine", sorted(FUZZ_CONFIGS))
+def test_divergence_hint_selects_its_configuration(capsys, engine):
+    assert FUZZ_CONFIGS.keys() == MATCH_FLAGS.keys()
+    div = Divergence(GOLDEN, engine, b"aab", "", frozenset({3, 1}))
+    argv = check_hint(div.reproduce(), div)
+    assert main(argv[1:]) == 0  # the hint runs: golden matches aab
+    dash = Divergence("-|a", engine, b"-", "", "none")  # a pattern and input that look like flags
+    check_hint(dash.reproduce(), dash)
+
+
+@pytest.mark.parametrize("argv, corpus, engine", [
+    # backslashes in the pattern and the input
+    (["--seed=1", "--max-len=4", "--alphabet=a\\"], {"seed": 1, "max_len": 4, "alphabet": "a\\"}, "tdfa-raw"),
+    # ids cut down to the pattern's own tags
+    (["--seed=2", "--multi=1,3,9"], {"seed": 2, "multi": frozenset({1, 3, 9})}, "tdfa-raw"),
+    (["--seed=3", "--multi=1,3,9"], {"seed": 3, "multi": frozenset({1, 3, 9})}, "tdfa-raw-lists"),
+])
+def test_fuzz_reproduce_hint_names_the_diverging_configuration(capsys, argv, corpus, engine):
+    code, out, _ = run(capsys, "fuzz", "--count=200", "--mutate=skip-map-copies", *argv)
+    assert code == 3
+    _, div = run_corpus(count=200, mutate="skip-map-copies", **corpus)
+    assert div.engine == engine
+    check_hint(out.split("reproduce: ", 1)[1], div)
 
 
 def test_bench_runs_and_reports(capsys):

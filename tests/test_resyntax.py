@@ -12,7 +12,6 @@ from tdfa.resyntax import (
     Sym,
     Tag,
     apply_fixed_tags,
-    ast_size,
     ast_to_json,
     auto_tag,
     collect_tags,
@@ -138,6 +137,16 @@ def test_fixed_tags_recursion_values():
     base, dist, level = fixed_tags(Sym(A), None, NAN, 0, table)
     assert base is None and isnan(dist) and level == 1
     assert table == {}
+
+
+def ast_size(e) -> int:
+    match e:
+        case Alt(l, r) | Cat(l, r):
+            return 1 + ast_size(l) + ast_size(r)
+        case Rep(b, _, _):
+            return 1 + ast_size(b)
+        case _:
+            return 1
 
 
 def test_fixed_tags_linear_visits(monkeypatch):

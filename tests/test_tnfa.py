@@ -5,7 +5,6 @@ from helpers import all_asts, all_inputs, brute_force_match, number_tags
 from tdfa.resyntax import Sym, Tag, collect_tags, parse_regex
 from tdfa.tnfa import (
     build_tnfa,
-    ntags,
     sim_epsilon_closure,
     sim_step_on_symbol,
     simulate,
@@ -33,20 +32,42 @@ def test_build_tag():
     assert nfa.eps[nfa.q0] == ((1, 1, nfa.qf),)
 
 
-def test_ntags_chain():
-    start, states, transitions = ntags([1, 2], qf=9, first_state=5)
-    assert start == 5 and states == [5, 6]
-    assert transitions == [(5, 1, -1, 6), (6, 1, -2, 9)]
+def bypass_chain(nfa, q):
+    """Follow a bypass chain from q: the tags it emits and where it ends."""
+    tags = []
+    while len(nfa.eps[q]) == 1 and nfa.eps[q][0][1] < 0 and not nfa.syms[q]:
+        (_, tag, q), = nfa.eps[q]
+        tags.append(tag)
+    return tags, q
 
 
-def test_ntags_empty():
-    start, states, transitions = ntags([], qf=3, first_state=7)
-    assert start == 3 and states == [] and transitions == []
+def test_bypass_chain_negates_tags_in_ascending_order():
+    nfa = build_tnfa(parse_regex("(?:#b#)?"))
+    _, (_, _, bypass) = nfa.eps[nfa.q0]
+    assert bypass_chain(nfa, bypass) == ([-1, -2], nfa.qf)
+    # each branch of an alternative ends in the chain of the other's tags
+    nfa = build_tnfa(parse_regex("#a#|b#"))
+    (_, _, left), (_, _, right) = nfa.eps[nfa.q0]
+    tags, b_start = bypass_chain(nfa, right)
+    assert tags == [-1, -2] and nfa.syms[b_start] == {B: b_start + 1}
+    (_, _, after_a), = nfa.eps[left]
+    (_, _, second), = nfa.eps[nfa.syms[after_a][A]]
+    assert bypass_chain(nfa, second) == ([-3], nfa.qf)
 
 
-def test_ntags_single():
-    _, _, transitions = ntags([4], qf=1, first_state=0)
-    assert transitions == [(0, 1, -4, 1)]
+def test_empty_bypass_chain_adds_no_state():
+    nfa = build_tnfa(parse_regex("a?"))
+    assert nfa.n_states == 3 and nfa.eps[nfa.q0][1] == (2, 0, nfa.qf)
+    nfa = build_tnfa(parse_regex("(?:a|b)"))
+    assert nfa.n_states == 4
+    assert [nfa.syms[q] for _, _, q in nfa.eps[nfa.q0]] == [{A: nfa.qf}, {B: nfa.qf}]
+
+
+def test_one_tag_bypass_chain_is_one_transition():
+    nfa = build_tnfa(parse_regex("(?:#a)?"))
+    _, (_, _, bypass) = nfa.eps[nfa.q0]
+    assert nfa.eps[bypass] == ((1, -1, nfa.qf),) and not nfa.syms[bypass]
+    assert nfa.n_states == 5
 
 
 def test_build_golden_structure():
