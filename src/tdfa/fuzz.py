@@ -2,13 +2,14 @@
 
 Patterns are generated as concrete syntax strings (so any counterexample is
 reproducible from the command line), compiled through all engine
-configurations, and matched against every input up to a length bound; the
-tagged NFA simulation is the reference for match results and tag values.
+configurations, and matched against every input up to a length bound and a
+long run of each symbol; the tagged NFA simulation is the reference for
+match results and tag values.
 """
 
 import shlex
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from random import Random
 
 from . import Pattern
@@ -111,10 +112,16 @@ def gen_pattern(rng: Random, max_nodes: int = 10, max_tags: int = 6,
 
 
 def all_inputs(alphabet: str, max_len: int):
-    data = alphabet.encode()
+    """Every string of up to max_len characters of the alphabet, as UTF-8."""
     for n in range(max_len + 1):
-        for combo in product(data, repeat=n):
-            yield bytes(combo)
+        for combo in product(alphabet, repeat=n):
+            yield "".join(combo).encode()
+
+
+# Long inputs reach the loop summaries of both engines (a tdfa bulk loop, a
+# multipass tagged run), which the short exhaustive inputs enter for a few
+# bytes only: each symbol of the alphabet repeated LONG_RUN times.
+LONG_RUN = 40
 
 
 def _last(value):
@@ -140,7 +147,8 @@ def _lists_from_tstring(tokens, tags) -> dict:
 
 def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
                 multi: str = "auto", mutate=None):
-    """Compare all engines on all inputs; returns a Divergence or None."""
+    """Compare all engines on all inputs up to max_len characters and on
+    one run of LONG_RUN per symbol; returns a Divergence or None."""
     sim = Pattern(pattern, engine="simulation")
     tags = sim.tags
     engines = {
@@ -162,7 +170,8 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
 
     multi_tags = engines["tdfa-raw"].tdfa.multi
 
-    for data in all_inputs(alphabet, max_len):
+    long_inputs = [(ch * LONG_RUN).encode() for ch in alphabet]
+    for data in chain(all_inputs(alphabet, max_len), long_inputs):
         want = sim.match(data)
         for name, eng in engines.items():
             got = eng.match(data)
@@ -182,6 +191,8 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
             continue
         mp_lists = mp.match(data, repr_="lists")
         ts = mp.match(data, repr_="tstring")
+        if b"".join(x for x in ts.tstring if isinstance(x, bytes)) != data:
+            return diverge("multipass-tstring", data, f"symbols of {ts.tstring!r}")
         ts_lists = _lists_from_tstring(ts.tstring, tags)
         for t in tags:
             if mp_off.values[t] != want.values[t]:

@@ -13,23 +13,35 @@ or the full tagged string.
 The passes run on a match plan, built from the automaton on its first match
 on the frame both engines share (`determinize.PlanFrame`): the input is
 mapped to class bytes once with `bytes.translate`, and rows are dense lists
-of cells (target, backlinks, skip or None).  A self-loop whose backlink
-array maps every slot i to (i, ()) is a no-op: walking back over it changes
-neither the slot nor the tags.  A state with no-op self-loops has a
-compiled `re` span over their classes, and on entry to the state the
-forward pass lets it consume the whole run at C speed.  Each entry costs
-one `re` call, so skipping pays off on runs longer than a few bytes.
+of cells (target, backlinks, skip or None).  A compiled `re` span lets the
+forward pass consume a run of self-loops at C speed:
 
-The forward pass returns the last state and a step list: the backlink array
-of each transition taken, in input order, and an int L for a run of L bytes
-consumed by a span.  The backward passes walk that list from the end; a run
-is one subtraction from the offset.  Offsets stop as soon as every tag has
-its last value: only the first occurrence from the end counts.
+- a no-op loop maps every slot i to (i, ()), so walking back over it
+  changes neither slot nor tags.  Its span sits on every cell into the
+  state: the pass skips the run on entry and records it as an int L;
+- a tagged loop: all self-loops of a state carry one other array, and it
+  settles: following arr[i][0] from every slot reaches a fixed slot f
+  (arr[f][0] == f) within d steps, its depth, after which every step back
+  adds the history of f.  Its self-loop cells lead through PLAIN_LOOPS
+  copies of the state to one whose self-loop cells are None, so from the
+  next self-loop on the pass leaves its byte loop, and no other cell pays.
+  It records the array and, if the next byte loops too, lets the span
+  consume the run: the last d + 1 bytes stay arrays, and an int -r before
+  them stands for the r bytes before those.  A loop whose slots cycle
+  keeps per-byte steps.
+
+The forward pass returns the last state and its steps in input order: the
+array of each transition taken and the ints of the runs.  The backward
+passes walk them from the end.  A no-op run is one subtraction from the
+offset.  At a tagged run, the walk has just stepped over the run's last
+d + 1 arrays, so its slot is fixed: offsets subtract too, lists extend by a
+`range` per tag, and the tagged string fills strided slices.  Offsets stop
+as soon as every tag has its last value.
 """
 
 from itertools import chain
 
-from .determinize import Automaton, PlanFrame, Powerset, _State
+from .determinize import Automaton, PlanFrame, Powerset, _State, loop_span
 from .tnfa import Tnfa
 
 
@@ -113,37 +125,94 @@ def determinize_multipass(nfa: Tnfa, max_states: int = 100_000) -> MultipassTdfa
     return _Multipass(nfa, MultipassTdfa(nfa.tags, nfa.alphabet), max_states, nfa.q0).run()
 
 
-class MatchPlan(PlanFrame):
-    """The automaton laid out for the forward pass (see the module docstring)."""
+def _depth(links) -> int | None:
+    """The settling depth of a loop array: the most steps that following
+    links[i][0] takes from a slot to a fixed slot (links[f][0] == f), or
+    None if some slots cycle instead."""
+    depth = [0 if link[0] == i else None for i, link in enumerate(links)]
+    for i in range(len(links)):
+        path = []
+        while depth[i] is None:
+            depth[i] = -1  # on the current path
+            path.append(i)
+            i = links[i][0]
+        if depth[i] < 0:
+            return None
+        d = depth[i]
+        for j in reversed(path):
+            d += 1
+            depth[j] = d
+    return max(depth, default=0)
 
-    __slots__ = ()
+
+# Self-loop bytes a tagged loop state takes as plain steps before a span may
+# take the rest of the run: a span call costs several plain steps, and on
+# random text most runs are short.
+PLAIN_LOOPS = 3
+
+
+class MatchPlan(PlanFrame):
+    """The automaton laid out for the forward pass (see the module docstring).
+    Rows past the automaton's states are copies of its tagged loop states,
+    PLAIN_LOOPS per state, chained by their self-loops; `state` maps each
+    row to its state.  `loops[s]` is (loop flag per class, span, tail) for
+    the last copy, else None, tail being depth + 1 copies of the array."""
+
+    __slots__ = ("loops", "state")
+
+    def __init__(self, mp: MultipassTdfa):
+        super().__init__(mp)
+        self.state = list(range(mp.n_states))
+        for s, loop in enumerate(self.loops[: mp.n_states]):
+            if loop is not None:
+                cells = {c: cell[1] for c, cell in enumerate(self.rows[s]) if cell and cell[0] == s}
+                copies = [self.rows[s]] + [self.rows[s].copy() for _ in range(PLAIN_LOOPS)]
+                for k, row in enumerate(copies):
+                    for c, links in cells.items():
+                        row[c] = (len(self.rows) + k, links, None) if k < PLAIN_LOOPS else None
+                self.rows += copies[1:]
+                self.final += [self.final[s]] * PLAIN_LOOPS
+                self.loops[s] = None
+                self.loops += [None] * (PLAIN_LOOPS - 1) + [loop]
+                self.state += [s] * PLAIN_LOOPS
 
     @staticmethod
     def no_op(links) -> bool:
         return all(link == (i, ()) for i, link in enumerate(links))
 
     def cell_payload(self, mp: MultipassTdfa, loops):
+        n = max(self.classes) + 1
+        self.loops = [None] * len(loops)
+        for s, by_links in enumerate(loops):
+            if len(by_links) == 1:
+                [(links, cs)] = by_links.items()
+                depth = None if self.no_op(links) else _depth(links)
+                if depth is not None:
+                    self.loops[s] = (bytes(c in cs for c in range(n)), loop_span(cs), [links] * (depth + 1))
         return lambda s, target, links: (links,)
 
 
 def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
     """Run the forward pass; returns (last state, steps) or None.
 
-    steps holds, in input order, the backlink array of each transition taken
-    and an int L for each run of L bytes consumed by a span.  With counters,
-    adds the bytes consumed to "transitions" and those consumed by spans to
+    steps holds, in input order, the backlink array of each transition taken,
+    an int L for each run of L bytes consumed by a no-op span, and -r for r
+    steps on the tagged loop array around it.  With counters, adds the bytes
+    consumed to "transitions" and those consumed by spans of either kind to
     "skipped".
     """
     plan = mp._plan
     if plan is None:
         plan = mp._plan = MatchPlan(mp)
-    rows = plan.rows
+    rows, loops = plan.rows, plan.loops
     text = data.translate(plan.classes)
+    n = len(text)
     it = iter(text)
     steps: list = []
     append = steps.append
     # Bytes consumed beyond one per step: the position is len(steps) + extra.
     extra = 0
+    skipped = 0  # by tagged spans
     s = mp.s0
     skip = plan.skip0
     if skip is not None:
@@ -155,33 +224,59 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
             # position: one call, where islice would step through the run.
             it.__setstate__(end)
     row = rows[s]
-    for cls in it:
-        cell = row[cls]
-        if cell is None:
+    while True:
+        for cls in it:
+            cell = row[cls]
+            if cell is None:
+                break
+            s, links, skip = cell
+            append(links)
+            if skip is not None:
+                pos = len(steps) + extra
+                end = skip(text, pos).end()
+                if end > pos:
+                    append(end - pos)
+                    extra += end - pos - 1
+                    it.__setstate__(end)
+            row = rows[s]
+        else:
             break
-        s, links, skip = cell
-        append(links)
-        if skip is not None:
-            pos = len(steps) + extra
-            end = skip(text, pos).end()
-            if end > pos:
-                append(end - pos)
-                extra += end - pos - 1
-                it.__setstate__(end)
-        row = rows[s]
+        # A dead byte, or a self-loop of a tagged loop state.
+        loop = loops[s]
+        if loop is None:
+            break
+        member, span, tail = loop
+        if not member[cls]:
+            break
+        append(tail[0])
+        pos = len(steps) + extra
+        if pos < n and member[text[pos]]:
+            end = span(text, pos).end()
+            skipped += end - pos
+            # The run's last bytes stay arrays: walking back over them
+            # reaches a fixed slot, where -r stands for r steps.
+            r = end - pos - len(tail)
+            if r > 0:
+                append(-r)
+                extra += r - 1
+            steps += tail[: end - pos]
+            it.__setstate__(end)
     consumed = len(steps) + extra
     if counters is not None:
         counters["transitions"] = counters.get("transitions", 0) + consumed
-        counters["skipped"] = counters.get("skipped", 0) + sum(x for x in steps if x.__class__ is int)
+        counters["skipped"] = counters.get("skipped", 0) + skipped + sum(
+            x for x in steps if x.__class__ is int and x > 0)
     if consumed < len(text) or not plan.final[s]:
         return None
-    return s, steps
+    return plan.state[s], steps
 
 
 def _backward(mp: MultipassTdfa, forward):
     """The steps of a backward walk, last first.  The walk starts in slot 0
     at offset len(data) + 1 of a one-slot array holding the final backlink,
-    so each array step moves one offset back and reads the tags there."""
+    so each array step moves one offset back and reads the tags there.  An
+    int -r comes right after a step in a fixed slot of a loop array: r more
+    steps with that step's history."""
     s, steps = forward
     return chain(((mp.phi[s],),), reversed(steps))
 
@@ -189,14 +284,14 @@ def _backward(mp: MultipassTdfa, forward):
 def extract_offsets(mp: MultipassTdfa, data: bytes, forward) -> dict:
     """Last offset per tag; negative occurrences record nil (None).  Only
     the first occurrence from the end counts, so the walk stops once every
-    tag has one."""
+    tag has one, and steps over a tagged run like a no-op one."""
     E: dict = {}
     n = len(mp.tags)
     i, k = 0, len(data) + 1
     if n:
         for step in _backward(mp, forward):
             if step.__class__ is int:
-                k -= step
+                k -= step if step > 0 else -step
                 continue
             i, h = step[i]
             k -= 1
@@ -216,13 +311,29 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward) -> dict:
     """All offsets per tag, oldest first; negative occurrences record -1.
 
     The walk runs backwards, so offsets are collected in reverse and each
-    list flipped once at the end (prepending would be quadratic).
+    list flipped once at the end (prepending would be quadratic).  A tagged
+    run extends each tag of h by a range, or goes step by step if a tag
+    occurs twice in h.
     """
     E: dict[int, list] = {t: [] for t in mp.tags}
     i, k = 0, len(data) + 1
     for step in _backward(mp, forward):
         if step.__class__ is int:
-            k -= step
+            if step > 0:
+                k -= step
+                continue
+            r = -step
+            if len({abs(t) for t in h}) == len(h):
+                for t in reversed(h):
+                    if t > 0:
+                        E[t].extend(range(k - 1, k - r - 1, -1))
+                    else:
+                        E[-t].extend([-1] * r)
+            else:
+                for x in range(k - 1, k - r - 1, -1):
+                    for t in reversed(h):
+                        E[abs(t)].append(x if t > 0 else -1)
+            k -= r
             continue
         i, h = step[i]
         k -= 1
@@ -242,7 +353,8 @@ _BYTES = [bytes([b]) for b in range(256)]
 
 def extract_tstring(mp: MultipassTdfa, data: bytes, forward) -> list:
     """The matched string interleaved with tags: ints are (signed) tag ids,
-    single bytes are input symbols."""
+    single bytes are input symbols.  A tagged run of r steps is filled with
+    one strided slice per position of h and one for its symbols."""
     s, steps = forward
     i0, h = mp.phi[s]
     # Pre-size: one slot per symbol plus the history lengths.
@@ -252,15 +364,26 @@ def extract_tstring(mp: MultipassTdfa, data: bytes, forward) -> list:
         if step.__class__ is not int:
             i, g = step[i]
             size += len(g)
+        elif step < 0:
+            size -= step * len(g)
     out: list = [None] * size
     pos = size - len(h)
     out[pos:] = h
     i, k = i0, len(data)
     for step in reversed(steps):
         if step.__class__ is int:
-            out[pos - step : pos] = map(_BYTES.__getitem__, data[k - step : k])
-            pos -= step
-            k -= step
+            if step > 0:
+                out[pos - step : pos] = map(_BYTES.__getitem__, data[k - step : k])
+                pos -= step
+                k -= step
+                continue
+            r, m = -step, len(h) + 1
+            base = pos - r * m
+            out[base + m - 1 : pos : m] = map(_BYTES.__getitem__, data[k - r : k])
+            for j, t in enumerate(h):
+                out[base + j : pos : m] = [t] * r
+            pos = base
+            k -= r
             continue
         k -= 1
         pos -= 1

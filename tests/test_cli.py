@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import re
 import shlex
@@ -7,13 +8,15 @@ import pytest
 
 import tdfa
 from tdfa.cli import _multi_arg, build_parser, main
-from tdfa.fuzz import MATCH_FLAGS, Divergence, run_corpus
+from tdfa.fuzz import MATCH_FLAGS, Divergence, all_inputs, run_corpus
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    # Looked up at call time: a test that patches tdfa's modules patches the
+    # ones in sys.modules, which may be newer than this file's imports.
+    code = importlib.import_module("tdfa.cli").main(list(argv))
     out = capsys.readouterr()
     return code, out.out.strip(), out.err.strip()
 
@@ -283,6 +286,8 @@ def test_divergence_hint_selects_its_configuration(capsys, engine):
     # ids cut down to the pattern's own tags
     (["--seed=2", "--multi=1,3,9"], {"seed": 2, "multi": frozenset({1, 3, 9})}, "tdfa-raw"),
     (["--seed=3", "--multi=1,3,9"], {"seed": 3, "multi": frozenset({1, 3, 9})}, "tdfa-raw-lists"),
+    # a non-ASCII alphabet: the inputs are strings of its characters
+    (["--seed=2", "--alphabet=éa"], {"seed": 2, "alphabet": "éa"}, "tdfa-raw"),
 ])
 def test_fuzz_reproduce_hint_names_the_diverging_configuration(capsys, argv, corpus, engine):
     code, out, _ = run(capsys, "fuzz", "--count=200", "--mutate=skip-map-copies", *argv)
@@ -290,6 +295,15 @@ def test_fuzz_reproduce_hint_names_the_diverging_configuration(capsys, argv, cor
     _, div = run_corpus(count=200, mutate="skip-map-copies", **corpus)
     assert div.engine == engine
     check_hint(out.split("reproduce: ", 1)[1], div)
+
+
+def test_fuzz_inputs_are_strings_of_the_alphabets_characters(capsys):
+    assert list(all_inputs("ab", 2)) == [b"", b"a", b"b", b"aa", b"ab", b"ba", b"bb"]
+    assert list(all_inputs("éa", 1)) == [b"", "é".encode(), b"a"]
+    inputs = list(all_inputs("éa\\", 3))
+    assert len(inputs) == 1 + 3 + 9 + 27 and all(len(x.decode()) <= 3 for x in inputs)
+    code, out, _ = run(capsys, "fuzz", "--count=30", "--seed=1", "--alphabet=éa")
+    assert code == 0 and out.startswith("ok: 30 patterns")
 
 
 def test_bench_runs_and_reports(capsys):

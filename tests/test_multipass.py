@@ -5,6 +5,9 @@ import pytest
 from helpers import all_inputs
 
 from tdfa.multipass import (
+    PLAIN_LOOPS,
+    MatchPlan,
+    MultipassTdfa,
     construct_backlinks,
     determinize_multipass,
     extract_offset_lists,
@@ -231,22 +234,140 @@ def test_full_byte_alphabet():
     assert max(mp._plan.classes) == 255
 
 
-def test_loop_with_history_is_not_skipped():
+def test_loop_with_history_is_a_run():
+    # The first a enters the loop state and the next three self-loops are
+    # plain steps (PLAIN_LOOPS); the fourth leaves the byte loop and the
+    # span consumes the other 1195.  Slot 0 is fixed (depth 0), so the run's
+    # last byte stays an array and -1194 stands for the rest.
+    assert PLAIN_LOOPS == 3
     nfa, mp = mp_of("(?:#a)*")
     data = b"a" * 1200
-    assert check_reprs(nfa, mp, data)["skipped"] == 0
+    assert check_reprs(nfa, mp, data)["skipped"] == 1195
     _, steps = match_forward(mp, data)
-    assert len(steps) == 1200
+    loop = mp.delta[(1, cls_of(mp, "a"))][1]
+    assert steps == [mp.delta[(0, cls_of(mp, "a"))][1], loop, loop, loop, loop, -1194, loop]
 
 
-def test_loop_moving_between_slots_is_not_skipped():
+def test_loop_moving_between_slots_settles():
     # State 3 loops on a with empty histories, but its array sends slot 2 to
-    # slot 1: walking back over the a's decides where the group began.
+    # slot 1: walking back over the a's decides where the group began.  Slot
+    # 0 is fixed and every slot reaches it within two steps, so a run keeps
+    # its last three bytes as arrays and records the rest as one int.
     nfa, mp = mp_of("ba*aa(b*)?")
     assert mp.delta[(3, cls_of(mp, "a"))] == (3, ((0, ()), (0, ()), (1, ())))
     for data in all_inputs(b"ab", 7):
         check_reprs(nfa, mp, data)
-    assert check_reprs(nfa, mp, b"b" + b"a" * 1200 + b"b")["skipped"] == 0
+    [(_, _, tail)] = [loop for loop in mp._plan.loops if loop]
+    assert len(tail) == 3
+    data = b"b" + b"a" * 1200 + b"b"
+    assert check_reprs(nfa, mp, data)["skipped"] == 1194
+    assert sum(isinstance(x, int) for x in match_forward(mp, data)[1]) == 1
+
+
+def expected_counters(mp, data: bytes) -> dict:
+    """The counters of match_forward, from a per-byte walk over delta: the
+    bytes consumed before a dead cell, and those the spans consume: every
+    no-op self-loop, and every self-loop of a tagged loop state after
+    PLAIN_LOOPS + 1 others in a row."""
+    plan = mp._plan
+    tagged = {plan.state[a] for a, loop in enumerate(plan.loops) if loop}
+    s, loops = mp.s0, 0
+    c = {"transitions": 0, "skipped": 0}
+    for b in data:
+        cell = mp.delta.get((s, mp.byte_to_class[b]))
+        if cell is None:
+            break
+        target, links = cell
+        loop = target == s
+        if loop and (MatchPlan.no_op(links) or s in tagged and loops > PLAIN_LOOPS):
+            c["skipped"] += 1
+        c["transitions"] += 1
+        s, loops = target, loops + 1 if loop else 0
+    return c
+
+
+def tagged_loop_corpus(seed: int, count: int):
+    """gen_pattern patterns whose automaton has a settling tagged loop."""
+    from tdfa.fuzz import gen_pattern
+
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        nfa, mp = mp_of(gen_pattern(rng, max_nodes=10, max_tags=5, alphabet="abc"))
+        match_forward(mp, b"")  # builds the plan
+        if any(mp._plan.loops):
+            out.append((nfa, mp))
+    return out
+
+
+def test_tagged_runs_match_the_simulation():
+    runs = 0
+    for nfa, mp in tagged_loop_corpus(12, 60):
+        for sym in b"abc":
+            for n in (*range(1, 41), 1500):
+                data = bytes([sym]) * n
+                assert check_reprs(nfa, mp, data) == expected_counters(mp, data), data
+                fw = match_forward(mp, data)
+                runs += fw is not None and any(isinstance(x, int) and x < 0 for x in fw[1])
+    assert runs > 1000, runs
+
+
+def test_tagged_runs_inside_inputs():
+    # Runs between other symbols: the backward walk enters a run's arrays in
+    # whatever slot the later steps left, and the run's first byte enters
+    # from another state.
+    rng = Random(5)
+    for nfa, mp in tagged_loop_corpus(31, 25):
+        for _ in range(60):
+            parts = [bytes([rng.choice(b"abc")]) * rng.choice((1, 2, 3, 7, 60)) for _ in range(rng.randint(1, 5))]
+            data = b"".join(parts)
+            assert check_reprs(nfa, mp, data) == expected_counters(mp, data), data
+
+
+def swapping_loop():
+    """(?:#a)?(?:#a#a)* with its two alternating states folded into one whose
+    slots are the thread at a pair boundary (0) and the one mid-pair (1).
+    Each a swaps them, so its loop array is a slot cycle of length 2."""
+    nfa = build_tnfa(parse_regex("(?:#a)?(?:#a#a)*"))
+    mp = MultipassTdfa(nfa.tags, nfa.alphabet)
+    swap = ((1, (3,)), (0, (2,)))
+    mp.delta = {(0, 0): (1, ((0, (1,)), (0, (-1, 2)))), (1, 0): (2, swap), (2, 0): (2, swap)}
+    mp.phi = {0: (0, (-1, -2, -3)), 1: (0, (-2, -3)), 2: (0, ())}
+    mp.n_states, mp.finals = 3, {0, 1, 2}
+    return nfa, mp
+
+
+def test_loop_whose_slots_cycle_keeps_per_byte_steps():
+    nfa, mp = swapping_loop()
+    for n in (*range(41), 1500):
+        data = b"a" * n
+        c = check_reprs(nfa, mp, data)
+        assert c["skipped"] == 0
+        _, steps = match_forward(mp, data)
+        assert len(steps) == n and not any(isinstance(x, int) for x in steps)
+    assert mp._plan.loops == [None, None, None]
+
+
+def test_repeated_tag_in_a_loop_history():
+    # A tag occurring twice in the settled history: lists take the steps of
+    # the run one at a time.  Built by hand from (?:#a)*, whose loop array
+    # ((0, (1,)),) becomes ((0, (1, -1)),): each a records 0-based offsets
+    # and nils, interleaved.
+    nfa, real = mp_of("(?:#a)*")
+    mp = MultipassTdfa(real.tags, real.alphabet)
+    a = cls_of(real, "a")
+    mp.delta = {(0, a): (1, ((0, (1, -1)),)), (1, a): (1, ((0, (1, -1)),))}
+    mp.phi, mp.n_states, mp.finals = dict(real.phi), real.n_states, set(real.finals)
+    for n in (1, 2, 3, 50):
+        data = b"a" * n
+        fw = match_forward(mp, data)
+        want = []
+        for k in range(n):
+            want += [k, -1]
+        assert extract_offset_lists(mp, data, fw) == {1: want}
+        assert extract_offsets(mp, data, fw) == {1: None}  # -1 is the later
+        ts = extract_tstring(mp, data, fw)
+        assert render_tstring(ts) == " ".join(["1 -1 a"] * n)
 
 
 @pytest.mark.parametrize("pattern", ["#(?:a|b)*#", "#(?:#a)*"])
