@@ -7,10 +7,13 @@ the engines apart: a register vector for the register TDFA built here, the
 origin TNFA state for multi-pass TDFA (`multipass`).  Both engines share:
 
 - `epsilon_closure`, one depth-first closure over seeds (q, payload, h);
-- `Powerset`, one worklist BFS over one step, `expand(state, class)`: it
-  seeds configurations across the symbol transitions of one class, closes
-  them, and stores the cell the engine builds from the closure (register
-  operations here, backlinks in multi-pass);
+- `Powerset`, one worklist BFS over one step per state, `step(state)`: it
+  walks the state's rows once, seeding configurations across their symbol
+  transitions into one bucket per class, then closes each class's seeds
+  and stores the cell the engine builds from the closure (register
+  operations here, backlinks in multi-pass).  A step's work follows the
+  state's rows and their symbol transitions, not the size of the
+  alphabet;
 - `Automaton`, the container base (tags, byte classes, `delta`, `phi`,
   the lazy match plan slot, dot output), and `PlanFrame`, the part of a
   match plan both engines lay out the same way.
@@ -121,9 +124,6 @@ class Automaton:
         self.phi: dict[int, tuple] = {}
         self._plan = None
 
-    def n_classes(self) -> int:
-        return len(self.alphabet)
-
     def invalidate(self):
         """Drop the match plan after a cell changed."""
         self._plan = None
@@ -191,7 +191,7 @@ class _State:
 
 
 class Powerset:
-    """The worklist BFS both engines run over `expand`.  An engine supplies
+    """The worklist BFS both engines run over `step`.  An engine supplies
     `add_state` (find or `insert` the state of a closure), `cell` (the
     target and cell of a transition, from its closure) and `final_cell`."""
 
@@ -203,36 +203,52 @@ class Powerset:
         self.states: list[_State] = []
         self.index: dict = {}
         self.worklist: deque[int] = deque()
+        # Per TNFA state, its symbol transition as (class, target), or None.
+        # The TNFA gives every symbol a state of its own, so a state has at
+        # most one; the unpacking below fails on a second.
+        b2c = tdfa.byte_to_class
+        self.arcs: list = [None] * len(nfa.syms)
+        for q, out in enumerate(nfa.syms):
+            if out:
+                ((byte, p),) = out.items()
+                self.arcs[q] = (b2c[byte], p)
 
     def run(self):
         nfa = self.nfa
         self.add_state(epsilon_closure(nfa, [(nfa.q0, self.payload0, ())]))
-        n_classes = self.tdfa.n_classes()
         while self.worklist:
-            sid = self.worklist.popleft()
-            for cls in range(n_classes):
-                self.expand(sid, cls)
+            self.step(self.worklist.popleft())
         self.tdfa.n_states = len(self.states)
         return self.tdfa
 
-    def expand(self, sid: int, cls: int):
-        """Expand state sid on class cls: seed, close, store the cell."""
-        seeds = self.step_on_symbol(self.states[sid], self.tdfa.alphabet[cls])
-        if seeds:
-            C = epsilon_closure(self.nfa, seeds)
-            if C:
-                self.tdfa.delta[(sid, cls)] = self.cell(sid, C)
-
-    def step_on_symbol(self, state: _State, byte: int) -> list:
-        """Seed configurations across symbol transitions: a row (q, x, l)
-        seeds (p, x, l), so its lookahead becomes the inherited tags."""
-        syms = self.nfa.syms
-        seeds = []
+    def seeds(self, state: _State) -> list:
+        """Seed configurations across symbol transitions, bucketed by class:
+        a row (q, x, l) whose state q steps to p on a symbol seeds (p, x, l)
+        in the bucket of the symbol's class, so its lookahead becomes the
+        inherited tags.  A bucket keeps row order, and is None for a class
+        no row steps on."""
+        arcs = self.arcs
+        buckets: list = [None] * len(self.tdfa.alphabet)
         for q, x, l in state.rows:
-            p = syms[q].get(byte)
-            if p is not None:
-                seeds.append((p, x, l))
-        return seeds
+            arc = arcs[q]
+            if arc is not None:
+                cls, p = arc
+                bucket = buckets[cls]
+                if bucket is None:
+                    buckets[cls] = [(p, x, l)]
+                else:
+                    bucket.append((p, x, l))
+        return buckets
+
+    def step(self, sid: int):
+        """Expand state sid on every class it steps on, in class order:
+        close the class's seeds and store the cell."""
+        nfa, delta = self.nfa, self.tdfa.delta
+        for cls, seeds in enumerate(self.seeds(self.states[sid])):
+            if seeds:
+                C = epsilon_closure(nfa, seeds)
+                if C:
+                    delta[(sid, cls)] = self.cell(sid, C)
 
     def insert(self, key, state: _State) -> int:
         """Add and queue a new state; a row at the final TNFA state makes it
@@ -341,6 +357,7 @@ class Determinizer(Powerset):
         super().__init__(nfa, tdfa, max_states, tuple(tdfa.r0[t] for t in nfa.tags))
         self.multi = multi
         self.mutate = mutate
+        self.tpos_of = nfa.tag_index()
         # States by (state, lookahead) signature, the mapping candidates.
         self.by_sig: dict = {}
         # Fresh registers of the state being expanded, by (tag, rhs).
@@ -367,15 +384,14 @@ class Determinizer(Powerset):
         ops = []
         out = []
         written = set()
-        tags = self.nfa.tags
+        tpos_of = self.tpos_of
         for cfg in C:
             q, regs, h, l = cfg
             if h:
                 regs = list(regs)
-                for tpos, t in enumerate(tags):
+                for t in sorted(set(map(abs, h))):
+                    tpos = tpos_of[t]
                     h_t = history(h, t)
-                    if not h_t:
-                        continue
                     rhs = regop_rhs(regs, h_t, tpos, t in self.multi)
                     reg = V.get((t, rhs))
                     if reg is None:
@@ -428,8 +444,9 @@ class Determinizer(Powerset):
         for (q, regs, l), (q2, regs2, l2) in zip(rows, existing.rows):
             if q != q2 or l != l2:  # state set, lookaheads or precedence differ
                 return None
+            pending = set(map(abs, l))
             for tpos, t in enumerate(tags):
-                if t not in self.multi and history(l, t):
+                if t in pending and t not in self.multi:
                     continue
                 i, j = regs[tpos], regs2[tpos]
                 mi, mj = fwd.get(i), bwd.get(j)

@@ -75,7 +75,11 @@ def gen_pattern(rng: Random, max_nodes: int = 10, max_tags: int = 6,
                 return "(" + alternation() + ")"
             return "(?:" + alternation() + ")"
         ch = rng.choice(alphabet)
-        return "\\" + ch if ch in _ESCAPE else ch
+        if ch in _ESCAPE:
+            return "\\" + ch
+        # The parser reads bytes: a group makes a postfix operator repeat
+        # the whole UTF-8 form of a character, not its last byte.
+        return "(?:" + ch + ")" if len(ch.encode()) > 1 else ch
 
     def postfix() -> str:
         a = atom()

@@ -347,14 +347,13 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward) -> dict:
     return E
 
 
-# One-byte bytes objects, the symbols of a tagged string.
-_BYTES = [bytes([b]) for b in range(256)]
-
-
 def extract_tstring(mp: MultipassTdfa, data: bytes, forward) -> list:
     """The matched string interleaved with tags: ints are (signed) tag ids,
     single bytes are input symbols.  A tagged run of r steps is filled with
     one strided slice per position of h and one for its symbols."""
+    # A "c" view yields one-byte bytes objects: `tolist()` of a slice
+    # gives a run's symbols, an index one symbol.
+    symbols = memoryview(data).cast("c")
     s, steps = forward
     i0, h = mp.phi[s]
     # Pre-size: one slot per symbol plus the history lengths.
@@ -373,13 +372,13 @@ def extract_tstring(mp: MultipassTdfa, data: bytes, forward) -> list:
     for step in reversed(steps):
         if step.__class__ is int:
             if step > 0:
-                out[pos - step : pos] = map(_BYTES.__getitem__, data[k - step : k])
+                out[pos - step : pos] = symbols[k - step : k].tolist()
                 pos -= step
                 k -= step
                 continue
             r, m = -step, len(h) + 1
             base = pos - r * m
-            out[base + m - 1 : pos : m] = map(_BYTES.__getitem__, data[k - r : k])
+            out[base + m - 1 : pos : m] = symbols[k - r : k].tolist()
             for j, t in enumerate(h):
                 out[base + j : pos : m] = [t] * r
             pos = base
@@ -387,7 +386,7 @@ def extract_tstring(mp: MultipassTdfa, data: bytes, forward) -> list:
             continue
         k -= 1
         pos -= 1
-        out[pos] = _BYTES[data[k]]
+        out[pos] = symbols[k]
         i, h = step[i]
         if h:
             out[pos - len(h) : pos] = h

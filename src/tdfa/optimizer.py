@@ -14,9 +14,14 @@ code elimination, interference analysis, register allocation with copy
 coalescing, renaming, and local normalization.  Minimization (Moore
 partition refinement treating operation lists as part of the transition
 label) runs last, after normalization has canonicalized the lists.
+
+The fallback, CFG and minimization passes walk each state's transitions
+(`arc_table`), not every class of the alphabet, so their cost follows the
+transitions that exist.
 """
 
 from bisect import insort
+from itertools import accumulate
 
 from .determinize import Tdfa
 from .regops import APPEND, COPY, SET, remove_duplicates, topological_sort
@@ -25,28 +30,35 @@ from .regops import APPEND, COPY, SET, remove_duplicates, topological_sort
 # -- fallback operations ----------------------------------------------------
 
 
-def non_accepting_arcs(tdfa: Tdfa, s: int) -> list[tuple[int, int]]:
+def arc_table(tdfa: Tdfa) -> list[list[tuple[int, int, tuple]]]:
+    """Per state, its transitions (class, target, operations) in class
+    order: the passes below walk the arcs that exist, not every class."""
+    arcs: list[list] = [[] for _ in range(tdfa.n_states)]
+    for (s, cls), (target, ops) in sorted(tdfa.delta.items()):
+        arcs[s].append((cls, target, ops))
+    return arcs
+
+
+def non_accepting_arcs(arcs, finals, s: int) -> list[tuple[int, int]]:
     """The transitions (state, class) on a non-accepting path out of s: the
     walk follows transitions into non-final states only.  Paths through a
     final state refresh the match point and never fall back to s."""
-    finals = tdfa.finals
-    arcs = []
+    out = []
     seen = {s}
     stack = [s]
     while stack:
         u = stack.pop()
-        for cls in range(tdfa.n_classes()):
-            cell = tdfa.delta.get((u, cls))
-            if cell is None or cell[0] in finals:
+        for cls, target, _ in arcs[u]:
+            if target in finals:
                 continue
-            arcs.append((u, cls))
-            if cell[0] not in seen:
-                seen.add(cell[0])
-                stack.append(cell[0])
-    return arcs
+            out.append((u, cls))
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return out
 
 
-def find_fallback_states(tdfa: Tdfa):
+def find_fallback_states(tdfa: Tdfa, arcs):
     """Final states with non-accepting continuations, plus the registers
     that may be clobbered on those continuations.
 
@@ -57,7 +69,7 @@ def find_fallback_states(tdfa: Tdfa):
     finals = tdfa.finals
     fallback = {s for (s, _), (target, _) in tdfa.delta.items()
                 if s in finals and target not in finals}
-    clobbered = {s: {op[1] for key in non_accepting_arcs(tdfa, s) for op in tdfa.delta[key][1]}
+    clobbered = {s: {op[1] for key in non_accepting_arcs(arcs, finals, s) for op in tdfa.delta[key][1]}
                  for s in fallback}
     return fallback, clobbered
 
@@ -71,9 +83,11 @@ def add_fallback_regops(tdfa: Tdfa):
     the fallback list; a clobbered append i <- j.h is backed up the same
     way and the fallback list appends onto the backup (i <- i.h).
     """
-    fallback, clobbered = find_fallback_states(tdfa)
+    arcs = arc_table(tdfa)
+    fallback, clobbered = find_fallback_states(tdfa, arcs)
+    finals = tdfa.finals
     for s in sorted(fallback):
-        exits = [key for key in non_accepting_arcs(tdfa, s) if key[0] == s] if clobbered[s] else []
+        exits = [(s, cls) for cls, target, _ in arcs[s] if target not in finals] if clobbered[s] else []
         ops = []
         for op in tdfa.phi[s]:
             if op[0] == SET or op[2] not in clobbered[s]:
@@ -129,12 +143,16 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
     blocks = cfg.blocks
     blocks.append(Block("basic", None, []))  # start block
 
+    arcs = arc_table(tdfa)
     by_trans: dict[tuple[int, int], int] = {}
-    for key in sorted(tdfa.delta):
-        target, ops = tdfa.delta[key]
-        if ops:
-            by_trans[key] = len(blocks)
-            blocks.append(Block("basic", key, ops))
+    # Per state, the blocks of its transitions with operations.
+    state_blocks: list[list[int]] = [[] for _ in arcs]
+    for s, out in enumerate(arcs):
+        for cls, _, ops in out:
+            if ops:
+                by_trans[(s, cls)] = len(blocks)
+                state_blocks[s].append(len(blocks))
+                blocks.append(Block("basic", (s, cls), ops))
     # Final blocks exist for every final state (even with no operations
     # left): they seed final-register liveness for the result reader.
     by_final: dict[int, int] = {}
@@ -158,12 +176,10 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
         seen = {u}
         stack = [u]
         while stack:
-            v = stack.pop()
-            for cls in range(tdfa.n_classes()):
-                cell = tdfa.delta.get((v, cls))
-                if cell is not None and not cell[1] and cell[0] not in seen:
-                    seen.add(cell[0])
-                    stack.append(cell[0])
+            for _, target, ops in arcs[stack.pop()]:
+                if not ops and target not in seen:
+                    seen.add(target)
+                    stack.append(target)
         out = frozenset(seen)
         reach_memo[u] = out
         return out
@@ -173,10 +189,7 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
         for v in op_free_reach(u):
             if v in by_final:
                 out.add(by_final[v])
-            for cls in range(tdfa.n_classes()):
-                bid = by_trans.get((v, cls))
-                if bid is not None:
-                    out.add(bid)
+            out.update(state_blocks[v])
         return sorted(out)
 
     blocks[0].succ = next_blocks(tdfa.s0)
@@ -186,7 +199,7 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
     # Fallback blocks: arcs to every block on a non-accepting path out of
     # their state (where execution may fall through to them).
     for s, bid in by_fallback.items():
-        path_blocks = {by_trans[key] for key in non_accepting_arcs(tdfa, s) if key in by_trans}
+        path_blocks = {by_trans[key] for key in non_accepting_arcs(arcs, tdfa.finals, s) if key in by_trans}
         blocks[bid].succ = sorted(path_blocks)
     return cfg
 
@@ -520,14 +533,17 @@ def optimize(tdfa: Tdfa, stage=lambda *args: None) -> Tdfa:
 def minimize(tdfa: Tdfa) -> Tdfa:
     """Moore partition refinement; the transition label is (symbol class,
     interned operation-list id), so states with different operations are
-    never merged.  Run after normalization for canonical lists."""
+    never merged.  A state's signature is its part, the (class,
+    operation-list id) of its present arcs in class order, and the parts
+    of their targets: two states agree on it exactly when they agree on
+    every class, absent ones included.  Run after normalization for
+    canonical lists."""
     interned: dict[tuple, int] = {}
 
     def opid(ops) -> int:
         return interned.setdefault(tuple(ops), len(interned))
 
     n = tdfa.n_states
-    cls_range = range(tdfa.n_classes())
 
     def renumber(keys) -> list[int]:
         mapping: dict = {}
@@ -546,15 +562,20 @@ def minimize(tdfa: Tdfa) -> Tdfa:
         )
         for s in range(n)
     )
+    # Per state, the (class, operation-list id) of its arcs in class order;
+    # their targets are `targets[spans[s]]`, all states' in one list.
+    transitions = sorted(tdfa.delta.items())
+    labels: list = [[] for _ in range(n)]
+    targets: list[int] = []
+    for (s, cls), (target, ops) in transitions:
+        labels[s].append((cls, opid(ops)))
+        targets.append(target)
+    labels = list(map(tuple, labels))
+    ends = list(accumulate(map(len, labels)))
+    spans = list(map(slice, [0] + ends[:-1], ends))
     while True:
-        sigs = []
-        for s in range(n):
-            row = []
-            for c in cls_range:
-                cell = tdfa.delta.get((s, c))
-                row.append(None if cell is None else (part[cell[0]], opid(cell[1])))
-            sigs.append((part[s], tuple(row)))
-        new = renumber(sigs)
+        target_parts = tuple(map(part.__getitem__, targets))
+        new = renumber(zip(part, labels, map(target_parts.__getitem__, spans)))
         if new == part:
             break
         part = new
@@ -572,11 +593,10 @@ def minimize(tdfa: Tdfa) -> Tdfa:
     out.n_states = n_classes
     out.s0 = part[tdfa.s0]
     out.finals = {part[s] for s in tdfa.finals}
+    for (s, cls), (target, ops) in transitions:
+        if rep[part[s]] == s:
+            out.delta[(part[s], cls)] = (part[target], ops)
     for c, m in enumerate(rep):
-        for cls in cls_range:
-            cell = tdfa.delta.get((m, cls))
-            if cell is not None:
-                out.delta[(c, cls)] = (part[cell[0]], cell[1])
         if m in tdfa.phi:
             out.phi[c] = tdfa.phi[m]
         if m in tdfa.psi:

@@ -25,7 +25,8 @@ class Tnfa:
     tags: tuple[int, ...]
     alphabet: tuple[int, ...]
     # eps[q]: ((priority, tag, target), ...) sorted by priority; tag is
-    # +t / -t / 0 for untagged.  syms[q]: {byte: target}.
+    # +t / -t / 0 for untagged.  syms[q]: {byte: target}, at most one
+    # entry: every symbol of the expression gets a state of its own.
     eps: list[tuple[tuple[int, int, int], ...]]
     syms: list[dict[int, int]]
 
@@ -42,6 +43,9 @@ class _Builder:
     def __init__(self):
         self.eps: list[tuple[tuple[int, int, int], ...]] = []
         self.syms: list[tuple[int, int, int]] = []  # (q, byte, p)
+        # Tags per AST node, by id: the unrolled copies of a repetition
+        # build the same body object, so each subtree is walked once.
+        self.tag_memo: dict[int, tuple[int, ...]] = {}
 
     def new_state(self, eps=()) -> int:
         self.eps.append(eps)
@@ -49,6 +53,22 @@ class _Builder:
 
     def fork(self, first: int, second: int) -> int:
         return self.new_state(((1, 0, first), (2, 0, second)))
+
+    def tags(self, e: TaggedRegex) -> tuple[int, ...]:
+        """The tag ids in e, ascending, as `collect_tags` gives them."""
+        got = self.tag_memo.get(id(e))
+        if got is None:
+            match e:
+                case Tag(t):
+                    got = (t,)
+                case Alt(l, r) | Cat(l, r):
+                    got = tuple(sorted(self.tags(l) + self.tags(r)))
+                case Rep(body, _, _):
+                    got = self.tags(body)
+                case _:
+                    got = ()
+            self.tag_memo[id(e)] = got
+        return got
 
     def build(self, e: TaggedRegex, qf: int) -> int:
         """Returns the fragment's start state; qf is owned by the caller."""
@@ -65,26 +85,27 @@ class _Builder:
                 return self.build(l, self.build(r, qf))
             case Alt(l, r):
                 s2 = self.build(r, qf)
-                s1n = self.chain(collect_tags(l), s2)
-                s1 = self.build(l, self.chain(collect_tags(r), qf))
+                s1n = self.chain(self.tags(l), s2)
+                s1 = self.build(l, self.chain(self.tags(r), qf))
                 return self.fork(s1, s1n)
             case Rep(body, lo, hi):
                 return self.repeat(body, lo, hi, qf)
         raise TypeError(f"not a regex node: {e!r}")
 
     def chain(self, tag_ids, qf: int) -> int:
-        """Eps-transitions emitting the negative of every tag, ascending;
-        an empty tag set adds no state and the chain collapses to qf."""
-        for t in sorted(tag_ids, reverse=True):
+        """Eps-transitions emitting the negative of every tag of tag_ids
+        (ascending, as `tags` gives them); an empty tag set adds no state
+        and the chain collapses to qf."""
+        for t in reversed(tag_ids):
             qf = self.new_state(((1, -t, qf),))
         return qf
 
     def repeat(self, body: TaggedRegex, lo: int, hi: int | None, qf: int) -> int:
         if hi == 0:
             # Zero repetitions: only the bypass, marking inner tags absent.
-            return self.chain(collect_tags(body), qf)
+            return self.chain(self.tags(body), qf)
         if lo == 0:
-            bypass = self.chain(collect_tags(body), qf)
+            bypass = self.chain(self.tags(body), qf)
             return self.fork(self.repeat(body, 1, hi, qf), bypass)
         # lo >= 1.  Built innermost-first and unrolled iteratively: bounds
         # reach the parse-time cap, too deep for structural recursion.

@@ -121,3 +121,40 @@ class NaiveRegisters:
             else:
                 src = self.vals[op[2]]
                 self.vals[op[1]] = list(src) + [pos if ch == "p" else -1 for ch in op[3]]
+
+
+def dense_seeds(nfa: Tnfa, rows, alphabet) -> list:
+    """Seeds of a state per class, by scanning all its rows for every class
+    of the alphabet; None for a class without seeds."""
+    out = []
+    for byte in alphabet:
+        seeds = [(nfa.syms[q][byte], x, l) for q, x, l in rows if byte in nfa.syms[q]]
+        out.append(seeds or None)
+    return out
+
+
+def dense_minimize_partition(tdfa) -> list[int]:
+    """Moore partition refinement over None-padded rows of every class,
+    parts numbered in order of first appearance."""
+    interned: dict = {}
+
+    def opid(ops):
+        return interned.setdefault(tuple(ops), len(interned))
+
+    def renumber(keys):
+        mapping: dict = {}
+        return [mapping.setdefault(k, len(mapping)) for k in keys]
+
+    n = tdfa.n_states
+    part = renumber((s in tdfa.finals, opid(tdfa.phi.get(s, ())) if s in tdfa.finals else -1,
+                     opid(tdfa.psi[s]) if s in tdfa.psi else -1) for s in range(n))
+    while True:
+        rows = []
+        for s in range(n):
+            cells = [tdfa.delta.get((s, c)) for c in range(len(tdfa.alphabet))]
+            rows.append((part[s], tuple(None if cell is None else (part[cell[0]], opid(cell[1]))
+                                        for cell in cells)))
+        new = renumber(rows)
+        if new == part:
+            return part
+        part = new

@@ -1,14 +1,16 @@
 import argparse
+import hashlib
 import importlib
 import json
 import re
 import shlex
+from random import Random
 
 import pytest
 
 import tdfa
 from tdfa.cli import _multi_arg, build_parser, main
-from tdfa.fuzz import MATCH_FLAGS, Divergence, all_inputs, run_corpus
+from tdfa.fuzz import MATCH_FLAGS, Divergence, all_inputs, gen_pattern, run_corpus
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 
@@ -304,6 +306,24 @@ def test_fuzz_inputs_are_strings_of_the_alphabets_characters(capsys):
     assert len(inputs) == 1 + 3 + 9 + 27 and all(len(x.decode()) <= 3 for x in inputs)
     code, out, _ = run(capsys, "fuzz", "--count=30", "--seed=1", "--alphabet=éa")
     assert code == 0 and out.startswith("ok: 30 patterns")
+
+
+def test_gen_pattern_ascii_corpus_unchanged():
+    # sha256 of this corpus as generated before non-ASCII symbols were
+    # grouped: grouping makes no rng call, so ASCII corpora stay the same.
+    rng = Random(1)
+    text = "\n".join(gen_pattern(rng, max_nodes=14, alphabet="abcdefgh") for _ in range(500))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a1015b24fed52c07a18a6a35dd2ed76e2e3a0d1c47f162b92fc1c99de481a003")
+
+
+def test_gen_pattern_postfix_repeats_a_whole_non_ascii_symbol():
+    rng = Random(1)
+    patterns = {gen_pattern(rng, max_nodes=2, max_tags=0, alphabet="éa") for _ in range(100)}
+    repeated = {p for p in patterns if "a" not in p and p.endswith(("*", "+"))}
+    assert repeated
+    for p in repeated:
+        assert tdfa.compile(p).match("éé"), p
 
 
 def test_bench_runs_and_reports(capsys):

@@ -117,9 +117,12 @@ def test_step_on_symbol_order_and_h_inheritance():
     r0 = [d.tdfa.r0[t] for t in nfa.tags]
     C = epsilon_closure(nfa, [(nfa.q0, r0, ())])
     d.add_state(C, [])
-    seeds = d.step_on_symbol(d.states[0], ord("a"))
-    assert [(q, h) for q, _, h in seeds] == [(3, (1,)), (10, (-1, -2, 3))]
-    assert d.step_on_symbol(d.states[0], ord("c")) == []
+    # One bucket per class, seeds in row order; a row's lookahead becomes
+    # the inherited tags of its seed.
+    a, b = d.seeds(d.states[0])
+    assert nfa.alphabet == (ord("a"), ord("b"))
+    assert [(q, h) for q, _, h in a] == [(3, (1,)), (10, (-1, -2, 3))]
+    assert [(q, h) for q, _, h in b] == [(13, (-1, -2, 3, 4))]
 
 
 def test_tag_free_regex_is_classic_dfa():

@@ -29,6 +29,22 @@ from tdfa.tnfa import build_tnfa, tnfa_to_dot
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 EXTRA = ["(?:#a)*a{20}", "(a|b)*(?:#a){8}", "((a)|(b))*#(a|b){3}", "((?:a|b|c)+)(?:,((?:a|b|c)+))*"]
+# Many-class patterns: three perfbench-style records (28-33 classes), the
+# short-records `log` pattern (40 classes) and two gen_pattern outputs over
+# `abcdefgh`.  Determinization and minimization visit classes per state, so
+# these pin the order in which states and registers are numbered there.
+_D = "(?:0|1|2|3|4|5|6|7|8|9)"
+_L = "(?:" + "|".join("abcdefghijklmnopqrstuvwxyz ") + ")"
+EXTRA += [
+    "(?:;((?:g|e|c)+))?-(?:,((?:3|5|6)+))* #(?:i|o|n)+:((?:NOTE|KEEP|OK|DROP))/((?:1|0|6|3){4,11})"
+    "=(?:;((?:c|f|h)+))?",
+    "#(?:l|n|i)+:((?:HEAD|WARN|PATCH|DROP|INFO))/((?:0|4|6|5){10,29})=(?:;((?:e|c|f)+))?-(?:,((?:3|1|0)+))*",
+    "((?:3|0|5|9){10,29})=(?:;((?:f|b|e)+))?-(?:,((?:4|1|3)+))* #(?:i|o|l)+:((?:SEND|PUT|ERROR|KEEP|DROP))"
+    "/((?:8|2|1|5){6,17})=(?:(x)|y)*",
+    f"({_D}{{2}}:{_D}{{2}}:{_D}{{2}}) (INFO|WARN|ERROR) ({_L}+)",
+    "f{2,2}(db(?:e|c*))f?|(h?#|dgd#)",
+    "e*ac(?:g?c*d*|(?:eh(?:e)c|#)){1,3}|b",
+]
 PINS = json.loads((Path(__file__).parent / "identity_pins.json").read_text())
 TNFA_LARGE = {
     "(?:a{100}){100}": "2404f421275b6587fcd00a82099d8627fe5d8f584845ccceee14b21d4db5f8ad",

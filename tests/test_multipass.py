@@ -225,13 +225,28 @@ def test_dead_byte_inside_skipped_run():
 def test_full_byte_alphabet():
     # The start state loops on every byte but the backslash.
     nfa, mp = mp_of(ANY_BYTE + b"*#\\\\" + ANY_BYTE + b"*")
-    assert mp.n_classes() == 256
+    assert len(mp.alphabet) == 256
     rng = Random(3)
     inputs = [bytes(range(256)), bytes(range(255, -1, -1)), b"", b"\\", b"]^-\\"]
     inputs += [bytes(rng.choice(b"\x00\xff]^-\\ab") for _ in range(rng.randint(0, 12))) for _ in range(200)]
     for data in inputs:
         check_reprs(nfa, mp, data)
     assert max(mp._plan.classes) == 255
+
+
+def test_tstring_symbols_are_one_byte_bytes():
+    # Every byte value as a symbol of a no-op run, of a tagged run and of
+    # single steps: a `bytes` object equal to bytes([b]).
+    every = bytes(range(256)) + bytes(range(255, -1, -1))
+    cases = [(ANY_BYTE + b"*", [every]), (b"(?:#" + ANY_BYTE + b")*", [every]),
+             ((b"(" + ANY_BYTE + b")") * 4, [every[i : i + 4] for i in range(0, 512, 4)])]
+    for pattern, inputs in cases:
+        _, mp = mp_of(pattern)
+        for data in inputs:
+            ts = extract_tstring(mp, data, match_forward(mp, data))
+            symbols = [x for x in ts if not isinstance(x, int)]
+            assert [type(x) for x in symbols] == [bytes] * len(data)
+            assert symbols == [bytes([b]) for b in data]
 
 
 def test_loop_with_history_is_a_run():

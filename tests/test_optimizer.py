@@ -4,6 +4,7 @@ from random import Random
 from tdfa.determinize import determinize
 from tdfa.optimizer import (
     add_fallback_regops,
+    arc_table,
     build_cfg,
     compaction,
     dead_code_elimination,
@@ -45,13 +46,14 @@ def regs(mask: int) -> set[int]:
 
 
 def test_golden_has_no_fallback_states():
-    fallback, _ = find_fallback_states(golden_tdfa())
+    tdfa = golden_tdfa()
+    fallback, _ = find_fallback_states(tdfa, arc_table(tdfa))
     assert fallback == set()
 
 
 def test_fallback_state_after_optional_suffix():
     tdfa = build("#a(?:bc)?")
-    fallback, clobbered = find_fallback_states(tdfa)
+    fallback, clobbered = find_fallback_states(tdfa, arc_table(tdfa))
     # exactly the final state reached after 'a', which continues into 'bc'
     assert len(fallback) == 1
     (s,) = fallback
@@ -62,7 +64,7 @@ def test_fallback_state_after_optional_suffix():
 def test_total_all_final_automaton_has_no_fallback():
     tdfa = build("(?:a|b)*")
     assert tdfa.finals == set(range(tdfa.n_states))
-    fallback, _ = find_fallback_states(tdfa)
+    fallback, _ = find_fallback_states(tdfa, arc_table(tdfa))
     assert fallback == set()
 
 
@@ -78,12 +80,12 @@ def test_fallback_backup_copy_injected():
     # copy's source is clobbered and must be backed up on the way out.
     tdfa = build("(aab)+")
     raw_phi = dict(tdfa.phi)
-    fallback, clobbered = find_fallback_states(tdfa)
+    fallback, clobbered = find_fallback_states(tdfa, arc_table(tdfa))
     (s,) = fallback
     sources = {op[2] for op in raw_phi[s] if op[0] == COPY}
     assert sources & clobbered[s]
     add_fallback_regops(tdfa)
-    for cls in range(tdfa.n_classes()):
+    for cls in range(len(tdfa.alphabet)):
         cell = tdfa.delta.get((s, cls))
         if cell and cell[0] not in tdfa.finals:
             # prepended, so it reads the pre-transition value
@@ -155,7 +157,7 @@ def test_fallback_arcs_cover_non_accepting_paths():
         stack = [s]
         while stack:
             u = stack.pop()
-            for cls in range(tdfa.n_classes()):
+            for cls in range(len(tdfa.alphabet)):
                 cell = tdfa.delta.get((u, cls))
                 if cell and cell[0] not in tdfa.finals and cell[0] not in reach:
                     reach.add(cell[0])

@@ -73,7 +73,7 @@ def state_after(a, data: bytes) -> int:
 
 def self_loops(a, state) -> list:
     """Classes on which state loops to itself without operations."""
-    return [c for c in range(a.n_classes()) if a.delta.get((state, c)) == (state, ())]
+    return [c for c in range(len(a.alphabet)) if a.delta.get((state, c)) == (state, ())]
 
 
 def test_tree_append_empty_history():
@@ -256,7 +256,7 @@ def test_full_byte_alphabet_has_no_sentinel():
     p = tdfa.compile(ANY_BYTE + b"*#\\\\" + ANY_BYTE + b"*", multi="none")
     a = p.tdfa
     plan = MatchPlan(a)
-    assert a.n_classes() == 256 and max(plan.classes) == 255
+    assert len(a.alphabet) == 256 and max(plan.classes) == 255
     assert all(len(row) == 256 for row in plan.rows)
     assert len(self_loops(a, a.s0)) == 255
     rng = Random(3)
