@@ -4,7 +4,11 @@ A state is the ordered set of closure configurations; the order doubles as
 the precedence vector.  A configuration is (TNFA state, payload, inherited
 tag sequence h, lookahead tag sequence l), and the payload is what tells
 the engines apart: a register vector for the register TDFA built here, the
-origin TNFA state for multi-pass TDFA (`multipass`).  Both engines share:
+index of the source state's row it descends from for multi-pass TDFA
+(`multipass`).  A state keeps its rows as columns (`_State`), and the
+columns of an inserted state share their parts with earlier states
+(`Powerset.share`): on `(?:#a)*a{k}` the states hold O(k^2) rows but only
+O(k) distinct ones.  Both engines share:
 
 - `epsilon_closure`, one depth-first closure over seeds (q, payload, h);
 - `Powerset`, one worklist BFS over one step per state, `step(state)`: it
@@ -180,14 +184,28 @@ class PlanFrame:
 
 
 class _State:
-    __slots__ = ("rows", "U")
+    """A state's rows, stored as columns whose parts are shared across
+    states (`Powerset.share`):
 
-    def __init__(self, rows, U=None):
-        # rows: ((q, payload, lookahead), ...) in precedence order; the
-        # payload is what configurations seeded from the row carry.
-        self.rows = rows
-        # Multi-pass only: closure state -> backlink slot of its origin.
+    - `ql`: each row's (TNFA state, lookahead tags) pair, in precedence
+      order.  It is also the state's mapping signature;
+    - `x`: each row's payload, what configurations seeded from the row
+      carry: a register vector (register TDFA) or the row's own index
+      (multi-pass);
+    - `U`, multi-pass only: each row's backlink slot.
+    """
+
+    __slots__ = ("ql", "x", "U")
+
+    def __init__(self, ql, x, U=None):
+        self.ql = ql
+        self.x = x
         self.U = U
+
+    @property
+    def rows(self):
+        """The rows as (q, payload, lookahead) triples, for tests."""
+        return tuple((q, x, l) for (q, l), x in zip(self.ql, self.x))
 
 
 class Powerset:
@@ -202,6 +220,8 @@ class Powerset:
         self.payload0 = payload0
         self.states: list[_State] = []
         self.index: dict = {}
+        # One copy of every column part that states hold.
+        self.shared: dict = {}
         self.worklist: deque[int] = deque()
         # Per TNFA state, its symbol transition as (class, target), or None.
         # The TNFA gives every symbol a state of its own, so a state has at
@@ -229,7 +249,7 @@ class Powerset:
         no row steps on."""
         arcs = self.arcs
         buckets: list = [None] * len(self.tdfa.alphabet)
-        for q, x, l in state.rows:
+        for (q, l), x in zip(state.ql, state.x):
             arc = arcs[q]
             if arc is not None:
                 cls, p = arc
@@ -250,6 +270,12 @@ class Powerset:
                 if C:
                     delta[(sid, cls)] = self.cell(sid, C)
 
+    def share(self, column: tuple) -> tuple:
+        """A column equal to `column`, made of shared parts.  Only inserts
+        share; lookups use fresh columns, so identity and mapping hits pay
+        no extra hashing."""
+        return tuple(map(self.shared.setdefault, column, column))
+
     def insert(self, key, state: _State) -> int:
         """Add and queue a new state; a row at the final TNFA state makes it
         final, with the engine's final cell."""
@@ -259,10 +285,11 @@ class Powerset:
         self.states.append(state)
         self.index[key] = sid
         self.worklist.append(sid)
-        for q, x, l in state.rows:
-            if q == self.nfa.qf:
+        qf = self.nfa.qf
+        for j, (q, _) in enumerate(state.ql):
+            if q == qf:
                 self.tdfa.finals.add(sid)
-                self.tdfa.phi[sid] = self.final_cell(state, q, x, l)
+                self.tdfa.phi[sid] = self.final_cell(state, j)
                 break
         return sid
 
@@ -409,9 +436,11 @@ class Determinizer(Powerset):
             out.append(cfg)
         return out, ops
 
-    def final_cell(self, state: _State, q, regs, l) -> tuple:
-        """Operations on the final quasi-transition: one per tag, targeting
-        the final registers; tags without lookahead history get a copy."""
+    def final_cell(self, state: _State, j: int) -> tuple:
+        """Operations on the final quasi-transition of row j: one per tag,
+        targeting the final registers; tags without lookahead history get
+        a copy."""
+        regs, l = state.x[j], state.ql[j][1]
         ops = []
         for tpos, t in enumerate(self.nfa.tags):
             l_t = history(l, t)
@@ -426,8 +455,9 @@ class Determinizer(Powerset):
 
     # -- state set ---------------------------------------------------------
 
-    def map_states(self, rows, existing: _State, ops):
-        """Try to map a candidate state onto an existing one.
+    def map_states(self, ql, x, existing: _State, ops):
+        """Try to map a candidate state, given by its columns `ql` and `x`,
+        onto an existing one.
 
         Requires identical states, lookaheads and precedence (guaranteed by
         the signature match); builds a register bijection skipping
@@ -436,14 +466,12 @@ class Determinizer(Powerset):
         remaining pairs and topologically sorts.  Returns the new operation
         list, or None if the bijection fails or a nontrivial cycle remains.
         """
-        if len(rows) != len(existing.rows):
+        if ql != existing.ql:  # state set, lookaheads or precedence differ
             return None
         fwd: dict[int, int] = {}
         bwd: dict[int, int] = {}
         tags = self.nfa.tags
-        for (q, regs, l), (q2, regs2, l2) in zip(rows, existing.rows):
-            if q != q2 or l != l2:  # state set, lookaheads or precedence differ
-                return None
+        for (_, l), regs, regs2 in zip(ql, x, existing.x):
             pending = set(map(abs, l))
             for tpos, t in enumerate(tags):
                 if t in pending and t not in self.multi:
@@ -475,17 +503,18 @@ class Determinizer(Powerset):
 
     def add_state(self, C, ops=()):
         """Identity hit, else mapping hit (rewriting ops), else insert."""
-        rows = tuple((q, tuple(regs), l) for q, regs, _, l in C)
-        sid = self.index.get(rows)
+        ql = tuple([(q, l) for q, _, _, l in C])
+        regs = tuple([tuple(x) for _, x, _, _ in C])
+        sid = self.index.get((ql, regs))
         if sid is not None:
             return sid, ops
-        sig = tuple((q, l) for q, _, l in rows)
-        for cand in self.by_sig.get(sig, ()):
-            mapped = self.map_states(rows, self.states[cand], ops)
+        for cand in self.by_sig.get(ql, ()):
+            mapped = self.map_states(ql, regs, self.states[cand], ops)
             if mapped is not None:
                 return cand, mapped
-        sid = self.insert(rows, _State(rows))
-        self.by_sig.setdefault(sig, []).append(sid)
+        ql, regs = self.share(ql), self.share(regs)
+        sid = self.insert((ql, regs), _State(ql, regs))
+        self.by_sig.setdefault(ql, []).append(sid)
         return sid, ops
 
 

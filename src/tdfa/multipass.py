@@ -3,12 +3,14 @@
 Transitions carry backlink arrays instead of register operations.  The
 automaton comes from the powerset construction the register TDFA uses
 (`determinize.Powerset`), with the origin of a configuration as its
-payload: the TNFA state in the source TDFA state the configuration
+payload: the index of the row of the source TDFA state the configuration
 descends from.  Configurations sharing an origin share their inherited tag
 sequence, so one backlink per unique origin suffices, and the cell of a
-transition is that backlink array.  A forward pass records the traversed
-backlink arrays, and backward passes decode single offsets, offset lists,
-or the full tagged string.
+transition is that backlink array.  A state keeps each row's backlink
+slot in a tuple indexed by row.  Like the parts of its rows, the slot ints
+are shared across states, and equal backlinks are one object.  A forward
+pass records the traversed backlink arrays, and backward passes decode
+single offsets, offset lists, or the full tagged string.
 
 The passes run on a match plan, built from the automaton on its first match
 on the frame both engines share (`determinize.PlanFrame`): the input is
@@ -73,52 +75,48 @@ class MultipassTdfa(Automaton):
             yield "f", "dashed", s, _format_link(link)
 
 
-def unique_origins(C) -> dict[int, int]:
-    """Map each closure state to the index of its origin, indices assigned
-    to distinct origins in first-seen order."""
-    index: dict[int, int] = {}
-    out: dict[int, int] = {}
-    for q, o, *_ in C:
-        if o not in index:
-            index[o] = len(index)
-        out[q] = index[o]
-    return out
+def unique_origins(C) -> tuple:
+    """The backlink slot of each configuration: the index of its origin,
+    indices assigned to distinct origins in first-seen order."""
+    index: dict = {}
+    return tuple([index.setdefault(o, len(index)) for _, o, _, _ in C])
 
 
-def construct_backlinks(C, U: dict[int, int], U2: dict[int, int]) -> tuple:
-    """One backlink per unique destination origin: (slot in the previous
-    array, inherited tag sequence).  Configurations sharing a destination
-    slot share their origin, hence their tag sequence; the first one wins."""
-    n = max(U2.values()) + 1 if U2 else 0
-    links: list = [None] * n
-    for q, o, h, _ in C:
-        i = U2[q]
+def construct_backlinks(C, U: tuple, U2: tuple, shared: dict) -> tuple:
+    """One backlink per destination slot: (slot of the origin row in the
+    previous array, inherited tag sequence).  Configurations sharing a
+    destination slot share their origin, hence their tag sequence; the
+    first one wins.  Equal backlinks are one object, kept in `shared`."""
+    links: list = [None] * (max(U2) + 1 if U2 else 0)
+    for (_, o, h, _), i in zip(C, U2):
         if links[i] is None:
-            links[i] = (U[o], h)
+            link = (U[o], h)
+            links[i] = shared.setdefault(link, link)
     return tuple(links)
 
 
 class _Multipass(Powerset):
-    """Multi-pass TDFA's side of the construction.  A state's rows are
-    (q, q, l): a configuration seeded from the row has q as its origin.
-    Identity includes the origin partition: every closure reaching a state
-    must agree on which rows share a backlink slot."""
+    """Multi-pass TDFA's side of the construction.  A configuration seeded
+    from a state's row j has j as its origin, so a state's payloads are its
+    row indices, and its `U` holds the backlink slot of each row.  Identity
+    includes the origin partition: every closure reaching a state must
+    agree on which rows share a backlink slot."""
 
-    def add_state(self, C):
+    def add_state(self, C) -> int:
+        ql = tuple([(q, l) for q, _, _, l in C])
         U2 = unique_origins(C)
-        rows = tuple((q, q, l) for q, _, _, l in C)
-        key = (rows, tuple(U2[q] for q, *_ in C))
-        sid = self.index.get(key)
+        sid = self.index.get((ql, U2))
         if sid is not None:
-            return sid, self.states[sid].U
-        return self.insert(key, _State(rows, U2)), U2
+            return sid
+        ql, U2 = self.share(ql), self.share(U2)
+        return self.insert((ql, U2), _State(ql, range(len(ql)), U2))
 
     def cell(self, sid: int, C):
-        target, U2 = self.add_state(C)
-        return target, construct_backlinks(C, self.states[sid].U, U2)
+        target = self.add_state(C)
+        return target, construct_backlinks(C, self.states[sid].U, self.states[target].U, self.shared)
 
-    def final_cell(self, state: _State, q, x, l):
-        return state.U[q], l
+    def final_cell(self, state: _State, j: int):
+        return state.U[j], state.ql[j][1]
 
 
 def determinize_multipass(nfa: Tnfa, max_states: int = 100_000) -> MultipassTdfa:

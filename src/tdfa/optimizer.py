@@ -82,10 +82,13 @@ def add_fallback_regops(tdfa: Tdfa):
     becomes a copy on every risky outgoing transition and disappears from
     the fallback list; a clobbered append i <- j.h is backed up the same
     way and the fallback list appends onto the backup (i <- i.h).
+    Most automata have no fallback state, and skip the arc table.
     """
+    finals = tdfa.finals
+    if all(s not in finals or target in finals for (s, _), (target, _) in tdfa.delta.items()):
+        return tdfa.psi
     arcs = arc_table(tdfa)
     fallback, clobbered = find_fallback_states(tdfa, arcs)
-    finals = tdfa.finals
     for s in sorted(fallback):
         exits = [(s, cls) for cls, target, _ in arcs[s] if target not in finals] if clobbered[s] else []
         ops = []

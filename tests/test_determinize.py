@@ -154,10 +154,13 @@ def test_map_states_rejects_different_precedence():
     d = Determinizer(nfa)
     d.run()
     state = d.states[1]
-    reordered = (state.rows[1], state.rows[0]) + state.rows[2:]
-    assert d.map_states(reordered, state, []) is None
+    # Columns: the (q, lookahead) pairs and the register vectors, by row.
+    ql, regs = state.ql, state.x
+    assert len(ql) >= 2
+    reordered = (ql[1], ql[0]) + ql[2:], (regs[1], regs[0]) + regs[2:]
+    assert d.map_states(*reordered, state, []) is None
     # identity-shaped candidate maps with no operations needed
-    assert d.map_states(state.rows, state, []) == []
+    assert d.map_states(ql, regs, state, []) == []
 
 
 def test_determinization_deterministic():

@@ -45,6 +45,9 @@ EXTRA += [
     "f{2,2}(db(?:e|c*))f?|(h?#|dgd#)",
     "e*ac(?:g?c*d*|(?:eh(?:e)c|#)){1,3}|b",
 ]
+# Large automata: hundreds of states whose rows repeat across states, so
+# these pin what determinization does when states share rows.
+EXTRA += ["(?:#a)*a{300}", "(?:a?){300}"]
 PINS = json.loads((Path(__file__).parent / "identity_pins.json").read_text())
 TNFA_LARGE = {
     "(?:a{100}){100}": "2404f421275b6587fcd00a82099d8627fe5d8f584845ccceee14b21d4db5f8ad",

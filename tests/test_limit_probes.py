@@ -2,6 +2,8 @@
 nesting deeper than the recursion limit allows fails as ResourceLimit, never
 as a RecursionError."""
 
+import tracemalloc
+
 import pytest
 
 import tdfa
@@ -18,13 +20,35 @@ STAR3000 = "a" + "*" * 3000
 
 
 @pytest.mark.parametrize(
-    "options", [{}, {"use_minimize": True, "fixed_tags": True}], ids=["default", "min-fixed"]
+    "options",
+    [{"engine": "tdfa"}, {"engine": "tdfa", "use_minimize": True, "fixed_tags": True}, {"engine": "multipass"}],
+    ids=["default", "min-fixed", "multipass"],
 )
 def test_tag_star_a1000_compiles_and_matches(options):
-    p = tdfa.compile("(?:#a)*a{1000}", engine="tdfa", **options)
-    m = p.match(b"a" * 1010)
+    p = tdfa.compile("(?:#a)*a{1000}", **options)
+    data = b"a" * 1010
+    m = p.match(data)
     assert m.kind == "match"
+    if options["engine"] == "multipass":
+        assert m.values == {1: 9}
+        m = p.match(data, repr_="lists")
+        assert m.kind == "match"
     assert m.values == {1: list(range(10))}
+    assert not p.match(b"a" * 999)
+
+
+@pytest.mark.parametrize("engine", ["tdfa", "multipass"])
+def test_tag_star_a500_compile_peak_memory_under_8mb(engine):
+    # The states of (?:#a)*a{k} hold O(k^2) rows, but only O(k) distinct
+    # ones.  With rows shared across states the traced peak is about 3 MB;
+    # one object per row took 18 MB (tdfa) and 24 MB (multipass).
+    tracemalloc.start()
+    try:
+        tdfa.compile("(?:#a)*a{500}", engine=engine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("engine", ["tdfa", "multipass", "simulation"])

@@ -55,19 +55,27 @@ def test_golden_backlink_structure():
 
 
 def test_unique_origins_first_seen_order():
+    # One slot per configuration, in closure order: states 2, 5 and 7 with
+    # origins 9, 9 and 12.
     C = [(2, 9, (), ()), (5, 9, (), ()), (7, 12, (), ())]
-    assert unique_origins(C) == {2: 0, 5: 0, 7: 1}
-    assert unique_origins([(4, 4, (), ())]) == {4: 0}
-    assert unique_origins([]) == {}
+    assert unique_origins(C) == (0, 0, 1)
+    assert unique_origins([(4, 4, (), ())]) == (0,)
+    assert unique_origins([]) == ()
 
 
 def test_construct_backlinks_dedup_and_empty():
-    U = {2: 0, 9: 1}
-    C = [(3, 2, (1,), ()), (5, 2, (1,), ()), (6, 9, (-1,), ())]
+    # The previous state's slot per row: rows 0 and 1 share slot 0.  The
+    # configurations descend from its rows 1 and 2.
+    U = (0, 0, 1)
+    C = [(3, 1, (1,), ()), (5, 1, (1,), ()), (6, 2, (-1,), ())]
     U2 = unique_origins(C)
-    links = construct_backlinks(C, U, U2)
+    shared: dict = {}
+    links = construct_backlinks(C, U, U2, shared)
     assert links == ((0, (1,)), (1, (-1,)))
-    assert construct_backlinks([], U, {}) == ()
+    assert construct_backlinks([], U, (), shared) == ()
+    # Equal backlinks built again are the same objects.
+    again = construct_backlinks(C, U, U2, shared)
+    assert all(a is b for a, b in zip(again, links))
 
 
 def test_match_forward_golden():
