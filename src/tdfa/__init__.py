@@ -55,7 +55,6 @@ class Pattern:
         multi: str = "auto",
         auto_tags: bool = False,
         max_states: int = 100_000,
-        _mutate=None,
         _stage=None,
     ):
         if engine not in ("tdfa", "simulation", "multipass"):
@@ -96,7 +95,7 @@ class Pattern:
             return
 
         free_multi = frozenset(t for t in self.multi if t not in self.fixes)
-        self.tdfa = determinize(self.tnfa, free_multi, max_states, mutate=_mutate)
+        self.tdfa = determinize(self.tnfa, free_multi, max_states)
         report("tdfa_raw", self.tdfa)
         if opt == "full":
             optimize(self.tdfa, stage=report)

@@ -181,7 +181,6 @@ def cmd_fuzz(args) -> int:
         max_len=args.max_len,
         max_rep=args.max_rep,
         multi=_multi_arg(args.multi),
-        mutate=args.mutate,
         progress=args.count // 10 if args.progress else None,
     )
     dt = time.perf_counter() - t0
@@ -259,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--multi", default="auto",
                    help="multi-valued tags: auto, none, all, or comma ids; a pattern runs with "
                         "those of the ids that are its tags")
-    f.add_argument("--mutate", choices=["skip-map-copies", "skip-map-toposort"],
-                   help="inject a bug into the pipeline (harness self-test)")
     f.add_argument("--progress", action="store_true")
     f.set_defaults(func=cmd_fuzz)
 

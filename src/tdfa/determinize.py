@@ -379,11 +379,10 @@ class Determinizer(Powerset):
     """The register TDFA's side of the construction: register operations on
     transitions, and a register mapping onto existing states."""
 
-    def __init__(self, nfa: Tnfa, multi: frozenset[int] = frozenset(), max_states: int = 100_000, mutate=None):
+    def __init__(self, nfa: Tnfa, multi: frozenset[int] = frozenset(), max_states: int = 100_000):
         tdfa = Tdfa(nfa.tags, nfa.alphabet, multi)
         super().__init__(nfa, tdfa, max_states, tuple(tdfa.r0[t] for t in nfa.tags))
         self.multi = multi
-        self.mutate = mutate
         self.tpos_of = nfa.tag_index()
         # States by (state, lookahead) signature, the mapping candidates.
         self.by_sig: dict = {}
@@ -491,13 +490,7 @@ class Determinizer(Powerset):
                 out.append(op)
             else:
                 out.append((op[0], dest) + tuple(op[2:]))
-        if self.mutate != "skip-map-copies":
-            for i in sorted(fwd):
-                j = fwd[i]
-                if i != j:
-                    out.insert(0, (COPY, j, i))
-        if self.mutate == "skip-map-toposort":
-            return out
+        out[:0] = [(COPY, fwd[i], i) for i in sorted(fwd, reverse=True) if fwd[i] != i]
         out, acyclic = topological_sort(out)
         return out if acyclic else None
 
@@ -518,5 +511,6 @@ class Determinizer(Powerset):
         return sid, ops
 
 
-def determinize(nfa: Tnfa, multi: frozenset[int] = frozenset(), max_states: int = 100_000, mutate=None) -> Tdfa:
-    return Determinizer(nfa, multi, max_states, mutate).run()
+def determinize(nfa: Tnfa, multi: frozenset[int] = frozenset(), max_states: int = 100_000) -> Tdfa:
+    """The register TDFA of `nfa`; the tags in `multi` keep their histories."""
+    return Determinizer(nfa, multi, max_states).run()

@@ -1,8 +1,9 @@
 """Randomized cross-checking of every engine against the simulation.
 
-Patterns are generated as concrete syntax strings (so any counterexample is
-reproducible from the command line), compiled through all engine
-configurations, and matched against every input up to a length bound and a
+Patterns are generated as concrete syntax strings, compiled in every
+configuration of MATCH_FLAGS from the `tdfa match` arguments that a
+divergence's reproduce hint prints (so any counterexample replays from the
+command line), and matched against every input up to a length bound and a
 long run of each symbol; the tagged NFA simulation is the reference for
 match results and tag values.
 """
@@ -13,12 +14,13 @@ from itertools import chain, product
 from random import Random
 
 from . import Pattern
+from .cli import _compile, build_parser
 from .resyntax import collect_tags, parse_regex
 
 _ESCAPE = set("|()*+?{}#\\")
 
-# The `tdfa match` flags that select each configuration cross_check runs;
-# the tdfa ones also take the pattern's --multi.
+# The `tdfa match` flags of each configuration cross_check runs, its only
+# record; the tdfa ones also take the pattern's --multi.
 MATCH_FLAGS = {
     "tdfa-raw": ["--opt=none"],
     "tdfa-raw-lists": ["--opt=none"],
@@ -29,6 +31,18 @@ MATCH_FLAGS = {
     "multipass-lists": ["--engine=multipass", "--repr=lists"],
     "multipass-tstring": ["--engine=multipass", "--repr=tstring"],
 }
+_PARSER = build_parser()
+
+
+def match_argv(engine: str, pattern: str, multi, *data: str) -> list[str]:
+    """The `tdfa match` arguments that run one configuration of MATCH_FLAGS."""
+    flags = MATCH_FLAGS[engine]
+    if engine.startswith("tdfa"):
+        if not isinstance(multi, str):
+            multi = ",".join(map(str, sorted(multi))) or "none"
+        flags = flags + [f"--multi={multi}"]
+    # "--": a pattern or input may start with "-"
+    return ["match", *flags, "--", pattern, *data]
 
 
 @dataclass
@@ -47,14 +61,7 @@ class Divergence:
 
     def reproduce(self) -> str:
         """The `tdfa match` command line that replays this configuration."""
-        flags = MATCH_FLAGS[self.engine]
-        if self.engine.startswith("tdfa"):
-            multi = self.multi
-            if not isinstance(multi, str):
-                multi = ",".join(map(str, sorted(multi))) or "none"
-            flags = flags + [f"--multi={multi}"]
-        # "--": a pattern or input may start with "-"
-        return shlex.join(["tdfa", "match", *flags, "--", self.pattern, self.data.decode()])
+        return shlex.join(["tdfa", *match_argv(self.engine, self.pattern, self.multi, self.data.decode())])
 
 
 def gen_pattern(rng: Random, max_nodes: int = 10, max_tags: int = 6,
@@ -149,36 +156,40 @@ def _lists_from_tstring(tokens, tags) -> dict:
     return lists
 
 
-def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
-                multi: str = "auto", mutate=None):
-    """Compare all engines on all inputs up to max_len characters and on
-    one run of LONG_RUN per symbol; returns a Divergence or None."""
+def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6, multi: str = "auto"):
+    """Compare every configuration of MATCH_FLAGS with the simulation on all
+    inputs up to max_len characters and on one run of LONG_RUN per symbol;
+    returns a Divergence or None.  Each configuration is compiled by the
+    command line from the arguments its reproduce hint prints; those that
+    differ only in repr share one compile."""
     sim = Pattern(pattern, engine="simulation")
     tags = sim.tags
-    engines = {
-        "tdfa-raw": Pattern(pattern, engine="tdfa", opt="none", multi=multi, _mutate=mutate),
-        "tdfa-opt": Pattern(pattern, engine="tdfa", opt="full", multi=multi, _mutate=mutate),
-        "tdfa-min": Pattern(pattern, engine="tdfa", opt="full", use_minimize=True,
-                            multi=multi, _mutate=mutate),
-        "tdfa-fixed": Pattern(pattern, engine="tdfa", opt="full", fixed_tags=True,
-                              multi=multi, _mutate=mutate),
-    }
-    mp = Pattern(pattern, engine="multipass")
+    compiled: dict = {}
+    runs = {}  # configuration -> (compiled pattern, repr)
+    for name in MATCH_FLAGS:
+        args = _PARSER.parse_args(match_argv(name, pattern, multi))
+        key = tuple(v for k, v in vars(args).items() if k != "repr")
+        if key not in compiled:
+            compiled[key] = _compile(args)
+        runs[name] = (compiled[key], args.repr)
+
+    def match(name, data):
+        p, repr_ = runs[name]
+        return p.match(data, repr_=repr_)
 
     def diverge(engine, data, detail):
         return Divergence(pattern, engine, data, detail, multi)
 
-    raw, opt = engines["tdfa-raw"].tdfa, engines["tdfa-opt"].tdfa
+    raw, opt = runs["tdfa-raw"][0].tdfa, runs["tdfa-opt"][0].tdfa
     if opt.register_count() > raw.register_count() or opt.op_count() > raw.op_count():
         return diverge("tdfa-opt", b"", "optimization increased registers or operations")
-
-    multi_tags = engines["tdfa-raw"].tdfa.multi
 
     long_inputs = [(ch * LONG_RUN).encode() for ch in alphabet]
     for data in chain(all_inputs(alphabet, max_len), long_inputs):
         want = sim.match(data)
-        for name, eng in engines.items():
-            got = eng.match(data)
+        # tdfa-raw-lists, the same compile and repr as tdfa-raw, reads its outcome below
+        outs = {name: match(name, data) for name in ("tdfa-raw", "tdfa-opt", "tdfa-min", "tdfa-fixed")}
+        for name, got in outs.items():
             if got.kind != want.kind:
                 return diverge(name, data, f"kind {got.kind} != {want.kind}")
             if not want:
@@ -188,13 +199,13 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
                     return diverge(name, data,
                                    f"t{t}: {got.values[t]!r} vs simulation {want.values[t]!r}")
 
-        mp_off = mp.match(data)
+        mp_off = match("multipass", data)
         if mp_off.kind != want.kind:
             return diverge("multipass", data, f"kind {mp_off.kind} != {want.kind}")
         if not want:
             continue
-        mp_lists = mp.match(data, repr_="lists")
-        ts = mp.match(data, repr_="tstring")
+        mp_lists = match("multipass-lists", data)
+        ts = match("multipass-tstring", data)
         if b"".join(x for x in ts.tstring if isinstance(x, bytes)) != data:
             return diverge("multipass-tstring", data, f"symbols of {ts.tstring!r}")
         ts_lists = _lists_from_tstring(ts.tstring, tags)
@@ -208,8 +219,8 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
             if ts_lists[t] != mp_lists.values[t]:
                 return diverge("multipass-tstring", data,
                                f"t{t}: {ts_lists[t]!r} vs lists {mp_lists.values[t]!r}")
-            if t in multi_tags:
-                got = engines["tdfa-raw"].match(data).values[t]
+            if t in raw.multi:
+                got = outs["tdfa-raw"].values[t]
                 if got != mp_lists.values[t]:
                     return diverge("tdfa-raw-lists", data,
                                    f"t{t}: {got!r} vs multipass {mp_lists.values[t]!r}")
@@ -218,7 +229,7 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6,
 
 def run_corpus(seed: int, count: int, max_nodes: int = 10, max_tags: int = 6,
                alphabet: str = "ab", max_len: int = 6, max_rep: int = 3,
-               multi: str = "auto", mutate=None, progress=None):
+               multi: str = "auto", progress=None):
     """Generate and cross-check a corpus; returns (checked, first divergence).
 
     A set of tag ids in multi is cut down to each pattern's own tags."""
@@ -228,7 +239,7 @@ def run_corpus(seed: int, count: int, max_nodes: int = 10, max_tags: int = 6,
         ids = multi
         if not isinstance(multi, str):
             ids = frozenset(multi).intersection(collect_tags(parse_regex(pattern)))
-        div = cross_check(pattern, alphabet, max_len, ids, mutate)
+        div = cross_check(pattern, alphabet, max_len, ids)
         if div is not None:
             return i + 1, div
         if progress and (i + 1) % progress == 0:

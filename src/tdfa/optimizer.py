@@ -24,7 +24,7 @@ from bisect import insort
 from itertools import accumulate
 
 from .determinize import Tdfa
-from .regops import APPEND, COPY, SET, remove_duplicates, topological_sort
+from .regops import APPEND, COPY, SET, topological_sort
 
 
 # -- fallback operations ----------------------------------------------------
@@ -159,12 +159,11 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
     # Final blocks exist for every final state (even with no operations
     # left): they seed final-register liveness for the result reader.
     by_final: dict[int, int] = {}
+    by_fallback: dict[int, int] = {}
     if tdfa.tags:
         for s in sorted(tdfa.finals):
             by_final[s] = len(blocks)
             blocks.append(Block("final", s, tdfa.phi.get(s, ())))
-    by_fallback: dict[int, int] = {}
-    if tdfa.tags:
         for s in sorted(tdfa.psi):
             by_fallback[s] = len(blocks)
             blocks.append(Block("fallback", s, tdfa.psi[s]))
@@ -499,7 +498,7 @@ def normalization(cfg: RegCfg):
             j = i
             while j < len(ops) and ops[j][0] == kind:
                 j += 1
-            run = remove_duplicates(ops[i:j])
+            run = list(dict.fromkeys(ops[i:j]))
             if kind == SET:
                 run.sort(key=lambda op: (op[1], op[2]))
             elif kind == COPY:

@@ -158,3 +158,39 @@ def dense_minimize_partition(tdfa) -> list[int]:
         if new == part:
             return part
         part = new
+
+
+def round_topological_sort(ops: list) -> tuple[list, bool]:
+    """Reference for `regops.topological_sort`: in rounds, move every
+    operation whose destination no pending operation still reads (a move
+    frees the rest of its own round at once); the tail left by a
+    nontrivial cycle goes last in input order."""
+    indeg: dict[int, int] = {}
+    for op in ops:
+        if op[0] != "s":
+            indeg.setdefault(op[1], 0)
+            indeg.setdefault(op[2], 0)
+    for op in ops:
+        if op[0] != "s" and op[1] != op[2]:
+            indeg[op[2]] += 1
+
+    pending = list(ops)
+    out = []
+    nontrivial = False
+    while pending:
+        rest = []
+        moved = False
+        for op in pending:
+            if indeg.get(op[1], 0) == 0:
+                out.append(op)
+                moved = True
+                if op[0] != "s" and op[1] != op[2]:
+                    indeg[op[2]] -= 1
+            else:
+                rest.append(op)
+        pending = rest
+        if not moved and pending:
+            nontrivial = any(op[0] != "s" and op[1] != op[2] for op in pending)
+            out.extend(pending)
+            break
+    return out, not nontrivial

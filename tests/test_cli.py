@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import importlib
 import json
@@ -11,6 +10,7 @@ import pytest
 import tdfa
 from tdfa.cli import _multi_arg, build_parser, main
 from tdfa.fuzz import MATCH_FLAGS, Divergence, all_inputs, gen_pattern, run_corpus
+from tdfa.regops import COPY
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 
@@ -235,15 +235,44 @@ def test_fuzz_seeded_reproducible(capsys):
     assert "no divergence" in out1
 
 
-def _mutate_choices():
-    """The --mutate choices the fuzz command offers."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in sub.choices["fuzz"]._actions if a.dest == "mutate")
+# Known faults of the register mapping (`Determinizer.map_states`), each a
+# stand-in for the topological sort it calls, made from the real one.  The
+# operations that map_states rewrites are only SET and APPEND, so the copies
+# in its list are the ones the mapping prepends.
+MAP_FAULTS = {
+    # drop the copies a register mapping adds
+    "skip-map-copies": lambda sort: lambda ops: sort([op for op in ops if op[0] != COPY]),
+    # leave the mapped operations unsorted
+    "skip-map-toposort": lambda sort: lambda ops: (ops, True),
+}
 
 
-@pytest.mark.parametrize("mutation", _mutate_choices())
-def test_fuzz_detects_injected_mutation(capsys, mutation):
-    code, out, _ = run(capsys, "fuzz", "--count=200", "--seed=42", f"--mutate={mutation}")
+@pytest.fixture
+def inject_map_fault(monkeypatch):
+    """A function that patches one fault of MAP_FAULTS in for the test."""
+    # The attribute tdfa.determinize is the function; the module is in
+    # sys.modules.  The optimizer imports its own binding of the sort, so
+    # only map_states sees the fault.
+    module = importlib.import_module("tdfa.determinize")
+    sort = module.topological_sort
+    return lambda fault: monkeypatch.setattr(module, "topological_sort", MAP_FAULTS[fault](sort))
+
+
+def test_fuzz_runs_clean_without_an_injected_fault(capsys):
+    code, out, _ = run(capsys, "fuzz", "--count=200", "--seed=42")
+    assert code == 0, out
+
+
+def test_fuzz_has_no_fault_switch(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "fuzz", "--mutate=skip-map-copies")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mutation", sorted(MAP_FAULTS))
+def test_fuzz_detects_injected_mutation(capsys, inject_map_fault, mutation):
+    inject_map_fault(mutation)
+    code, out, _ = run(capsys, "fuzz", "--count=200", "--seed=42")
     assert code == 3
     assert "DIVERGENCE" in out and "reproduce:" in out
 
@@ -272,6 +301,23 @@ def check_hint(hint: str, div: Divergence):
     return argv
 
 
+def test_cross_check_compiles_each_configuration_from_its_flags(monkeypatch):
+    fuzz = importlib.import_module("tdfa.fuzz")
+    real = fuzz._compile
+    compiled = []
+
+    def compile_(args):
+        compiled.append((args.engine, args.opt, args.minimize, args.fixed_tags, _multi_arg(args.multi)))
+        return real(args)
+
+    monkeypatch.setattr(fuzz, "_compile", compile_)
+    assert fuzz.cross_check(GOLDEN, max_len=3, multi=frozenset({3, 1})) is None
+    # one compile per configuration, shared by those that differ only in repr
+    want = {config[:4] + ((frozenset({1, 3}) if config[0] == "tdfa" else "auto"),)
+            for config in FUZZ_CONFIGS.values()}
+    assert sorted(compiled) == sorted(want)
+
+
 @pytest.mark.parametrize("engine", sorted(FUZZ_CONFIGS))
 def test_divergence_hint_selects_its_configuration(capsys, engine):
     assert FUZZ_CONFIGS.keys() == MATCH_FLAGS.keys()
@@ -291,10 +337,11 @@ def test_divergence_hint_selects_its_configuration(capsys, engine):
     # a non-ASCII alphabet: the inputs are strings of its characters
     (["--seed=2", "--alphabet=éa"], {"seed": 2, "alphabet": "éa"}, "tdfa-raw"),
 ])
-def test_fuzz_reproduce_hint_names_the_diverging_configuration(capsys, argv, corpus, engine):
-    code, out, _ = run(capsys, "fuzz", "--count=200", "--mutate=skip-map-copies", *argv)
+def test_fuzz_reproduce_hint_names_the_diverging_configuration(capsys, inject_map_fault, argv, corpus, engine):
+    inject_map_fault("skip-map-copies")
+    code, out, _ = run(capsys, "fuzz", "--count=200", *argv)
     assert code == 3
-    _, div = run_corpus(count=200, mutate="skip-map-copies", **corpus)
+    _, div = run_corpus(count=200, **corpus)
     assert div.engine == engine
     check_hint(out.split("reproduce: ", 1)[1], div)
 

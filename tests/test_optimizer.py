@@ -24,7 +24,7 @@ from tdfa.runtime import exec_tdfa
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
-from helpers import all_inputs
+from helpers import all_inputs, round_topological_sort
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 
@@ -359,6 +359,43 @@ def test_topological_sort_tolerates_self_append():
 def test_topological_sort_rejects_swap():
     _, ok = topological_sort([(COPY, 1, 2), (COPY, 2, 1)])
     assert not ok
+
+
+def random_ops(rng: Random, n: int, n_regs: int) -> list:
+    """Operations over few registers, so that self appends, sets read by
+    copies, repeated destinations and copy cycles all come up."""
+    ops = []
+    for _ in range(n):
+        dest, src = rng.randint(1, n_regs), rng.randint(1, n_regs)
+        kind = rng.choice((SET, COPY, APPEND))
+        if kind == SET:
+            ops.append((SET, dest, rng.choice("np")))
+        elif kind == COPY:
+            ops.append((COPY, dest, src))
+        else:
+            ops.append((APPEND, dest, rng.choice((dest, src)), rng.choice(("p", "n", "pn"))))
+    return ops
+
+
+def test_topological_sort_matches_the_round_by_round_sort():
+    rng = Random(7)
+    cyclic = 0
+    for _ in range(20_000):
+        ops = random_ops(rng, rng.randint(0, 10), rng.randint(1, 8))
+        got = topological_sort(ops)
+        assert got == round_topological_sort(ops), ops
+        cyclic += not got[1]
+    assert 2_000 < cyclic < 18_000  # both outcomes are well covered
+
+
+def test_topological_sort_orders_long_chains_in_one_pass():
+    # A chain written in the wrong order takes one round per link in the
+    # round-by-round sort; the linear sort orders 1,000 links at once.
+    chain = [(COPY, i, i + 1) for i in range(1000, 0, -1)]
+    ops, ok = topological_sort(chain)
+    assert ok and ops == chain[::-1]
+    ops, ok = topological_sort(chain + [(COPY, 1001, 1)])  # closes a cycle
+    assert not ok and ops == chain + [(COPY, 1001, 1)]
 
 
 # -- full pipeline ------------------------------------------------------------
