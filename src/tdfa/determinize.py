@@ -12,15 +12,15 @@ O(k) distinct ones.  Both engines share:
 
 - `epsilon_closure`, one depth-first closure over seeds (q, payload, h);
 - `Powerset`, one worklist BFS over one step per state, `step(state)`: it
-  walks the state's rows once, seeding configurations across their symbol
-  transitions into one bucket per class, then closes each class's seeds
-  and stores the cell the engine builds from the closure (register
-  operations here, backlinks in multi-pass).  A step's work follows the
-  state's rows and their symbol transitions, not the size of the
-  alphabet;
-- `Automaton`, the container base (tags, byte classes, `delta`, `phi`,
-  the lazy match plan slot, dot output), and `PlanFrame`, the part of a
-  match plan both engines lay out the same way.
+  walks the state's rows once, seeding configurations across the TNFA's
+  arcs (`Tnfa.arcs`, already in class form) into one bucket per class,
+  then closes each class's seeds and stores the cell the engine builds
+  from the closure (register operations here, backlinks in multi-pass).
+  A step's work follows the state's rows and their arcs, not the size of
+  the alphabet, and the construction builds no table per TNFA state;
+- `Automaton`, the container base (tags, the TNFA's byte classes,
+  `delta`, `phi`, the lazy match plan slot, dot output), and `PlanFrame`,
+  the part of a match plan both engines lay out the same way.
 
 In the register TDFA, tag sequences collected by the closure are stored as
 lookahead and turned into register operations on the *outgoing*
@@ -39,7 +39,7 @@ import re
 from collections import deque
 
 from .regops import APPEND, COPY, SET, format_ops, topological_sort
-from .tnfa import Tnfa, dot_symbol
+from .tnfa import Tnfa, byte_classes, dot_symbol
 
 
 class ResourceLimit(Exception):
@@ -66,14 +66,6 @@ def regop_rhs(regs, h_t: str, tpos: int, multi: bool):
     if multi:
         return (APPEND, regs[tpos], h_t)
     return (SET, h_t[-1])
-
-
-def byte_classes(alphabet) -> tuple[tuple[int, ...], list[int]]:
-    """One equivalence class per mentioned byte; the rest are dead (-1)."""
-    b2c = [-1] * 256
-    for i, byte in enumerate(alphabet):
-        b2c[byte] = i
-    return tuple(alphabet), b2c
 
 
 def loop_span(classes):
@@ -104,8 +96,8 @@ def epsilon_closure(nfa: Tnfa, seeds) -> list:
         for _, tag, p in reversed(nfa.eps[q]):
             if p not in seen:
                 stack.append((p, x, h, l if tag == 0 else l + (tag,)))
-    qf, syms = nfa.qf, nfa.syms
-    return [cfg for cfg in out if cfg[0] == qf or syms[cfg[0]]]
+    qf, arcs = nfa.qf, nfa.arcs
+    return [cfg for cfg in out if cfg[0] == qf or arcs[cfg[0]]]
 
 
 class Automaton:
@@ -223,15 +215,6 @@ class Powerset:
         # One copy of every column part that states hold.
         self.shared: dict = {}
         self.worklist: deque[int] = deque()
-        # Per TNFA state, its symbol transition as (class, target), or None.
-        # The TNFA gives every symbol a state of its own, so a state has at
-        # most one; the unpacking below fails on a second.
-        b2c = tdfa.byte_to_class
-        self.arcs: list = [None] * len(nfa.syms)
-        for q, out in enumerate(nfa.syms):
-            if out:
-                ((byte, p),) = out.items()
-                self.arcs[q] = (b2c[byte], p)
 
     def run(self):
         nfa = self.nfa
@@ -242,12 +225,12 @@ class Powerset:
         return self.tdfa
 
     def seeds(self, state: _State) -> list:
-        """Seed configurations across symbol transitions, bucketed by class:
-        a row (q, x, l) whose state q steps to p on a symbol seeds (p, x, l)
-        in the bucket of the symbol's class, so its lookahead becomes the
-        inherited tags.  A bucket keeps row order, and is None for a class
-        no row steps on."""
-        arcs = self.arcs
+        """Seed configurations across the TNFA's arcs, bucketed by class:
+        a row (q, x, l) whose state q has the arc (class, p) seeds (p, x, l)
+        in the bucket of that class, so its lookahead becomes the inherited
+        tags.  A bucket keeps row order, and is None for a class no row
+        steps on."""
+        arcs = self.nfa.arcs
         buckets: list = [None] * len(self.tdfa.alphabet)
         for (q, l), x in zip(state.ql, state.x):
             arc = arcs[q]
@@ -426,10 +409,7 @@ class Determinizer(Powerset):
                         V[(t, rhs)] = reg
                     if reg not in written:
                         written.add(reg)
-                        if rhs[0] == SET:
-                            ops.append((SET, reg, rhs[1]))
-                        else:
-                            ops.append((APPEND, reg, rhs[1], rhs[2]))
+                        ops.append((rhs[0], reg) + rhs[1:])
                     regs[tpos] = reg
                 cfg = (q, tuple(regs), h, l)
             out.append(cfg)

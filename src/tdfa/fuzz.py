@@ -5,7 +5,8 @@ configuration of MATCH_FLAGS from the `tdfa match` arguments that a
 divergence's reproduce hint prints (so any counterexample replays from the
 command line), and matched against every input up to a length bound and a
 long run of each symbol; the tagged NFA simulation is the reference for
-match results and tag values.
+match results and tag values.  In longest-prefix mode the reference is the
+simulation's match of the longest prefix of the input that matches.
 """
 
 import shlex
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from random import Random
 
-from . import Pattern
+from . import MatchOutcome, Pattern
 from .cli import _compile, build_parser
 from .resyntax import collect_tags, parse_regex
 
@@ -27,6 +28,10 @@ MATCH_FLAGS = {
     "tdfa-opt": [],
     "tdfa-min": ["--minimize"],
     "tdfa-fixed": ["--fixed-tags"],
+    "tdfa-raw-prefix": ["--opt=none", "--mode=prefix"],
+    "tdfa-opt-prefix": ["--mode=prefix"],
+    "tdfa-min-prefix": ["--minimize", "--mode=prefix"],
+    "tdfa-fixed-prefix": ["--fixed-tags", "--mode=prefix"],
     "multipass": ["--engine=multipass"],
     "multipass-lists": ["--engine=multipass", "--repr=lists"],
     "multipass-tstring": ["--engine=multipass", "--repr=tstring"],
@@ -161,21 +166,21 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6, multi: str
     inputs up to max_len characters and on one run of LONG_RUN per symbol;
     returns a Divergence or None.  Each configuration is compiled by the
     command line from the arguments its reproduce hint prints; those that
-    differ only in repr share one compile."""
+    differ only in repr or mode share one compile."""
     sim = Pattern(pattern, engine="simulation")
     tags = sim.tags
     compiled: dict = {}
-    runs = {}  # configuration -> (compiled pattern, repr)
+    runs = {}  # configuration -> (compiled pattern, repr, mode)
     for name in MATCH_FLAGS:
         args = _PARSER.parse_args(match_argv(name, pattern, multi))
-        key = tuple(v for k, v in vars(args).items() if k != "repr")
+        key = tuple(v for k, v in vars(args).items() if k not in ("repr", "mode"))
         if key not in compiled:
             compiled[key] = _compile(args)
-        runs[name] = (compiled[key], args.repr)
+        runs[name] = (compiled[key], args.repr, args.mode)
 
     def match(name, data):
-        p, repr_ = runs[name]
-        return p.match(data, repr_=repr_)
+        p, repr_, mode = runs[name]
+        return p.match(data, mode=mode, repr_=repr_)
 
     def diverge(engine, data, detail):
         return Divergence(pattern, engine, data, detail, multi)
@@ -184,20 +189,39 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6, multi: str
     if opt.register_count() > raw.register_count() or opt.op_count() > raw.op_count():
         return diverge("tdfa-opt", b"", "optimization increased registers or operations")
 
+    # The simulation's match of the longest prefix of each input that
+    # matches.  Every prefix of an exhaustive input comes before it, and a
+    # pattern matches whole characters only, so dropping the last character
+    # reaches the next shorter prefix that can match.
+    longest: dict[bytes, MatchOutcome] = {}
+
+    def longest_prefix(data, want):
+        if want or not data:
+            return want
+        shorter = data.decode()[:-1].encode()
+        if shorter not in longest:  # a prefix of a LONG_RUN input
+            longest[shorter] = longest_prefix(shorter, sim.match(shorter))
+        return longest[shorter]
+
     long_inputs = [(ch * LONG_RUN).encode() for ch in alphabet]
     for data in chain(all_inputs(alphabet, max_len), long_inputs):
         want = sim.match(data)
+        best = longest[data] = longest_prefix(data, want)
+        if best and best.end < len(data):
+            best = MatchOutcome("prefix", best.end, best.values)
         # tdfa-raw-lists, the same compile and repr as tdfa-raw, reads its outcome below
         outs = {name: match(name, data) for name in ("tdfa-raw", "tdfa-opt", "tdfa-min", "tdfa-fixed")}
-        for name, got in outs.items():
-            if got.kind != want.kind:
-                return diverge(name, data, f"kind {got.kind} != {want.kind}")
-            if not want:
+        checks = [(name, got, want) for name, got in outs.items()]
+        checks += [(name + "-prefix", match(name + "-prefix", data), best) for name in outs]
+        for name, got, exp in checks:
+            if (got.kind, got.end) != (exp.kind, exp.end):
+                return diverge(name, data, f"{got.kind} at {got.end} != {exp.kind} at {exp.end}")
+            if not exp:
                 continue
             for t in tags:
-                if _last(got.values[t]) != want.values[t]:
+                if _last(got.values[t]) != exp.values[t]:
                     return diverge(name, data,
-                                   f"t{t}: {got.values[t]!r} vs simulation {want.values[t]!r}")
+                                   f"t{t}: {got.values[t]!r} vs simulation {exp.values[t]!r}")
 
         mp_off = match("multipass", data)
         if mp_off.kind != want.kind:

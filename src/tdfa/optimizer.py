@@ -58,20 +58,15 @@ def non_accepting_arcs(arcs, finals, s: int) -> list[tuple[int, int]]:
     return out
 
 
-def find_fallback_states(tdfa: Tdfa, arcs):
-    """Final states with non-accepting continuations, plus the registers
-    that may be clobbered on those continuations.
+def find_fallback_states(tdfa: Tdfa) -> set[int]:
+    """Final states with non-accepting continuations.
 
     The input may end anywhere, so every non-final state lies on a
     non-accepting path; a final state falls back iff some transition leaves
     it for a non-final state.
     """
     finals = tdfa.finals
-    fallback = {s for (s, _), (target, _) in tdfa.delta.items()
-                if s in finals and target not in finals}
-    clobbered = {s: {op[1] for key in non_accepting_arcs(arcs, finals, s) for op in tdfa.delta[key][1]}
-                 for s in fallback}
-    return fallback, clobbered
+    return {s for (s, _), (target, _) in tdfa.delta.items() if s in finals and target not in finals}
 
 
 def add_fallback_regops(tdfa: Tdfa):
@@ -84,11 +79,14 @@ def add_fallback_regops(tdfa: Tdfa):
     way and the fallback list appends onto the backup (i <- i.h).
     Most automata have no fallback state, and skip the arc table.
     """
-    finals = tdfa.finals
-    if all(s not in finals or target in finals for (s, _), (target, _) in tdfa.delta.items()):
+    fallback = find_fallback_states(tdfa)
+    if not fallback:
         return tdfa.psi
+    finals = tdfa.finals
     arcs = arc_table(tdfa)
-    fallback, clobbered = find_fallback_states(tdfa, arcs)
+    # Written on the non-accepting continuations, before any backup is added.
+    clobbered = {s: {op[1] for key in non_accepting_arcs(arcs, finals, s) for op in tdfa.delta[key][1]}
+                 for s in fallback}
     for s in sorted(fallback):
         exits = [(s, cls) for cls, target, _ in arcs[s] if target not in finals] if clobbered[s] else []
         ops = []

@@ -9,7 +9,9 @@ States are numbered in the left-to-right reading order of the expression
 element starts), so dumps of small automata are easy to eyeball.  The
 builder creates states right to left, in exactly the reverse of that
 order, and numbers them by reversal, so the build is one pass, linear in
-the TNFA's size.
+the TNFA's size.  It also assigns the byte classes and stores each state's
+one symbol transition as its arc (class, target), which determinization
+and the simulation read as they are.
 """
 
 from dataclasses import dataclass
@@ -24,14 +26,23 @@ class Tnfa:
     qf: int
     tags: tuple[int, ...]
     alphabet: tuple[int, ...]
+    byte_to_class: list[int]  # alphabet's inverse; -1 for other bytes
     # eps[q]: ((priority, tag, target), ...) sorted by priority; tag is
-    # +t / -t / 0 for untagged.  syms[q]: {byte: target}, at most one
-    # entry: every symbol of the expression gets a state of its own.
+    # +t / -t / 0 for untagged.  arcs[q]: (class, target) or None, as every
+    # symbol of the expression gets a state of its own.
     eps: list[tuple[tuple[int, int, int], ...]]
-    syms: list[dict[int, int]]
+    arcs: list[tuple[int, int] | None]
 
     def tag_index(self) -> dict[int, int]:
         return {t: i for i, t in enumerate(self.tags)}
+
+
+def byte_classes(alphabet) -> tuple[tuple[int, ...], list[int]]:
+    """One equivalence class per mentioned byte; the rest are dead (-1)."""
+    b2c = [-1] * 256
+    for i, byte in enumerate(alphabet):
+        b2c[byte] = i
+    return tuple(alphabet), b2c
 
 
 class _Builder:
@@ -135,18 +146,19 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
         tuple([(pri, tag, last - p) for pri, tag, p in out]) if out else ()
         for out in reversed(b.eps)
     ]
-    syms: list[dict[int, int]] = [{} for _ in b.eps]
+    alphabet, b2c = byte_classes(sorted({byte for _, byte, _ in b.syms}))
+    arcs: list = [None] * len(b.eps)
     for q, byte, p in b.syms:
-        syms[last - q][byte] = last - p
-    alphabet = tuple(sorted({byte for _, byte, _ in b.syms}))
+        arcs[last - q] = (b2c[byte], last - p)
     return Tnfa(
         n_states=last + 1,
         q0=last - q0,
         qf=last - qf,
         tags=collect_tags(e),
         alphabet=alphabet,
+        byte_to_class=b2c,
         eps=eps,
-        syms=syms,
+        arcs=arcs,
     )
 
 
@@ -179,15 +191,17 @@ def sim_epsilon_closure(C: list, nfa: Tnfa, k: int, idx: dict[int, int]) -> list
                 else:
                     m2[idx[-tag]] = None
                 stack.append((p, m2))
-    return [(q, m) for q, m in out if q == nfa.qf or nfa.syms[q]]
+    return [(q, m) for q, m in out if q == nfa.qf or nfa.arcs[q]]
 
 
 def sim_step_on_symbol(C: list, nfa: Tnfa, a: int) -> list:
+    """Step across the arcs of byte a's class; class -1 matches none."""
+    cls, arcs = nfa.byte_to_class[a], nfa.arcs
     out = []
     for q, m in C:
-        p = nfa.syms[q].get(a)
-        if p is not None:
-            out.append((p, m))
+        arc = arcs[q]
+        if arc is not None and arc[0] == cls:
+            out.append((arc[1], m))
     return out
 
 
@@ -216,8 +230,9 @@ def tnfa_to_dot(nfa: Tnfa) -> str:
     lines = ["digraph tnfa {", "  rankdir=LR;", "  node [shape=circle];"]
     lines.append(f"  {nfa.qf} [shape=doublecircle];")
     for q in range(nfa.n_states):
-        for byte, p in sorted(nfa.syms[q].items()):
-            lines.append(f'  {q} -> {p} [label="{dot_symbol(byte)}", style=bold];')
+        if nfa.arcs[q]:
+            cls, p = nfa.arcs[q]
+            lines.append(f'  {q} -> {p} [label="{dot_symbol(nfa.alphabet[cls])}", style=bold];')
         for pri, tag, p in nfa.eps[q]:
             if tag == 0:
                 lines.append(f'  {q} -> {p} [label="{pri}"];')

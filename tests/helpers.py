@@ -38,10 +38,9 @@ def brute_force_match(nfa: Tnfa, data: bytes):
             r = dfs(p, pos, seen | {p}, m2)
             if r is not None:
                 return r
-        if pos < n:
-            p = nfa.syms[q].get(data[pos])
-            if p is not None:
-                return dfs(p, pos + 1, {p}, m)
+        arc = nfa.arcs[q]
+        if pos < n and arc is not None and nfa.alphabet[arc[0]] == data[pos]:
+            return dfs(arc[1], pos + 1, {arc[1]}, m)
         return None
 
     return dfs(nfa.q0, 0, {nfa.q0}, {t: None for t in tags})
@@ -128,7 +127,8 @@ def dense_seeds(nfa: Tnfa, rows, alphabet) -> list:
     of the alphabet; None for a class without seeds."""
     out = []
     for byte in alphabet:
-        seeds = [(nfa.syms[q][byte], x, l) for q, x, l in rows if byte in nfa.syms[q]]
+        seeds = [(nfa.arcs[q][1], x, l) for q, x, l in rows
+                 if nfa.arcs[q] is not None and nfa.alphabet[nfa.arcs[q][0]] == byte]
         out.append(seeds or None)
     return out
 

@@ -218,6 +218,16 @@ def test_compile_minimize_dumps_the_optimized_automaton_before_minimization(tmp_
     assert (tmp_path / "tdfa_min.dot").read_text().count("->") == 2
 
 
+def test_compile_dumps_draw_appends_and_fallback_edges(tmp_path, capsys):
+    code, _, _ = run(capsys, "compile", "(aab)+", "--multi=all", "--dump=tdfa,opt", f"--out={tmp_path}")
+    assert code == 0
+    assert "r5 <- r1.p" in (tmp_path / "tdfa_raw.dot").read_text()
+    opt = (tmp_path / "tdfa_opt.dot").read_text()
+    assert "r4 <- r4.p" in opt
+    (fallback,) = [line for line in opt.splitlines() if "fb: " in line]
+    assert fallback.endswith("style=dotted];")
+
+
 def test_fuzz_multi_ids_apply_to_the_patterns_that_have_them(capsys):
     # None of these 20 patterns has tag 2, and 13 have no tag at all.
     code, out, _ = run(capsys, "fuzz", "--count=20", "--multi=1,2", "--seed=5")
@@ -277,16 +287,20 @@ def test_fuzz_detects_injected_mutation(capsys, inject_map_fault, mutation):
     assert "DIVERGENCE" in out and "reproduce:" in out
 
 
-# (engine, opt, minimize, fixed_tags, repr) of each configuration fuzz runs
+# (engine, opt, minimize, fixed_tags, repr, mode) of each configuration fuzz runs
 FUZZ_CONFIGS = {
-    "tdfa-raw": ("tdfa", "none", False, False, "offsets"),
-    "tdfa-raw-lists": ("tdfa", "none", False, False, "offsets"),
-    "tdfa-opt": ("tdfa", "full", False, False, "offsets"),
-    "tdfa-min": ("tdfa", "full", True, False, "offsets"),
-    "tdfa-fixed": ("tdfa", "full", False, True, "offsets"),
-    "multipass": ("multipass", "full", False, False, "offsets"),
-    "multipass-lists": ("multipass", "full", False, False, "lists"),
-    "multipass-tstring": ("multipass", "full", False, False, "tstring"),
+    "tdfa-raw": ("tdfa", "none", False, False, "offsets", "full"),
+    "tdfa-raw-lists": ("tdfa", "none", False, False, "offsets", "full"),
+    "tdfa-opt": ("tdfa", "full", False, False, "offsets", "full"),
+    "tdfa-min": ("tdfa", "full", True, False, "offsets", "full"),
+    "tdfa-fixed": ("tdfa", "full", False, True, "offsets", "full"),
+    "tdfa-raw-prefix": ("tdfa", "none", False, False, "offsets", "prefix"),
+    "tdfa-opt-prefix": ("tdfa", "full", False, False, "offsets", "prefix"),
+    "tdfa-min-prefix": ("tdfa", "full", True, False, "offsets", "prefix"),
+    "tdfa-fixed-prefix": ("tdfa", "full", False, True, "offsets", "prefix"),
+    "multipass": ("multipass", "full", False, False, "offsets", "full"),
+    "multipass-lists": ("multipass", "full", False, False, "lists", "full"),
+    "multipass-tstring": ("multipass", "full", False, False, "tstring", "full"),
 }
 
 
@@ -296,7 +310,7 @@ def check_hint(hint: str, div: Divergence):
     assert argv[:2] == ["tdfa", "match"]
     args = build_parser().parse_args(argv[1:])
     assert (args.pattern, args.input) == (div.pattern, div.data.decode())
-    assert (args.engine, args.opt, args.minimize, args.fixed_tags, args.repr) == FUZZ_CONFIGS[div.engine]
+    assert (args.engine, args.opt, args.minimize, args.fixed_tags, args.repr, args.mode) == FUZZ_CONFIGS[div.engine]
     assert _multi_arg(args.multi) == (div.multi if args.engine == "tdfa" else "auto")
     return argv
 
@@ -312,10 +326,27 @@ def test_cross_check_compiles_each_configuration_from_its_flags(monkeypatch):
 
     monkeypatch.setattr(fuzz, "_compile", compile_)
     assert fuzz.cross_check(GOLDEN, max_len=3, multi=frozenset({3, 1})) is None
-    # one compile per configuration, shared by those that differ only in repr
+    # one compile per configuration, shared by those that differ only in repr or mode
     want = {config[:4] + ((frozenset({1, 3}) if config[0] == "tdfa" else "auto"),)
             for config in FUZZ_CONFIGS.values()}
-    assert sorted(compiled) == sorted(want)
+    assert sorted(compiled) == sorted(want) and len(want) == 5
+
+
+def test_fuzz_reports_a_fallback_fault_in_a_prefix_configuration(capsys, monkeypatch):
+    # Fallback quasi-transitions that run the final operations as they are,
+    # backing up no clobbered register: full-mode matches never run them.
+    optimizer = importlib.import_module("tdfa.optimizer")
+
+    def no_backups(a):
+        a.psi.update((s, a.phi[s]) for s in optimizer.find_fallback_states(a))
+        return a.psi
+
+    monkeypatch.setattr(optimizer, "add_fallback_regops", no_backups)
+    code, out, _ = run(capsys, "fuzz", "--count=200", "--seed=42")
+    assert code == 3
+    engine = re.search(r"engine (\S+) diverges", out)[1]
+    assert engine.endswith("-prefix")
+    assert "--mode=prefix" in shlex.split(out.split("reproduce: ", 1)[1])
 
 
 @pytest.mark.parametrize("engine", sorted(FUZZ_CONFIGS))

@@ -8,6 +8,8 @@ import pytest
 
 import tdfa
 from tdfa.cli import main
+from tdfa.resyntax import parse_regex
+from tdfa.tnfa import build_tnfa
 
 ENGINES = {
     "tdfa": {"engine": "tdfa"},
@@ -49,6 +51,20 @@ def test_tag_star_a500_compile_peak_memory_under_8mb(engine):
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_tnfa_of_100k_states_holds_under_16mb():
+    # One arc (class, target) per symbol state: about 10.6 MB for the
+    # 100,001 states, where a dict per state held 27.4 MB.
+    ast = parse_regex("(?:a{1000}){100}")
+    tracemalloc.start()
+    try:
+        nfa = build_tnfa(ast)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert nfa.n_states == 100_001
+    assert current < 16_000_000
 
 
 @pytest.mark.parametrize("engine", ["tdfa", "multipass", "simulation"])

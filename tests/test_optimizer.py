@@ -14,6 +14,7 @@ from tdfa.optimizer import (
     interferes,
     liveness_analysis,
     minimize,
+    non_accepting_arcs,
     normalization,
     optimize,
     register_allocation,
@@ -45,27 +46,29 @@ def regs(mask: int) -> set[int]:
 # -- fallback ---------------------------------------------------------------
 
 
+def clobbered(tdfa, s) -> set[int]:
+    """The registers written on the non-accepting continuations of s."""
+    return {op[1] for key in non_accepting_arcs(arc_table(tdfa), tdfa.finals, s) for op in tdfa.delta[key][1]}
+
+
 def test_golden_has_no_fallback_states():
-    tdfa = golden_tdfa()
-    fallback, _ = find_fallback_states(tdfa, arc_table(tdfa))
-    assert fallback == set()
+    assert find_fallback_states(golden_tdfa()) == set()
 
 
 def test_fallback_state_after_optional_suffix():
     tdfa = build("#a(?:bc)?")
-    fallback, clobbered = find_fallback_states(tdfa, arc_table(tdfa))
+    fallback = find_fallback_states(tdfa)
     # exactly the final state reached after 'a', which continues into 'bc'
     assert len(fallback) == 1
     (s,) = fallback
     assert s in tdfa.finals
-    assert clobbered[s] == set()  # no ops on the b/c continuation here
+    assert clobbered(tdfa, s) == set()  # no ops on the b/c continuation here
 
 
 def test_total_all_final_automaton_has_no_fallback():
     tdfa = build("(?:a|b)*")
     assert tdfa.finals == set(range(tdfa.n_states))
-    fallback, _ = find_fallback_states(tdfa, arc_table(tdfa))
-    assert fallback == set()
+    assert find_fallback_states(tdfa) == set()
 
 
 def test_fallback_regops_empty_when_no_fallback():
@@ -80,10 +83,9 @@ def test_fallback_backup_copy_injected():
     # copy's source is clobbered and must be backed up on the way out.
     tdfa = build("(aab)+")
     raw_phi = dict(tdfa.phi)
-    fallback, clobbered = find_fallback_states(tdfa, arc_table(tdfa))
-    (s,) = fallback
+    (s,) = find_fallback_states(tdfa)
     sources = {op[2] for op in raw_phi[s] if op[0] == COPY}
-    assert sources & clobbered[s]
+    assert sources & clobbered(tdfa, s)
     add_fallback_regops(tdfa)
     for cls in range(len(tdfa.alphabet)):
         cell = tdfa.delta.get((s, cls))

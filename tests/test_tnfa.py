@@ -22,7 +22,8 @@ def golden_nfa():
 def test_build_symbol():
     nfa = build_tnfa(Sym(A))
     assert nfa.n_states == 2
-    assert nfa.syms[nfa.q0] == {A: nfa.qf}
+    assert nfa.alphabet == (A,) and nfa.arcs[nfa.q0] == (0, nfa.qf)
+    assert nfa.byte_to_class == [0 if byte == A else -1 for byte in range(256)]
     assert not nfa.eps[nfa.q0]
 
 
@@ -35,7 +36,7 @@ def test_build_tag():
 def bypass_chain(nfa, q):
     """Follow a bypass chain from q: the tags it emits and where it ends."""
     tags = []
-    while len(nfa.eps[q]) == 1 and nfa.eps[q][0][1] < 0 and not nfa.syms[q]:
+    while len(nfa.eps[q]) == 1 and nfa.eps[q][0][1] < 0 and nfa.arcs[q] is None:
         (_, tag, q), = nfa.eps[q]
         tags.append(tag)
     return tags, q
@@ -49,9 +50,11 @@ def test_bypass_chain_negates_tags_in_ascending_order():
     nfa = build_tnfa(parse_regex("#a#|b#"))
     (_, _, left), (_, _, right) = nfa.eps[nfa.q0]
     tags, b_start = bypass_chain(nfa, right)
-    assert tags == [-1, -2] and nfa.syms[b_start] == {B: b_start + 1}
+    assert tags == [-1, -2] and nfa.arcs[b_start] == (1, b_start + 1)  # class 1: b
     (_, _, after_a), = nfa.eps[left]
-    (_, _, second), = nfa.eps[nfa.syms[after_a][A]]
+    cls, p = nfa.arcs[after_a]
+    assert nfa.alphabet[cls] == A
+    (_, _, second), = nfa.eps[p]
     assert bypass_chain(nfa, second) == ([-3], nfa.qf)
 
 
@@ -60,13 +63,14 @@ def test_empty_bypass_chain_adds_no_state():
     assert nfa.n_states == 3 and nfa.eps[nfa.q0][1] == (2, 0, nfa.qf)
     nfa = build_tnfa(parse_regex("(?:a|b)"))
     assert nfa.n_states == 4
-    assert [nfa.syms[q] for _, _, q in nfa.eps[nfa.q0]] == [{A: nfa.qf}, {B: nfa.qf}]
+    assert nfa.alphabet == (A, B)
+    assert [nfa.arcs[q] for _, _, q in nfa.eps[nfa.q0]] == [(0, nfa.qf), (1, nfa.qf)]
 
 
 def test_one_tag_bypass_chain_is_one_transition():
     nfa = build_tnfa(parse_regex("(?:#a)?"))
     _, (_, _, bypass) = nfa.eps[nfa.q0]
-    assert nfa.eps[bypass] == ((1, -1, nfa.qf),) and not nfa.syms[bypass]
+    assert nfa.eps[bypass] == ((1, -1, nfa.qf),) and nfa.arcs[bypass] is None
     assert nfa.n_states == 5
 
 
@@ -79,10 +83,10 @@ def test_build_golden_structure():
     assert nfa.eps[6] == ((1, -2, 7),)
     # the left alternative branch emits -t4 along 8 -> 9 -> 10 -> 13
     assert (1, 0, 9) in nfa.eps[8]
-    assert nfa.syms[9] == {A: 10}
+    assert nfa.alphabet == (A, B) and nfa.arcs[9] == (0, 10)
     assert nfa.eps[10] == ((1, -4, 13),)
     # final state has no outgoing transitions
-    assert not nfa.eps[17] and not nfa.syms[17]
+    assert not nfa.eps[17] and nfa.arcs[17] is None
 
 
 def test_priorities_distinct_from_one():
@@ -137,8 +141,8 @@ def test_closure_alt_order():
     states = [q for q, _ in C]
     # left branch claimed before right branch
     assert states == sorted(states)
-    assert nfa.syms[states[0]] == {A: nfa.qf}
-    assert nfa.syms[states[1]] == {B: nfa.qf}
+    assert nfa.arcs[states[0]] == (0, nfa.qf)  # a
+    assert nfa.arcs[states[1]] == (1, nfa.qf)  # b
 
 
 def test_step_on_symbol():
