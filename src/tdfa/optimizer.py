@@ -15,12 +15,16 @@ coalescing, renaming, and local normalization.  Minimization (Moore
 partition refinement treating operation lists as part of the transition
 label) runs last, after normalization has canonicalized the lists.
 
+Liveness pops its worklist as a stack, following the CFG back from the
+final blocks; the allocator places each leftover register in the first
+class that admits it, testing the classes' masks inline.
+
 The fallback, CFG and minimization passes walk each state's transitions
 (`arc_table`), not every class of the alphabet, so their cost follows the
 transitions that exist.
 """
 
-from bisect import insort
+from bisect import bisect_left
 from itertools import accumulate
 
 from .determinize import Tdfa
@@ -234,15 +238,21 @@ def compaction(cfg: RegCfg) -> dict[int, int]:
 
 def renaming(cfg: RegCfg, V: dict[int, int]):
     """Apply a register renaming; trivial self-copies are dropped."""
+    get = V.get
     for b in cfg.blocks:
         out = []
         for op in b.ops:
-            if op[0] == SET:
-                op = (SET, V.get(op[1], op[1]), op[2])
+            kind, d = op[0], get(op[1], op[1])
+            if kind == SET:
+                op = (SET, d, op[2])
             else:
-                op = (op[0], V.get(op[1], op[1]), V.get(op[2], op[2])) + tuple(op[3:])
-                if op[0] == COPY and op[1] == op[2]:
-                    continue
+                s = get(op[2], op[2])
+                if kind == COPY:
+                    if d == s:
+                        continue
+                    op = (COPY, d, s)
+                else:
+                    op = (APPEND, d, s, op[3])
             out.append(op)
         b.ops = out
     tdfa = cfg.tdfa
@@ -286,8 +296,9 @@ def liveness_analysis(cfg: RegCfg) -> list[int]:
     Final registers are live in final blocks; the least fixpoint expands
     over basic blocks.  Each block's live-in set is cached, and only the
     registers newly live at its exit are pushed through it and on to its
-    predecessors.  Finally backup registers are marked live along every
-    path that may fall through to a fallback block.
+    predecessors, at once: the worklist is a stack (the least fixpoint
+    does not depend on the order).  Finally backup registers are marked
+    live along every path that may fall through to a fallback block.
     """
     blocks = cfg.blocks
     final_regs = _mask(cfg.tdfa.rf.values())
@@ -302,9 +313,11 @@ def liveness_analysis(cfg: RegCfg) -> list[int]:
     written = [_mask(src) for src in sources]
 
     pending = list(L)  # live at exit, not yet pushed through the block
-    work = {i for i, b in enumerate(blocks) if b.kind == "final"}
-    while work:
-        i = work.pop()
+    queued = [b.kind == "final" for b in blocks]
+    stack = [i for i, q in enumerate(queued) if q]
+    while stack:
+        i = stack.pop()
+        queued[i] = False
         out, pending[i] = pending[i], 0
         live = out & ~written[i]
         for r in _bits(out & written[i]):
@@ -320,7 +333,9 @@ def liveness_analysis(cfg: RegCfg) -> list[int]:
             if new:
                 L[p] |= new
                 pending[p] |= new
-                work.add(p)
+                if not queued[p]:
+                    queued[p] = True
+                    stack.append(p)
 
     for i, b in enumerate(blocks):
         if b.kind != "fallback":
@@ -421,7 +436,9 @@ def register_allocation(cfg: RegCfg, I: list[int]) -> dict[int, int]:
 
     A class is its representative's member bitset M[x] plus the union U[x]
     of its members' interference rows, so testing a register against a
-    class takes two mask tests."""
+    class takes two mask tests.  Leftover registers go, in ascending
+    order, to the first class (by representative) that admits them, or
+    open a class of their own."""
     n = cfg.tdfa.max_reg
     B: dict[int, int] = {}
     M: dict[int, int] = {}
@@ -454,33 +471,35 @@ def register_allocation(cfg: RegCfg, I: list[int]) -> dict[int, int]:
                     join(y, i)
 
     reps = sorted(M)
-    for i in reps:
+    for a, i in enumerate(reps):
         if not M[i]:
             continue
-        for j in reps:
-            if j <= i or not M[j]:
-                continue
-            if not (U[i] & M[j] or U[j] & M[i]):
-                B[j] = i
+        for j in reps[a + 1:]:
+            if M[j] and not (U[i] & M[j] or U[j] & M[i]):
                 M[i] |= M[j]
                 U[i] |= U[j]
                 M[j] = 0
 
+    # The live classes in ascending order of representative.
     live = [x for x in reps if M[x]]
+    members = [M[x] for x in live]
+    unions = [U[x] for x in live]
     for r in range(1, n + 1):
-        if B.get(r) is not None:
+        if r in B:
             continue
-        for x in live:
-            if compatible(x, r):
-                join(x, r)
+        bit, row = 1 << r, I[r]
+        for k, m in enumerate(members):
+            if not (row & m or unions[k] & bit):
+                members[k] = m | bit
+                unions[k] |= row
                 break
         else:
-            B[r] = r
-            M[r] = 1 << r
-            U[r] = I[r]
-            insort(live, r)
+            k = bisect_left(live, r)
+            live.insert(k, r)
+            members.insert(k, bit)
+            unions.insert(k, row)
 
-    return {r: cls for cls, x in enumerate(live, 1) for r in _bits(M[x])}
+    return {r: cls for cls, m in enumerate(members, 1) for r in _bits(m)}
 
 
 def normalization(cfg: RegCfg):

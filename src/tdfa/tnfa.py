@@ -141,14 +141,18 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
     b = _Builder()
     qf = b.new_state()
     q0 = b.build(e, qf)
-    last = len(b.eps) - 1
-    eps = [
-        tuple([(pri, tag, last - p) for pri, tag, p in out]) if out else ()
-        for out in reversed(b.eps)
-    ]
-    alphabet, b2c = byte_classes(sorted({byte for _, byte, _ in b.syms}))
-    arcs: list = [None] * len(b.eps)
-    for q, byte, p in b.syms:
+    # Renumbered in place, and the symbol triples dropped as their arcs are
+    # made, so the build peaks near the size of the TNFA it returns.
+    eps, syms = b.eps, b.syms
+    last = len(eps) - 1
+    eps.reverse()
+    for q, out in enumerate(eps):
+        if out:
+            eps[q] = tuple([(pri, tag, last - p) for pri, tag, p in out])
+    alphabet, b2c = byte_classes(sorted({byte for _, byte, _ in syms}))
+    arcs: list = [None] * len(eps)
+    while syms:
+        q, byte, p = syms.pop()
         arcs[last - q] = (b2c[byte], last - p)
     return Tnfa(
         n_states=last + 1,

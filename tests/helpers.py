@@ -5,8 +5,11 @@ enumerator ranks whole TNFA paths by priority, and the naive register file
 stores full offset lists instead of prefix-tree indices.
 """
 
+from bisect import insort
 from itertools import product
 
+from tdfa.optimizer import _bits, interferes
+from tdfa.regops import SET
 from tdfa.resyntax import Alt, Cat, Empty, Rep, Sym, Tag
 from tdfa.tnfa import Tnfa
 
@@ -194,3 +197,106 @@ def round_topological_sort(ops: list) -> tuple[list, bool]:
             out.extend(pending)
             break
     return out, not nontrivial
+
+
+def round_robin_liveness(cfg) -> list[set[int]]:
+    """Reference for `optimizer.liveness_analysis`, over Python sets: sweep
+    every basic block in index order until no live set changes, then add
+    the fallback blocks' live-in to the blocks that may fall through to
+    them.  A block's live-in keeps an operation's source only when its
+    destination is live after it."""
+    blocks = cfg.blocks
+    final_regs = set(cfg.tdfa.rf.values())
+
+    def live_in(ops, live):
+        live = set(live)
+        for op in reversed(ops):
+            if op[1] in live:
+                live.discard(op[1])
+                if op[0] != SET:
+                    live.add(op[2])
+        return live
+
+    L = [set(final_regs) if b.kind == "final" else set() for b in blocks]
+    changed = True
+    while changed:
+        changed = False
+        for i, b in enumerate(blocks):
+            if b.kind != "basic":
+                continue
+            new = set().union(*(live_in(blocks[s].ops, L[s]) for s in b.succ))
+            if new != L[i]:
+                L[i] = new
+                changed = True
+    for i, b in enumerate(blocks):
+        if b.kind == "fallback":
+            L[i] |= final_regs
+            used = L[i] - {op[1] for op in b.ops} | {op[2] for op in b.ops if op[0] != SET}
+            for s in b.succ:
+                L[s] |= used
+    return L
+
+
+def first_fit_allocation(cfg, I: list[int]) -> dict[int, int]:
+    """Reference for `optimizer.register_allocation`: its earlier form,
+    which tests every leftover register against every class through a
+    `compatible` closure and keeps the classes sorted with `insort`."""
+    n = cfg.tdfa.max_reg
+    B: dict[int, int] = {}
+    M: dict[int, int] = {}
+    U: dict[int, int] = {}
+
+    def compatible(x: int, r: int) -> bool:
+        return not (U[x] >> r & 1 or I[r] & M[x])
+
+    def join(x: int, r: int):
+        B[r] = x
+        M[x] |= 1 << r
+        U[x] |= I[r]
+
+    for b in cfg.blocks:
+        for op in b.ops:
+            if op[0] == SET or op[1] == op[2]:
+                continue
+            i, j = op[1], op[2]
+            x, y = B.get(i), B.get(j)
+            if x is None and y is None:
+                if not interferes(I, i, j):
+                    B[i] = B[j] = i
+                    M[i] = 1 << i | 1 << j
+                    U[i] = I[i] | I[j]
+            elif x is not None and y is None:
+                if compatible(x, j):
+                    join(x, j)
+            elif x is None and y is not None:
+                if compatible(y, i):
+                    join(y, i)
+
+    reps = sorted(M)
+    for i in reps:
+        if not M[i]:
+            continue
+        for j in reps:
+            if j <= i or not M[j]:
+                continue
+            if not (U[i] & M[j] or U[j] & M[i]):
+                B[j] = i
+                M[i] |= M[j]
+                U[i] |= U[j]
+                M[j] = 0
+
+    live = [x for x in reps if M[x]]
+    for r in range(1, n + 1):
+        if B.get(r) is not None:
+            continue
+        for x in live:
+            if compatible(x, r):
+                join(x, r)
+                break
+        else:
+            B[r] = r
+            M[r] = 1 << r
+            U[r] = I[r]
+            insort(live, r)
+
+    return {r: cls for cls, x in enumerate(live, 1) for r in _bits(M[x])}

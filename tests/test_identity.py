@@ -48,6 +48,9 @@ EXTRA += [
 # Large automata: hundreds of states whose rows repeat across states, so
 # these pin what determinization does when states share rows.
 EXTRA += ["(?:#a)*a{300}", "(?:a?){300}"]
+# The slowest compile of the compile corpus: its allocator coalesces about
+# two thousand registers into 189 classes.
+EXTRA += ["(a|b)*(?:#a){61}"]
 PINS = json.loads((Path(__file__).parent / "identity_pins.json").read_text())
 TNFA_LARGE = {
     "(?:a{100}){100}": "2404f421275b6587fcd00a82099d8627fe5d8f584845ccceee14b21d4db5f8ad",

@@ -1,7 +1,9 @@
 import copy
 from random import Random
 
+import tdfa as tdfa_lib
 from tdfa.determinize import determinize
+from tdfa.fuzz import gen_pattern
 from tdfa.optimizer import (
     add_fallback_regops,
     arc_table,
@@ -25,7 +27,7 @@ from tdfa.runtime import exec_tdfa
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
-from helpers import all_inputs, round_topological_sort
+from helpers import all_inputs, first_fit_allocation, round_robin_liveness, round_topological_sort
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 
@@ -400,6 +402,46 @@ def test_topological_sort_orders_long_chains_in_one_pass():
     assert not ok and ops == chain + [(COPY, 1001, 1)]
 
 
+# -- reference passes ---------------------------------------------------------
+
+
+_rng = Random(2024)
+REFERENCE_PATTERNS = (
+    [GOLDEN]
+    + [gen_pattern(_rng) for _ in range(50)]
+    + [f"(?:#a)*a{{{k}}}" for k in (1, 2, 7, 40)]
+    + [f"(a|b)*(?:#a){{{k}}}" for k in (1, 3, 12)]
+)
+
+
+def check_round(cfg):
+    """Liveness and allocation of one round equal the references."""
+    L = liveness_analysis(cfg)
+    assert [regs(m) for m in L] == round_robin_liveness(cfg)
+    # Dead-code elimination replaces each block's operation list; the
+    # pipeline's own blocks keep theirs.
+    cfg = copy.copy(cfg)
+    cfg.blocks = [copy.copy(b) for b in cfg.blocks]
+    dead_code_elimination(cfg, L)
+    I = interference_analysis(cfg, L)
+    assert register_allocation(cfg, I) == first_fit_allocation(cfg, I)
+
+
+def test_liveness_and_allocation_equal_the_reference_passes():
+    checked = []
+
+    def stage(name, value, L=None, I=None):
+        # The CFGs entering round 1 and round 2.
+        if name in ("compaction", "round1"):
+            check_round(value)
+            checked.append(name)
+
+    for pattern in REFERENCE_PATTERNS:
+        for multi in ("auto", "all"):
+            tdfa_lib.compile(pattern, multi=multi, _stage=stage)
+    assert len(checked) == 2 * 2 * len(REFERENCE_PATTERNS)
+
+
 # -- full pipeline ------------------------------------------------------------
 
 
@@ -412,8 +454,6 @@ def test_pipeline_golden_counts():
 
 
 def test_pipeline_monotone_improvement():
-    from tdfa.fuzz import gen_pattern
-
     rng = Random(9)
     for _ in range(30):
         pattern = gen_pattern(rng, max_nodes=9, max_tags=5)
@@ -425,8 +465,6 @@ def test_pipeline_monotone_improvement():
 
 
 def test_pipeline_preserves_semantics():
-    from tdfa.fuzz import gen_pattern
-
     rng = Random(13)
     for _ in range(25):
         pattern = gen_pattern(rng, max_nodes=9, max_tags=5)
@@ -472,8 +510,6 @@ def test_minimize_tag_free_classic():
 
 
 def test_minimize_never_grows_and_idempotent():
-    from tdfa.fuzz import gen_pattern
-
     rng = Random(21)
     for _ in range(25):
         pattern = gen_pattern(rng, max_nodes=9, max_tags=4)
@@ -492,8 +528,6 @@ def test_minimize_distinct_final_ops_not_merged():
 
 
 def test_minimize_preserves_semantics():
-    from tdfa.fuzz import gen_pattern
-
     rng = Random(4)
     for _ in range(20):
         pattern = gen_pattern(rng, max_nodes=9, max_tags=4)
