@@ -10,14 +10,16 @@ columns of an inserted state share their parts with earlier states
 (`Powerset.share`): on `(?:#a)*a{k}` the states hold O(k^2) rows but only
 O(k) distinct ones.  Both engines share:
 
-- `epsilon_closure`, one depth-first closure over seeds (q, payload, h);
+- `epsilon_closure`, one depth-first walk per seed (q, payload, h); a seed
+  at an eps-free TNFA state closes to itself with no walk;
 - `Powerset`, one worklist BFS over one step per state, `step(state)`: it
   walks the state's rows once, seeding configurations across the TNFA's
-  arcs (`Tnfa.arcs`, already in class form) into one bucket per class,
-  then closes each class's seeds and stores the cell the engine builds
-  from the closure (register operations here, backlinks in multi-pass).
-  A step's work follows the state's rows and their arcs, not the size of
-  the alphabet, and the construction builds no table per TNFA state;
+  arcs (`Tnfa.arcs`, already in class form) into a list of one bucket per
+  class of the alphabet, then goes through the buckets in class order,
+  closes the seeds of each non-empty one and stores the cell the engine
+  builds from the closure (register operations here, backlinks in
+  multi-pass).  So a step costs its rows and arcs plus one visit per
+  class, and the construction builds no table per TNFA state;
 - `Automaton`, the container base (tags, the TNFA's byte classes,
   `delta`, `phi`, the lazy match plan slot, dot output), and `PlanFrame`,
   the part of a match plan both engines lay out the same way.
@@ -57,17 +59,6 @@ def history(h, t: int) -> str:
     return "".join(out)
 
 
-def regop_rhs(regs, h_t: str, tpos: int, multi: bool):
-    """Right-hand side of the register update for one tag.
-
-    Multi-valued tags append the whole history to the current register;
-    single-valued tags keep only the last element.
-    """
-    if multi:
-        return (APPEND, regs[tpos], h_t)
-    return (SET, h_t[-1])
-
-
 def loop_span(classes):
     """The `match` of a compiled `[...]*` over the given class bytes: it
     consumes a run of self-loops a matcher may skip.  None for no classes."""
@@ -80,24 +71,39 @@ def loop_span(classes):
 def epsilon_closure(nfa: Tnfa, seeds) -> list:
     """Depth-first closure of seed configurations (q, payload, h); the first
     arrival at a state wins.  Returns the configurations (q, payload, h, l)
-    in commit order, l being the tags met on the way, filtered to final or
-    symbol-bearing states.  Payloads are passed on, never copied."""
+    in commit order, l being the tags met on the way, at the eps-free
+    states: exactly the final and symbol-bearing ones (`Tnfa`).  Payloads
+    are passed on, never copied.
+
+    Each seed's walk ends before the next seed starts, and x and h stay
+    fixed inside it, so the walk stacks (q, l) pairs alone.  A seed whose
+    state is eps-free closes to itself with no walk."""
+    eps = nfa.eps
     out = []
+    emit = out.append
     seen = set()
-    stack = [(q, x, h, ()) for q, x, h in reversed(seeds)]
-    while stack:
-        cfg = stack.pop()
-        q = cfg[0]
+    see = seen.add
+    for q, x, h in seeds:
         if q in seen:
             continue
-        seen.add(q)
-        out.append(cfg)
-        _, x, h, l = cfg
-        for _, tag, p in reversed(nfa.eps[q]):
-            if p not in seen:
-                stack.append((p, x, h, l if tag == 0 else l + (tag,)))
-    qf, arcs = nfa.qf, nfa.arcs
-    return [cfg for cfg in out if cfg[0] == qf or arcs[cfg[0]]]
+        if not eps[q]:
+            see(q)
+            emit((q, x, h, ()))
+            continue
+        stack = [(q, ())]
+        while stack:
+            q, l = stack.pop()
+            if q in seen:
+                continue
+            see(q)
+            arrows = eps[q]
+            if not arrows:
+                emit((q, x, h, l))
+                continue
+            for _, tag, p in reversed(arrows):
+                if p not in seen:
+                    stack.append((p, l + (tag,) if tag else l))
+    return out
 
 
 class Automaton:
@@ -244,8 +250,9 @@ class Powerset:
         return buckets
 
     def step(self, sid: int):
-        """Expand state sid on every class it steps on, in class order:
-        close the class's seeds and store the cell."""
+        """Expand state sid on every class it steps on: visit every class's
+        bucket in order, and close and store the cell of each non-empty
+        one."""
         nfa, delta = self.nfa, self.tdfa.delta
         for cls, seeds in enumerate(self.seeds(self.states[sid])):
             if seeds:
@@ -372,48 +379,66 @@ class Determinizer(Powerset):
         # Fresh registers of the state being expanded, by (tag, rhs).
         self.fresh_for = None
         self.fresh: dict = {}
+        # `project(h)` per inherited tag sequence h.
+        self.projections: dict = {}
 
     def cell(self, sid: int, C):
         if self.fresh_for != sid:
             self.fresh_for, self.fresh = sid, {}
-        C, ops = self.transition_regops(C, self.fresh)
-        target, ops = self.add_state(C, ops)
+        target, ops = self.add_state(C, self.fresh)
         return target, tuple(ops)
 
     # -- register operations ----------------------------------------------
 
-    def transition_regops(self, C, V) -> tuple[list, list]:
+    def transition_regops(self, C, V) -> tuple[tuple, tuple, list]:
         """Rewrite configuration registers for tags with inherited history.
 
-        Returns the configurations with their new register vectors, and the
-        operations.  One fresh register per distinct (tag, rhs) per source
-        state; the operation itself is emitted on every transition that
-        needs it, at most once per destination register.
+        Returns the closure's columns (`_State`), the register vectors being
+        the new ones, and the operations.  One fresh register per distinct
+        (tag, rhs) per source state; the operation itself is emitted on
+        every transition that needs it, at most once per destination
+        register.  Multi-valued tags append the whole history to the
+        configuration's register, single-valued tags keep only its last
+        element.
         """
         ops = []
-        out = []
+        ql = []
+        xs = []
         written = set()
-        tpos_of = self.tpos_of
-        for cfg in C:
-            q, regs, h, l = cfg
+        projections = self.projections
+        tdfa = self.tdfa
+        for q, regs, h, l in C:
+            ql.append((q, l))
             if h:
+                proj = projections.get(h)
+                if proj is None:
+                    proj = projections[h] = self.project(h)
                 regs = list(regs)
-                for t in sorted(set(map(abs, h))):
-                    tpos = tpos_of[t]
-                    h_t = history(h, t)
-                    rhs = regop_rhs(regs, h_t, tpos, t in self.multi)
-                    reg = V.get((t, rhs))
+                for t, tpos, key, h_t in proj:
+                    if key is None:
+                        key = (t, (APPEND, regs[tpos], h_t))
+                    reg = V.get(key)
                     if reg is None:
-                        self.tdfa.max_reg += 1
-                        reg = self.tdfa.max_reg
-                        V[(t, rhs)] = reg
+                        tdfa.max_reg += 1
+                        reg = V[key] = tdfa.max_reg
                     if reg not in written:
                         written.add(reg)
+                        rhs = key[1]
                         ops.append((rhs[0], reg) + rhs[1:])
                     regs[tpos] = reg
-                cfg = (q, tuple(regs), h, l)
-            out.append(cfg)
-        return out, ops
+                regs = tuple(regs)
+            xs.append(regs)
+        return tuple(ql), tuple(xs), ops
+
+    def project(self, h) -> tuple:
+        """The projections of an inherited tag sequence, one per tag in it,
+        ascending: (tag, register slot, the fresh register key (tag, (SET,
+        last element)), or None for a multi-valued tag, history)."""
+        out = []
+        for t in sorted(set(map(abs, h))):
+            h_t = history(h, t)
+            out.append((t, self.tpos_of[t], None if t in self.multi else (t, (SET, h_t[-1])), h_t))
+        return tuple(out)
 
     def final_cell(self, state: _State, j: int) -> tuple:
         """Operations on the final quasi-transition of row j: one per tag,
@@ -474,10 +499,12 @@ class Determinizer(Powerset):
         out, acyclic = topological_sort(out)
         return out if acyclic else None
 
-    def add_state(self, C, ops=()):
-        """Identity hit, else mapping hit (rewriting ops), else insert."""
-        ql = tuple([(q, l) for q, _, _, l in C])
-        regs = tuple([tuple(x) for _, x, _, _ in C])
+    def add_state(self, C, V=None):
+        """Identity hit, else mapping hit (rewriting ops), else insert, for
+        the closure C after `transition_regops` with the source state's
+        fresh registers V.  The start closure inherits no tags and needs no
+        V.  Returns the state and the operations."""
+        ql, regs, ops = self.transition_regops(C, V)
         sid = self.index.get((ql, regs))
         if sid is not None:
             return sid, ops

@@ -77,21 +77,33 @@ class MultipassTdfa(Automaton):
 
 def unique_origins(C) -> tuple:
     """The backlink slot of each configuration: the index of its origin,
-    indices assigned to distinct origins in first-seen order."""
-    index: dict = {}
-    return tuple([index.setdefault(o, len(index)) for _, o, _, _ in C])
+    indices assigned to distinct origins in first-seen order.  A closure
+    lists each seed's configurations together, and the seeds of one closure
+    come from distinct rows, so equal origins are consecutive."""
+    slots = []
+    slot = -1
+    last = None
+    for _, o, _, _ in C:
+        if o != last:
+            last = o
+            slot += 1
+        slots.append(slot)
+    return tuple(slots)
 
 
-def construct_backlinks(C, U: tuple, U2: tuple, shared: dict) -> tuple:
+def construct_backlinks(C, U: tuple, shared: dict) -> tuple:
     """One backlink per destination slot: (slot of the origin row in the
     previous array, inherited tag sequence).  Configurations sharing a
-    destination slot share their origin, hence their tag sequence; the
-    first one wins.  Equal backlinks are one object, kept in `shared`."""
-    links: list = [None] * (max(U2) + 1 if U2 else 0)
-    for (_, o, h, _), i in zip(C, U2):
-        if links[i] is None:
+    destination slot share their origin, hence their tag sequence, and are
+    consecutive (`unique_origins`); the first one wins.  Equal backlinks
+    are one object, kept in `shared`."""
+    links = []
+    last = None
+    for _, o, h, _ in C:
+        if o != last:
+            last = o
             link = (U[o], h)
-            links[i] = shared.setdefault(link, link)
+            links.append(shared.setdefault(link, link))
     return tuple(links)
 
 
@@ -113,7 +125,7 @@ class _Multipass(Powerset):
 
     def cell(self, sid: int, C):
         target = self.add_state(C)
-        return target, construct_backlinks(C, self.states[sid].U, self.states[target].U, self.shared)
+        return target, construct_backlinks(C, self.states[sid].U, self.shared)
 
     def final_cell(self, state: _State, j: int):
         return state.U[j], state.ql[j][1]

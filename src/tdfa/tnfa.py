@@ -29,7 +29,9 @@ class Tnfa:
     byte_to_class: list[int]  # alphabet's inverse; -1 for other bytes
     # eps[q]: ((priority, tag, target), ...) sorted by priority; tag is
     # +t / -t / 0 for untagged.  arcs[q]: (class, target) or None, as every
-    # symbol of the expression gets a state of its own.
+    # symbol of the expression gets a state of its own.  A state has no
+    # eps-transitions exactly when it has an arc or is qf, which the
+    # determinization closure relies on.
     eps: list[tuple[tuple[int, int, int], ...]]
     arcs: list[tuple[int, int] | None]
 

@@ -7,6 +7,7 @@ stores full offset lists instead of prefix-tree indices.
 
 from bisect import insort
 from itertools import product
+from random import Random
 
 from tdfa.optimizer import _bits, interferes
 from tdfa.regops import SET
@@ -161,6 +162,42 @@ def dense_minimize_partition(tdfa) -> list[int]:
         if new == part:
             return part
         part = new
+
+
+def closure_patterns() -> list[str]:
+    """The closure corpus: the golden pattern, 50 generated patterns, and
+    three repetition families whose closures are mostly one eps-free seed
+    each or long eps chains."""
+    from tdfa.fuzz import gen_pattern
+
+    rng = Random(2024)
+    return (["(a)*#(?:a|#b)#b*"]
+            + [gen_pattern(rng) for _ in range(50)]
+            + [f"(?:#a)*a{{{k}}}" for k in (1, 2, 7, 40)]
+            + [f"(a|b)*(?:#a){{{k}}}" for k in (1, 3, 12)]
+            + [f"(?:a?){{{k}}}" for k in (1, 5, 30)])
+
+
+def stack_epsilon_closure(nfa: Tnfa, seeds) -> list:
+    """Reference for `determinize.epsilon_closure`: every seed goes on one
+    stack of whole configurations, and the closure is filtered to the final
+    and symbol-bearing states after the walk."""
+    out = []
+    seen = set()
+    stack = [(q, x, h, ()) for q, x, h in reversed(seeds)]
+    while stack:
+        cfg = stack.pop()
+        q = cfg[0]
+        if q in seen:
+            continue
+        seen.add(q)
+        out.append(cfg)
+        _, x, h, l = cfg
+        for _, tag, p in reversed(nfa.eps[q]):
+            if p not in seen:
+                stack.append((p, x, h, l if tag == 0 else l + (tag,)))
+    qf, arcs = nfa.qf, nfa.arcs
+    return [cfg for cfg in out if cfg[0] == qf or arcs[cfg[0]]]
 
 
 def round_topological_sort(ops: list) -> tuple[list, bool]:

@@ -1,10 +1,12 @@
+import importlib
 from random import Random
 
 import pytest
 
-from helpers import all_inputs
+from helpers import all_inputs, closure_patterns, stack_epsilon_closure
 
-from tdfa.determinize import Determinizer, ResourceLimit, Tdfa, determinize, epsilon_closure, history, regop_rhs
+from tdfa.determinize import Determinizer, ResourceLimit, Tdfa, determinize, epsilon_closure, history
+from tdfa.multipass import determinize_multipass
 from tdfa.regops import APPEND, COPY, SET
 from tdfa.runtime import exec_tdfa
 from tdfa.tnfa import build_tnfa, sim_epsilon_closure, simulate
@@ -28,11 +30,20 @@ def test_history_projection():
     assert history((2, -2, 2), 2) == "pnp"
 
 
-def test_regop_rhs():
-    regs = [7, 8]
-    assert regop_rhs(regs, "np", 0, multi=False) == (SET, "p")
-    assert regop_rhs(regs, "n", 0, multi=False) == (SET, "n")
-    assert regop_rhs(regs, "p", 1, multi=True) == (APPEND, 8, "p")
+def test_tag_projections():
+    # One projection per tag of h, ascending.  A single-valued tag keys its
+    # fresh register by the history's last element; a multi-valued one by
+    # the configuration's register too, so the memo leaves its key open.
+    nfa = build_tnfa(parse_regex(GOLDEN))
+    d = Determinizer(nfa, frozenset({2}))
+    h = (1, 2, -1)
+    assert d.project(h) == ((1, 0, (1, (SET, "n")), "pn"), (2, 1, None, "p"))
+    C = [(3, (1, 2, 3, 4, 5), h, ()), (4, (9, 2, 3, 4, 5), h, (3,)), (5, (1, 7, 3, 4, 5), h, ())]
+    ql, x, ops = d.transition_regops(C, {})
+    assert ql == ((3, ()), (4, (3,)), (5, ()))
+    assert x == ((11, 12, 3, 4, 5), (11, 12, 3, 4, 5), (11, 13, 3, 4, 5))
+    assert ops == [(SET, 11, "n"), (APPEND, 12, 2, "p"), (APPEND, 13, 7, "p")]
+    assert list(d.projections) == [h]
 
 
 def test_golden_states_and_finals():
@@ -111,12 +122,48 @@ def test_shared_closure_agrees_with_simulation_closure():
                 assert values == m, pattern
 
 
+def test_closure_equals_the_stack_reference(monkeypatch):
+    # Every seed list either engine's construction closes gives what the
+    # single-stack closure with a filtering pass gives.
+    calls = []
+
+    def checked(nfa, seeds):
+        got = epsilon_closure(nfa, seeds)
+        assert got == stack_epsilon_closure(nfa, seeds), seeds
+        calls.append(len(seeds))
+        return got
+
+    monkeypatch.setattr(importlib.import_module("tdfa.determinize"), "epsilon_closure", checked)
+    for pattern in closure_patterns():
+        nfa = build_tnfa(parse_regex(pattern))
+        determinize(nfa)
+        determinize_multipass(nfa)
+    assert len(calls) > 500 and max(calls) > 30
+
+
+def test_closure_seed_already_reached_or_repeated():
+    nfa = build_tnfa(parse_regex(GOLDEN))
+    # q: an eps-free state that the walk from q0 reaches after another.
+    q = stack_epsilon_closure(nfa, [(nfa.q0, "x", ())])[1][0]
+    assert not nfa.eps[q] and nfa.eps[nfa.q0]
+    cases = [
+        [(nfa.q0, "x", ()), (q, "y", (5,))],  # q was reached by the first walk
+        [(q, "x", ()), (q, "y", ())],  # a repeated eps-free seed
+        [(q, "x", ()), (nfa.q0, "y", ()), (nfa.q0, "z", ())],
+    ]
+    for seeds in cases:
+        got = epsilon_closure(nfa, seeds)
+        assert got == stack_epsilon_closure(nfa, seeds)
+        states = [c[0] for c in got]
+        assert len(states) == len(set(states)) and states.count(q) == 1
+    assert epsilon_closure(nfa, cases[1]) == [(q, "x", (), ())]
+
+
 def test_step_on_symbol_order_and_h_inheritance():
     nfa = build_tnfa(parse_regex(GOLDEN))
     d = Determinizer(nfa)
-    r0 = [d.tdfa.r0[t] for t in nfa.tags]
-    C = epsilon_closure(nfa, [(nfa.q0, r0, ())])
-    d.add_state(C, [])
+    C = epsilon_closure(nfa, [(nfa.q0, d.payload0, ())])
+    d.add_state(C)
     # One bucket per class, seeds in row order; a row's lookahead becomes
     # the inherited tags of its seed.
     a, b = d.seeds(d.states[0])

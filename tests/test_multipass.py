@@ -1,8 +1,9 @@
+import importlib
 from itertools import chain
 from random import Random
 
 import pytest
-from helpers import all_inputs
+from helpers import all_inputs, closure_patterns
 
 from tdfa.multipass import (
     PLAIN_LOOPS,
@@ -63,18 +64,40 @@ def test_unique_origins_first_seen_order():
     assert unique_origins([]) == ()
 
 
+def test_closure_lists_each_origin_as_one_run(monkeypatch):
+    # unique_origins and construct_backlinks take a slot's configurations
+    # as one run.  On every closure the construction makes, numbering the
+    # runs must give what numbering distinct origins in first-seen order
+    # gives.
+    module = importlib.import_module("tdfa.multipass")
+    runs = module.unique_origins
+    closures = []
+
+    def checked(C):
+        index: dict = {}
+        got = runs(C)
+        assert got == tuple(index.setdefault(o, len(index)) for _, o, _, _ in C), C
+        closures.append(C)
+        return got
+
+    monkeypatch.setattr(module, "unique_origins", checked)
+    for pattern in closure_patterns():
+        determinize_multipass(build_tnfa(parse_regex(pattern)))
+    assert sum(len(set(o for _, o, _, _ in C)) > 1 for C in closures) > 50
+
+
 def test_construct_backlinks_dedup_and_empty():
     # The previous state's slot per row: rows 0 and 1 share slot 0.  The
     # configurations descend from its rows 1 and 2.
     U = (0, 0, 1)
     C = [(3, 1, (1,), ()), (5, 1, (1,), ()), (6, 2, (-1,), ())]
-    U2 = unique_origins(C)
     shared: dict = {}
-    links = construct_backlinks(C, U, U2, shared)
+    links = construct_backlinks(C, U, shared)
+    assert len(links) == max(unique_origins(C)) + 1
     assert links == ((0, (1,)), (1, (-1,)))
-    assert construct_backlinks([], U, (), shared) == ()
+    assert construct_backlinks([], U, shared) == ()
     # Equal backlinks built again are the same objects.
-    again = construct_backlinks(C, U, U2, shared)
+    again = construct_backlinks(C, U, shared)
     assert all(a is b for a, b in zip(again, links))
 
 

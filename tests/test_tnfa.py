@@ -1,6 +1,6 @@
 from random import Random
 
-from helpers import all_asts, all_inputs, brute_force_match, number_tags
+from helpers import all_asts, all_inputs, brute_force_match, closure_patterns, number_tags
 
 from tdfa.resyntax import Sym, Tag, collect_tags, parse_regex
 from tdfa.tnfa import (
@@ -87,6 +87,15 @@ def test_build_golden_structure():
     assert nfa.eps[10] == ((1, -4, 13),)
     # final state has no outgoing transitions
     assert not nfa.eps[17] and nfa.arcs[17] is None
+
+
+def test_eps_free_exactly_at_arcs_and_qf():
+    # The shared closure emits a configuration where it meets an eps-free
+    # state, and closes an eps-free seed to itself with no walk.
+    for pattern in closure_patterns() + ["", "#", "()", "(?:)*", "a{0}"]:
+        nfa = build_tnfa(parse_regex(pattern))
+        for q in range(nfa.n_states):
+            assert (not nfa.eps[q]) == (nfa.arcs[q] is not None or q == nfa.qf), (pattern, q)
 
 
 def test_priorities_distinct_from_one():
