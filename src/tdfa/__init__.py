@@ -81,7 +81,11 @@ class Pattern:
             # Tagged strings need every tag present, so the multipass engine
             # always builds the full automaton.
             if fixed_tags and engine == "tdfa":
-                self.fixes = _syn.find_fixed_tags(ast)
+                # A fixed tag takes its base's shape: a fix stands only where
+                # both are multi-valued or neither is (the rightmost pseudo
+                # base is single-valued).
+                self.fixes = {t: fix for t, fix in _syn.find_fixed_tags(ast).items()
+                              if (t in self.multi) == (fix[0] in self.multi)}
                 ast = _syn.strip_fixed_tags(ast, set(self.fixes))
             self.tnfa = _tnfa.build_tnfa(ast)
             report("tnfa", self.tnfa)
@@ -122,7 +126,7 @@ class Pattern:
             values = _tnfa.simulate(self.tnfa, data)
             if values is None:
                 return NO_MATCH
-            return MatchOutcome("match", len(data), self._finish(values, len(data)))
+            return MatchOutcome("match", len(data), values)
 
         if self.engine == "multipass":
             fw = _mp.match_forward(self.mp, data, counters)
@@ -140,15 +144,9 @@ class Pattern:
             return MatchOutcome("match", len(data), values)
 
         out = exec_tdfa(self.tdfa, data, mode, counters)
-        if not out:
-            return out
-        out.values = self._finish(out.values, out.end)
+        if out and self.fixes:
+            out.values = _syn.apply_fixed_tags(out.values, self.fixes, out.end)
         return out
-
-    def _finish(self, values: dict, length: int) -> dict:
-        if self.fixes:
-            values = _syn.apply_fixed_tags(values, self.fixes, length)
-        return values
 
 
 def compile(pattern: str | bytes, **kwargs) -> Pattern:

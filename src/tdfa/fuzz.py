@@ -4,9 +4,10 @@ Patterns are generated as concrete syntax strings, compiled in every
 configuration of MATCH_FLAGS from the `tdfa match` arguments that a
 divergence's reproduce hint prints (so any counterexample replays from the
 command line), and matched against every input up to a length bound and a
-long run of each symbol; the tagged NFA simulation is the reference for
-match results and tag values.  In longest-prefix mode the reference is the
-simulation's match of the longest prefix of the input that matches.
+long run of each symbol; the tagged NFA simulation, which keeps every
+tag's offset list, is the one reference for match results and tag values.
+In longest-prefix mode the reference is the simulation's match of the
+longest prefix of the input that matches.
 """
 
 import shlex
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 from itertools import chain, product
 from random import Random
 
-from . import MatchOutcome, Pattern
 from .cli import _compile, build_parser
 from .resyntax import collect_tags, parse_regex
+from .runtime import NO_MATCH, MatchOutcome
+from .tnfa import build_tnfa, simulate
 
 _ESCAPE = set("|()*+?{}#\\")
 
@@ -24,7 +26,6 @@ _ESCAPE = set("|()*+?{}#\\")
 # record; the tdfa ones also take the pattern's --multi.
 MATCH_FLAGS = {
     "tdfa-raw": ["--opt=none"],
-    "tdfa-raw-lists": ["--opt=none"],
     "tdfa-opt": [],
     "tdfa-min": ["--minimize"],
     "tdfa-fixed": ["--fixed-tags"],
@@ -152,10 +153,7 @@ def _lists_from_tstring(tokens, tags) -> dict:
     pos = 0
     for tok in tokens:
         if isinstance(tok, int):
-            if tok > 0:
-                lists[tok].append(pos)
-            else:
-                lists[-tok].append(-1)
+            lists[abs(tok)].append(pos if tok > 0 else -1)
         else:
             pos += 1
     return lists
@@ -164,23 +162,26 @@ def _lists_from_tstring(tokens, tags) -> dict:
 def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6, multi: str = "auto"):
     """Compare every configuration of MATCH_FLAGS with the simulation on all
     inputs up to max_len characters and on one run of LONG_RUN per symbol;
-    returns a Divergence or None.  Each configuration is compiled by the
+    returns a Divergence or None.
+
+    The simulation gives every tag's offset list, and each configuration
+    must report its view of them: whole lists for the tags it reports
+    whole (multipass lists and tagged strings, the tdfa engine's multi
+    tags), last values for the rest.  Each configuration is compiled by the
     command line from the arguments its reproduce hint prints; those that
     differ only in repr or mode share one compile."""
-    sim = Pattern(pattern, engine="simulation")
-    tags = sim.tags
+    nfa = build_tnfa(parse_regex(pattern))
+    tags = nfa.tags
     compiled: dict = {}
-    runs = {}  # configuration -> (compiled pattern, repr, mode)
+    runs = {}  # configuration -> (compiled pattern, repr, mode, tags reported whole)
     for name in MATCH_FLAGS:
         args = _PARSER.parse_args(match_argv(name, pattern, multi))
         key = tuple(v for k, v in vars(args).items() if k not in ("repr", "mode"))
         if key not in compiled:
             compiled[key] = _compile(args)
-        runs[name] = (compiled[key], args.repr, args.mode)
-
-    def match(name, data):
-        p, repr_, mode = runs[name]
-        return p.match(data, mode=mode, repr_=repr_)
+        p = compiled[key]
+        whole = p.multi if p.engine == "tdfa" else tags if args.repr != "offsets" else ()
+        runs[name] = (p, args.repr, args.mode, whole)
 
     def diverge(engine, data, detail):
         return Divergence(pattern, engine, data, detail, multi)
@@ -188,6 +189,10 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6, multi: str
     raw, opt = runs["tdfa-raw"][0].tdfa, runs["tdfa-opt"][0].tdfa
     if opt.register_count() > raw.register_count() or opt.op_count() > raw.op_count():
         return diverge("tdfa-opt", b"", "optimization increased registers or operations")
+
+    def simulate_lists(data):
+        values = simulate(nfa, data, tags)
+        return NO_MATCH if values is None else MatchOutcome("match", len(data), values)
 
     # The simulation's match of the longest prefix of each input that
     # matches.  Every prefix of an exhaustive input comes before it, and a
@@ -200,54 +205,31 @@ def cross_check(pattern: str, alphabet: str = "ab", max_len: int = 6, multi: str
             return want
         shorter = data.decode()[:-1].encode()
         if shorter not in longest:  # a prefix of a LONG_RUN input
-            longest[shorter] = longest_prefix(shorter, sim.match(shorter))
+            longest[shorter] = longest_prefix(shorter, simulate_lists(shorter))
         return longest[shorter]
 
     long_inputs = [(ch * LONG_RUN).encode() for ch in alphabet]
     for data in chain(all_inputs(alphabet, max_len), long_inputs):
-        want = sim.match(data)
+        want = simulate_lists(data)
         best = longest[data] = longest_prefix(data, want)
         if best and best.end < len(data):
             best = MatchOutcome("prefix", best.end, best.values)
-        # tdfa-raw-lists, the same compile and repr as tdfa-raw, reads its outcome below
-        outs = {name: match(name, data) for name in ("tdfa-raw", "tdfa-opt", "tdfa-min", "tdfa-fixed")}
-        checks = [(name, got, want) for name, got in outs.items()]
-        checks += [(name + "-prefix", match(name + "-prefix", data), best) for name in outs]
-        for name, got, exp in checks:
+        for name, (p, repr_, mode, whole) in runs.items():
+            exp = best if mode == "prefix" else want
+            got = p.match(data, mode=mode, repr_=repr_)
             if (got.kind, got.end) != (exp.kind, exp.end):
                 return diverge(name, data, f"{got.kind} at {got.end} != {exp.kind} at {exp.end}")
             if not exp:
                 continue
+            values = got.values
+            if repr_ == "tstring":
+                if b"".join(x for x in got.tstring if isinstance(x, bytes)) != data:
+                    return diverge(name, data, f"symbols of {got.tstring!r}")
+                values = _lists_from_tstring(got.tstring, tags)
             for t in tags:
-                if _last(got.values[t]) != exp.values[t]:
-                    return diverge(name, data,
-                                   f"t{t}: {got.values[t]!r} vs simulation {exp.values[t]!r}")
-
-        mp_off = match("multipass", data)
-        if mp_off.kind != want.kind:
-            return diverge("multipass", data, f"kind {mp_off.kind} != {want.kind}")
-        if not want:
-            continue
-        mp_lists = match("multipass-lists", data)
-        ts = match("multipass-tstring", data)
-        if b"".join(x for x in ts.tstring if isinstance(x, bytes)) != data:
-            return diverge("multipass-tstring", data, f"symbols of {ts.tstring!r}")
-        ts_lists = _lists_from_tstring(ts.tstring, tags)
-        for t in tags:
-            if mp_off.values[t] != want.values[t]:
-                return diverge("multipass", data,
-                               f"t{t}: {mp_off.values[t]!r} vs {want.values[t]!r}")
-            if _last(mp_lists.values[t]) != want.values[t]:
-                return diverge("multipass-lists", data,
-                               f"t{t}: {mp_lists.values[t]!r} last vs {want.values[t]!r}")
-            if ts_lists[t] != mp_lists.values[t]:
-                return diverge("multipass-tstring", data,
-                               f"t{t}: {ts_lists[t]!r} vs lists {mp_lists.values[t]!r}")
-            if t in raw.multi:
-                got = outs["tdfa-raw"].values[t]
-                if got != mp_lists.values[t]:
-                    return diverge("tdfa-raw-lists", data,
-                                   f"t{t}: {got!r} vs multipass {mp_lists.values[t]!r}")
+                view = exp.values[t] if t in whole else _last(exp.values[t])
+                if values[t] != view:
+                    return diverge(name, data, f"t{t}: {values[t]!r} vs simulation {view!r}")
     return None
 
 

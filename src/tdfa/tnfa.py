@@ -16,7 +16,7 @@ and the simulation read as they are.
 
 from dataclasses import dataclass
 
-from .resyntax import Alt, Cat, Empty, Rep, Sym, TaggedRegex, Tag, collect_tags
+from .resyntax import Alt, Cat, Empty, Rep, Sym, TaggedRegex, Tag
 
 
 @dataclass
@@ -160,7 +160,7 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
         n_states=last + 1,
         q0=last - q0,
         qf=last - qf,
-        tags=collect_tags(e),
+        tags=b.tags(e),
         alphabet=alphabet,
         byte_to_class=b2c,
         eps=eps,
@@ -168,13 +168,17 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
     )
 
 
-def sim_epsilon_closure(C: list, nfa: Tnfa, k: int, idx: dict[int, int]) -> list:
+def sim_epsilon_closure(C: list, nfa: Tnfa, k: int, idx: dict[int, int], hist=None) -> list:
     """Depth-first closure; first arrival at a state wins.
 
     Configurations are (state, value list); k is the number of characters
-    consumed so far and idx is nfa.tag_index().  Keeps configurations at
-    the final state or with an outgoing symbol transition, in claim order.
+    consumed so far and idx is nfa.tag_index().  A slot flagged in hist
+    keeps a chain (value, earlier chain), -1 for a negative tag; the others
+    the last value or None.  Keeps configurations at the final state or
+    with an outgoing symbol transition, in claim order.
     """
+    if hist is None:
+        hist = [False] * len(idx)
     out = []
     seen = set()
     stack = list(reversed(C))
@@ -193,9 +197,11 @@ def sim_epsilon_closure(C: list, nfa: Tnfa, k: int, idx: dict[int, int]) -> list
             else:
                 m2 = list(m)
                 if tag > 0:
-                    m2[idx[tag]] = k
+                    i = idx[tag]
+                    m2[i] = (k, m[i]) if hist[i] else k
                 else:
-                    m2[idx[-tag]] = None
+                    i = idx[-tag]
+                    m2[i] = (-1, m[i]) if hist[i] else None
                 stack.append((p, m2))
     return [(q, m) for q, m in out if q == nfa.qf or nfa.arcs[q]]
 
@@ -211,19 +217,31 @@ def sim_step_on_symbol(C: list, nfa: Tnfa, a: int) -> list:
     return out
 
 
-def simulate(nfa: Tnfa, data: bytes) -> dict[int, int | None] | None:
-    """Match the whole input; returns tag values or None on failure."""
+def _history(chain) -> list[int]:
+    """A history chain as its offset list, oldest first."""
+    out = []
+    while chain:
+        value, chain = chain
+        out.append(value)
+    return out[::-1]
+
+
+def simulate(nfa: Tnfa, data: bytes, multi=frozenset()) -> dict | None:
+    """Match the whole input; returns tag values or None on failure.  A tag
+    in multi comes back as its offset list, oldest first, with -1 for each
+    bypass; the others as their last offset or None."""
     idx = nfa.tag_index()
+    hist = [t in multi for t in nfa.tags]
     C = [(nfa.q0, [None] * len(nfa.tags))]
-    C = sim_epsilon_closure(C, nfa, 0, idx)
+    C = sim_epsilon_closure(C, nfa, 0, idx, hist)
     for k, byte in enumerate(data):
         C = sim_step_on_symbol(C, nfa, byte)
         if not C:
             return None
-        C = sim_epsilon_closure(C, nfa, k + 1, idx)
+        C = sim_epsilon_closure(C, nfa, k + 1, idx, hist)
     for q, m in C:
         if q == nfa.qf:
-            return dict(zip(nfa.tags, m))
+            return {t: _history(v) if h else v for t, v, h in zip(nfa.tags, m, hist)}
     return None
 
 

@@ -45,6 +45,25 @@ def test_fixed_tags_dense_pattern_matches_plain():
             assert a.values == b.values
 
 
+@pytest.mark.parametrize("pattern, multi, fixes", [
+    ("(?:#a#){2}", {1}, {}),
+    ("(?:#a#){2}", {2}, {}),
+    ("a#b", {1}, {}),  # the rightmost pseudo base is single-valued
+    ("(a)*#(?:a|#b)#b*", {1, 3}, {}),
+    ("(a)*#(?:a|#b)#b*", "all", {1: (2, 1), 3: (5, 1)}),
+    ("(a)*#(?:a|#b)#b*", "auto", {1: (2, 1), 3: (5, 1)}),
+])
+def test_fixed_tags_keep_each_tags_result_shape(pattern, multi, fixes):
+    # A fix stands only where the tag and its base are both multi-valued
+    # or both single-valued.
+    plain = tdfa.compile(pattern, multi=multi)
+    fixed = tdfa.compile(pattern, multi=multi, fixed_tags=True)
+    assert fixed.fixes == fixes
+    for data in all_inputs(b"ab", 4):
+        a, b = plain.match(data), fixed.match(data)
+        assert (a.kind, a.values) == (b.kind, b.values), data
+
+
 def test_multi_override_subset():
     p = tdfa.compile("(a)*", multi={1})
     out = p.match(b"aa")

@@ -228,9 +228,11 @@ def test_compile_dumps_draw_appends_and_fallback_edges(tmp_path, capsys):
     assert fallback.endswith("style=dotted];")
 
 
-def test_fuzz_multi_ids_apply_to_the_patterns_that_have_them(capsys):
-    # None of these 20 patterns has tag 2, and 13 have no tag at all.
-    code, out, _ = run(capsys, "fuzz", "--count=20", "--multi=1,2", "--seed=5")
+@pytest.mark.parametrize("multi", ["1,2", "all", "none"])
+def test_fuzz_multi_ids_apply_to_the_patterns_that_have_them(capsys, multi):
+    # None of these 20 patterns has tag 2, and 13 have no tag at all.  Under
+    # all, a tag fixed to the rightmost pseudo base differs from it in shape.
+    code, out, _ = run(capsys, "fuzz", "--count=20", f"--multi={multi}", "--seed=5")
     assert code == 0, out
     assert out.startswith("ok: 20 patterns")
 
@@ -290,7 +292,6 @@ def test_fuzz_detects_injected_mutation(capsys, inject_map_fault, mutation):
 # (engine, opt, minimize, fixed_tags, repr, mode) of each configuration fuzz runs
 FUZZ_CONFIGS = {
     "tdfa-raw": ("tdfa", "none", False, False, "offsets", "full"),
-    "tdfa-raw-lists": ("tdfa", "none", False, False, "offsets", "full"),
     "tdfa-opt": ("tdfa", "full", False, False, "offsets", "full"),
     "tdfa-min": ("tdfa", "full", True, False, "offsets", "full"),
     "tdfa-fixed": ("tdfa", "full", False, True, "offsets", "full"),
@@ -364,7 +365,7 @@ def test_divergence_hint_selects_its_configuration(capsys, engine):
     (["--seed=1", "--max-len=4", "--alphabet=a\\"], {"seed": 1, "max_len": 4, "alphabet": "a\\"}, "tdfa-raw"),
     # ids cut down to the pattern's own tags
     (["--seed=2", "--multi=1,3,9"], {"seed": 2, "multi": frozenset({1, 3, 9})}, "tdfa-raw"),
-    (["--seed=3", "--multi=1,3,9"], {"seed": 3, "multi": frozenset({1, 3, 9})}, "tdfa-raw-lists"),
+    (["--seed=3", "--multi=1,3,9"], {"seed": 3, "multi": frozenset({1, 3, 9})}, "tdfa-raw"),
     # a non-ASCII alphabet: the inputs are strings of its characters
     (["--seed=2", "--alphabet=éa"], {"seed": 2, "alphabet": "éa"}, "tdfa-raw"),
 ])

@@ -1,7 +1,9 @@
+import hashlib
 from random import Random
 
 from helpers import all_asts, all_inputs, brute_force_match, closure_patterns, number_tags
 
+import tdfa
 from tdfa.resyntax import Sym, Tag, collect_tags, parse_regex
 from tdfa.tnfa import (
     build_tnfa,
@@ -120,6 +122,47 @@ def test_simulate_greedy_repetition():
 def test_simulate_empty_loop_terminates():
     nfa = build_tnfa(parse_regex("(?:#)*"))
     assert simulate(nfa, b"") == {1: 0}
+
+
+def test_simulate_histories_golden_equal_multipass_lists():
+    nfa = golden_nfa()
+    got = simulate(nfa, b"aab", multi=set(nfa.tags))
+    assert got == {1: [0, 1], 2: [1, 2], 3: [2], 4: [2], 5: [3]}
+    assert got == tdfa.compile(GOLDEN, engine="multipass").match(b"aab", repr_="lists").values
+    # only the tags in multi come back as lists
+    assert simulate(nfa, b"aab", multi={2}) == {1: 1, 2: [1, 2], 3: 2, 4: 2, 5: 3}
+
+
+def test_simulate_histories_record_bypasses_as_minus_one():
+    nfa = golden_nfa()
+    assert simulate(nfa, b"b", multi=set(nfa.tags)) == {1: [-1], 2: [-1], 3: [0], 4: [0], 5: [1]}
+    # the second iteration takes the untagged branch, which negates both tags
+    nfa = build_tnfa(parse_regex("(?:(a)|b)*"))
+    assert simulate(nfa, b"ab", multi={1, 2}) == {1: [0, -1], 2: [1, -1]}
+    assert simulate(nfa, b"ab") == {1: None, 2: None}
+
+
+def test_simulate_last_values_unchanged_on_a_seeded_corpus():
+    # The digest of the last-value outcomes before histories were added;
+    # every tag's history must end in the same last value.
+    from tdfa.fuzz import _last, all_inputs as fuzz_inputs, gen_pattern
+
+    rng = Random(1919)
+    digest = hashlib.sha256()
+    matched = 0
+    for _ in range(600):
+        nfa = build_tnfa(parse_regex(gen_pattern(rng)))
+        for data in fuzz_inputs("ab", 6):
+            got = simulate(nfa, data)
+            digest.update(repr(got).encode())
+            lists = simulate(nfa, data, multi=set(nfa.tags))
+            if got is None:
+                assert lists is None
+            else:
+                matched += 1
+                assert {t: _last(v) for t, v in lists.items()} == got
+    assert matched == 1893
+    assert digest.hexdigest() == "88212ff8befe163035f42efb64a843d4972d157ff64edd81d098762a416f2c48"
 
 
 def test_simulate_deterministic():
