@@ -89,6 +89,7 @@ def cmd_compile(args) -> int:
                 files["ast.json"] = json.dumps(ast_to_json(value), indent=2)
         elif name == "tnfa":
             stats["tnfa_states"] = value.n_states
+            stats["classes"] = len(value.alphabet)
             if "tnfa" in render:
                 files["tnfa.dot"] = tnfa_to_dot(value)
         elif name == "tdfa_raw":

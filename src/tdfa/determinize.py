@@ -14,8 +14,8 @@ O(k) distinct ones.  Both engines share:
   at an eps-free TNFA state closes to itself with no walk;
 - `Powerset`, one worklist BFS over one step per state, `step(state)`: it
   walks the state's rows once, seeding configurations across the TNFA's
-  arcs (`Tnfa.arcs`, already in class form) into a list of one bucket per
-  class of the alphabet, then goes through the buckets in class order,
+  arcs (`Tnfa.arcs`; a class is bytes that every arc reads alike) into
+  one bucket per class, then goes through the buckets in class order,
   closes the seeds of each non-empty one and stores the cell the engine
   builds from the closure (register operations here, backlinks in
   multi-pass).  So a step costs its rows and arcs plus one visit per
@@ -41,7 +41,7 @@ import re
 from collections import deque
 
 from .regops import APPEND, COPY, SET, format_ops, topological_sort
-from .tnfa import Tnfa, byte_classes, dot_symbol
+from .tnfa import Tnfa, byte_classes, dot_class
 
 
 class ResourceLimit(Exception):
@@ -134,7 +134,7 @@ class Automaton:
         lines = [f"digraph {self.dot_name} {{", "  rankdir=LR;", "  node [shape=circle];"]
         lines += [f"  {s} [shape=doublecircle];" for s in sorted(self.finals)]
         for (s, c), (target, cell) in sorted(self.delta.items()):
-            label = dot_symbol(self.alphabet[c])
+            label = dot_class(self.alphabet[c])
             if cell:
                 label += " / " + self.format_cell(cell)
             lines.append(f'  {s} -> {target} [label="{label}", style=bold];')
@@ -149,7 +149,7 @@ class PlanFrame:
 
     - `classes`, a bytes.translate table from byte to class.  Dead bytes go
       to the sentinel class len(alphabet), whose column is None in every
-      row; a full 256-byte alphabet has no dead bytes and no sentinel;
+      row; classes covering all 256 bytes leave no sentinel;
     - `rows`, dense lists of cells (target, *part, skip of target), part
       being what the engine's `cell_payload(dfa, loops)` function gives for
       the cell, loops being the self-loop table: per state, its self-loop
@@ -301,7 +301,7 @@ class Tdfa(Automaton):
         self.psi: dict[int, tuple] = {}
 
     def op_count(self) -> int:
-        n = sum(len(ops) for _, ops in self.delta.values())
+        n = sum(len(ops) * len(self.alphabet[c]) for (_, c), (_, ops) in self.delta.items())
         n += sum(len(ops) for ops in self.phi.values())
         n += sum(len(ops) for ops in self.psi.values())
         return n
@@ -327,13 +327,15 @@ class Tdfa(Automaton):
                 yield "p", "dotted", s, "fb: " + format_ops(ops)
 
     def to_json(self) -> str:
+        """The automaton per byte: each byte of the alphabet is a class."""
         def enc_ops(ops):
             return [list(op) for op in ops]
 
+        col = {byte: i for i, byte in enumerate(sorted(b for members in self.alphabet for b in members))}
         doc = {
             "tags": list(self.tags),
             "multi": sorted(self.multi),
-            "alphabet": list(self.alphabet),
+            "alphabet": sorted(col),
             "r0": self.r0,
             "rf": self.rf,
             "max_reg": self.max_reg,
@@ -341,7 +343,8 @@ class Tdfa(Automaton):
             "s0": self.s0,
             "finals": sorted(self.finals),
             "fallback": sorted(self.psi),
-            "delta": [[s, c, target, enc_ops(ops)] for (s, c), (target, ops) in sorted(self.delta.items())],
+            "delta": sorted([s, col[byte], target, enc_ops(ops)]
+                            for (s, c), (target, ops) in self.delta.items() for byte in self.alphabet[c]),
             "phi": [[s, enc_ops(ops)] for s, ops in sorted(self.phi.items())],
             "psi": [[s, enc_ops(ops)] for s, ops in sorted(self.psi.items())],
         }
@@ -350,7 +353,7 @@ class Tdfa(Automaton):
     @classmethod
     def from_json(cls, text: str) -> "Tdfa":
         doc = json.loads(text)
-        self = cls(doc["tags"], doc["alphabet"], frozenset(doc["multi"]))
+        self = cls(doc["tags"], [(byte,) for byte in doc["alphabet"]], frozenset(doc["multi"]))
         self.r0 = {int(k): v for k, v in doc["r0"].items()}
         self.rf = {int(k): v for k, v in doc["rf"].items()}
         self.max_reg = doc["max_reg"]

@@ -9,9 +9,9 @@ States are numbered in the left-to-right reading order of the expression
 element starts), so dumps of small automata are easy to eyeball.  The
 builder creates states right to left, in exactly the reverse of that
 order, and numbers them by reversal, so the build is one pass, linear in
-the TNFA's size.  It also assigns the byte classes and stores each state's
-one symbol transition as its arc (class, target), which determinization
-and the simulation read as they are.
+the TNFA's size.  A symbol set (a Sym, or an alternation of single bytes)
+is a fork chain over one state per byte class it covers, whose one arc
+(class, target) determinization and the simulation read as they are.
 """
 
 from dataclasses import dataclass
@@ -25,11 +25,11 @@ class Tnfa:
     q0: int
     qf: int
     tags: tuple[int, ...]
-    alphabet: tuple[int, ...]
+    alphabet: tuple[tuple[int, ...], ...]  # each class's bytes
     byte_to_class: list[int]  # alphabet's inverse; -1 for other bytes
     # eps[q]: ((priority, tag, target), ...) sorted by priority; tag is
     # +t / -t / 0 for untagged.  arcs[q]: (class, target) or None, as every
-    # symbol of the expression gets a state of its own.  A state has no
+    # class of a symbol set gets a state of its own.  A state has no
     # eps-transitions exactly when it has an arc or is qf, which the
     # determinization closure relies on.
     eps: list[tuple[tuple[int, int, int], ...]]
@@ -39,12 +39,43 @@ class Tnfa:
         return {t: i for i, t in enumerate(self.tags)}
 
 
-def byte_classes(alphabet) -> tuple[tuple[int, ...], list[int]]:
-    """One equivalence class per mentioned byte; the rest are dead (-1)."""
+def byte_classes(sets) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The coarsest partition of the bytes of sets in which every set is a
+    union of classes, as byte tuples ordered by smallest byte (a partition
+    so ordered is its own), and each byte's class, -1 for the rest."""
+    member: dict = {}
+    for i, s in enumerate(sets):
+        for byte in s:
+            member[byte] = member.get(byte, 0) | 1 << i
+    classes: dict = {}
+    for byte in sorted(member):
+        classes.setdefault(member[byte], []).append(byte)
     b2c = [-1] * 256
-    for i, byte in enumerate(alphabet):
-        b2c[byte] = i
-    return tuple(alphabet), b2c
+    for c, members in enumerate(classes.values()):
+        for byte in members:
+            b2c[byte] = c
+    return tuple(map(tuple, classes.values())), b2c
+
+
+def find_sets(e: TaggedRegex, found: dict) -> frozenset | None:
+    """The bytes of e if it is a symbol set (a Sym, or an alternation of
+    symbol sets), else None, after recording by id the set of each child
+    `build` makes arcs for; as `repeat`, a zero-repetition body makes none."""
+    if isinstance(e, Sym):
+        return frozenset((e.code,))
+    if isinstance(e, (Alt, Cat)):
+        left, right = find_sets(e.left, found), find_sets(e.right, found)
+        if left is not None and right is not None and isinstance(e, Alt):
+            return left | right
+        pairs = ((e.left, left), (e.right, right))
+    elif isinstance(e, Rep) and e.hi != 0:
+        pairs = ((e.body, find_sets(e.body, found)),)
+    else:
+        return None
+    for child, s in pairs:
+        if s is not None:
+            found[id(child)] = s
+    return None
 
 
 class _Builder:
@@ -55,10 +86,11 @@ class _Builder:
 
     def __init__(self):
         self.eps: list[tuple[tuple[int, int, int], ...]] = []
-        self.syms: list[tuple[int, int, int]] = []  # (q, byte, p)
+        self.syms: list[tuple[int, int, int]] = []  # (q, class, p)
         # Tags per AST node, by id: the unrolled copies of a repetition
         # build the same body object, so each subtree is walked once.
         self.tag_memo: dict[int, tuple[int, ...]] = {}
+        self.cover: dict[int, tuple[int, ...]] = {}  # a symbol set's classes, by id
 
     def new_state(self, eps=()) -> int:
         self.eps.append(eps)
@@ -85,13 +117,17 @@ class _Builder:
 
     def build(self, e: TaggedRegex, qf: int) -> int:
         """Returns the fragment's start state; qf is owned by the caller."""
+        cover = self.cover.get(id(e))
+        if cover is not None:  # one state per class, under a fork chain
+            start = None
+            for c in reversed(cover):
+                q = self.new_state()
+                self.syms.append((q, c, qf))
+                start = q if start is None else self.fork(q, start)
+            return start
         match e:
             case Empty():
                 return qf
-            case Sym(c):
-                q0 = self.new_state()
-                self.syms.append((q0, c, qf))
-                return q0
             case Tag(t):
                 return self.new_state(((1, t, qf),))
             case Cat(l, r):
@@ -141,6 +177,10 @@ class _Builder:
 
 def build_tnfa(e: TaggedRegex) -> Tnfa:
     b = _Builder()
+    found: dict = {}
+    find_sets(Rep(e, 1, 1), found)  # as e's parent, to record e's own set
+    alphabet, b2c = byte_classes(set(found.values()))
+    b.cover = {i: tuple(sorted({b2c[byte] for byte in s})) for i, s in found.items()}
     qf = b.new_state()
     q0 = b.build(e, qf)
     # Renumbered in place, and the symbol triples dropped as their arcs are
@@ -151,11 +191,10 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
     for q, out in enumerate(eps):
         if out:
             eps[q] = tuple([(pri, tag, last - p) for pri, tag, p in out])
-    alphabet, b2c = byte_classes(sorted({byte for _, byte, _ in syms}))
     arcs: list = [None] * len(eps)
     while syms:
-        q, byte, p = syms.pop()
-        arcs[last - q] = (b2c[byte], last - p)
+        q, cls, p = syms.pop()
+        arcs[last - q] = (cls, last - p)
     return Tnfa(
         n_states=last + 1,
         q0=last - q0,
@@ -245,9 +284,11 @@ def simulate(nfa: Tnfa, data: bytes, multi=frozenset()) -> dict | None:
     return None
 
 
-def dot_symbol(byte: int) -> str:
-    """A byte as a dot label: printable ASCII as is, the rest escaped."""
-    return chr(byte) if 32 <= byte < 127 else f"\\\\x{byte:02x}"
+def dot_class(members) -> str:
+    """A class as a dot label: its bytes, printable ASCII as is, the rest
+    escaped, in brackets if there are several."""
+    text = "".join(chr(b) if 32 <= b < 127 else f"\\\\x{b:02x}" for b in members)
+    return text if len(members) == 1 else f"[{text}]"
 
 
 def tnfa_to_dot(nfa: Tnfa) -> str:
@@ -256,7 +297,7 @@ def tnfa_to_dot(nfa: Tnfa) -> str:
     for q in range(nfa.n_states):
         if nfa.arcs[q]:
             cls, p = nfa.arcs[q]
-            lines.append(f'  {q} -> {p} [label="{dot_symbol(nfa.alphabet[cls])}", style=bold];')
+            lines.append(f'  {q} -> {p} [label="{dot_class(nfa.alphabet[cls])}", style=bold];')
         for pri, tag, p in nfa.eps[q]:
             if tag == 0:
                 lines.append(f'  {q} -> {p} [label="{pri}"];')

@@ -43,7 +43,7 @@ def brute_force_match(nfa: Tnfa, data: bytes):
             if r is not None:
                 return r
         arc = nfa.arcs[q]
-        if pos < n and arc is not None and nfa.alphabet[arc[0]] == data[pos]:
+        if pos < n and arc is not None and data[pos] in nfa.alphabet[arc[0]]:
             return dfs(arc[1], pos + 1, {arc[1]}, m)
         return None
 
@@ -127,12 +127,13 @@ class NaiveRegisters:
 
 
 def dense_seeds(nfa: Tnfa, rows, alphabet) -> list:
-    """Seeds of a state per class, by scanning all its rows for every class
-    of the alphabet; None for a class without seeds."""
+    """Seeds of a state per class, by scanning all its rows for a byte of
+    every class of the alphabet; None for a class without seeds."""
     out = []
-    for byte in alphabet:
+    for members in alphabet:
+        byte = members[0]
         seeds = [(nfa.arcs[q][1], x, l) for q, x, l in rows
-                 if nfa.arcs[q] is not None and nfa.alphabet[nfa.arcs[q][0]] == byte]
+                 if nfa.arcs[q] is not None and byte in nfa.alphabet[nfa.arcs[q][0]]]
         out.append(seeds or None)
     return out
 

@@ -120,12 +120,21 @@ def test_compile_golden_stats(tmp_path, capsys):
     code, out, _ = run(capsys, "compile", GOLDEN, "--multi=none", "--dump=cfg", f"--out={tmp_path}")
     assert code == 0
     stats = json.loads(out)
-    assert stats["tnfa_states"] == 18
+    assert stats["tnfa_states"] == 18 and stats["classes"] == 2
     assert stats["tdfa_states"] == 4
     assert stats["tdfa_finals"] == [1, 2, 3]
     assert stats["registers"] == 5
     assert stats["final_registers"] == 5
     assert stats["cfg_blocks"] == 9
+
+
+def test_compile_stats_count_symbol_classes(capsys):
+    # the digits are one class, ":" another, and the space, standing alone
+    # too, splits (?:a|...|z| ) into two; one state per symbol took 137
+    d, w = "(?:" + "|".join("0123456789") + ")", "(?:" + "|".join("abcdefghijklmnopqrstuvwxyz ") + ")"
+    code, out, _ = run(capsys, "compile", f"({d}{{2}}:{d}{{2}}) ({w}+)")
+    stats = json.loads(out)
+    assert code == 0 and stats["classes"] == 4 and stats["tnfa_states"] == 15
 
 
 def test_compile_fixed_tags_stats(capsys):

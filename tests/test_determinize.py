@@ -167,7 +167,7 @@ def test_step_on_symbol_order_and_h_inheritance():
     # One bucket per class, seeds in row order; a row's lookahead becomes
     # the inherited tags of its seed.
     a, b = d.seeds(d.states[0])
-    assert nfa.alphabet == (ord("a"), ord("b"))
+    assert nfa.alphabet == ((ord("a"),), (ord("b"),))
     assert [(q, h) for q, _, h in a] == [(3, (1,)), (10, (-1, -2, 3))]
     assert [(q, h) for q, _, h in b] == [(13, (-1, -2, 3, 4))]
 

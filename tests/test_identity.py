@@ -29,10 +29,11 @@ from tdfa.tnfa import build_tnfa, tnfa_to_dot
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 EXTRA = ["(?:#a)*a{20}", "(a|b)*(?:#a){8}", "((a)|(b))*#(a|b){3}", "((?:a|b|c)+)(?:,((?:a|b|c)+))*"]
-# Many-class patterns: three perfbench-style records (28-33 classes), the
-# short-records `log` pattern (40 classes) and two gen_pattern outputs over
-# `abcdefgh`.  Determinization and minimization visit classes per state, so
-# these pin the order in which states and registers are numbered there.
+# Many-class patterns: three perfbench-style records (22-27 classes, 28-33
+# with one class per byte), the short-records `log` pattern (12 classes, 46
+# with one per byte) and two gen_pattern outputs over `abcdefgh`.
+# Determinization and minimization visit classes per state, so these pin
+# the order in which states and registers are numbered there.
 _D = "(?:0|1|2|3|4|5|6|7|8|9)"
 _L = "(?:" + "|".join("abcdefghijklmnopqrstuvwxyz ") + ")"
 EXTRA += [
@@ -71,12 +72,16 @@ def test_pinned_corpus_is_golden_fuzz_seed_2024_and_extra():
 
 def multipass_json(mp) -> str:
     """The multipass automaton as canonical JSON: states, start, finals,
-    transitions and final backlinks, sorted."""
+    transitions and final backlinks, sorted.  As in Tdfa.to_json(), each
+    byte of the alphabet is a class of its own, so a transition is written
+    once per byte."""
+    col = {byte: i for i, byte in enumerate(sorted(b for members in mp.alphabet for b in members))}
     return json.dumps({
         "n_states": mp.n_states,
         "s0": mp.s0,
         "finals": sorted(mp.finals),
-        "delta": [[s, c, target, links] for (s, c), (target, links) in sorted(mp.delta.items())],
+        "delta": sorted([s, col[byte], target, links]
+                        for (s, c), (target, links) in mp.delta.items() for byte in mp.alphabet[c]),
         "phi": [[s, i, l] for s, (i, l) in sorted(mp.phi.items())],
     })
 

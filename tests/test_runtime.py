@@ -218,7 +218,8 @@ def test_prefix_tree_vs_naive_registers():
 def test_skip_from_start_state(pattern):
     p = tdfa.compile(pattern, multi="none")
     a = p.tdfa
-    assert len(self_loops(a, a.s0)) == 2
+    # one self-loop class holding both bytes of the symbol set
+    assert [a.alphabet[c] for c in self_loops(a, a.s0)] == [tuple(b"ab")]
     for data in all_inputs(b"abc", 6):
         out = check_against_walk(a, data)
         assert (out.values if out else None) == simulate(p.tnfa, data)
@@ -230,9 +231,11 @@ def test_skip_in_final_state_then_fallback(multi):
     a = p.tdfa
     out = exec_tdfa(a, b"abca,bc,d", "prefix")
     assert (out.kind, out.end) == ("prefix", 7)
-    # The field state loops on every letter; ",d" leaves it for a dead end.
+    # The field state loops on every letter, one class; ",d" leaves it for
+    # a dead end.
     state = state_after(a, b"abca,bc")
-    assert state in a.finals and state in a.psi and len(self_loops(a, state)) == 3
+    assert state in a.finals and state in a.psi
+    assert [a.alphabet[c] for c in self_loops(a, state)] == [tuple(b"abc")]
     check_against_walk(a, b"abca,bc,d")
     want = exec_tdfa(a, b"abca,bc").values
     assert out.values == want
@@ -251,20 +254,31 @@ def test_skip_runs_of_length_zero_one_two(multi):
 
 
 def test_full_byte_alphabet_has_no_sentinel():
-    # The start state loops on every byte but the backslash: its skip span
-    # is a class set with a gap at a metacharacter.
+    # The start state loops on every byte but the backslash, which is a
+    # class of its own: the bytes are two classes and every byte has one.
     p = tdfa.compile(ANY_BYTE + b"*#\\\\" + ANY_BYTE + b"*", multi="none")
     a = p.tdfa
     plan = MatchPlan(a)
-    assert len(a.alphabet) == 256 and max(plan.classes) == 255
-    assert all(len(row) == 256 for row in plan.rows)
-    assert len(self_loops(a, a.s0)) == 255
+    assert a.alphabet[1] == tuple(b"\\") and len(a.alphabet[0]) == 255
+    assert max(plan.classes) == 1 and all(len(row) == 2 for row in plan.rows)
+    assert self_loops(a, a.s0) == [0]
     rng = Random(3)
     inputs = [bytes(range(256)), bytes(range(255, -1, -1)), b"", b"\\", b"]^-\\"]
     inputs += [bytes(rng.choice(b"\x00\xff]^-\\ab") for _ in range(rng.randint(0, 12))) for _ in range(200)]
     for data in inputs:
         out = check_against_walk(a, data)
         assert (out.values if out else None) == simulate(p.tnfa, data)
+
+
+def test_alternation_of_every_byte_is_one_class():
+    # One class holds all 256 bytes: no byte is dead, so there is no
+    # sentinel column, and every row is one cell wide.
+    p = tdfa.compile(b"(" + ANY_BYTE + b"*)", multi="none")
+    plan = MatchPlan(p.tdfa)
+    assert p.tdfa.alphabet == (tuple(range(256)),) and plan.classes == bytes(256)
+    assert all(len(row) == 1 for row in plan.rows)
+    for data in (b"", bytes(range(256)), bytes(range(255, -1, -1)) * 3):
+        assert check_against_walk(p.tdfa, data).values == {1: 0, 2: len(data)}
 
 
 def test_prefix_without_fallback_operations_raises():

@@ -24,7 +24,7 @@ def golden_nfa():
 def test_build_symbol():
     nfa = build_tnfa(Sym(A))
     assert nfa.n_states == 2
-    assert nfa.alphabet == (A,) and nfa.arcs[nfa.q0] == (0, nfa.qf)
+    assert nfa.alphabet == ((A,),) and nfa.arcs[nfa.q0] == (0, nfa.qf)
     assert nfa.byte_to_class == [0 if byte == A else -1 for byte in range(256)]
     assert not nfa.eps[nfa.q0]
 
@@ -55,7 +55,7 @@ def test_bypass_chain_negates_tags_in_ascending_order():
     assert tags == [-1, -2] and nfa.arcs[b_start] == (1, b_start + 1)  # class 1: b
     (_, _, after_a), = nfa.eps[left]
     cls, p = nfa.arcs[after_a]
-    assert nfa.alphabet[cls] == A
+    assert nfa.alphabet[cls] == (A,)
     (_, _, second), = nfa.eps[p]
     assert bypass_chain(nfa, second) == ([-3], nfa.qf)
 
@@ -63,10 +63,45 @@ def test_bypass_chain_negates_tags_in_ascending_order():
 def test_empty_bypass_chain_adds_no_state():
     nfa = build_tnfa(parse_regex("a?"))
     assert nfa.n_states == 3 and nfa.eps[nfa.q0][1] == (2, 0, nfa.qf)
-    nfa = build_tnfa(parse_regex("(?:a|b)"))
-    assert nfa.n_states == 4
-    assert nfa.alphabet == (A, B)
-    assert [nfa.arcs[q] for _, _, q in nfa.eps[nfa.q0]] == [(0, nfa.qf), (1, nfa.qf)]
+    nfa = build_tnfa(parse_regex("(?:a|bb)"))
+    assert nfa.n_states == 5
+    assert nfa.alphabet == ((A,), (B,))
+    (_, _, left), (_, _, right) = nfa.eps[nfa.q0]
+    assert nfa.arcs[left] == (0, nfa.qf) and nfa.arcs[nfa.arcs[right][1]] == (1, nfa.qf)
+
+
+def test_symbol_set_is_one_state_per_class():
+    # an untagged alternation of single bytes, however wide, is one state
+    # when its bytes are one class
+    for pattern, members in (("(?:a|b|c)", b"abc"), ("|".join(["a"] * 2000), b"a")):
+        nfa = build_tnfa(parse_regex(pattern))
+        assert nfa.n_states == 2 and nfa.alphabet == (tuple(members),)
+        assert nfa.arcs[nfa.q0] == (0, nfa.qf)
+    # overlapping sets split into the coarsest classes, ordered by smallest
+    # byte, and each set is a fork over one state per class it covers
+    nfa = build_tnfa(parse_regex("(?:b|d|f)+x(?:e|f|g)+"))
+    assert nfa.alphabet == (tuple(b"bd"), tuple(b"eg"), tuple(b"f"), tuple(b"x"))
+    forks = [[nfa.arcs[p][0] for _, _, p in nfa.eps[q]] for q in range(nfa.n_states)
+             if len(nfa.eps[q]) == 2 and all(nfa.arcs[p] for _, _, p in nfa.eps[q])]
+    assert forks == [[0, 2], [1, 2]]
+    assert sum(arc is not None for arc in nfa.arcs) == 5
+
+
+def test_symbol_sets_exclude_tags_longer_branches_and_empty_ones():
+    # a tagged branch, a two-byte branch or an empty one: every symbol keeps
+    # a state of its own, and each byte is a class of its own
+    for pattern, n_states, n_arcs in (("(a)|b", 8, 2), ("(?:a|bc)", 5, 3), ("(?:a|)", 3, 1)):
+        nfa = build_tnfa(parse_regex(pattern))
+        assert nfa.n_states == n_states and sum(arc is not None for arc in nfa.arcs) == n_arcs
+        assert all(len(members) == 1 for members in nfa.alphabet)
+
+
+def test_alphabet_is_the_bytes_of_the_arcs_built():
+    # a zero-repetition body builds no arc, so its bytes are in no class
+    for pattern in ("ea{0,0}", "(?:e|a){0}e", "e(?:a|b|e){0,0}"):
+        nfa = build_tnfa(parse_regex(pattern))
+        assert nfa.alphabet == ((ord("e"),),), pattern
+        assert nfa.byte_to_class[ord("a")] == -1
 
 
 def test_one_tag_bypass_chain_is_one_transition():
@@ -85,7 +120,7 @@ def test_build_golden_structure():
     assert nfa.eps[6] == ((1, -2, 7),)
     # the left alternative branch emits -t4 along 8 -> 9 -> 10 -> 13
     assert (1, 0, 9) in nfa.eps[8]
-    assert nfa.alphabet == (A, B) and nfa.arcs[9] == (0, 10)
+    assert nfa.alphabet == ((A,), (B,)) and nfa.arcs[9] == (0, 10)
     assert nfa.eps[10] == ((1, -4, 13),)
     # final state has no outgoing transitions
     assert not nfa.eps[17] and nfa.arcs[17] is None
@@ -188,13 +223,13 @@ def test_closure_symbol_only_state():
 
 
 def test_closure_alt_order():
-    nfa = build_tnfa(parse_regex("a|b"))
+    nfa = build_tnfa(parse_regex("a|bc"))  # not a symbol set
     C = sim_epsilon_closure([(nfa.q0, [])], nfa, 0, nfa.tag_index())
     states = [q for q, _ in C]
     # left branch claimed before right branch
     assert states == sorted(states)
     assert nfa.arcs[states[0]] == (0, nfa.qf)  # a
-    assert nfa.arcs[states[1]] == (1, nfa.qf)  # b
+    assert nfa.arcs[states[1]][0] == 1  # b
 
 
 def test_step_on_symbol():
