@@ -130,6 +130,13 @@ class Automaton:
         """Drop the match plan after a cell changed."""
         self._plan = None
 
+    def per_byte_delta(self) -> tuple[list, list]:
+        """The alphabet's bytes and the transitions [state, byte's index,
+        target, cell], sorted: the automaton as if each byte were a class."""
+        col = {byte: i for i, byte in enumerate(sorted(b for members in self.alphabet for b in members))}
+        return sorted(col), sorted([s, col[byte], target, cell]
+                                   for (s, c), (target, cell) in self.delta.items() for byte in self.alphabet[c])
+
     def to_dot(self) -> str:
         lines = [f"digraph {self.dot_name} {{", "  rankdir=LR;", "  node [shape=circle];"]
         lines += [f"  {s} [shape=doublecircle];" for s in sorted(self.finals)]
@@ -302,9 +309,7 @@ class Tdfa(Automaton):
 
     def op_count(self) -> int:
         n = sum(len(ops) * len(self.alphabet[c]) for (_, c), (_, ops) in self.delta.items())
-        n += sum(len(ops) for ops in self.phi.values())
-        n += sum(len(ops) for ops in self.psi.values())
-        return n
+        return n + sum(map(len, self.phi.values())) + sum(map(len, self.psi.values()))
 
     def register_count(self) -> int:
         regs = set()
@@ -327,15 +332,12 @@ class Tdfa(Automaton):
                 yield "p", "dotted", s, "fb: " + format_ops(ops)
 
     def to_json(self) -> str:
-        """The automaton per byte: each byte of the alphabet is a class."""
-        def enc_ops(ops):
-            return [list(op) for op in ops]
-
-        col = {byte: i for i, byte in enumerate(sorted(b for members in self.alphabet for b in members))}
+        """The automaton per byte (`per_byte_delta`)."""
+        alphabet, delta = self.per_byte_delta()
         doc = {
             "tags": list(self.tags),
             "multi": sorted(self.multi),
-            "alphabet": sorted(col),
+            "alphabet": alphabet,
             "r0": self.r0,
             "rf": self.rf,
             "max_reg": self.max_reg,
@@ -343,10 +345,9 @@ class Tdfa(Automaton):
             "s0": self.s0,
             "finals": sorted(self.finals),
             "fallback": sorted(self.psi),
-            "delta": sorted([s, col[byte], target, enc_ops(ops)]
-                            for (s, c), (target, ops) in self.delta.items() for byte in self.alphabet[c]),
-            "phi": [[s, enc_ops(ops)] for s, ops in sorted(self.phi.items())],
-            "psi": [[s, enc_ops(ops)] for s, ops in sorted(self.psi.items())],
+            "delta": delta,
+            "phi": sorted(self.phi.items()),
+            "psi": sorted(self.psi.items()),
         }
         return json.dumps(doc, indent=0)
 
@@ -360,11 +361,9 @@ class Tdfa(Automaton):
         self.n_states = doc["n_states"]
         self.s0 = doc["s0"]
         self.finals = set(doc["finals"])
-        self.delta = {
-            (s, c): (target, tuple(tuple(op) for op in ops)) for s, c, target, ops in doc["delta"]
-        }
-        self.phi = {s: tuple(tuple(op) for op in ops) for s, ops in doc["phi"]}
-        self.psi = {s: tuple(tuple(op) for op in ops) for s, ops in doc["psi"]}
+        self.delta = {(s, c): (target, tuple(map(tuple, ops))) for s, c, target, ops in doc["delta"]}
+        self.phi = {s: tuple(map(tuple, ops)) for s, ops in doc["phi"]}
+        self.psi = {s: tuple(map(tuple, ops)) for s, ops in doc["psi"]}
         return self
 
 

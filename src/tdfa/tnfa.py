@@ -178,9 +178,11 @@ class _Builder:
 def build_tnfa(e: TaggedRegex) -> Tnfa:
     b = _Builder()
     found: dict = {}
-    find_sets(Rep(e, 1, 1), found)  # as e's parent, to record e's own set
-    alphabet, b2c = byte_classes(set(found.values()))
-    b.cover = {i: tuple(sorted({b2c[byte] for byte in s})) for i, s in found.items()}
+    if (whole := find_sets(e, found)) is not None:
+        found[id(e)] = whole
+    alphabet, b2c = byte_classes(sets := set(found.values()))
+    cover = {s: tuple(sorted({b2c[byte] for byte in s})) for s in sets}
+    b.cover = {i: cover[s] for i, s in found.items()}
     qf = b.new_state()
     q0 = b.build(e, qf)
     # Renumbered in place, and the symbol triples dropped as their arcs are
@@ -302,7 +304,6 @@ def tnfa_to_dot(nfa: Tnfa) -> str:
             if tag == 0:
                 lines.append(f'  {q} -> {p} [label="{pri}"];')
             else:
-                t = f"{tag}" if tag > 0 else f"-{-tag}"
-                lines.append(f'  {q} -> {p} [label="{pri}/{t}", style=dashed];')
+                lines.append(f'  {q} -> {p} [label="{pri}/{tag}", style=dashed];')
     lines.append("}")
     return "\n".join(lines)

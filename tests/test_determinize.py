@@ -233,11 +233,15 @@ def test_state_cap_raises():
 
 
 def test_json_roundtrip_executes_identically():
-    tdfa = golden_tdfa(multi=frozenset({1, 2}))
-    clone = Tdfa.from_json(tdfa.to_json())
-    for data in all_inputs(b"ab", 5):
-        got, want = exec_tdfa(clone, data), exec_tdfa(tdfa, data)
-        assert got.kind == want.kind and got.values == want.values
+    # In the second pattern the class of a, b and c reloads as three.
+    cases = [(GOLDEN, frozenset({1, 2}), b"ab"), ("((?:a|b|c)+)(?:,((?:a|b|c)+))*", frozenset({3}), b"ab,c")]
+    for pattern, multi, alphabet in cases:
+        tdfa = determinize(build_tnfa(parse_regex(pattern)), multi)
+        clone = Tdfa.from_json(tdfa.to_json())
+        assert clone.op_count() == tdfa.op_count() and clone.to_json() == tdfa.to_json()
+        for data in all_inputs(alphabet, 5):
+            got, want = exec_tdfa(clone, data), exec_tdfa(tdfa, data)
+            assert got.kind == want.kind and got.values == want.values
 
 
 def test_oracle_equivalence_small_corpus():

@@ -72,16 +72,13 @@ def test_pinned_corpus_is_golden_fuzz_seed_2024_and_extra():
 
 def multipass_json(mp) -> str:
     """The multipass automaton as canonical JSON: states, start, finals,
-    transitions and final backlinks, sorted.  As in Tdfa.to_json(), each
-    byte of the alphabet is a class of its own, so a transition is written
-    once per byte."""
-    col = {byte: i for i, byte in enumerate(sorted(b for members in mp.alphabet for b in members))}
+    transitions and final backlinks, sorted.  As in Tdfa.to_json(), a
+    transition is written once per byte (`per_byte_delta`)."""
     return json.dumps({
         "n_states": mp.n_states,
         "s0": mp.s0,
         "finals": sorted(mp.finals),
-        "delta": sorted([s, col[byte], target, links]
-                        for (s, c), (target, links) in mp.delta.items() for byte in mp.alphabet[c]),
+        "delta": mp.per_byte_delta()[1],
         "phi": [[s, i, l] for s, (i, l) in sorted(mp.phi.items())],
     })
 

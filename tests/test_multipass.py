@@ -24,7 +24,12 @@ from tdfa.resyntax import parse_regex
 GOLDEN = "(a)*#(?:a|#b)#b*"
 CSV = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
 # Every byte, metacharacters escaped.
-ANY_BYTE = b"(?:" + b"|".join((b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)) + b")"
+ESCAPED = [(b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)]
+ANY_BYTE = b"(?:" + b"|".join(ESCAPED) + b")"
+# Bytes other than the backslash, the backslash, then optionally all 256
+# bytes spelled out: each byte of that string is a set of its own, so every
+# byte is a class of its own, numbered by its value.
+EVERY_CLASS = b"(?:" + b"|".join(ESCAPED[:92] + ESCAPED[93:]) + b")*#\\\\(?:" + b"".join(ESCAPED) + b")?"
 
 
 def golden_mp():
@@ -254,15 +259,15 @@ def test_dead_byte_inside_skipped_run():
 
 
 def test_full_byte_alphabet():
-    # The start state loops on every byte but the backslash.
-    nfa, mp = mp_of(ANY_BYTE + b"*#\\\\" + ANY_BYTE + b"*")
-    assert mp.alphabet[1] == tuple(b"\\") and len(mp.alphabet[0]) == 255
+    # 256 classes; the start state loops on every one but the backslash's.
+    nfa, mp = mp_of(EVERY_CLASS)
+    assert len(mp.alphabet) == 256
     rng = Random(3)
-    inputs = [bytes(range(256)), bytes(range(255, -1, -1)), b"", b"\\", b"]^-\\"]
+    inputs = [bytes(range(256)), bytes(range(255, -1, -1)), b"", b"\\", b"]^-\\", b"]^-\\" + bytes(range(256))]
     inputs += [bytes(rng.choice(b"\x00\xff]^-\\ab") for _ in range(rng.randint(0, 12))) for _ in range(200)]
     for data in inputs:
         check_reprs(nfa, mp, data)
-    assert max(mp._plan.classes) == 1
+    assert max(mp._plan.classes) == 255
 
 
 def test_tstring_symbols_are_one_byte_bytes():

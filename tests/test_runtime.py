@@ -17,7 +17,12 @@ from helpers import NaiveRegisters, all_inputs
 GOLDEN = "(a)*#(?:a|#b)#b*"
 CSV = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
 # Every byte, metacharacters escaped.
-ANY_BYTE = b"(?:" + b"|".join((b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)) + b")"
+ESCAPED = [(b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)]
+ANY_BYTE = b"(?:" + b"|".join(ESCAPED) + b")"
+# Bytes other than the backslash, the backslash, then optionally all 256
+# bytes spelled out: each byte of that string is a set of its own, so every
+# byte is a class of its own, numbered by its value.
+EVERY_CLASS = b"(?:" + b"|".join(ESCAPED[:92] + ESCAPED[93:]) + b")*#\\\\(?:" + b"".join(ESCAPED) + b")?"
 
 
 def naive_walk(a, data: bytes, mode: str = "full"):
@@ -254,16 +259,17 @@ def test_skip_runs_of_length_zero_one_two(multi):
 
 
 def test_full_byte_alphabet_has_no_sentinel():
-    # The start state loops on every byte but the backslash, which is a
-    # class of its own: the bytes are two classes and every byte has one.
-    p = tdfa.compile(ANY_BYTE + b"*#\\\\" + ANY_BYTE + b"*", multi="none")
+    # 256 classes: the start state loops on every one but the backslash's,
+    # so its skip span is a class set with a gap at a metacharacter (92),
+    # and it holds the class numbers of '-', ']' and '^'.
+    p = tdfa.compile(EVERY_CLASS, multi="none")
     a = p.tdfa
     plan = MatchPlan(a)
-    assert a.alphabet[1] == tuple(b"\\") and len(a.alphabet[0]) == 255
-    assert max(plan.classes) == 1 and all(len(row) == 2 for row in plan.rows)
-    assert self_loops(a, a.s0) == [0]
+    assert len(a.alphabet) == 256 and max(plan.classes) == 255
+    assert all(len(row) == 256 for row in plan.rows)
+    assert self_loops(a, a.s0) == [c for c in range(256) if c != 92]
     rng = Random(3)
-    inputs = [bytes(range(256)), bytes(range(255, -1, -1)), b"", b"\\", b"]^-\\"]
+    inputs = [bytes(range(256)), bytes(range(255, -1, -1)), b"", b"\\", b"]^-\\", b"]^-\\" + bytes(range(256))]
     inputs += [bytes(rng.choice(b"\x00\xff]^-\\ab") for _ in range(rng.randint(0, 12))) for _ in range(200)]
     for data in inputs:
         out = check_against_walk(a, data)
