@@ -14,12 +14,13 @@ O(k) distinct ones.  Both engines share:
   at an eps-free TNFA state closes to itself with no walk;
 - `Powerset`, one worklist BFS over one step per state, `step(state)`: it
   walks the state's rows once, seeding configurations across the TNFA's
-  arcs (`Tnfa.arcs`; a class is bytes that every arc reads alike) into
-  one bucket per class, then goes through the buckets in class order,
-  closes the seeds of each non-empty one and stores the cell the engine
-  builds from the closure (register operations here, backlinks in
-  multi-pass).  So a step costs its rows and arcs plus one visit per
-  class, and the construction builds no table per TNFA state;
+  arcs (`Tnfa.arcs`; an arc reads a set of classes, a class being bytes
+  that every arc reads alike) into one bucket per class, then goes
+  through the buckets in class order, closes the seeds of each non-empty
+  one and stores the cell the engine builds from the closure (register
+  operations here, backlinks in multi-pass).  So a step costs its rows
+  and their arcs' classes plus one visit per class, and the construction
+  builds no table per TNFA state;
 - `Automaton`, the container base (tags, the TNFA's byte classes,
   `delta`, `phi`, the lazy match plan slot, dot output), and `PlanFrame`,
   the part of a match plan both engines lay out the same way.
@@ -239,21 +240,23 @@ class Powerset:
 
     def seeds(self, state: _State) -> list:
         """Seed configurations across the TNFA's arcs, bucketed by class:
-        a row (q, x, l) whose state q has the arc (class, p) seeds (p, x, l)
-        in the bucket of that class, so its lookahead becomes the inherited
-        tags.  A bucket keeps row order, and is None for a class no row
-        steps on."""
+        a row (q, x, l) whose state q has the arc (classes, p) seeds
+        (p, x, l) in the bucket of each of those classes, so its lookahead
+        becomes the inherited tags.  A bucket keeps row order, and is None
+        for a class no row steps on."""
         arcs = self.nfa.arcs
         buckets: list = [None] * len(self.tdfa.alphabet)
         for (q, l), x in zip(state.ql, state.x):
             arc = arcs[q]
             if arc is not None:
-                cls, p = arc
-                bucket = buckets[cls]
-                if bucket is None:
-                    buckets[cls] = [(p, x, l)]
-                else:
-                    bucket.append((p, x, l))
+                classes, p = arc
+                seed = (p, x, l)
+                for cls in classes:
+                    bucket = buckets[cls]
+                    if bucket is None:
+                        buckets[cls] = [seed]
+                    else:
+                        bucket.append(seed)
         return buckets
 
     def step(self, sid: int):

@@ -10,8 +10,8 @@ element starts), so dumps of small automata are easy to eyeball.  The
 builder creates states right to left, in exactly the reverse of that
 order, and numbers them by reversal, so the build is one pass, linear in
 the TNFA's size.  A symbol set (a Sym, or an alternation of single bytes)
-is a fork chain over one state per byte class it covers, whose one arc
-(class, target) determinization and the simulation read as they are.
+is one state whose arc (classes, target) reads every byte class the set
+covers, as RE2C labels a symbol transition with a set of classes.
 """
 
 from dataclasses import dataclass
@@ -28,12 +28,11 @@ class Tnfa:
     alphabet: tuple[tuple[int, ...], ...]  # each class's bytes
     byte_to_class: list[int]  # alphabet's inverse; -1 for other bytes
     # eps[q]: ((priority, tag, target), ...) sorted by priority; tag is
-    # +t / -t / 0 for untagged.  arcs[q]: (class, target) or None, as every
-    # class of a symbol set gets a state of its own.  A state has no
-    # eps-transitions exactly when it has an arc or is qf, which the
-    # determinization closure relies on.
+    # +t / -t / 0 for untagged.  arcs[q]: (classes, target) or None, the
+    # classes ascending.  A state has no eps-transitions exactly when it
+    # has an arc or is qf, which the determinization closure relies on.
     eps: list[tuple[tuple[int, int, int], ...]]
-    arcs: list[tuple[int, int] | None]
+    arcs: list[tuple[tuple[int, ...], int] | None]
 
     def tag_index(self) -> dict[int, int]:
         return {t: i for i, t in enumerate(self.tags)}
@@ -57,27 +56,6 @@ def byte_classes(sets) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     return tuple(map(tuple, classes.values())), b2c
 
 
-def find_sets(e: TaggedRegex, found: dict) -> frozenset | None:
-    """The bytes of e if it is a symbol set (a Sym, or an alternation of
-    symbol sets), else None, after recording by id the set of each child
-    `build` makes arcs for; as `repeat`, a zero-repetition body makes none."""
-    if isinstance(e, Sym):
-        return frozenset((e.code,))
-    if isinstance(e, (Alt, Cat)):
-        left, right = find_sets(e.left, found), find_sets(e.right, found)
-        if left is not None and right is not None and isinstance(e, Alt):
-            return left | right
-        pairs = ((e.left, left), (e.right, right))
-    elif isinstance(e, Rep) and e.hi != 0:
-        pairs = ((e.body, find_sets(e.body, found)),)
-    else:
-        return None
-    for child, s in pairs:
-        if s is not None:
-            found[id(child)] = s
-    return None
-
-
 class _Builder:
     """Builds fragments right to left: each fragment after the fragments
     that follow it, so states are created in exactly the reverse of
@@ -86,11 +64,11 @@ class _Builder:
 
     def __init__(self):
         self.eps: list[tuple[tuple[int, int, int], ...]] = []
-        self.syms: list[tuple[int, int, int]] = []  # (q, class, p)
-        # Tags per AST node, by id: the unrolled copies of a repetition
-        # build the same body object, so each subtree is walked once.
-        self.tag_memo: dict[int, tuple[int, ...]] = {}
-        self.cover: dict[int, tuple[int, ...]] = {}  # a symbol set's classes, by id
+        self.syms: list[tuple[int, frozenset, int]] = []  # (q, bytes, p)
+        # (tags, bytes or None) per AST node, by id: the unrolled copies of
+        # a repetition build the same body object, so each subtree is
+        # walked once and each symbol set's bytes are one frozenset.
+        self.memo: dict[int, tuple[tuple[int, ...], frozenset | None]] = {}
 
     def new_state(self, eps=()) -> int:
         self.eps.append(eps)
@@ -99,33 +77,38 @@ class _Builder:
     def fork(self, first: int, second: int) -> int:
         return self.new_state(((1, 0, first), (2, 0, second)))
 
-    def tags(self, e: TaggedRegex) -> tuple[int, ...]:
-        """The tag ids in e, ascending, as `collect_tags` gives them."""
-        got = self.tag_memo.get(id(e))
+    def info(self, e: TaggedRegex) -> tuple[tuple[int, ...], frozenset | None]:
+        """The tag ids in e, ascending, as `collect_tags` gives them, and
+        the bytes of e if it is a symbol set (a Sym, or an alternation of
+        symbol sets), else None."""
+        got = self.memo.get(id(e))
         if got is None:
             match e:
+                case Sym(code):
+                    got = ((), frozenset((code,)))
                 case Tag(t):
-                    got = (t,)
+                    got = ((t,), None)
                 case Alt(l, r) | Cat(l, r):
-                    got = tuple(sorted(self.tags(l) + self.tags(r)))
+                    (ltags, lset), (rtags, rset) = self.info(l), self.info(r)
+                    both = isinstance(e, Alt) and lset is not None and rset is not None
+                    got = (tuple(sorted(ltags + rtags)), lset | rset if both else None)
                 case Rep(body, _, _):
-                    got = self.tags(body)
+                    got = (self.tags(body), None)
                 case _:
-                    got = ()
-            self.tag_memo[id(e)] = got
+                    got = ((), None)
+            self.memo[id(e)] = got
         return got
+
+    def tags(self, e: TaggedRegex) -> tuple[int, ...]:
+        return self.info(e)[0]
 
     def build(self, e: TaggedRegex, qf: int) -> int:
         """Returns the fragment's start state; qf is owned by the caller."""
-        cover = self.cover.get(id(e))
-        if cover is not None:  # one state per class, under a fork chain
-            start = None
-            for c in reversed(cover):
-                q = self.new_state()
-                self.syms.append((q, c, qf))
-                start = q if start is None else self.fork(q, start)
-            return start
         match e:
+            case Sym() | Alt() if (members := self.info(e)[1]) is not None:
+                q = self.new_state()
+                self.syms.append((q, members, qf))
+                return q
             case Empty():
                 return qf
             case Tag(t):
@@ -177,17 +160,15 @@ class _Builder:
 
 def build_tnfa(e: TaggedRegex) -> Tnfa:
     b = _Builder()
-    found: dict = {}
-    if (whole := find_sets(e, found)) is not None:
-        found[id(e)] = whole
-    alphabet, b2c = byte_classes(sets := set(found.values()))
-    cover = {s: tuple(sorted({b2c[byte] for byte in s})) for s in sets}
-    b.cover = {i: cover[s] for i, s in found.items()}
     qf = b.new_state()
     q0 = b.build(e, qf)
+    # The classes come from the sets built, so a set that is never built
+    # (a zero-repetition body) adds no bytes.
+    eps, syms = b.eps, b.syms
+    alphabet, b2c = byte_classes(sets := {members for _, members, _ in syms})
+    cover = {s: tuple(sorted({b2c[byte] for byte in s})) for s in sets}
     # Renumbered in place, and the symbol triples dropped as their arcs are
     # made, so the build peaks near the size of the TNFA it returns.
-    eps, syms = b.eps, b.syms
     last = len(eps) - 1
     eps.reverse()
     for q, out in enumerate(eps):
@@ -195,8 +176,8 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
             eps[q] = tuple([(pri, tag, last - p) for pri, tag, p in out])
     arcs: list = [None] * len(eps)
     while syms:
-        q, cls, p = syms.pop()
-        arcs[last - q] = (cls, last - p)
+        q, members, p = syms.pop()
+        arcs[last - q] = (cover[members], last - p)
     return Tnfa(
         n_states=last + 1,
         q0=last - q0,
@@ -248,12 +229,12 @@ def sim_epsilon_closure(C: list, nfa: Tnfa, k: int, idx: dict[int, int], hist=No
 
 
 def sim_step_on_symbol(C: list, nfa: Tnfa, a: int) -> list:
-    """Step across the arcs of byte a's class; class -1 matches none."""
+    """Step across the arcs that read byte a's class; class -1 matches none."""
     cls, arcs = nfa.byte_to_class[a], nfa.arcs
     out = []
     for q, m in C:
         arc = arcs[q]
-        if arc is not None and arc[0] == cls:
+        if arc is not None and cls in arc[0]:
             out.append((arc[1], m))
     return out
 
@@ -287,9 +268,10 @@ def simulate(nfa: Tnfa, data: bytes, multi=frozenset()) -> dict | None:
 
 
 def dot_class(members) -> str:
-    """A class as a dot label: its bytes, printable ASCII as is, the rest
-    escaped, in brackets if there are several."""
-    text = "".join(chr(b) if 32 <= b < 127 else f"\\\\x{b:02x}" for b in members)
+    """Bytes as a dot label: printable ASCII as is, `"` and `\\` with a
+    backslash, the rest as hex escapes, in brackets if there are several."""
+    text = "".join("\\" + chr(b) if b in b'"\\' else chr(b) if 32 <= b < 127 else f"\\\\x{b:02x}"
+                   for b in members)
     return text if len(members) == 1 else f"[{text}]"
 
 
@@ -298,8 +280,9 @@ def tnfa_to_dot(nfa: Tnfa) -> str:
     lines.append(f"  {nfa.qf} [shape=doublecircle];")
     for q in range(nfa.n_states):
         if nfa.arcs[q]:
-            cls, p = nfa.arcs[q]
-            lines.append(f'  {q} -> {p} [label="{dot_class(nfa.alphabet[cls])}", style=bold];')
+            classes, p = nfa.arcs[q]
+            members = sorted(byte for c in classes for byte in nfa.alphabet[c])
+            lines.append(f'  {q} -> {p} [label="{dot_class(members)}", style=bold];')
         for pri, tag, p in nfa.eps[q]:
             if tag == 0:
                 lines.append(f'  {q} -> {p} [label="{pri}"];')

@@ -14,6 +14,23 @@ from tdfa.regops import SET
 from tdfa.resyntax import Alt, Cat, Empty, Rep, Sym, Tag
 from tdfa.tnfa import Tnfa
 
+# Every byte, metacharacters escaped.
+ESCAPED = [(b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)]
+ANY_BYTE = b"(?:" + b"|".join(ESCAPED) + b")"
+# Bytes other than the backslash, the backslash, then optionally all 256
+# bytes spelled out: each byte of that string is a set of its own, so every
+# byte is a class of its own, numbered by its value.
+EVERY_CLASS = b"(?:" + b"|".join(ESCAPED[:92] + ESCAPED[93:]) + b")*#\\\\(?:" + b"".join(ESCAPED) + b")?"
+# A loop over any byte, then after a backslash either that loop or all 256
+# bytes spelled out: the loop's one set covers all 256 classes.
+WIDE_SET = ANY_BYTE + b"*#\\\\(?:" + ANY_BYTE + b"*|" + b"".join(ESCAPED) + b")"
+
+
+def reads(nfa: Tnfa, arc, byte: int) -> bool:
+    """Whether byte is among the bytes of an arc's classes, by a scan of
+    each class's bytes rather than the byte-to-class table."""
+    return any(byte in nfa.alphabet[c] for c in arc[0])
+
 
 def brute_force_match(nfa: Tnfa, data: bytes):
     """First accepting TNFA path in lexicographic priority order.
@@ -43,7 +60,7 @@ def brute_force_match(nfa: Tnfa, data: bytes):
             if r is not None:
                 return r
         arc = nfa.arcs[q]
-        if pos < n and arc is not None and data[pos] in nfa.alphabet[arc[0]]:
+        if pos < n and arc is not None and reads(nfa, arc, data[pos]):
             return dfs(arc[1], pos + 1, {arc[1]}, m)
         return None
 
@@ -133,7 +150,7 @@ def dense_seeds(nfa: Tnfa, rows, alphabet) -> list:
     for members in alphabet:
         byte = members[0]
         seeds = [(nfa.arcs[q][1], x, l) for q, x, l in rows
-                 if nfa.arcs[q] is not None and byte in nfa.alphabet[nfa.arcs[q][0]]]
+                 if nfa.arcs[q] is not None and reads(nfa, nfa.arcs[q], byte)]
         out.append(seeds or None)
     return out
 

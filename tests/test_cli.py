@@ -130,11 +130,12 @@ def test_compile_golden_stats(tmp_path, capsys):
 
 def test_compile_stats_count_symbol_classes(capsys):
     # the digits are one class, ":" another, and the space, standing alone
-    # too, splits (?:a|...|z| ) into two; one state per symbol took 137
+    # too, splits (?:a|...|z| ) into two, which is still one state; one
+    # state per symbol took 137, one per class under a fork chain 15
     d, w = "(?:" + "|".join("0123456789") + ")", "(?:" + "|".join("abcdefghijklmnopqrstuvwxyz ") + ")"
     code, out, _ = run(capsys, "compile", f"({d}{{2}}:{d}{{2}}) ({w}+)")
     stats = json.loads(out)
-    assert code == 0 and stats["classes"] == 4 and stats["tnfa_states"] == 15
+    assert code == 0 and stats["classes"] == 4 and stats["tnfa_states"] == 13
 
 
 def test_compile_fixed_tags_stats(capsys):

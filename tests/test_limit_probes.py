@@ -2,9 +2,11 @@
 nesting deeper than the recursion limit allows fails as ResourceLimit, never
 as a RecursionError."""
 
+import time
 import tracemalloc
 
 import pytest
+from helpers import WIDE_SET
 
 import tdfa
 from tdfa.cli import main
@@ -80,6 +82,19 @@ def test_tnfa_build_of_100k_states_peaks_under_16mb():
         tracemalloc.stop()
     assert nfa.n_states == 100_001
     assert peak < 16_000_000
+
+
+@pytest.mark.parametrize("engine", ["tdfa", "multipass"])
+def test_256_class_set_under_a_loop_compiles_in_seconds(engine):
+    # One TNFA state per set: a step's closure per class walks no chain of
+    # the set's classes.  About 1.5 s (tdfa) and 0.6 s (multipass) on a
+    # 2-CPU host; a fork chain per set took 25-45 s on each.
+    start = time.perf_counter()
+    p = tdfa.compile(WIDE_SET, engine=engine)
+    assert time.perf_counter() - start < 8
+    # the loop runs greedily to the last backslash
+    assert p.match(b"ab\\" + bytes(range(256))).values == {1: 95}
+    assert not p.match(b"ab")
 
 
 @pytest.mark.parametrize("engine", ["tdfa", "multipass", "simulation"])

@@ -3,7 +3,7 @@ from itertools import chain
 from random import Random
 
 import pytest
-from helpers import all_inputs, closure_patterns
+from helpers import ANY_BYTE, EVERY_CLASS, all_inputs, closure_patterns
 
 from tdfa.multipass import (
     PLAIN_LOOPS,
@@ -23,13 +23,6 @@ from tdfa.resyntax import parse_regex
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 CSV = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
-# Every byte, metacharacters escaped.
-ESCAPED = [(b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)]
-ANY_BYTE = b"(?:" + b"|".join(ESCAPED) + b")"
-# Bytes other than the backslash, the backslash, then optionally all 256
-# bytes spelled out: each byte of that string is a set of its own, so every
-# byte is a class of its own, numbered by its value.
-EVERY_CLASS = b"(?:" + b"|".join(ESCAPED[:92] + ESCAPED[93:]) + b")*#\\\\(?:" + b"".join(ESCAPED) + b")?"
 
 
 def golden_mp():

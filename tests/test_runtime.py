@@ -12,17 +12,10 @@ from tdfa.runtime import (SLICE_MIN, _APPEND_P, _BULK, _COPY, _SET_N, _SET_P, Ma
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
-from helpers import NaiveRegisters, all_inputs
+from helpers import ANY_BYTE, EVERY_CLASS, NaiveRegisters, all_inputs
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 CSV = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
-# Every byte, metacharacters escaped.
-ESCAPED = [(b"\\" if b in b"|()*+?{}#\\" else b"") + bytes([b]) for b in range(256)]
-ANY_BYTE = b"(?:" + b"|".join(ESCAPED) + b")"
-# Bytes other than the backslash, the backslash, then optionally all 256
-# bytes spelled out: each byte of that string is a set of its own, so every
-# byte is a class of its own, numbered by its value.
-EVERY_CLASS = b"(?:" + b"|".join(ESCAPED[:92] + ESCAPED[93:]) + b")*#\\\\(?:" + b"".join(ESCAPED) + b")?"
 
 
 def naive_walk(a, data: bytes, mode: str = "full"):

@@ -1,12 +1,16 @@
 import hashlib
+import re
 from random import Random
 
-from helpers import all_asts, all_inputs, brute_force_match, closure_patterns, number_tags
+import pytest
+
+from helpers import ESCAPED, all_asts, all_inputs, brute_force_match, closure_patterns, number_tags
 
 import tdfa
 from tdfa.resyntax import Sym, Tag, collect_tags, parse_regex
 from tdfa.tnfa import (
     build_tnfa,
+    dot_class,
     sim_epsilon_closure,
     sim_step_on_symbol,
     simulate,
@@ -24,7 +28,7 @@ def golden_nfa():
 def test_build_symbol():
     nfa = build_tnfa(Sym(A))
     assert nfa.n_states == 2
-    assert nfa.alphabet == ((A,),) and nfa.arcs[nfa.q0] == (0, nfa.qf)
+    assert nfa.alphabet == ((A,),) and nfa.arcs[nfa.q0] == ((0,), nfa.qf)
     assert nfa.byte_to_class == [0 if byte == A else -1 for byte in range(256)]
     assert not nfa.eps[nfa.q0]
 
@@ -52,9 +56,9 @@ def test_bypass_chain_negates_tags_in_ascending_order():
     nfa = build_tnfa(parse_regex("#a#|b#"))
     (_, _, left), (_, _, right) = nfa.eps[nfa.q0]
     tags, b_start = bypass_chain(nfa, right)
-    assert tags == [-1, -2] and nfa.arcs[b_start] == (1, b_start + 1)  # class 1: b
+    assert tags == [-1, -2] and nfa.arcs[b_start] == ((1,), b_start + 1)  # class 1: b
     (_, _, after_a), = nfa.eps[left]
-    cls, p = nfa.arcs[after_a]
+    (cls,), p = nfa.arcs[after_a]
     assert nfa.alphabet[cls] == (A,)
     (_, _, second), = nfa.eps[p]
     assert bypass_chain(nfa, second) == ([-3], nfa.qf)
@@ -67,24 +71,35 @@ def test_empty_bypass_chain_adds_no_state():
     assert nfa.n_states == 5
     assert nfa.alphabet == ((A,), (B,))
     (_, _, left), (_, _, right) = nfa.eps[nfa.q0]
-    assert nfa.arcs[left] == (0, nfa.qf) and nfa.arcs[nfa.arcs[right][1]] == (1, nfa.qf)
+    assert nfa.arcs[left] == ((0,), nfa.qf) and nfa.arcs[nfa.arcs[right][1]] == ((1,), nfa.qf)
 
 
-def test_symbol_set_is_one_state_per_class():
+def test_symbol_set_is_one_state():
     # an untagged alternation of single bytes, however wide, is one state
     # when its bytes are one class
     for pattern, members in (("(?:a|b|c)", b"abc"), ("|".join(["a"] * 2000), b"a")):
         nfa = build_tnfa(parse_regex(pattern))
         assert nfa.n_states == 2 and nfa.alphabet == (tuple(members),)
-        assert nfa.arcs[nfa.q0] == (0, nfa.qf)
+        assert nfa.arcs[nfa.q0] == ((0,), nfa.qf)
     # overlapping sets split into the coarsest classes, ordered by smallest
-    # byte, and each set is a fork over one state per class it covers
+    # byte, and each set is one state whose arc reads the classes it
+    # covers, ascending
     nfa = build_tnfa(parse_regex("(?:b|d|f)+x(?:e|f|g)+"))
     assert nfa.alphabet == (tuple(b"bd"), tuple(b"eg"), tuple(b"f"), tuple(b"x"))
-    forks = [[nfa.arcs[p][0] for _, _, p in nfa.eps[q]] for q in range(nfa.n_states)
-             if len(nfa.eps[q]) == 2 and all(nfa.arcs[p] for _, _, p in nfa.eps[q])]
-    assert forks == [[0, 2], [1, 2]]
-    assert sum(arc is not None for arc in nfa.arcs) == 5
+    assert [arc[0] for arc in nfa.arcs if arc is not None] == [(0, 2), (3,), (1, 2)]
+    assert nfa.n_states == 6  # a fork chain per set took 10
+
+
+@pytest.mark.parametrize("j", [16, 32, 64])
+def test_wide_set_is_one_arc_state(j):
+    # (S*)#(?:s1...sj)?, S the alternation of the j bytes, which the literal
+    # splits into j classes: S is one state whose arc reads the j classes,
+    # ascending, and the TNFA has j + 8 states, where a fork chain per set
+    # took 3j + 6
+    members = [bytes([b]) for b in range(128, 128 + j)]
+    nfa = build_tnfa(parse_regex(b"((?:" + b"|".join(members) + b")*)#(?:" + b"".join(members) + b")?"))
+    assert nfa.alphabet == tuple((b,) for b in range(128, 128 + j)) and nfa.n_states == j + 8
+    assert [arc[0] for arc in nfa.arcs if arc] == [tuple(range(j))] + [(c,) for c in range(j)]
 
 
 def test_symbol_sets_exclude_tags_longer_branches_and_empty_ones():
@@ -120,7 +135,7 @@ def test_build_golden_structure():
     assert nfa.eps[6] == ((1, -2, 7),)
     # the left alternative branch emits -t4 along 8 -> 9 -> 10 -> 13
     assert (1, 0, 9) in nfa.eps[8]
-    assert nfa.alphabet == ((A,), (B,)) and nfa.arcs[9] == (0, 10)
+    assert nfa.alphabet == ((A,), (B,)) and nfa.arcs[9] == ((0,), 10)
     assert nfa.eps[10] == ((1, -4, 13),)
     # final state has no outgoing transitions
     assert not nfa.eps[17] and nfa.arcs[17] is None
@@ -228,8 +243,8 @@ def test_closure_alt_order():
     states = [q for q, _ in C]
     # left branch claimed before right branch
     assert states == sorted(states)
-    assert nfa.arcs[states[0]] == (0, nfa.qf)  # a
-    assert nfa.arcs[states[1]][0] == 1  # b
+    assert nfa.arcs[states[0]] == ((0,), nfa.qf)  # a
+    assert nfa.arcs[states[1]][0] == (1,)  # b
 
 
 def test_step_on_symbol():
@@ -245,6 +260,23 @@ def test_step_on_symbol():
 def test_dot_dump_mentions_priorities_and_tags():
     dot = tnfa_to_dot(golden_nfa())
     assert "style=bold" in dot and "1/-1" in dot and "style=dashed" in dot
+
+
+# A dot attribute list whose label is one quoted string: every backslash in
+# it escapes the character after it, and no `"` stands unescaped.
+DOT_LABEL = re.compile(r'\[label="(?:[^"\\]|\\.)*"(?:, style=\w+)?\];$')
+
+
+def test_dot_labels_are_well_formed_for_every_byte():
+    for byte in range(256):
+        assert DOT_LABEL.search(f'[label="{dot_class((byte,))}"];'), byte
+    assert dot_class(b'"\\') == '[\\"\\\\]'
+    # every byte spelled out, metacharacters escaped: each byte is an arc
+    # and a TDFA transition of its own
+    every = b"".join(ESCAPED)
+    for dot in (tnfa_to_dot(build_tnfa(parse_regex(every))), tdfa.compile(every).tdfa.to_dot()):
+        labels = [line for line in dot.splitlines() if "label=" in line]
+        assert len(labels) >= 256 and all(DOT_LABEL.search(line) for line in labels)
 
 
 def _check_against_brute(nfa, max_len=4):
@@ -270,8 +302,10 @@ def test_brute_force_equivalence_random_larger():
     from tdfa.fuzz import gen_pattern
 
     rng = Random(11)
-    for _ in range(120):
-        pattern = gen_pattern(rng, max_nodes=8, max_tags=4)
+    # sets whose arcs read two classes: a lone `a` splits `a|b` in two
+    split = ["(?:a|b)*a(?:b|a)", "((?:a|b)+)(a)(?:b|a)?", "(?:(?:a|b)(a)*|(b))+", "(a)?(?:b|a){2,3}"]
+    for pattern in [gen_pattern(rng, max_nodes=8, max_tags=4) for _ in range(120)] + split:
         nfa = build_tnfa(parse_regex(pattern))
+        assert pattern not in split or any(arc and len(arc[0]) == 2 for arc in nfa.arcs)
         for data in all_inputs(b"ab", 5):
             assert simulate(nfa, data) == brute_force_match(nfa, data), (pattern, data)
