@@ -9,6 +9,7 @@ from bisect import insort
 from itertools import product
 from random import Random
 
+from tdfa.fuzz import gen_pattern
 from tdfa.optimizer import _bits, interferes
 from tdfa.regops import SET
 from tdfa.resyntax import Alt, Cat, Empty, Rep, Sym, Tag
@@ -24,6 +25,20 @@ EVERY_CLASS = b"(?:" + b"|".join(ESCAPED[:92] + ESCAPED[93:]) + b")*#\\\\(?:" + 
 # A loop over any byte, then after a backslash either that loop or all 256
 # bytes spelled out: the loop's one set covers all 256 classes.
 WIDE_SET = ANY_BYTE + b"*#\\\\(?:" + ANY_BYTE + b"*|" + b"".join(ESCAPED) + b")"
+
+
+def gen_set_pattern(rng: Random, alphabet: str = "abc") -> str:
+    """A gen_pattern over alphabet with about half of its bytes widened into
+    an alternation of two or more bytes of the same alphabet, so that the
+    lone bytes left split the alternations into several classes and their
+    symbol sets read multi-class arcs.  The alphabet must hold no digit or
+    metacharacter, which the pattern's bounds and syntax use."""
+    out = []
+    for ch in gen_pattern(rng, alphabet=alphabet):
+        if ch in alphabet and rng.random() < 0.5:
+            ch = "(?:" + "|".join(rng.sample(alphabet, rng.randint(2, len(alphabet)))) + ")"
+        out.append(ch)
+    return "".join(out)
 
 
 def reads(nfa: Tnfa, arc, byte: int) -> bool:

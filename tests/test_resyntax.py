@@ -72,6 +72,38 @@ def test_parse_errors_carry_position():
         parse_regex("a{1001}")
 
 
+# One malformed pattern per error site of the parser, then the same sites
+# after a run of plain bytes: (pattern, message, position).
+PARSE_ERRORS = [
+    ("a)", "unexpected ')'", 1),
+    ("*a", "nothing to repeat", 0),
+    ("}", "unbalanced '}'", 0),
+    ("a\\q", "unknown escape", 2),
+    ("a\\", "unknown escape", 2),
+    ("(?:a|b", "expected ')'", 6),
+    ("a{2x}", "expected ',' or '}' in repetition bounds", 3),
+    ("a{2,3", "expected '}' in repetition bounds", 5),
+    ("a{3,2}", "bad repetition bounds {3,2}", 1),
+    ("a{,2}", "expected a number", 2),
+    ("a{1,1001}", "repetition bound 1001 exceeds limit 1000", 8),
+    ("abc)d", "unexpected ')'", 3),
+    ("ab|+", "nothing to repeat", 3),
+    ("abc}", "unbalanced '}'", 3),
+    ("abc\\q", "unknown escape", 4),
+    ("(abc", "expected ')'", 4),
+    ("abc{", "expected a number", 4),
+    ("abc**{", "expected a number", 6),
+    ("xyz{12,3}", "bad repetition bounds {12,3}", 3),
+]
+
+
+@pytest.mark.parametrize("pattern, message, pos", PARSE_ERRORS)
+def test_parse_error_table(pattern, message, pos):
+    with pytest.raises(ParseError) as e:
+        parse_regex(pattern)
+    assert (str(e.value), e.value.pos) == (f"{message} at position {pos}", pos)
+
+
 def test_auto_tag_symbol():
     assert auto_tag(Sym(A)) == Cat(Tag(1), Cat(Sym(A), Tag(2)))
 

@@ -1,12 +1,14 @@
 import hashlib
 import re
+import time
 from random import Random
 
 import pytest
 
-from helpers import ESCAPED, all_asts, all_inputs, brute_force_match, closure_patterns, number_tags
+from helpers import ESCAPED, all_asts, all_inputs, brute_force_match, closure_patterns, gen_set_pattern, number_tags
 
 import tdfa
+from tdfa.fuzz import cross_check
 from tdfa.resyntax import Sym, Tag, collect_tags, parse_regex
 from tdfa.tnfa import (
     build_tnfa,
@@ -309,3 +311,21 @@ def test_brute_force_equivalence_random_larger():
         assert pattern not in split or any(arc and len(arc[0]) == 2 for arc in nfa.arcs)
         for data in all_inputs(b"ab", 5):
             assert simulate(nfa, data) == brute_force_match(nfa, data), (pattern, data)
+
+
+def test_fuzz_gate_on_multi_class_symbol_sets():
+    # The acceptance corpus (alphabet `ab`, lone bytes) gives 2 of 1,000
+    # TNFAs a multi-class arc; here byte alternations sit next to lone
+    # bytes of the same alphabet, and every engine configuration must agree
+    # with the simulation on them.
+    rng = Random(7)
+    patterns = [gen_set_pattern(rng) for _ in range(200)]
+    t0 = time.perf_counter()
+    multi_class = 0
+    for pattern in patterns:
+        nfa = build_tnfa(parse_regex(pattern))
+        multi_class += any(arc and len(arc[0]) > 1 for arc in nfa.arcs)
+        divergence = cross_check(pattern, alphabet="abc", max_len=5)
+        assert divergence is None, str(divergence)
+    assert multi_class == 81
+    assert time.perf_counter() - t0 < 20.0
