@@ -27,9 +27,9 @@ __all__ = [
 ]
 
 
-def _resolve_multi(spec, ast, tags):
+def _resolve_multi(spec, auto, tags):
     if spec == "auto":
-        return _syn.default_multi_tags(ast)
+        return auto
     if spec == "none":
         return frozenset()
     if spec == "all":
@@ -76,8 +76,8 @@ class Pattern:
             if auto_tags:
                 ast = _syn.auto_tag(ast)
             report("ast", ast)
-            self.tags = _syn.collect_tags(ast)
-            self.multi = _resolve_multi(multi, ast, self.tags)
+            self.tags, auto_multi = _syn.tag_analysis(ast)
+            self.multi = _resolve_multi(multi, auto_multi, self.tags)
             # Tagged strings need every tag present, so the multipass engine
             # always builds the full automaton.
             if fixed_tags and engine == "tdfa":

@@ -113,13 +113,13 @@ class Automaton:
     delta[(state, class)] = (target, cell) and phi[state] = final cell; what
     a cell holds is the engine's, and so are `dot_name`, `format_cell` (a
     cell as a dot label) and `dot_quasi` (the quasi-transitions to draw).
-    The match plan is built on the first match and kept in `_plan` until
-    `invalidate()`.
+    alphabet and byte_to_class are the TNFA's.  The match plan is built on
+    the first match and kept in `_plan` until `invalidate()`.
     """
 
-    def __init__(self, tags, alphabet):
+    def __init__(self, tags, alphabet, byte_to_class):
         self.tags = tuple(tags)
-        self.alphabet, self.byte_to_class = byte_classes(alphabet)
+        self.alphabet, self.byte_to_class = alphabet, byte_to_class
         self.n_states = 0
         self.s0 = 0
         self.finals: set[int] = set()
@@ -300,8 +300,8 @@ class Tdfa(Automaton):
 
     dot_name = "tdfa"
 
-    def __init__(self, tags, alphabet, multi: frozenset[int]):
-        super().__init__(tags, alphabet)
+    def __init__(self, tags, alphabet, byte_to_class, multi: frozenset[int]):
+        super().__init__(tags, alphabet, byte_to_class)
         self.multi = multi
         ntags = len(self.tags)
         self.r0 = {t: i + 1 for i, t in enumerate(self.tags)}
@@ -357,7 +357,7 @@ class Tdfa(Automaton):
     @classmethod
     def from_json(cls, text: str) -> "Tdfa":
         doc = json.loads(text)
-        self = cls(doc["tags"], [(byte,) for byte in doc["alphabet"]], frozenset(doc["multi"]))
+        self = cls(doc["tags"], *byte_classes([(byte,) for byte in doc["alphabet"]]), frozenset(doc["multi"]))
         self.r0 = {int(k): v for k, v in doc["r0"].items()}
         self.rf = {int(k): v for k, v in doc["rf"].items()}
         self.max_reg = doc["max_reg"]
@@ -375,7 +375,7 @@ class Determinizer(Powerset):
     transitions, and a register mapping onto existing states."""
 
     def __init__(self, nfa: Tnfa, multi: frozenset[int] = frozenset(), max_states: int = 100_000):
-        tdfa = Tdfa(nfa.tags, nfa.alphabet, multi)
+        tdfa = Tdfa(nfa.tags, nfa.alphabet, nfa.byte_to_class, multi)
         super().__init__(nfa, tdfa, max_states, tuple(tdfa.r0[t] for t in nfa.tags))
         self.multi = multi
         self.tpos_of = nfa.tag_index()

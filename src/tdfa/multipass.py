@@ -132,7 +132,7 @@ class _Multipass(Powerset):
 
 
 def determinize_multipass(nfa: Tnfa, max_states: int = 100_000) -> MultipassTdfa:
-    return _Multipass(nfa, MultipassTdfa(nfa.tags, nfa.alphabet), max_states, nfa.q0).run()
+    return _Multipass(nfa, MultipassTdfa(nfa.tags, nfa.alphabet, nfa.byte_to_class), max_states, nfa.q0).run()
 
 
 def _depth(links) -> int | None:

@@ -605,7 +605,7 @@ def minimize(tdfa: Tdfa) -> Tdfa:
         if rep[part[s]] is None:
             rep[part[s]] = s
 
-    out = Tdfa(tdfa.tags, tdfa.alphabet, tdfa.multi)
+    out = Tdfa(tdfa.tags, tdfa.alphabet, tdfa.byte_to_class, tdfa.multi)
     out.r0 = dict(tdfa.r0)
     out.rf = dict(tdfa.rf)
     out.max_reg = tdfa.max_reg

@@ -9,8 +9,19 @@ Metacharacters are escaped with a backslash.
 
 Markers ("tags") are numbered 1..n in textual order; tag 0 is reserved for
 the rightmost-position pseudo base used by the fixed-tag analysis.
+
+Nodes are immutable, so one node may stand at several places in a tree:
+the parser shares one `Sym` per byte, made on first use, and
+`strip_fixed_tags` returns every subtree that holds no fixed tag as the
+same object.  The parser reads a run of plain bytes, and a run of
+single-byte branches, with one `re` match each, and the walks dispatch on
+`type(node)`: on these trees both are several times faster than a byte at
+a time and `match` class patterns.
 """
 
+import functools
+import itertools
+import re
 from dataclasses import dataclass
 
 MAX_REPEAT = 1000
@@ -27,34 +38,34 @@ def isnan(x) -> bool:
     return x != x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym:
     code: int  # byte value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tag:
     tid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alt:
     left: "TaggedRegex"
     right: "TaggedRegex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cat:
     left: "TaggedRegex"
     right: "TaggedRegex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rep:
     body: "TaggedRegex"
     lo: int
@@ -62,6 +73,15 @@ class Rep:
 
 
 TaggedRegex = Empty | Sym | Tag | Alt | Cat | Rep
+
+_sym = functools.cache(Sym)
+# A run of bytes that are no metacharacter, read in one match; it stops
+# before a byte that a postfix operator follows, which the operator takes.
+_PLAIN = re.compile(rb"(?:[^|()*+?{}#\\](?![*+?{]))*")
+# A run of branches of one such byte each, `a|b|`, read in one match.
+_SINGLES = re.compile(rb"(?:[^|()*+?{}#\\]\|)*")
+_DIGITS = re.compile(rb"[0-9]*")
+_POSTFIX = {ord("*"): (0, None), ord("+"): (1, None), ord("?"): (0, 1)}  # (lo, hi)
 
 
 class ParseError(ValueError):
@@ -73,10 +93,12 @@ class ParseError(ValueError):
 def _fold(node, parts: list) -> TaggedRegex:
     # Balanced fold: keeps tree depth logarithmic so the structural
     # recursions elsewhere handle very long concatenations and alternations.
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return node(_fold(node, parts[:mid]), _fold(node, parts[mid:]))
+    def fold(lo, hi):
+        mid = (lo + hi) // 2
+        left = fold(lo, mid) if mid - lo > 1 else parts[lo]
+        return node(left, fold(mid, hi) if hi - mid > 1 else parts[mid])
+
+    return parts[0] if len(parts) == 1 else fold(0, len(parts))
 
 
 class _Parser:
@@ -102,66 +124,58 @@ class _Parser:
         return node
 
     def alternation(self) -> TaggedRegex:
-        branches = [self.concatenation()]
-        while self.peek() == ord("|"):
-            self.i += 1
+        data, branches = self.data, []
+        while True:
+            end = _SINGLES.match(data, self.i).end()
+            branches += map(_sym, data[self.i : end : 2])
+            self.i = end
             branches.append(self.concatenation())
-        return _fold(Alt, branches)
+            if data[self.i : self.i + 1] != b"|":
+                return _fold(Alt, branches)
+            self.i += 1
 
     def concatenation(self) -> TaggedRegex:
-        parts = []
+        data, parts, i = self.data, [], self.i
         while True:
-            c = self.peek()
-            if c is None or c in (ord("|"), ord(")")):
+            end = _PLAIN.match(data, i).end()
+            parts += map(_sym, data[i:end])
+            if end == len(data) or data[end] in b"|)":
                 break
+            self.i = end
             parts.append(self.postfix())
-        if not parts:
-            return Empty()
-        return _fold(Cat, parts)
+            i = self.i
+        self.i = end
+        return _fold(Cat, parts) if parts else Empty()
 
     def postfix(self) -> TaggedRegex:
         node = self.atom()
-        while True:
-            c = self.peek()
-            if c == ord("*"):
-                self.i += 1
-                node = Rep(node, 0, None)
-            elif c == ord("+"):
-                self.i += 1
-                node = Rep(node, 1, None)
-            elif c == ord("?"):
-                self.i += 1
-                node = Rep(node, 0, 1)
-            elif c == ord("{"):
-                lo, hi = self.bounds()
-                node = Rep(node, lo, hi)
+        while (c := self.peek()) is not None and c in b"*+?{":
+            if c == ord("{"):
+                node = Rep(node, *self.bounds())
             else:
-                return node
+                self.i += 1
+                node = Rep(node, *_POSTFIX[c])
+        return node
 
     def atom(self) -> TaggedRegex:
-        c = self.peek()
-        if c is None:
-            self.error("expected an atom")
-        if c in (ord("*"), ord("+"), ord("?"), ord("{")):
+        # Called at a byte that is neither `|` nor `)`.
+        c = self.data[self.i]
+        if c in b"*+?{":
             self.error("nothing to repeat")
         if c == ord("}"):
             self.error("unbalanced '}'")
+        self.i += 1
         if c == ord("#"):
-            self.i += 1
             return Tag(self.next_tag())
         if c == ord("\\"):
-            self.i += 1
             e = self.peek()
             if e is None or e not in _METACHARS:
                 self.error("unknown escape")
             self.i += 1
-            return Sym(e)
+            return _sym(e)
         if c == ord("("):
-            self.i += 1
-            capturing = True
-            if self.data[self.i : self.i + 2] == b"?:":
-                capturing = False
-                self.i += 2
+            capturing = self.data[self.i : self.i + 2] != b"?:"
+            self.i += 0 if capturing else 2
             open_tag = self.next_tag() if capturing else None
             inner = self.alternation()
             if self.peek() != ord(")"):
@@ -170,8 +184,7 @@ class _Parser:
             if not capturing:
                 return inner
             return Cat(Tag(open_tag), Cat(inner, Tag(self.next_tag())))
-        self.i += 1
-        return Sym(c)
+        return _sym(c)
 
     def bounds(self) -> tuple[int, int | None]:
         start = self.i
@@ -197,9 +210,7 @@ class _Parser:
         return lo, hi
 
     def number(self) -> int:
-        start = self.i
-        while (c := self.peek()) is not None and ord("0") <= c <= ord("9"):
-            self.i += 1
+        start, self.i = self.i, _DIGITS.match(self.data, self.i).end()
         if self.i == start:
             self.error("expected a number")
         n = int(self.data[start : self.i])
@@ -214,22 +225,30 @@ def parse_regex(pattern: str | bytes) -> TaggedRegex:
     return _Parser(data).parse()
 
 
+def tag_analysis(e: TaggedRegex) -> tuple[tuple[int, ...], frozenset[int]]:
+    """All tag ids in the AST, ascending, and the tags that can match more
+    than once: those under a repetition with hi > 1."""
+    tags, multi = [], []
+
+    def walk(n, reps):
+        t = type(n)
+        if t is Cat or t is Alt:
+            walk(n.left, reps)
+            walk(n.right, reps)
+        elif t is Tag:
+            tags.append(n.tid)
+            if reps:
+                multi.append(n.tid)
+        elif t is Rep:
+            walk(n.body, reps or n.hi is None or n.hi > 1)
+
+    walk(e, False)
+    return tuple(sorted(tags)), frozenset(multi)
+
+
 def collect_tags(e: TaggedRegex) -> tuple[int, ...]:
     """All tag ids in the AST, ascending."""
-    out = []
-
-    def walk(n):
-        match n:
-            case Tag(t):
-                out.append(t)
-            case Alt(l, r) | Cat(l, r):
-                walk(l)
-                walk(r)
-            case Rep(b, _, _):
-                walk(b)
-
-    walk(e)
-    return tuple(sorted(out))
+    return tag_analysis(e)[0]
 
 
 def auto_tag(e: TaggedRegex) -> TaggedRegex:
@@ -240,51 +259,23 @@ def auto_tag(e: TaggedRegex) -> TaggedRegex:
     """
     if collect_tags(e):
         raise ValueError("auto_tag requires an untagged expression")
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0]
+    fresh = itertools.count(1).__next__
 
     def wrap(n: TaggedRegex) -> TaggedRegex:
-        o = fresh()
-        inner = visit(n)
+        o, t = fresh(), type(n)
+        if t is Alt or t is Cat:
+            n = t(wrap(n.left), wrap(n.right))
+        elif t is Rep:
+            n = Rep(wrap(n.body), n.lo, n.hi)
         c = fresh()
-        if isinstance(n, Empty):
-            return Cat(Tag(o), Tag(c))
-        return Cat(Tag(o), Cat(inner, Tag(c)))
-
-    def visit(n: TaggedRegex) -> TaggedRegex:
-        match n:
-            case Alt(l, r):
-                return Alt(wrap(l), wrap(r))
-            case Cat(l, r):
-                return Cat(wrap(l), wrap(r))
-            case Rep(b, lo, hi):
-                return Rep(wrap(b), lo, hi)
-            case _:
-                return n
+        return Cat(Tag(o), Tag(c)) if t is Empty else Cat(Tag(o), Cat(n, Tag(c)))
 
     return wrap(e)
 
 
 def default_multi_tags(e: TaggedRegex) -> frozenset[int]:
     """Tags that can match more than once: under a repetition with hi > 1."""
-    out = set()
-
-    def walk(n, reps):
-        match n:
-            case Tag(t):
-                if reps:
-                    out.add(t)
-            case Alt(l, r) | Cat(l, r):
-                walk(l, reps)
-                walk(r, reps)
-            case Rep(b, _, hi):
-                walk(b, reps or hi is None or hi > 1)
-
-    walk(e, False)
-    return frozenset(out)
+    return tag_analysis(e)[1]
 
 
 def fixed_tags(e, base, dist, level, fixes):
@@ -296,30 +287,28 @@ def fixed_tags(e, base, dist, level, fixes):
     arithmetic.  Fixations are recorded into ``fixes`` as tag -> (base,
     distance).  Returns the updated (base, dist, level).
     """
-    match e:
-        case Empty():
+    t = type(e)
+    if t is Cat:
+        base, dist, level = fixed_tags(e.right, base, dist, level, fixes)
+        return fixed_tags(e.left, base, dist, level, fixes)
+    if t is Sym:
+        return base, dist + 1, level + 1
+    if t is Alt:
+        _, _, k1 = fixed_tags(e.left, None, NAN, 0, fixes)
+        _, _, k2 = fixed_tags(e.right, None, NAN, 0, fixes)
+        k = k1 if k1 == k2 else NAN
+        return base, dist + k, level + k
+    if t is Tag:
+        if base is not None and not isnan(dist):
+            fixes[e.tid] = (base, dist)
             return base, dist, level
-        case Sym(_):
-            return base, dist + 1, level + 1
-        case Alt(l, r):
-            _, _, k1 = fixed_tags(l, None, NAN, 0, fixes)
-            _, _, k2 = fixed_tags(r, None, NAN, 0, fixes)
-            if k1 == k2:
-                return base, dist + k1, level + k1
-            return base, NAN, NAN
-        case Cat(l, r):
-            base, dist, level = fixed_tags(r, base, dist, level, fixes)
-            return fixed_tags(l, base, dist, level, fixes)
-        case Rep(b, lo, hi):
-            _, _, k1 = fixed_tags(b, None, NAN, 0, fixes)
-            if hi is not None and lo == hi:
-                return base, dist + lo * k1, level + lo * k1
-            return base, NAN, NAN
-        case Tag(t):
-            if base is not None and not isnan(dist):
-                fixes[t] = (base, dist)
-                return base, dist, level
-            return t, 0, level
+        return e.tid, 0, level
+    if t is Rep:
+        _, _, k1 = fixed_tags(e.body, None, NAN, 0, fixes)
+        k = e.lo * k1 if e.hi == e.lo else NAN
+        return base, dist + k, level + k
+    if t is Empty:
+        return base, dist, level
     raise TypeError(f"not a regex node: {e!r}")
 
 
@@ -338,18 +327,24 @@ def find_fixed_tags(e: TaggedRegex) -> dict[int, tuple[int, int]]:
 
 
 def strip_fixed_tags(e: TaggedRegex, fixed: set[int]) -> TaggedRegex:
-    """Remove fixed tags from the AST before automaton construction."""
-    match e:
-        case Tag(t) if t in fixed:
-            return Empty()
-        case Alt(l, r):
-            return Alt(strip_fixed_tags(l, fixed), strip_fixed_tags(r, fixed))
-        case Cat(l, r):
-            return Cat(strip_fixed_tags(l, fixed), strip_fixed_tags(r, fixed))
-        case Rep(b, lo, hi):
-            return Rep(strip_fixed_tags(b, fixed), lo, hi)
-        case _:
-            return e
+    """Remove fixed tags from the AST before automaton construction.  A
+    subtree that holds no fixed tag comes back as the same object."""
+    if not fixed:
+        return e
+
+    def strip(n):
+        t = type(n)
+        if t is Cat or t is Alt:
+            left, right = strip(n.left), strip(n.right)
+            return n if left is n.left and right is n.right else t(left, right)
+        if t is Tag:
+            return Empty() if n.tid in fixed else n
+        if t is Rep:
+            body = strip(n.body)
+            return n if body is n.body else Rep(body, n.lo, n.hi)
+        return n
+
+    return strip(e)
 
 
 def apply_fixed_tags(values: dict, fixes: dict[int, tuple[int, int]], length: int) -> dict:

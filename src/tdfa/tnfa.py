@@ -12,6 +12,10 @@ order, and numbers them by reversal, so the build is one pass, linear in
 the TNFA's size.  A symbol set (a Sym, or an alternation of single bytes)
 is one state whose arc (classes, target) reads every byte class the set
 covers, as RE2C labels a symbol transition with a set of classes.
+The builder keeps each AST node's tags and bytes by the node's id: the
+unrolled copies of a repetition build one body object, and the AST shares
+nodes (one `Sym` per byte, the subtrees the fixed-tag strip keeps), so
+each node is analysed once and each set's bytes are one frozenset.
 """
 
 from dataclasses import dataclass
@@ -65,9 +69,7 @@ class _Builder:
     def __init__(self):
         self.eps: list[tuple[tuple[int, int, int], ...]] = []
         self.syms: list[tuple[int, frozenset, int]] = []  # (q, bytes, p)
-        # (tags, bytes or None) per AST node, by id: the unrolled copies of
-        # a repetition build the same body object, so each subtree is
-        # walked once and each symbol set's bytes are one frozenset.
+        # (tags, bytes or None) per AST node, by id.
         self.memo: dict[int, tuple[tuple[int, ...], frozenset | None]] = {}
 
     def new_state(self, eps=()) -> int:
@@ -83,19 +85,20 @@ class _Builder:
         symbol sets), else None."""
         got = self.memo.get(id(e))
         if got is None:
-            match e:
-                case Sym(code):
-                    got = ((), frozenset((code,)))
-                case Tag(t):
-                    got = ((t,), None)
-                case Alt(l, r) | Cat(l, r):
-                    (ltags, lset), (rtags, rset) = self.info(l), self.info(r)
-                    both = isinstance(e, Alt) and lset is not None and rset is not None
-                    got = (tuple(sorted(ltags + rtags)), lset | rset if both else None)
-                case Rep(body, _, _):
-                    got = (self.tags(body), None)
-                case _:
-                    got = ((), None)
+            t = type(e)
+            if t is Cat or t is Alt:
+                (ltags, lset), (rtags, rset) = self.info(e.left), self.info(e.right)
+                # Tags are numbered in reading order, so the halves are
+                # usually ordered already and need no sort.
+                ordered = not ltags or not rtags or ltags[-1] < rtags[0]
+                tags = ltags + rtags if ordered else tuple(sorted(ltags + rtags))
+                got = (tags, lset | rset if t is Alt and lset is not None and rset is not None else None)
+            elif t is Sym:
+                got = ((), frozenset((e.code,)))
+            elif t is Rep:
+                got = (self.tags(e.body), None)
+            else:  # a Tag or Empty
+                got = ((e.tid,) if t is Tag else (), None)
             self.memo[id(e)] = got
         return got
 
@@ -104,24 +107,25 @@ class _Builder:
 
     def build(self, e: TaggedRegex, qf: int) -> int:
         """Returns the fragment's start state; qf is owned by the caller."""
-        match e:
-            case Sym() | Alt() if (members := self.info(e)[1]) is not None:
+        t = type(e)
+        if t is Cat:
+            return self.build(e.left, self.build(e.right, qf))
+        if t is Sym or t is Alt:
+            members = self.info(e)[1]
+            if members is not None:
                 q = self.new_state()
                 self.syms.append((q, members, qf))
                 return q
-            case Empty():
-                return qf
-            case Tag(t):
-                return self.new_state(((1, t, qf),))
-            case Cat(l, r):
-                return self.build(l, self.build(r, qf))
-            case Alt(l, r):
-                s2 = self.build(r, qf)
-                s1n = self.chain(self.tags(l), s2)
-                s1 = self.build(l, self.chain(self.tags(r), qf))
-                return self.fork(s1, s1n)
-            case Rep(body, lo, hi):
-                return self.repeat(body, lo, hi, qf)
+            s2 = self.build(e.right, qf)
+            s1n = self.chain(self.tags(e.left), s2)
+            s1 = self.build(e.left, self.chain(self.tags(e.right), qf))
+            return self.fork(s1, s1n)
+        if t is Tag:
+            return self.new_state(((1, e.tid, qf),))
+        if t is Rep:
+            return self.repeat(e.body, e.lo, e.hi, qf)
+        if t is Empty:
+            return qf
         raise TypeError(f"not a regex node: {e!r}")
 
     def chain(self, tag_ids, qf: int) -> int:

@@ -29,7 +29,7 @@ def corpus():
 def test_seeds_per_state_equal_the_dense_scan():
     for pattern in corpus():
         nfa = build_tnfa(parse_regex(pattern))
-        for d in (Determinizer(nfa), _Multipass(nfa, MultipassTdfa(nfa.tags, nfa.alphabet), 100_000, nfa.q0)):
+        for d in (Determinizer(nfa), _Multipass(nfa, MultipassTdfa(nfa.tags, nfa.alphabet, nfa.byte_to_class), 100_000, nfa.q0)):
             d.run()
             for state in d.states:
                 assert d.seeds(state) == dense_seeds(nfa, state.rows, nfa.alphabet), pattern

@@ -373,7 +373,7 @@ def swapping_loop():
     slots are the thread at a pair boundary (0) and the one mid-pair (1).
     Each a swaps them, so its loop array is a slot cycle of length 2."""
     nfa = build_tnfa(parse_regex("(?:#a)?(?:#a#a)*"))
-    mp = MultipassTdfa(nfa.tags, nfa.alphabet)
+    mp = MultipassTdfa(nfa.tags, nfa.alphabet, nfa.byte_to_class)
     swap = ((1, (3,)), (0, (2,)))
     mp.delta = {(0, 0): (1, ((0, (1,)), (0, (-1, 2)))), (1, 0): (2, swap), (2, 0): (2, swap)}
     mp.phi = {0: (0, (-1, -2, -3)), 1: (0, (-2, -3)), 2: (0, ())}
@@ -398,7 +398,7 @@ def test_repeated_tag_in_a_loop_history():
     # ((0, (1,)),) becomes ((0, (1, -1)),): each a records 0-based offsets
     # and nils, interleaved.
     nfa, real = mp_of("(?:#a)*")
-    mp = MultipassTdfa(real.tags, real.alphabet)
+    mp = MultipassTdfa(real.tags, real.alphabet, real.byte_to_class)
     a = cls_of(real, "a")
     mp.delta = {(0, a): (1, ((0, (1, -1)),)), (1, a): (1, ((0, (1, -1)),))}
     mp.phi, mp.n_states, mp.finals = dict(real.phi), real.n_states, set(real.finals)
