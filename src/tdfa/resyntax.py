@@ -262,13 +262,14 @@ def auto_tag(e: TaggedRegex) -> TaggedRegex:
     fresh = itertools.count(1).__next__
 
     def wrap(n: TaggedRegex) -> TaggedRegex:
-        o, t = fresh(), type(n)
-        if t is Alt or t is Cat:
-            n = t(wrap(n.left), wrap(n.right))
-        elif t is Rep:
-            n = Rep(wrap(n.body), n.lo, n.hi)
+        o = fresh()
+        match n:
+            case Alt(l, r) | Cat(l, r):
+                n = type(n)(wrap(l), wrap(r))
+            case Rep(b, lo, hi):
+                n = Rep(wrap(b), lo, hi)
         c = fresh()
-        return Cat(Tag(o), Tag(c)) if t is Empty else Cat(Tag(o), Cat(n, Tag(c)))
+        return Cat(Tag(o), Tag(c)) if isinstance(n, Empty) else Cat(Tag(o), Cat(n, Tag(c)))
 
     return wrap(e)
 
