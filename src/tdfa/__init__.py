@@ -129,6 +129,8 @@ class Pattern:
             return MatchOutcome("match", len(data), values)
 
         if self.engine == "multipass":
+            if repr_ not in ("offsets", "lists", "tstring"):
+                raise ValueError(f"unknown representation {repr_!r}")
             fw = _mp.match_forward(self.mp, data, counters)
             if fw is None:
                 return NO_MATCH
@@ -136,11 +138,9 @@ class Pattern:
                 values = _mp.extract_offsets(self.mp, data, fw)
             elif repr_ == "lists":
                 values = _mp.extract_offset_lists(self.mp, data, fw)
-            elif repr_ == "tstring":
+            else:
                 ts = _mp.extract_tstring(self.mp, data, fw)
                 return MatchOutcome("match", len(data), {}, tstring=ts)
-            else:
-                raise ValueError(f"unknown representation {repr_!r}")
             return MatchOutcome("match", len(data), values)
 
         out = exec_tdfa(self.tdfa, data, mode, counters)

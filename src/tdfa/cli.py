@@ -1,4 +1,4 @@
-"""Command line front end: compile, match, fuzz, bench.
+"""Command line front end: compile, match, fuzz.
 
 Exit codes: 0 ok, 1 no match, 2 usage or syntax error or an unreadable
 input file, 3 fuzz divergence, 4 resource cap exceeded, 5 internal error.
@@ -182,7 +182,7 @@ def cmd_fuzz(args) -> int:
         max_len=args.max_len,
         max_rep=args.max_rep,
         multi=_multi_arg(args.multi),
-        progress=args.count // 10 if args.progress else None,
+        progress=max(1, args.count // 10) if args.progress else None,
     )
     dt = time.perf_counter() - t0
     if div is None:
@@ -193,39 +193,6 @@ def cmd_fuzz(args) -> int:
     print(f"  {div}")
     print(f"  reproduce: {div.reproduce()}")
     return EX_DIVERGENCE
-
-
-def _bench_one(p: Pattern, data: bytes, repr_: str = "offsets"):
-    counters: dict = {}
-    t0 = time.perf_counter()
-    if p.engine == "tdfa":
-        out = p.match(data, counters=counters)
-    else:
-        out = p.match(data, repr_=repr_)
-    dt = time.perf_counter() - t0
-    mbps = len(data) / dt / 1e6 if dt else float("inf")
-    opb = counters.get("operations", 0) / max(len(data), 1)
-    return out, dt, mbps, opb, counters.get("tree_nodes")
-
-
-def cmd_bench(args) -> int:
-    patterns = args.pattern or ["(?:#a)*", "(?:#a)*a{10}", "(?:#a)*a{100}"]
-    size = int(args.size_mb * 1e6)
-    data = (args.input_char.encode() * size)[:size]
-    rows = []
-    for pat in patterns:
-        p = Pattern(pat, engine="tdfa", opt="full")
-        out, dt, mbps, opb, nodes = _bench_one(p, data)
-        rows.append((pat, "tdfa", f"{mbps:8.1f}", f"{opb:8.2f}", nodes,
-                     p.tdfa.register_count(), p.tdfa.op_count(), out.kind))
-        mp = Pattern(pat, engine="multipass")
-        for repr_ in args.repr.split(","):
-            out, dt, mbps, _, _ = _bench_one(mp, data, repr_)
-            rows.append((pat, f"multipass/{repr_}", f"{mbps:8.1f}", "-", "-", "-", "-", out.kind))
-    print(f"{'pattern':24} {'engine':20} {'MB/s':>8} {'ops/byte':>8} {'nodes':>9} {'regs':>5} {'ops':>5} result")
-    for pat, eng, mbps, opb, nodes, regs, ops, kind in rows:
-        print(f"{pat:24} {eng:20} {mbps:>8} {opb:>8} {nodes!s:>9} {regs!s:>5} {ops!s:>5} {kind}")
-    return EX_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,13 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "those of the ids that are its tags")
     f.add_argument("--progress", action="store_true")
     f.set_defaults(func=cmd_fuzz)
-
-    b = sub.add_parser("bench", help="throughput and per-byte operation counts")
-    b.add_argument("--pattern", action="append")
-    b.add_argument("--size-mb", type=float, default=10.0)
-    b.add_argument("--input-char", default="a")
-    b.add_argument("--repr", default="offsets,lists,tstring")
-    b.set_defaults(func=cmd_bench)
     return ap
 
 

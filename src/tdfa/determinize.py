@@ -208,11 +208,6 @@ class _State:
         self.x = x
         self.U = U
 
-    @property
-    def rows(self):
-        """The rows as (q, payload, lookahead) triples, for tests."""
-        return tuple((q, x, l) for (q, l), x in zip(self.ql, self.x))
-
 
 class Powerset:
     """The worklist BFS both engines run over `step`.  An engine supplies

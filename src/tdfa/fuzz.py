@@ -16,7 +16,7 @@ from itertools import chain, product
 from random import Random
 
 from .cli import _compile, build_parser
-from .resyntax import collect_tags, parse_regex
+from .resyntax import parse_regex, tag_analysis
 from .runtime import NO_MATCH, MatchOutcome
 from .tnfa import build_tnfa, simulate
 
@@ -244,7 +244,7 @@ def run_corpus(seed: int, count: int, max_nodes: int = 10, max_tags: int = 6,
         pattern = gen_pattern(rng, max_nodes, max_tags, alphabet, max_rep)
         ids = multi
         if not isinstance(multi, str):
-            ids = frozenset(multi).intersection(collect_tags(parse_regex(pattern)))
+            ids = frozenset(multi).intersection(tag_analysis(parse_regex(pattern))[0])
         div = cross_check(pattern, alphabet, max_len, ids)
         if div is not None:
             return i + 1, div

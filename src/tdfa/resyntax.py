@@ -246,18 +246,13 @@ def tag_analysis(e: TaggedRegex) -> tuple[tuple[int, ...], frozenset[int]]:
     return tuple(sorted(tags)), frozenset(multi)
 
 
-def collect_tags(e: TaggedRegex) -> tuple[int, ...]:
-    """All tag ids in the AST, ascending."""
-    return tag_analysis(e)[0]
-
-
 def auto_tag(e: TaggedRegex) -> TaggedRegex:
     """Surround every subexpression with a fresh tag pair (full parsing).
 
     Tag ids are assigned in pre-order (open on entry, close on exit), which
     keeps them contiguous 1..2n.  The input must not contain tags already.
     """
-    if collect_tags(e):
+    if tag_analysis(e)[0]:
         raise ValueError("auto_tag requires an untagged expression")
     fresh = itertools.count(1).__next__
 
@@ -272,11 +267,6 @@ def auto_tag(e: TaggedRegex) -> TaggedRegex:
         return Cat(Tag(o), Tag(c)) if isinstance(n, Empty) else Cat(Tag(o), Cat(n, Tag(c)))
 
     return wrap(e)
-
-
-def default_multi_tags(e: TaggedRegex) -> frozenset[int]:
-    """Tags that can match more than once: under a repetition with hi > 1."""
-    return tag_analysis(e)[1]
 
 
 def fixed_tags(e, base, dist, level, fixes):

@@ -80,7 +80,7 @@ class _Builder:
         return self.new_state(((1, 0, first), (2, 0, second)))
 
     def info(self, e: TaggedRegex) -> tuple[tuple[int, ...], frozenset | None]:
-        """The tag ids in e, ascending, as `collect_tags` gives them, and
+        """The tag ids in e, ascending, as `tag_analysis` gives them, and
         the bytes of e if it is a symbol set (a Sym, or an alternation of
         symbol sets), else None."""
         got = self.memo.get(id(e))

@@ -158,6 +158,12 @@ class NaiveRegisters:
                 self.vals[op[1]] = list(src) + [pos if ch == "p" else -1 for ch in op[3]]
 
 
+def state_rows(state) -> tuple:
+    """A determinization state's rows as (q, payload, lookahead) triples,
+    read from its columns."""
+    return tuple((q, x, l) for (q, l), x in zip(state.ql, state.x))
+
+
 def dense_seeds(nfa: Tnfa, rows, alphabet) -> list:
     """Seeds of a state per class, by scanning all its rows for a byte of
     every class of the alphabet; None for a class without seeds."""

@@ -90,3 +90,27 @@ def test_compiled_pattern_reusable_and_deterministic():
     first = [p.match(d).values if p.match(d) else None for d in inputs]
     second = [p.match(d).values if p.match(d) else None for d in inputs]
     assert first == second
+
+
+def test_match_counters_read_one_operation_and_one_tree_node_per_byte():
+    data = b"a" * 20_000
+    counters: dict = {}
+    assert tdfa.compile("(?:#a)*").match(data, counters=counters)
+    assert counters == {"transitions": 20_000, "operations": 20_000, "tree_nodes": 20_000, "fallback": 0}
+    assert counters["operations"] / len(data) == 1.0
+    # The multi-pass engine keeps backlinks, not a prefix tree.
+    counters = {}
+    assert tdfa.compile("(?:#a)*", engine="multipass").match(data, counters=counters)
+    assert "tree_nodes" not in counters and "operations" not in counters
+
+
+def test_value_shape_per_engine_under_default_multi():
+    # multi shapes only the tdfa engine; the simulation and multi-pass
+    # offsets give each tag's last value, multi-pass lists every value.
+    got = {e: tdfa.compile("(a)*#", engine=e).match(b"aa").values
+           for e in ("tdfa", "simulation", "multipass")}
+    assert got == {"tdfa": {1: [0, 1], 2: [1, 2], 3: 2},
+                   "simulation": {1: 1, 2: 2, 3: 2},
+                   "multipass": {1: 1, 2: 2, 3: 2}}
+    lists = tdfa.compile("(a)*#", engine="multipass").match(b"aa", repr_="lists")
+    assert lists.values == {1: [0, 1], 2: [1, 2], 3: [2]}

@@ -4,7 +4,8 @@ fixed-tag strip.
 tests/ast_pins.json maps each pattern to the sha256 of one JSON document
 that holds `ast_to_json` of its parse, of its `auto_tag` (untagged
 patterns only), and of `strip_fixed_tags(ast, find_fixed_tags(ast))`, with
-the values of `collect_tags`, `default_multi_tags` and `find_fixed_tags`.
+the values of `tag_analysis` (tags and multi-valued tags) and
+`find_fixed_tags`.
 The corpus is 600 `gen_pattern(Random(22))` patterns, the identity pins'
 EXTRA and TNFA_LARGE patterns, and 60 `gen_set_pattern(Random(22))`
 patterns, whose byte alternations sit next to lone bytes.  The TNFA and
@@ -24,11 +25,10 @@ from tdfa.fuzz import gen_pattern
 from tdfa.resyntax import (
     ast_to_json,
     auto_tag,
-    collect_tags,
-    default_multi_tags,
     find_fixed_tags,
     parse_regex,
     strip_fixed_tags,
+    tag_analysis,
 )
 
 PINS = json.loads((Path(__file__).parent / "ast_pins.json").read_text())
@@ -43,14 +43,14 @@ def corpus() -> list[str]:
 
 def front_end_digest(pattern: str) -> str:
     ast = parse_regex(pattern)
-    tags = collect_tags(ast)
+    tags, multi = tag_analysis(ast)
     fixes = find_fixed_tags(ast)
     doc = {
         "ast": ast_to_json(ast),
         "auto_tag": None if tags else ast_to_json(auto_tag(ast)),
         "stripped": ast_to_json(strip_fixed_tags(ast, set(fixes))),
         "tags": tags,
-        "multi": sorted(default_multi_tags(ast)),
+        "multi": sorted(multi),
         "fixes": sorted(fixes.items()),
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()

@@ -285,6 +285,20 @@ def test_fuzz_runs_clean_without_an_injected_fault(capsys):
     assert code == 0, out
 
 
+def test_fuzz_progress_below_ten_patterns(capsys):
+    code, out, _ = run(capsys, "fuzz", "--count=3", "--progress", "--max-len=2")
+    assert code == 0, out
+    assert [line.strip() for line in out.splitlines()[:3]] == [f"checked {i}/3 patterns" for i in (1, 2, 3)]
+
+
+def test_no_bench_subcommand(capsys):
+    # Throughput comes from perfbench, sizes from `compile` and the match counters.
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "bench")
+    assert exc.value.code == 2
+    assert "{compile,match,fuzz}" in capsys.readouterr().err
+
+
 def test_fuzz_has_no_fault_switch(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "fuzz", "--mutate=skip-map-copies")
@@ -415,18 +429,6 @@ def test_gen_pattern_postfix_repeats_a_whole_non_ascii_symbol():
         assert tdfa.compile(p).match("éé"), p
 
 
-def test_bench_runs_and_reports(capsys):
-    code, out, _ = run(capsys, "bench", "--size-mb=0.02", "--pattern=(?:#a)*")
-    assert code == 0
-    assert "MB/s" in out and "multipass/tstring" in out
-    header, *rows = out.splitlines()
-    assert header.split()[3:5] == ["ops/byte", "nodes"]
-    # one history node per input byte on the tdfa engine, none on multipass
-    tdfa_row = next(row.split() for row in rows if row.split()[1] == "tdfa")
-    assert tdfa_row[3:5] == ["1.00", "20000"]
-    assert all(row.split()[4] == "-" for row in rows if row.split()[1].startswith("multipass"))
-
-
 def test_library_compile_match_api():
     handle = tdfa.compile(GOLDEN, multi="none")
     out = handle.match(b"aab")
@@ -443,3 +445,7 @@ def test_library_engine_validation():
     q = tdfa.compile("a")
     with pytest.raises(ValueError):
         q.match(b"a", repr_="tstring")
+    # An unknown representation is refused whether or not the input matches.
+    for data in (b"a", b"b"):
+        with pytest.raises(ValueError):
+            p.match(data, repr_="bogus")

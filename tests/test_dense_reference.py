@@ -11,7 +11,7 @@ from tdfa.optimizer import minimize
 from tdfa.resyntax import parse_regex
 from tdfa.tnfa import build_tnfa
 
-from helpers import dense_minimize_partition, dense_seeds
+from helpers import dense_minimize_partition, dense_seeds, state_rows
 
 
 def corpus():
@@ -32,7 +32,7 @@ def test_seeds_per_state_equal_the_dense_scan():
         for d in (Determinizer(nfa), _Multipass(nfa, MultipassTdfa(nfa.tags, nfa.alphabet, nfa.byte_to_class), 100_000, nfa.q0)):
             d.run()
             for state in d.states:
-                assert d.seeds(state) == dense_seeds(nfa, state.rows, nfa.alphabet), pattern
+                assert d.seeds(state) == dense_seeds(nfa, state_rows(state), nfa.alphabet), pattern
 
 
 def test_minimize_partition_equals_the_dense_refinement():

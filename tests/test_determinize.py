@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from helpers import all_inputs, closure_patterns, stack_epsilon_closure
+from helpers import all_inputs, closure_patterns, stack_epsilon_closure, state_rows
 
 from tdfa.determinize import Determinizer, ResourceLimit, Tdfa, determinize, epsilon_closure, history
 from tdfa.multipass import determinize_multipass
@@ -191,7 +191,7 @@ def test_no_register_shared_between_tags():
         d.run()
         owner = {}
         for state in d.states:
-            for q, regs, l in state.rows:
+            for q, regs, l in state_rows(state):
                 for pos, r in enumerate(regs):
                     assert owner.setdefault(r, pos) == pos, pattern
 
@@ -222,7 +222,7 @@ def test_finality_matches_qf_membership():
     d = Determinizer(nfa)
     d.run()
     for sid, state in enumerate(d.states):
-        has_qf = any(q == nfa.qf for q, _, _ in state.rows)
+        has_qf = any(q == nfa.qf for q, _, _ in state_rows(state))
         assert (sid in d.tdfa.finals) == has_qf
 
 

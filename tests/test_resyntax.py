@@ -14,13 +14,12 @@ from tdfa.resyntax import (
     apply_fixed_tags,
     ast_to_json,
     auto_tag,
-    collect_tags,
-    default_multi_tags,
     find_fixed_tags,
     fixed_tags,
     isnan,
     parse_regex,
     strip_fixed_tags,
+    tag_analysis,
 )
 
 A, B = ord("a"), ord("b")
@@ -37,7 +36,7 @@ def test_parse_empty():
 
 def test_parse_golden_has_five_tags():
     ast = parse_regex(GOLDEN)
-    assert collect_tags(ast) == (1, 2, 3, 4, 5)
+    assert tag_analysis(ast)[0] == (1, 2, 3, 4, 5)
     # (1 a 2)* 3 (a | 4 b) 5 b*  -- concatenation folds balanced
     assert ast == Cat(
         Cat(Rep(Cat(Tag(1), Cat(Sym(A), Tag(2))), 0, None), Tag(3)),
@@ -114,7 +113,7 @@ def test_auto_tag_empty():
 
 def test_auto_tag_alt_six_contiguous_tags():
     tagged = auto_tag(Alt(Sym(A), Sym(B)))
-    assert collect_tags(tagged) == (1, 2, 3, 4, 5, 6)
+    assert tag_analysis(tagged)[0] == (1, 2, 3, 4, 5, 6)
     assert tagged == Cat(
         Tag(1),
         Cat(Alt(Cat(Tag(2), Cat(Sym(A), Tag(3))), Cat(Tag(4), Cat(Sym(B), Tag(5)))), Tag(6)),
@@ -128,9 +127,9 @@ def test_auto_tag_rejects_tagged_input():
 
 def test_default_multi_tags():
     ast = parse_regex(GOLDEN)
-    assert default_multi_tags(ast) == {1, 2}
-    assert default_multi_tags(parse_regex("(a){2}")) == {1, 2}
-    assert default_multi_tags(parse_regex("(a)?")) == frozenset()
+    assert tag_analysis(ast)[1] == {1, 2}
+    assert tag_analysis(parse_regex("(a){2}"))[1] == {1, 2}
+    assert tag_analysis(parse_regex("(a)?"))[1] == frozenset()
 
 
 def test_fixed_tags_golden():
@@ -203,7 +202,7 @@ def test_same_level_fixation_only():
 def test_strip_fixed_tags():
     ast = parse_regex(GOLDEN)
     stripped = strip_fixed_tags(ast, {1, 3})
-    assert collect_tags(stripped) == (2, 4, 5)
+    assert tag_analysis(stripped)[0] == (2, 4, 5)
 
 
 def test_apply_fixed_tags_scalar():

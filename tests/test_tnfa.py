@@ -9,7 +9,7 @@ from helpers import ESCAPED, all_asts, all_inputs, brute_force_match, closure_pa
 
 import tdfa
 from tdfa.fuzz import cross_check
-from tdfa.resyntax import Sym, Tag, collect_tags, parse_regex
+from tdfa.resyntax import Sym, Tag, parse_regex
 from tdfa.tnfa import (
     build_tnfa,
     dot_class,
