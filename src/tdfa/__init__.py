@@ -123,7 +123,7 @@ class Pattern:
             raise ValueError(f"representation {repr_!r} requires the multipass engine")
 
         if self.engine == "simulation":
-            values = _tnfa.simulate(self.tnfa, data)
+            values = _tnfa.simulate(self.tnfa, data, counters=counters)
             if values is None:
                 return NO_MATCH
             return MatchOutcome("match", len(data), values)

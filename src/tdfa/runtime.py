@@ -42,23 +42,25 @@ operation count, skip or None), skip being the op-free span of the target
   rest of the run, L bytes, at C speed.  After it, a register at depth d
   of a chain holds, for L <= d, the value before the run of the member L
   steps closer to the head, and otherwise the head's value after
-  iteration L - d: a set position, nil, the unwritten register, or node
-  n0 + L - d - 1 of the head's appended chain.  So each append extends
-  the prefix tree by a chain of L nodes, each set register gets the last
-  position of the run (or nil), the copies are filled in one pass over
-  each chain, and the operation count grows by k * L for a list of k.
-  Plain set and append loops are the chains of depth 0.  A chain costs
-  O(1) new objects: its first node is stored as usual and its L - 1 later
-  nodes repeat one shared marker, so `PrefixTree.unpack` jumps from any
-  node of a chain to its first in one step (see `PrefixTree`).
+  iteration L - d: a set position, nil, the unwritten register, or the
+  head's history after L - d appends of the run.  A copy tree's depths run
+  1..depth without gaps, so an append head whose tree is depth deep
+  stores one run node for its first L - m entries, then one single node
+  for each of the last m, m = min(depth, L - 1): those are all its copies
+  can read.  Each set register gets the last position of the run (or
+  nil), the copies are filled in one pass over each chain, and the
+  operation count grows by k * L for a list of k.  Plain set and append
+  loops are the chains of depth 0.  A bulk step so costs O(depth), never
+  O(L): the single nodes are written from `range`s, and `PrefixTree.unpack`
+  expands a run node with one `range` (see `PrefixTree`).
 
 Counters come from the same loop and add to what the dict holds:
 `transitions` is the number of bytes consumed, `operations` the number of
 operations of the automaton's lists on the transitions taken (skipped
 op-free loops carry none, a bulk run counts every byte), `tree_nodes` the
-prefix-tree nodes those transitions created (the final and fallback
-operations run after the count), and `fallback` is 1 when the match took
-the fallback quasi-transition.  `run_ops` applies operation lists as
+history entries those transitions appended, a run node counting each of
+its entries (the final and fallback operations run after the count), and
+`fallback` is 1 when the match took the fallback quasi-transition.  `run_ops` applies operation lists as
 written; it runs the final and fallback quasi-transitions and is the
 reference the decoded steps are tested against.
 """
@@ -75,21 +77,21 @@ class PrefixTree:
     pred counts as the root.
 
     Appends only; common prefixes are shared, so copying a history is
-    copying an index.  The nodes of a chain appended in bulk are
-    consecutive, each the pred of the next.  Its first node is stored as
-    any other; each later node holds offs None and pred ~first, one marker
-    object shared by the chain, and its offset is offs[first] plus its
-    distance from the first node, or -1 when offs[first] is -1.  Other
-    nodes may point into a chain anywhere.  `chained` is set once a chain
-    is appended; until then `unpack` walks the nodes with no test per node.
+    copying an index.  A node holds one entry, or a run of entries
+    appended in bulk: its offs is then (first, count), the offsets first
+    to first + count - 1 in order, or count times -1 when first is -1.
+    Nothing points into a run node: a register that reads a history from
+    inside a bulk run gets a single node after it.  `runs` is set once a
+    run node is stored; until then `unpack` walks the nodes with no test
+    per node.
     """
 
-    __slots__ = ("pred", "offs", "chained")
+    __slots__ = ("pred", "offs", "runs")
 
     def __init__(self):
         self.pred = [0]
         self.offs = [-1]
-        self.chained = False
+        self.runs = False
 
     def append(self, idx: int, hist: str, pos: int) -> int:
         pred, offs = self.pred, self.offs
@@ -102,24 +104,22 @@ class PrefixTree:
     def unpack(self, idx: int) -> list:
         pred, offs = self.pred, self.offs
         out = []
-        if not self.chained:
+        if not self.runs:
             while idx:
                 out.append(offs[idx])
                 idx = pred[idx]
         else:
             while idx:
                 off = offs[idx]
-                if off is None:  # inside a chain: emit it down to its first node
-                    first = ~pred[idx]
-                    off = offs[first]
-                    if off < 0:
-                        out += [-1] * (idx - first + 1)
+                if type(off) is tuple:  # a run node: its entries, last first
+                    first, count = off
+                    if first < 0:
+                        out += [-1] * count
                     else:
-                        out += range(off + idx - first, off - 1, -1)
-                    idx = pred[first]
+                        out += range(first + count - 1, first - 1, -1)
                 else:
                     out.append(off)
-                    idx = pred[idx]
+                idx = pred[idx]
         out.reverse()
         return out
 
@@ -238,14 +238,16 @@ def _bulk_form(steps, n_ops: int) -> tuple | None:
     steps: (operation count, appends, sets, chains), or None.
 
     It is read off the list's symbolic effect.  Its heads are the
-    single-character self-appends and the sets, each as (register, is
-    "p").  Every other written register must copy one register: the copies
-    form trees that hang from a head or from a register the list does not
-    write.  A chain is one such tree as (head, kind, members), kind being
-    the index of the head's append, "p" or "n" for a set and None for an
-    unwritten head, and members its (register, depth) pairs in preorder.
-    Copy cycles, appends from another register and histories of more than
-    one character have no summary."""
+    single-character self-appends, as (register, is "p", depth), and the
+    sets, as (register, is "p").  Every other written register must copy
+    one register: the copies form trees that hang from a head or from a
+    register the list does not write.  A chain is one such tree as (head,
+    kind, members), kind being the index of the head's append, "p" or "n"
+    for a set and None for an unwritten head, and members its (register,
+    depth) pairs in preorder.  The depths of a tree run 1..depth without
+    gaps; an append's depth is that of its tree, 0 when none hangs from
+    it.  Copy cycles, appends from another register and histories of more
+    than one character have no summary."""
     appends, sets, parent = [], [], {}
     for r, term in _effect(steps).items():
         if term == r:  # a self-copy writes nothing
@@ -274,6 +276,8 @@ def _bulk_form(steps, n_ops: int) -> tuple | None:
         chains.append((head, kinds.get(head), tuple(members)))
     if sum(len(chain[2]) for chain in chains) < len(parent):
         return None  # the copies not reached from a head lie on a cycle
+    depth = {head: max(d for _, d in members) for head, _, members in chains}
+    appends = [(r, p, depth.get(r, 0)) for r, p in appends]
     return n_ops, tuple(appends), tuple(sets), tuple(chains)
 
 
@@ -343,6 +347,7 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     tree = PrefixTree()
     pred, offs = tree.pred, tree.offs
     regs = plan.regs0.copy()
+    in_runs = 0  # history entries held by run nodes beyond one per node
 
     state = tdfa.s0
     skip = plan.skip0
@@ -379,23 +384,37 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                     if run:
                         loop_ops, appends, sets, chains = src
                         n_ops += loop_ops * run
-                        # Copies first: they read the values before the run.
-                        node = len(pred)
+                        # An append head gets one run node for its first
+                        # entries and one node for each of the last m, the
+                        # m its copies can read from inside the run.
+                        before = []  # the heads' values before the run
+                        for r, p, depth in appends:
+                            m = depth if depth < run else run - 1
+                            node = len(pred)
+                            before.append(regs[r])
+                            pred.append(regs[r])
+                            offs.append((pos + 1 if p else -1, run - m))
+                            if m:
+                                pred += range(node, node + m)
+                                offs += range(end - m, end) if p else [-1] * m
+                            regs[r] = node + m
+                            in_runs += run - m - 1
+                            tree.runs = True
                         for head, head_kind, members in chains:
                             # The head's value after the run, which a
                             # member at depth d < run holds from d
                             # iterations earlier: one less per iteration
                             # for appends and set positions.
+                            old = [regs[head]]  # values before the run, by depth
                             moves = True
                             if head_kind == "p":
                                 top = end - 1
                             elif head_kind == "n":
                                 top, moves = None, False
                             elif head_kind is None:
-                                top, moves = regs[head], False
-                            else:
-                                top = node + (head_kind + 1) * run - 1
-                            old = [regs[head]]  # values before the run, by depth
+                                top, moves = old[0], False
+                            else:  # an append, stored above
+                                top, old[0] = old[0], before[head_kind]
                             for r, d in members:
                                 del old[d:]
                                 old.append(regs[r])
@@ -403,14 +422,6 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                                     regs[r] = old[d - run]
                                 else:
                                     regs[r] = top - d if moves else top
-                        for r, p in appends:
-                            node = len(pred)
-                            pred.append(regs[r])
-                            offs.append(pos + 1 if p else -1)
-                            pred += [~node] * (run - 1)
-                            offs += [None] * (run - 1)
-                            regs[r] = node + run - 1
-                            tree.chained = True
                         for r, p in sets:
                             regs[r] = end - 1 if p else None
                         pos = end - 1
@@ -425,7 +436,7 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     if counters is not None:
         counters["transitions"] = counters.get("transitions", 0) + pos
         counters["operations"] = counters.get("operations", 0) + n_ops
-        counters["tree_nodes"] = counters.get("tree_nodes", 0) + len(pred) - 1
+        counters["tree_nodes"] = counters.get("tree_nodes", 0) + len(pred) - 1 + in_runs
         counters["fallback"] = counters.get("fallback", 0) + (mode != "full" and 0 <= match_pos < pos)
 
     if mode == "full":

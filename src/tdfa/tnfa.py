@@ -252,19 +252,25 @@ def _history(chain) -> list[int]:
     return out[::-1]
 
 
-def simulate(nfa: Tnfa, data: bytes, multi=frozenset()) -> dict | None:
+def simulate(nfa: Tnfa, data: bytes, multi=frozenset(), counters: dict | None = None) -> dict | None:
     """Match the whole input; returns tag values or None on failure.  A tag
     in multi comes back as its offset list, oldest first, with -1 for each
-    bypass; the others as their last offset or None."""
+    bypass; the others as their last offset or None.  With counters, adds
+    to `transitions` the bytes stepped before the input ended or no
+    configuration was left."""
     idx = nfa.tag_index()
     hist = [t in multi for t in nfa.tags]
     C = [(nfa.q0, [None] * len(nfa.tags))]
     C = sim_epsilon_closure(C, nfa, 0, idx, hist)
+    stepped = len(data)
     for k, byte in enumerate(data):
         C = sim_step_on_symbol(C, nfa, byte)
         if not C:
-            return None
+            stepped = k
+            break
         C = sim_epsilon_closure(C, nfa, k + 1, idx, hist)
+    if counters is not None:
+        counters["transitions"] = counters.get("transitions", 0) + stepped
     for q, m in C:
         if q == nfa.qf:
             return {t: _history(v) if h else v for t, v, h in zip(nfa.tags, m, hist)}

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 import tdfa
+from tdfa.fuzz import gen_pattern
 from tdfa.multipass import render_tstring
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import auto_tag, parse_regex
@@ -102,6 +103,28 @@ def test_match_counters_read_one_operation_and_one_tree_node_per_byte():
     counters = {}
     assert tdfa.compile("(?:#a)*", engine="multipass").match(data, counters=counters)
     assert "tree_nodes" not in counters and "operations" not in counters
+
+
+def test_simulation_counts_the_bytes_it_steps():
+    # The simulation adds the bytes stepped before the input ended or no
+    # configuration was left: 4 on a match, then 2 up to the dead "c".
+    counters: dict = {}
+    p = tdfa.compile("(?:#a)*b", engine="simulation")
+    assert p.match(b"aaab", counters=counters)
+    assert not p.match(b"aaca", counters=counters)
+    assert counters == {"transitions": 6}
+    # Every engine counts transitions so, dead ends included.
+    rng = Random(5)
+    for _ in range(40):
+        pattern = gen_pattern(rng, max_nodes=6)
+        patterns = [tdfa.compile(pattern, engine=e) for e in ("tdfa", "simulation", "multipass")]
+        for data in all_inputs(b"abc", 3):
+            stepped = []
+            for p in patterns:
+                counters = {}
+                p.match(data, counters=counters)
+                stepped.append(counters["transitions"])
+            assert len(set(stepped)) == 1, (pattern, data, stepped)
 
 
 def test_value_shape_per_engine_under_default_multi():

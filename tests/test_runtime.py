@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from random import Random
 
 import pytest
@@ -478,18 +479,47 @@ def test_bulk_appends_count_tree_nodes():
     assert out.values[1] == list(range(700)) + [-1] * 800
 
 
+MB = 1 << 20
+
+
+@pytest.mark.parametrize("pattern, n_b", [("(?:#a)*", 0), (GOLDEN, MB // 2), ("(?:#a)*a{100}", 0)])
+def test_bulk_match_of_1mb_peaks_under_48_bytes_per_byte(pattern, n_b):
+    # A bulk run stores a run node and as many single nodes as its deepest
+    # copy reads, so the peak is the translated input and the unpacked
+    # lists: about 42 B per byte, where two list slots per byte of a run
+    # peaked at 58.
+    data = b"a" * (MB - n_b) + b"b" * n_b
+    p = tdfa.compile(pattern, multi="auto")
+    p.match(data[:200])  # builds the match plan
+    tracemalloc.start()
+    try:
+        out = p.match(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.kind == "match"
+    assert peak <= 48 * MB
+
+
 def expand_tree(tree: PrefixTree) -> tuple:
-    """The tree's (pred, offs) with every node stored on its own: a node
-    inside a bulk chain (offs None, pred ~first) follows the node before
-    it, with offs[first] + its distance from first, or -1 in a chain of
-    bypasses."""
-    pred, offs = list(tree.pred), list(tree.offs)
-    for idx, off in enumerate(tree.offs):
-        if off is None:
-            first = ~tree.pred[idx]
-            pred[idx] = idx - 1
-            offs[idx] = -1 if offs[first] < 0 else offs[first] + idx - first
-    return pred, offs
+    """The tree with one entry per node: a run node (first, count) becomes
+    a path of count nodes holding first, first + 1, ... (or -1 each when
+    first is -1).  Returns (pred, offs, at), at[idx] being the node of the
+    expanded tree that holds the last entry of node idx."""
+    pred, offs, at = [0], [-1], [0]
+    for q, off in zip(tree.pred[1:], tree.offs[1:]):
+        node = at[q or 0]
+        if type(off) is tuple:
+            first, count = off
+            entries = [-1] * count if first < 0 else range(first, first + count)
+        else:
+            entries = [off]
+        for entry in entries:
+            pred.append(node)
+            offs.append(entry)
+            node = len(pred) - 1
+        at.append(node)
+    return pred, offs, at
 
 
 def naive_unpack(pred: list, offs: list, idx: int) -> list:
@@ -498,6 +528,10 @@ def naive_unpack(pred: list, offs: list, idx: int) -> list:
         out.append(offs[idx])
         idx = pred[idx]
     return out[::-1]
+
+
+def run_nodes(tree: PrefixTree) -> list:
+    return [idx for idx, off in enumerate(tree.offs) if type(off) is tuple]
 
 
 @pytest.fixture
@@ -521,15 +555,14 @@ def test_unpack_mixes_bulk_chains_and_single_nodes(trees):
         trees.clear()
         assert exec_tdfa(a, data)
         tree = trees[0]
-        pred, offs = expand_tree(tree)
+        pred, offs, at = expand_tree(tree)
         for idx in range(len(tree.pred)):
-            assert tree.unpack(idx) == naive_unpack(pred, offs, idx)
+            assert tree.unpack(idx) == naive_unpack(pred, offs, at[idx])
         check_against_walk(a, data)
-    # the last input holds both kinds of node: chain interiors, and nodes
-    # that are neither inside a chain nor the first node of one
-    firsts = {~p for p, off in zip(tree.pred, tree.offs) if off is None}
-    assert tree.chained and firsts
-    assert any(off is not None and idx not in firsts for idx, off in enumerate(tree.offs[1:], 1))
+    # the last input holds both kinds of node: run nodes, and single nodes
+    runs = run_nodes(tree)
+    assert tree.runs and runs
+    assert len(runs) < len(tree.offs) - 1
 
 
 def check_histories(p, data: bytes):
@@ -546,26 +579,34 @@ def check_histories(p, data: bytes):
                                         ("(?:#a)*a{100}", 100)])
 def test_bulk_chains_read_from_the_middle(monkeypatch, pattern, k):
     # Golden's r6 <- r7 and the copy chain of (?:#a)*a{k} leave registers
-    # that point into the middle of the chain a bulk run appended.
+    # that hold the history of an iteration inside a bulk run: k single
+    # nodes follow its run node, k - 1 of them and the run node inside.
     p = tdfa.compile(pattern)
     assert bulk_states(p.tdfa)
     inside = []
     unpack = PrefixTree.unpack
+    last_a = -1  # where the run of "a" that starts the input ends
 
     def spy(tree, idx):
-        if tree.offs[idx] is None and idx + 1 < len(tree.offs) and tree.pred[idx + 1] == tree.pred[idx]:
+        out = unpack(tree, idx)
+        # back through the single nodes that continue a run node
+        node = idx
+        while node and type(tree.offs[node]) is not tuple and tree.pred[node] == node - 1:
+            node -= 1
+        if type(tree.offs[node]) is tuple and 0 <= out[-1] < last_a:
             inside.append(idx)
-        return unpack(tree, idx)
+        return out
     monkeypatch.setattr(PrefixTree, "unpack", spy)
-    for run in (0, 1, 2, k, 1500):
+    for run in sorted({0, 1, 2, k - 1, k, k + 1, 1500}):
         for data in (b"a" * run, b"a" * (run + k), b"a" * (run + k) + b"b" * 3, b"a" * (run + k) + b"c"):
+            last_a = len(data) - len(data.lstrip(b"a")) - 1
             check_histories(p, data)
     assert inside
 
 
 def test_bulk_chains_after_leaving_and_reentering_the_loop(trees):
-    # Each run of "a" appends chains whose history goes on from the chains
-    # of the runs before it, through the nodes of the bytes between them.
+    # Each run of "a" appends run nodes whose history goes on from the runs
+    # before it, through the nodes of the bytes between them.
     p = tdfa.compile("(?:(a)|b|c#)*", multi="all")
     for runs in ((4, 3), (40, 1, 40), (1500, 2, 1500), (3, 0, 40, 7)):
         for sep in (b"b", b"c", b"bc", b"cb"):
@@ -573,12 +614,13 @@ def test_bulk_chains_after_leaving_and_reentering_the_loop(trees):
             trees.clear()
             check_histories(p, data)
             tree = trees[0]
-            pred, offs = expand_tree(tree)
-            assert tree.chained
-            # some node outside a chain continues one from inside it
-            assert any(tree.offs[q] is None for q, off in zip(tree.pred, tree.offs) if off is not None and q)
+            pred, offs, at = expand_tree(tree)
+            assert tree.runs
+            # some single node continues the history of a run node
+            runs_at = set(run_nodes(tree))
+            assert any(q in runs_at for q, off in zip(tree.pred, tree.offs) if type(off) is not tuple)
             for idx in range(0, len(tree.pred), 7):
-                assert tree.unpack(idx) == naive_unpack(pred, offs, idx)
+                assert tree.unpack(idx) == naive_unpack(pred, offs, at[idx])
 
 
 def loop_automaton(ops, multi=None, prelude=()) -> Tdfa:
