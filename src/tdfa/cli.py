@@ -10,7 +10,7 @@ import os
 import sys
 import time
 
-from . import Pattern
+from . import Pattern, multipass, runtime
 from .determinize import ResourceLimit
 from .multipass import render_tstring
 from .optimizer import RegCfg, build_cfg, interferes, minimize
@@ -123,6 +123,7 @@ def cmd_compile(args) -> int:
         stats["final_registers"] = len(set(p.tdfa.rf.values()))
         stats["operations"] = p.tdfa.op_count()
         stats["states"] = p.tdfa.n_states
+        stats["spans"] = runtime.MatchPlan(p.tdfa).span_kinds()
         if "min" in render:  # without --minimize, a minimized view of the result
             files["tdfa_min.dot"] = (p.tdfa if args.minimize else minimize(p.tdfa)).to_dot()
         if "json" in render:
@@ -131,6 +132,8 @@ def cmd_compile(args) -> int:
             stats["fixed_tags"] = {
                 f"t{t}": f"t{b}-{d}" if b else f"len-{d}" for t, (b, d) in sorted(p.fixes.items())
             }
+    elif args.engine == "multipass":
+        stats["spans"] = multipass.MatchPlan(p.mp).span_kinds()
 
     if render:
         os.makedirs(args.out, exist_ok=True)

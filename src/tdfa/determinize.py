@@ -60,11 +60,20 @@ def history(h, t: int) -> str:
     return "".join(out)
 
 
-def loop_span(classes):
-    """The `match` of a compiled `[...]*` over the given class bytes: it
-    consumes a run of self-loops a matcher may skip.  None for no classes."""
+def loop_span(classes, n_live: int):
+    """What consumes a run of self-loops on the given classes, of n_live live
+    classes; None for no classes.  If one live class e leaves the loop, e:
+    the run ends at `text.find(e, pos, stop)`, or at stop, the input's first
+    dead byte or its end (`PlanFrame.dead_end`).  If none does, the dead
+    class.  Otherwise the `match` of a compiled `[...]*`: a find per exit
+    class could scan far past a short run, and a loop on all of 256 classes
+    leaves no byte to find."""
     if not classes:
         return None
+    loop = set(classes)
+    exits = [c for c in range(n_live) if c not in loop] or [n_live]
+    if len(exits) == 1 and exits[0] < 256:
+        return exits[0]
     span = b"".join(re.escape(bytes([c])) for c in sorted(classes))
     return re.compile(b"[" + span + b"]*").match
 
@@ -156,30 +165,33 @@ class PlanFrame:
     """The part of a match plan both engines lay out the same way:
 
     - `classes`, a bytes.translate table from byte to class.  Dead bytes go
-      to the sentinel class len(alphabet), whose column is None in every
-      row; classes covering all 256 bytes leave no sentinel;
+      to the sentinel class n_live = len(alphabet), whose column is None in
+      every row; classes covering all 256 bytes leave no sentinel;
     - `rows`, dense lists of cells (target, *part, skip of target), part
       being what the engine's `cell_payload(dfa, loops)` function gives for
       the cell, loops being the self-loop table: per state, its self-loop
       classes grouped by cell;
     - a state whose self-loops on some classes have a no-op cell (`no_op`)
-      has a skip: the `loop_span` over those classes.  `skip0` is the start
-      state's;
-    - `final`, the final flag per state.
+      has a skip: the `loop_span` over those classes, an exit class to find
+      or an `re` span.  `skip0` is the start state's;
+    - `final`, the final flag per state;
+    - `spans`, every span the plan made (`span`): the skips and the
+      engine's own loop spans.
     """
 
-    __slots__ = ("classes", "rows", "final", "skip0")
+    __slots__ = ("classes", "rows", "final", "skip0", "n_live", "spans")
 
     def __init__(self, dfa: Automaton):
         b2c = dfa.byte_to_class
-        sentinel = max(b2c) + 1
+        self.n_live = sentinel = max(b2c) + 1
         self.classes = bytes(sentinel if c < 0 else c for c in b2c)
         n = dfa.n_states
         loops: list[dict] = [{} for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
             if target == s:
                 loops[s].setdefault(cell, []).append(c)
-        skip = [loop_span([c for cell, cs in by_cell.items() if self.no_op(cell) for c in cs])
+        self.spans = []
+        skip = [self.span([c for cell, cs in by_cell.items() if self.no_op(cell) for c in cs])
                 for by_cell in loops]
         part = self.cell_payload(dfa, loops)
         self.rows = [[None] * (max(self.classes) + 1) for _ in range(n)]
@@ -187,6 +199,24 @@ class PlanFrame:
             self.rows[s][c] = (target, *part(s, target, cell), skip[target])
         self.final = [s in dfa.finals for s in range(n)]
         self.skip0 = skip[dfa.s0]
+
+    def span(self, classes):
+        """The `loop_span` over classes, kept in `spans` to be counted."""
+        span = loop_span(classes, self.n_live)
+        if span is not None:
+            self.spans.append(span)
+        return span
+
+    def span_kinds(self) -> dict:
+        """The plan's spans by kind: exit classes to find, and `re` spans."""
+        finds = sum(span.__class__ is int for span in self.spans)
+        return {"find": finds, "re": len(self.spans) - finds}
+
+    def dead_end(self, text: bytes) -> int:
+        """The first dead byte of a translated input, else its length: where
+        every run ends at the latest.  Only a plan with find spans asks."""
+        end = text.find(self.n_live) if self.n_live < 256 else -1
+        return end if end >= 0 else len(text)
 
 
 class _State:

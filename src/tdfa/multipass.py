@@ -15,8 +15,9 @@ single offsets, offset lists, or the full tagged string.
 The passes run on a match plan, built from the automaton on its first match
 on the frame both engines share (`determinize.PlanFrame`): the input is
 mapped to class bytes once with `bytes.translate`, and rows are dense lists
-of cells (target, backlinks, skip or None).  A compiled `re` span lets the
-forward pass consume a run of self-loops at C speed:
+of cells (target, backlinks, skip or None).  A span (`loop_span`: an exit
+class to find or an `re` span, as in `runtime`) lets the forward pass
+consume a run of self-loops at C speed:
 
 - a no-op loop maps every slot i to (i, ()), so walking back over it
   changes neither slot nor tags.  Its span sits on every cell into the
@@ -43,7 +44,7 @@ as soon as every tag has its last value.
 
 from itertools import chain
 
-from .determinize import Automaton, PlanFrame, Powerset, _State, loop_span
+from .determinize import Automaton, PlanFrame, Powerset, _State
 from .tnfa import Tnfa
 
 
@@ -198,7 +199,7 @@ class MatchPlan(PlanFrame):
                 [(links, cs)] = by_links.items()
                 depth = None if self.no_op(links) else _depth(links)
                 if depth is not None:
-                    self.loops[s] = (bytes(c in cs for c in range(n)), loop_span(cs), [links] * (depth + 1))
+                    self.loops[s] = (bytes(c in cs for c in range(n)), self.span(cs), [links] * (depth + 1))
         return lambda s, target, links: (links,)
 
 
@@ -223,10 +224,17 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
     # Bytes consumed beyond one per step: the position is len(steps) + extra.
     extra = 0
     skipped = 0  # by tagged spans
+    stop = -1  # plan.dead_end(text), looked for when a find span first runs
     s = mp.s0
     skip = plan.skip0
     if skip is not None:
-        end = skip(text).end()
+        if skip.__class__ is int:
+            stop = plan.dead_end(text)
+            end = text.find(skip, 0, stop)
+            if end < 0:
+                end = stop
+        else:
+            end = skip(text).end()
         if end:
             append(end)
             extra = end - 1
@@ -243,7 +251,14 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
             append(links)
             if skip is not None:
                 pos = len(steps) + extra
-                end = skip(text, pos).end()
+                if skip.__class__ is int:
+                    if stop < 0:
+                        stop = plan.dead_end(text)
+                    end = text.find(skip, pos, stop)
+                    if end < 0:
+                        end = stop
+                else:
+                    end = skip(text, pos).end()
                 if end > pos:
                     append(end - pos)
                     extra += end - pos - 1
@@ -261,7 +276,14 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
         append(tail[0])
         pos = len(steps) + extra
         if pos < n and member[text[pos]]:
-            end = span(text, pos).end()
+            if span.__class__ is int:
+                if stop < 0:
+                    stop = plan.dead_end(text)
+                end = text.find(span, pos, stop)
+                if end < 0:
+                    end = stop
+            else:
+                end = span(text, pos).end()
             skipped += end - pos
             # The run's last bytes stay arrays: walking back over them
             # reaches a fixed slot, where -r stands for r steps.

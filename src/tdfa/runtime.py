@@ -25,10 +25,12 @@ operation count, skip or None), skip being the op-free span of the target
   the run's first copy in the list, and the result is checked
   symbolically against the list when the plan is built; a failed check
   keeps the plain steps;
-- a state with op-free self-loops has a compiled `re` span over those
-  classes (the frame's skip); on entry to the state the loop lets it
-  consume the whole run of such bytes at C speed.  Each entry costs one
-  `re` call, so skipping pays off on runs longer than a few bytes;
+- a state with op-free self-loops has a span over those classes (the
+  frame's skip); on entry to the state the loop lets it consume the whole
+  run of such bytes at C speed.  A span is the loop's one exit class, run
+  as `text.find(e, pos, stop)`, stop being the input's first dead byte
+  (looked for once, at the first find), or else a compiled `re` span
+  (`loop_span`).  Each entry costs one call;
 - a state with no op-free self-loop whose self-loops all carry one list
   with a loop summary has a bulk loop.  The summary is read off the list's
   symbolic effect: each written register is a head, a set `r <- p|n` or a
@@ -38,7 +40,7 @@ operation count, skip or None), skip being the op-free span of the target
   appends from another register and longer histories have none.  The
   steps of its self-loop cells end in a bulk step holding the span of
   those classes and the summary, so the first loop byte runs as usual
-  (entries that leave at once pay no `re` call) and the step consumes the
+  (entries that leave at once pay no span call) and the step consumes the
   rest of the run, L bytes, at C speed.  After it, a register at depth d
   of a chain holds, for L <= d, the value before the run of the member L
   steps closer to the head, and otherwise the head's value after
@@ -67,7 +69,7 @@ reference the decoded steps are tested against.
 
 from dataclasses import dataclass, field
 
-from .determinize import PlanFrame, Tdfa, loop_span
+from .determinize import PlanFrame, Tdfa
 from .regops import COPY, SET
 
 
@@ -308,7 +310,7 @@ class MatchPlan(PlanFrame):
                 [(ops, cs)] = by_ops.items()
                 form = _bulk_form(steps_of(ops), len(ops))
                 if form is not None:
-                    bulk[s] = (_BULK, loop_span(cs), form)
+                    bulk[s] = (_BULK, self.span(cs), form)
 
         def cell(s, target, ops):
             steps = steps_of(ops) if ops else None
@@ -351,13 +353,26 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
 
     state = tdfa.s0
     skip = plan.skip0
-    pos = skip(text).end() if skip is not None else 0
-    match_pos = pos if final[state] else -1
+    pos = n_ops = 0
+    stop = -1  # plan.dead_end(text), looked for when a find span first runs
+    match_pos = -1
     match_state = state
-    row = rows[state]
-    n_ops = 0
-    while pos < n:
-        cell = row[text[pos]]
+    while True:
+        if skip is not None:
+            if skip.__class__ is int:
+                if stop < 0:
+                    stop = plan.dead_end(text)
+                pos = text.find(skip, pos, stop)
+                if pos < 0:
+                    pos = stop
+            else:
+                pos = skip(text, pos).end()
+        if final[state]:
+            match_pos = pos
+            match_state = state
+        if pos == n:
+            break
+        cell = rows[state][text[pos]]
         if cell is None:
             break
         state, steps, k, skip = cell
@@ -379,7 +394,14 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                     regs[dst] = len(offs)
                     offs.append(-1)
                 else:  # _BULK: dst is the span of the loop, src its closed form
-                    end = dst(text, pos + 1).end()
+                    if dst.__class__ is int:
+                        if stop < 0:
+                            stop = plan.dead_end(text)
+                        end = text.find(dst, pos + 1, stop)
+                        if end < 0:
+                            end = stop
+                    else:
+                        end = dst(text, pos + 1).end()
                     run = end - pos - 1
                     if run:
                         loop_ops, appends, sets, chains = src
@@ -426,12 +448,6 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                             regs[r] = end - 1 if p else None
                         pos = end - 1
         pos += 1
-        if skip is not None:
-            pos = skip(text, pos).end()
-        if final[state]:
-            match_pos = pos
-            match_state = state
-        row = rows[state]
 
     if counters is not None:
         counters["transitions"] = counters.get("transitions", 0) + pos

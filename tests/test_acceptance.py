@@ -105,13 +105,19 @@ def test_criterion_4_linear_time_matching():
         assert m1 == m2, (m1, m2)
 
         # Best of interleaved runs: a slow phase of a shared host hits both
-        # sizes, and one stall of a few ms cannot decide the ratio.
-        small, large = b"a" * 10**6, b"a" * 10**7
+        # sizes, and one stall of a few ms cannot decide the ratio.  The
+        # small input is timed as ten calls in a row, so both timings span
+        # the same time and meet the same neighbours, and it is 2.5 MB, so
+        # neither input with its translated copy stays in a core's L2
+        # cache.  The match is a memory-bound scan (bytes.translate and a
+        # find), so a short call or a cached input would read faster.
+        small, large = b"a" * 25 * 10**5, b"a" * 25 * 10**6
         t1 = t10 = float("inf")
         for _ in range(25):
             t0 = time.perf_counter()
-            p.match(small)
-            t1 = min(t1, time.perf_counter() - t0)
+            for _ in range(10):
+                p.match(small)
+            t1 = min(t1, (time.perf_counter() - t0) / 10)
             t0 = time.perf_counter()
             p.match(large)
             t10 = min(t10, time.perf_counter() - t0)

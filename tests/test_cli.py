@@ -208,6 +208,23 @@ def test_compile_dumps_without_out_print_the_stats_and_render_nothing(tmp_path, 
     assert rendered == []
 
 
+@pytest.mark.parametrize("pattern, spans", [
+    # golden's loops on a and on b each end at one class: find it
+    (GOLDEN, {"find": 2, "re": 0}),
+    # the loop on a|b ends at c or at d: re
+    ("(?:a|b)*c|(?:a|b)*d", {"find": 0, "re": 1}),
+    # the loop on a|b ends at c, and so does the tagged loop on a|b after c
+    # (a multipass tagged loop, a tdfa bulk loop)
+    ("(?:a|b)*c(?:#(?:a|b))*", {"find": 2, "re": 0}),
+    # a tagged loop on a alone ends at b or c
+    ("(?:a|b)*c(?:#a)*", {"find": 1, "re": 1}),
+])
+@pytest.mark.parametrize("engine", ["tdfa", "multipass"])
+def test_compile_stats_count_spans_by_kind(capsys, pattern, spans, engine):
+    code, out, _ = run(capsys, "compile", pattern, f"--engine={engine}")
+    assert code == 0 and json.loads(out)["spans"] == spans
+
+
 def test_compile_multipass_stats_and_dump(tmp_path, capsys):
     csv = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
     code, out, _ = run(capsys, "compile", csv, "--engine=multipass", "--dump=multipass", f"--out={tmp_path}")

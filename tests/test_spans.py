@@ -1,0 +1,183 @@
+"""Loop spans of both engines: a run of self-loops with one live exit class
+(or none) is consumed by `bytes.find`, any other run by a compiled `re`
+span.  The kinds must not change what a match returns or counts: every
+plan is checked against the same plan with `re` spans only."""
+
+import importlib
+import re
+from random import Random
+
+import pytest
+from helpers import ANY_BYTE
+
+import tdfa
+from tdfa.fuzz import _last, gen_pattern
+from tdfa.multipass import MatchPlan as MultipassPlan
+from tdfa.multipass import match_forward
+from tdfa.runtime import _BULK, MatchPlan, exec_tdfa
+from tdfa.tnfa import simulate
+
+# The package attribute `tdfa.determinize` is the function of that name.
+determinize_module = importlib.import_module("tdfa.determinize")
+loop_span = determinize_module.loop_span
+
+GOLDEN = "(a)*#(?:a|#b)#b*"
+CSV = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
+# (mode, repr) of each engine's matches
+CONFIGS = {"tdfa": [("full", "offsets"), ("prefix", "offsets")],
+           "multipass": [("full", "offsets"), ("full", "lists"), ("full", "tstring")]}
+
+
+def re_span(classes, n_live):
+    """The `re` span loop_span builds for two or more exit classes."""
+    if not classes:
+        return None
+    return re.compile(b"[" + b"".join(re.escape(bytes([c])) for c in sorted(classes)) + b"]*").match
+
+
+def automaton(p):
+    return p.tdfa if p.engine == "tdfa" else p.mp
+
+
+def plan_of(p):
+    a = automaton(p)
+    return MatchPlan(a) if p.engine == "tdfa" else MultipassPlan(a)
+
+
+def outcomes(patterns, inputs) -> list:
+    """Every outcome and counter of every pattern on every input, from
+    plans built afresh."""
+    out = []
+    for p in patterns:
+        automaton(p).invalidate()
+        for data in inputs:
+            for mode, repr_ in CONFIGS[p.engine]:
+                counters: dict = {}
+                o = p.match(data, mode=mode, repr_=repr_, counters=counters)
+                out.append((p.pattern, data, mode, repr_, o, counters))
+    return out
+
+
+def with_dead_bytes(inputs) -> list:
+    """Each input as it is, with a dead byte inside it and one at its end."""
+    out = []
+    for data in inputs:
+        out += [data, data[: len(data) // 2] + b"z" + data[len(data) // 2:], data + b"z"]
+    return out
+
+
+def test_find_spans_agree_with_re_spans(monkeypatch):
+    rng = Random(25)
+    patterns = [gen_pattern(rng, max_nodes=10, max_tags=4, alphabet="abc") for _ in range(150)]
+    patterns += ["(?:#a)*a{3}", "(?:#a)*a{12}", GOLDEN, CSV]
+    compiled = [tdfa.compile(pat, engine=engine, multi=multi)
+                for pat in patterns for engine in CONFIGS for multi in ("auto", "none")
+                if engine == "tdfa" or multi == "auto"]
+    inputs = [b"", b"a", b"a" * 40, b"b" * 40, b"c" * 40, b"a" * 20 + b"b" * 20, b"ab" * 10 + b"c" * 10,
+              b"abc,ab,c" * 5, b"aaab,bbbc,,cc", b"a" * 12 + b"b"]
+    inputs += [b"".join(bytes([rng.choice(b"abc,")]) * rng.choice((1, 2, 5, 30)) for _ in range(rng.randint(1, 6)))
+               for _ in range(12)]
+    inputs = with_dead_bytes(inputs)
+
+    kinds = {"find": 0, "re": 0}
+    for p in compiled:
+        for kind, count in plan_of(p).span_kinds().items():
+            kinds[kind] += count
+    found = outcomes(compiled, inputs)
+    monkeypatch.setattr(determinize_module, "loop_span", re_span)
+    assert all(plan_of(p).span_kinds()["find"] == 0 for p in compiled)
+    assert found == outcomes(compiled, inputs)
+    # Most runs end at one exit class (or only at a dead byte), some at more.
+    assert kinds["find"] > 100 and kinds["re"] > 10, kinds
+
+
+def test_span_kind_by_exit_classes():
+    assert loop_span([], 3) is None
+    assert loop_span([0, 2], 3) == 1  # one exit class: find it
+    assert loop_span([2, 1, 0], 3) == 3  # none: find the dead class
+    assert callable(loop_span([0], 3))  # two exit classes: re
+    assert loop_span(range(255), 256) == 255
+    assert callable(loop_span(range(256), 256))  # no class left to find
+
+
+def test_no_dead_class():
+    # One class holds all 256 bytes: the loop's span looks for class 1,
+    # which no translated input holds, so every run ends at the end.
+    for engine in CONFIGS:
+        p = tdfa.compile(b"(" + ANY_BYTE + b"*)", engine=engine, multi="none")
+        plan = plan_of(p)
+        assert plan.spans == [1]
+        for data in (b"", bytes(range(256)), bytes(range(255, -1, -1)) * 3):
+            assert plan.dead_end(data.translate(plan.classes)) == len(data)
+            counters: dict = {}
+            assert p.match(data, counters=counters).values == {1: 0, 2: len(data)}
+            assert counters["transitions"] == len(data)
+
+
+@pytest.mark.parametrize("engine", list(CONFIGS))
+def test_empty_input_and_runs_to_the_end(engine):
+    p = tdfa.compile(CSV, engine=engine, multi="none")
+    assert plan_of(p).span_kinds() == {"find": 2, "re": 0}
+    for data in (b"", b"a", b"abc", b"abc," + b"cab" * 100, b"b" * 300):
+        counters: dict = {}
+        out = p.match(data, counters=counters)
+        assert (out.values if out else None) == simulate(p.tnfa, data), data
+        assert counters["transitions"] == len(data)
+
+
+@pytest.mark.parametrize("engine", list(CONFIGS))
+def test_dead_byte_before_the_exit_class(engine):
+    # The field's run ends at the dead z, not at the comma after it.
+    p = tdfa.compile(CSV, engine=engine, multi="none")
+    data = b"abc,ab" + b"c" * 50 + b"z" + b"c,abc"
+    counters: dict = {}
+    assert not p.match(data, counters=counters)
+    assert counters["transitions"] == 56
+    if engine == "tdfa":
+        out = p.match(data, mode="prefix")
+        assert (out.kind, out.end, out.values) == ("prefix", 56, simulate(p.tnfa, data[:56]))
+
+
+@pytest.mark.parametrize("pattern, span", [("(?:#a)*", 1), (GOLDEN, 1)])
+def test_bulk_step_with_a_find_span(pattern, span):
+    # (?:#a)*: the loop on the one class a ends at a dead byte only;
+    # golden's loop on a ends at b, class 1.
+    p = tdfa.compile(pattern, multi="auto")
+    plan = MatchPlan(p.tdfa)
+    bulk = [step for row in plan.rows for cell in row if cell and cell[1] for step in cell[1] if step[0] == _BULK]
+    assert bulk and all(step[1] == span for step in bulk)
+    sim = tdfa.compile(pattern, engine="simulation")
+    for data in (b"a" * 500, b"a" * 500 + b"b" * 3, b"a" * 200 + b"z" + b"a" * 300 + b"b", b"a" * 500 + b"z"):
+        counters: dict = {}
+        out = exec_tdfa(p.tdfa, data, "prefix", counters)
+        dead = [i for i, byte in enumerate(data) if p.tdfa.byte_to_class[byte] < 0]
+        assert counters["transitions"] == (dead[0] if dead else len(data))
+        if out:
+            assert {t: _last(v) for t, v in out.values.items()} == sim.match(data[: out.end]).values
+
+
+def test_multipass_tagged_loop_with_a_find_span():
+    # (?:#a)*: after PLAIN_LOOPS plain steps the tagged loop's span, a find
+    # of the dead class, takes the rest of the run.
+    p = tdfa.compile("(?:#a)*", engine="multipass")
+    data = b"a" * 1000
+    counters: dict = {}
+    assert p.match(data, repr_="lists", counters=counters).values == {1: list(range(1000))}
+    spans = [loop[1] for loop in p.mp._plan.loops if loop]
+    assert spans == [1] and counters["skipped"] == 995
+    counters = {}
+    assert match_forward(p.mp, b"a" * 500 + b"z" + b"a" * 499, counters) is None
+    assert counters["transitions"] == 500
+
+
+def test_prefix_fallback_after_a_find_span():
+    # The last field's run is found, then "," leaves the final state for
+    # one that the input's end (or a dead byte) kills: the match falls back.
+    p = tdfa.compile(CSV, multi="none")
+    for tail in (b",", b",z", b"z"):
+        data = b"abc," + b"cab" * 30 + tail
+        counters: dict = {}
+        out = p.match(data, mode="prefix", counters=counters)
+        assert (out.kind, out.end) == ("prefix", 94)
+        assert out.values == simulate(p.tnfa, data[:94])
+        assert counters["fallback"] == (tail != b"z")
