@@ -1,6 +1,7 @@
 import hashlib
 import re
 import time
+from itertools import chain
 from random import Random
 
 import pytest
@@ -215,6 +216,46 @@ def test_simulate_last_values_unchanged_on_a_seeded_corpus():
                 assert {t: _last(v) for t, v in lists.items()} == got
     assert matched == 1893
     assert digest.hexdigest() == "88212ff8befe163035f42efb64a843d4972d157ff64edd81d098762a416f2c48"
+
+
+def test_simulate_full_answer_unchanged_on_a_seeded_corpus():
+    # The digest of every tag's history (-1 for each bypass) and of the
+    # `transitions` counter, as the simulation gave them before its inner
+    # loops were rewritten.  Beyond the inputs the last-value digest sees,
+    # it covers runs of 40 and of 1,000 of each symbol, bytes no arc reads
+    # (the simulation stops there), and inputs of a few KB on CSV, golden
+    # and (?:#a)*a{20}, on which it stops early, late or not at all.
+    from tdfa.fuzz import all_inputs as fuzz_inputs, gen_pattern
+
+    rng = Random(2606)
+    digest = hashlib.sha256()
+
+    def pin(nfa, data):
+        c = {}
+        got = simulate(nfa, data, multi=set(nfa.tags), counters=c)
+        digest.update(repr((got, c)).encode())
+
+    long_runs = [ch * n for ch in (b"a", b"b") for n in (40, 1000)]
+    dead = [b"ab\xffba", b"a" * 30 + b"c" + b"a" * 9]
+    for _ in range(1000):
+        nfa = build_tnfa(parse_regex(gen_pattern(rng)))
+        for data in chain(fuzz_inputs("ab", 5), long_runs, dead):
+            pin(nfa, data)
+
+    def field():
+        return bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 4)))
+
+    csv = b",".join(field() for _ in range(1000))
+    ab = bytes(rng.choice(b"ab") for _ in range(3000))
+    for pattern, inputs in (
+        ("((?:a|b|c)+)(?:,((?:a|b|c)+))*", [csv, csv + b",", csv[:1500] + b"x" + csv[1500:]]),
+        (GOLDEN, [b"a" * 2000 + b"b" * 2000, b"a" * 3000, ab]),
+        ("(?:#a)*a{20}", [b"a" * 3000, b"a" * 1500 + b"b" + b"a" * 1500, b"a" * 19]),
+    ):
+        nfa = build_tnfa(parse_regex(pattern))
+        for data in inputs:
+            pin(nfa, data)
+    assert digest.hexdigest() == "0566e21887837bf93a8a2809976cff76ad3ad19a8d137add948745d1551655b0"
 
 
 def test_simulate_deterministic():
