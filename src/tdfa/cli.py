@@ -173,8 +173,11 @@ def cmd_match(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from .fuzz import run_corpus
+    from .fuzz import LONG_RUN, MATCH_FLAGS, input_count, run_corpus
 
+    inputs = f"{input_count(args.alphabet, args.max_len):,} inputs (len<={args.max_len}, runs of {LONG_RUN})"
+    if args.progress:
+        print(f"  {inputs} per pattern on {len(MATCH_FLAGS)} configurations")
     t0 = time.perf_counter()
     checked, div = run_corpus(
         seed=args.seed,
@@ -189,8 +192,7 @@ def cmd_fuzz(args) -> int:
     )
     dt = time.perf_counter() - t0
     if div is None:
-        print(f"ok: {checked} patterns x all inputs len<={args.max_len} over "
-              f"{args.alphabet!r}, no divergence ({dt:.1f}s)")
+        print(f"ok: {checked} patterns x {inputs} over {args.alphabet!r}, no divergence ({dt:.1f}s)")
         return EX_OK
     print(f"DIVERGENCE after {checked} patterns ({dt:.1f}s)")
     print(f"  {div}")

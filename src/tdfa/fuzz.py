@@ -141,6 +141,12 @@ def all_inputs(alphabet: str, max_len: int):
 LONG_RUN = 40
 
 
+def input_count(alphabet: str, max_len: int) -> int:
+    """How many inputs cross_check runs per configuration: every string of
+    up to max_len characters and the long runs."""
+    return sum(len(alphabet) ** n for n in range(max_len + 1)) + len(alphabet)
+
+
 def _last(value):
     """Normalize to the last-offset view: -1 and empty lists become nil."""
     if isinstance(value, list):

@@ -18,7 +18,7 @@ nodes (one `Sym` per byte, the subtrees the fixed-tag strip keeps), so
 each node is analysed once and each set's bytes are one frozenset.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .resyntax import Alt, Cat, Empty, Rep, Sym, TaggedRegex, Tag
 
@@ -34,9 +34,10 @@ class Tnfa:
     # eps[q]: ((priority, tag, target), ...) sorted by priority; tag is
     # +t / -t / 0 for untagged.  arcs[q]: (classes, target) or None, the
     # classes ascending.  A state has no eps-transitions exactly when it
-    # has an arc or is qf, which the determinization closure relies on.
+    # has an arc or is qf, which both closures rely on.
     eps: list[tuple[tuple[int, int, int], ...]]
     arcs: list[tuple[tuple[int, ...], int] | None]
+    _sim_moves: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def tag_index(self) -> dict[int, int]:
         return {t: i for i, t in enumerate(self.tags)}
@@ -194,52 +195,55 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
     )
 
 
-def sim_epsilon_closure(C: list, nfa: Tnfa, k: int, idx: dict[int, int], hist=None) -> list:
+def sim_moves(nfa: Tnfa) -> list:
+    """The simulation's one table, built on its first call and kept in the
+    Tnfa: each state's eps-transitions in reverse priority, as (target, tag
+    slot or -1, whether the tag is positive).  A state's tuple is empty
+    exactly when it has an arc or is qf, the states the closure keeps.
+    Nothing else is cached: closures or configuration sets kept across
+    bytes would make the reference a lazy DFA, built the way the engines
+    it checks are."""
+    moves = nfa._sim_moves
+    if moves is None:
+        idx = nfa.tag_index()
+        moves = nfa._sim_moves = [tuple([(p, idx[abs(tag)] if tag else -1, tag > 0) for _, tag, p in reversed(out)])
+                                  for out in nfa.eps]
+    return moves
+
+
+def sim_epsilon_closure(C: list, nfa: Tnfa, k: int, hist: list[bool], mark: list[int]) -> list:
     """Depth-first closure; first arrival at a state wins.
 
     Configurations are (state, value list); k is the number of characters
-    consumed so far and idx is nfa.tag_index().  A slot flagged in hist
-    keeps a chain (value, earlier chain), -1 for a negative tag; the others
-    the last value or None.  Keeps configurations at the final state or
-    with an outgoing symbol transition, in claim order.
+    consumed so far.  A slot flagged in hist keeps a chain (value, earlier
+    chain), -1 for a negative tag; the others the last value or None.  A
+    state q is claimed by setting mark[q] to k, so one mark list serves
+    every closure of a simulation.  Keeps configurations at the final
+    state or with an outgoing symbol transition, in claim order.
     """
-    if hist is None:
-        hist = [False] * len(idx)
+    moves = sim_moves(nfa)
     out = []
-    seen = set()
-    stack = list(reversed(C))
+    stack = C[::-1]
     while stack:
         q, m = stack.pop()
-        if q in seen:
+        if mark[q] == k:
             continue
-        seen.add(q)
-        out.append((q, m))
-        # Push in reverse priority so priority 1 pops first.
-        for _, tag, p in reversed(nfa.eps[q]):
-            if p in seen:
+        mark[q] = k
+        if not moves[q]:
+            out.append((q, m))
+        # Pushed in reverse priority, so priority 1 pops first.
+        for p, i, positive in moves[q]:
+            if mark[p] == k:
                 continue
-            if tag == 0:
+            if i < 0:
                 stack.append((p, m))
             else:
-                m2 = list(m)
-                if tag > 0:
-                    i = idx[tag]
+                m2 = m.copy()
+                if positive:
                     m2[i] = (k, m[i]) if hist[i] else k
                 else:
-                    i = idx[-tag]
                     m2[i] = (-1, m[i]) if hist[i] else None
                 stack.append((p, m2))
-    return [(q, m) for q, m in out if q == nfa.qf or nfa.arcs[q]]
-
-
-def sim_step_on_symbol(C: list, nfa: Tnfa, a: int) -> list:
-    """Step across the arcs that read byte a's class; class -1 matches none."""
-    cls, arcs = nfa.byte_to_class[a], nfa.arcs
-    out = []
-    for q, m in C:
-        arc = arcs[q]
-        if arc is not None and cls in arc[0]:
-            out.append((arc[1], m))
     return out
 
 
@@ -258,17 +262,19 @@ def simulate(nfa: Tnfa, data: bytes, multi=frozenset(), counters: dict | None = 
     bypass; the others as their last offset or None.  With counters, adds
     to `transitions` the bytes stepped before the input ended or no
     configuration was left."""
-    idx = nfa.tag_index()
     hist = [t in multi for t in nfa.tags]
-    C = [(nfa.q0, [None] * len(nfa.tags))]
-    C = sim_epsilon_closure(C, nfa, 0, idx, hist)
+    mark = [-1] * nfa.n_states
+    b2c, arcs = nfa.byte_to_class, nfa.arcs
+    C = sim_epsilon_closure([(nfa.q0, [None] * len(hist))], nfa, 0, hist, mark)
     stepped = len(data)
-    for k, byte in enumerate(data):
-        C = sim_step_on_symbol(C, nfa, byte)
+    for k, byte in enumerate(data, 1):
+        # Step across the arcs that read the byte's class; -1 matches none.
+        cls = b2c[byte]
+        C = [(arc[1], m) for q, m in C if (arc := arcs[q]) is not None and cls in arc[0]]
         if not C:
-            stepped = k
+            stepped = k - 1
             break
-        C = sim_epsilon_closure(C, nfa, k + 1, idx, hist)
+        C = sim_epsilon_closure(C, nfa, k, hist, mark)
     if counters is not None:
         counters["transitions"] = counters.get("transitions", 0) + stepped
     for q, m in C:

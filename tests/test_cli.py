@@ -9,7 +9,7 @@ import pytest
 
 import tdfa
 from tdfa.cli import _multi_arg, build_parser, main
-from tdfa.fuzz import MATCH_FLAGS, Divergence, all_inputs, gen_pattern, run_corpus
+from tdfa.fuzz import MATCH_FLAGS, Divergence, all_inputs, gen_pattern, input_count, run_corpus
 from tdfa.regops import COPY
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
@@ -305,7 +305,20 @@ def test_fuzz_runs_clean_without_an_injected_fault(capsys):
 def test_fuzz_progress_below_ten_patterns(capsys):
     code, out, _ = run(capsys, "fuzz", "--count=3", "--progress", "--max-len=2")
     assert code == 0, out
-    assert [line.strip() for line in out.splitlines()[:3]] == [f"checked {i}/3 patterns" for i in (1, 2, 3)]
+    assert [line.strip() for line in out.splitlines()[1:4]] == [f"checked {i}/3 patterns" for i in (1, 2, 3)]
+
+
+def test_fuzz_says_how_many_inputs_each_pattern_runs(capsys):
+    # every string up to --max-len, then a run of LONG_RUN per symbol
+    assert input_count("ab", 6) == len(list(all_inputs("ab", 6))) + 2 == 129
+    assert input_count("abcdefgh", 6) == 299_593 + 8
+    code, out, _ = run(capsys, "fuzz", "--count=2", "--progress", "--max-len=3", "--alphabet=abc")
+    assert code == 0, out
+    lines = out.splitlines()
+    assert lines[0].strip() == "43 inputs (len<=3, runs of 40) per pattern on 11 configurations"
+    assert lines[-1].startswith("ok: 2 patterns x 43 inputs (len<=3, runs of 40) over 'abc', no divergence")
+    code, out, _ = run(capsys, "fuzz", "--count=1", "--alphabet=abcdefgh", "--max-len=0")
+    assert out.startswith("ok: 1 patterns x 9 inputs (len<=0, runs of 40)"), out
 
 
 def test_no_bench_subcommand(capsys):

@@ -113,7 +113,8 @@ def test_shared_closure_agrees_with_simulation_closure():
         idx = nfa.tag_index()
         got = epsilon_closure(nfa, [(nfa.q0, None, ())])
         for start in (None, -1):
-            want = sim_epsilon_closure([(nfa.q0, [start] * len(nfa.tags))], nfa, 0, idx)
+            want = sim_epsilon_closure([(nfa.q0, [start] * len(nfa.tags))], nfa, 0,
+                                       [False] * len(nfa.tags), [-1] * nfa.n_states)
             assert [c[0] for c in got] == [q for q, _ in want], pattern
             for (_, _, _, l), (_, m) in zip(got, want):
                 values = [start] * len(nfa.tags)

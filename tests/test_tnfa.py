@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import re
 import time
 from itertools import chain
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,13 +11,13 @@ import pytest
 from helpers import ESCAPED, all_asts, all_inputs, brute_force_match, closure_patterns, gen_set_pattern, number_tags
 
 import tdfa
+from tdfa import tnfa as tnfa_module
 from tdfa.fuzz import cross_check
 from tdfa.resyntax import Sym, Tag, parse_regex
 from tdfa.tnfa import (
     build_tnfa,
     dot_class,
     sim_epsilon_closure,
-    sim_step_on_symbol,
     simulate,
     tnfa_to_dot,
 )
@@ -145,8 +147,9 @@ def test_build_golden_structure():
 
 
 def test_eps_free_exactly_at_arcs_and_qf():
-    # The shared closure emits a configuration where it meets an eps-free
-    # state, and closes an eps-free seed to itself with no walk.
+    # Both closures keep a configuration where they meet an eps-free state
+    # (the simulation's reads it from its table), and the shared one closes
+    # an eps-free seed to itself with no walk.
     for pattern in closure_patterns() + ["", "#", "()", "(?:)*", "a{0}"]:
         nfa = build_tnfa(parse_regex(pattern))
         for q in range(nfa.n_states):
@@ -219,12 +222,13 @@ def test_simulate_last_values_unchanged_on_a_seeded_corpus():
 
 
 def test_simulate_full_answer_unchanged_on_a_seeded_corpus():
-    # The digest of every tag's history (-1 for each bypass) and of the
-    # `transitions` counter, as the simulation gave them before its inner
-    # loops were rewritten.  Beyond the inputs the last-value digest sees,
-    # it covers runs of 40 and of 1,000 of each symbol, bytes no arc reads
-    # (the simulation stops there), and inputs of a few KB on CSV, golden
-    # and (?:#a)*a{20}, on which it stops early, late or not at all.
+    # The digest of every tag's history (-1 for each bypass), of the
+    # `transitions` counter and of the last values, as the simulation gave
+    # them before its inner loops were rewritten.  Beyond the inputs the
+    # last-value digest above sees, it covers runs of 40 and of 1,000 of
+    # each symbol, bytes no arc reads (the simulation stops there), and
+    # inputs of a few KB on CSV, golden and (?:#a)*a{20}, on which it
+    # stops early, late or not at all.
     from tdfa.fuzz import all_inputs as fuzz_inputs, gen_pattern
 
     rng = Random(2606)
@@ -233,7 +237,7 @@ def test_simulate_full_answer_unchanged_on_a_seeded_corpus():
     def pin(nfa, data):
         c = {}
         got = simulate(nfa, data, multi=set(nfa.tags), counters=c)
-        digest.update(repr((got, c)).encode())
+        digest.update(repr((got, c, simulate(nfa, data))).encode())
 
     long_runs = [ch * n for ch in (b"a", b"b") for n in (40, 1000)]
     dead = [b"ab\xffba", b"a" * 30 + b"c" + b"a" * 9]
@@ -255,7 +259,7 @@ def test_simulate_full_answer_unchanged_on_a_seeded_corpus():
         nfa = build_tnfa(parse_regex(pattern))
         for data in inputs:
             pin(nfa, data)
-    assert digest.hexdigest() == "0566e21887837bf93a8a2809976cff76ad3ad19a8d137add948745d1551655b0"
+    assert digest.hexdigest() == "2fda63f067c46ff698a09db870fe9f3a980e51ec8cfcb105375f89db18a6d6d1"
 
 
 def test_simulate_deterministic():
@@ -264,9 +268,15 @@ def test_simulate_deterministic():
     assert runs[0] == runs[1] == runs[2]
 
 
+def start_closure(nfa, k=0, mark=None):
+    """The closure of q0 with every tag nil, on a fresh mark list."""
+    mark = [-1] * nfa.n_states if mark is None else mark
+    return sim_epsilon_closure([(nfa.q0, [None] * len(nfa.tags))], nfa, k, [False] * len(nfa.tags), mark)
+
+
 def test_closure_initial_rows():
     nfa = golden_nfa()
-    C = sim_epsilon_closure([(nfa.q0, [None] * 5)], nfa, 0, nfa.tag_index())
+    C = start_closure(nfa)
     assert [q for q, _ in C] == [2, 9, 12]
     by_state = {q: m for q, m in C}
     assert by_state[2] == [0, None, None, None, None]
@@ -276,28 +286,62 @@ def test_closure_initial_rows():
 
 def test_closure_symbol_only_state():
     nfa = build_tnfa(Sym(A))
-    C = sim_epsilon_closure([(nfa.q0, [])], nfa, 0, nfa.tag_index())
-    assert C == [(nfa.q0, [])]
+    assert start_closure(nfa) == [(nfa.q0, [])]
 
 
 def test_closure_alt_order():
     nfa = build_tnfa(parse_regex("a|bc"))  # not a symbol set
-    C = sim_epsilon_closure([(nfa.q0, [])], nfa, 0, nfa.tag_index())
-    states = [q for q, _ in C]
+    states = [q for q, _ in start_closure(nfa)]
     # left branch claimed before right branch
     assert states == sorted(states)
     assert nfa.arcs[states[0]] == ((0,), nfa.qf)  # a
     assert nfa.arcs[states[1]][0] == (1,)  # b
 
 
-def test_step_on_symbol():
+def test_closure_claims_states_by_stamping_the_offset():
+    # One mark list serves a whole simulation: a state stamped with k is
+    # claimed for the closure at k only.
     nfa = golden_nfa()
-    C = sim_epsilon_closure([(nfa.q0, [None] * 5)], nfa, 0, nfa.tag_index())
-    stepped = sim_step_on_symbol(C, nfa, A)
-    assert [q for q, _ in stepped] == [3, 10]
-    assert sim_step_on_symbol(C, nfa, ord("c")) == []
-    single = sim_step_on_symbol([C[0]], nfa, A)
-    assert len(single) == 1
+    mark = [-1] * nfa.n_states
+    first = start_closure(nfa, 0, mark)
+    assert start_closure(nfa, 0, mark) == []
+    again = start_closure(nfa, 1, mark)
+    assert [q for q, _ in again] == [q for q, _ in first]
+    assert again[0][1] == [1, None, None, None, None]
+
+
+def test_step_on_symbol():
+    # The simulation stops at the first byte that no configuration's arc
+    # reads, a byte of no class (-1) among them, and counts the bytes
+    # stepped before it.
+    nfa = golden_nfa()
+    for data, want, stepped in ((b"aab", {1: 1, 2: 2, 3: 2, 4: 2, 5: 3}, 3), (b"aac", None, 2),
+                                (b"ba", None, 1), (b"c", None, 0), (b"", None, 0)):
+        c = {}
+        assert simulate(nfa, data, counters=c) == want and c == {"transitions": stepped}, data
+
+
+def test_simulation_table_is_built_once_and_stays_out_of_eq_and_repr():
+    nfa, twin = golden_nfa(), golden_nfa()
+    assert nfa._sim_moves is None
+    simulate(nfa, b"aab")
+    moves = nfa._sim_moves
+    assert len(moves) == len(nfa.eps) and all(len(a) == len(b) for a, b in zip(moves, nfa.eps))
+    simulate(nfa, b"ab", multi=set(nfa.tags))
+    assert nfa._sim_moves is moves
+    assert nfa == twin and repr(nfa) == repr(twin) and "_sim_moves" not in repr(nfa)
+
+
+def test_simulation_imports_nothing_from_determinize():
+    # The simulation is the reference the determinization is checked
+    # against, so it shares none of its code (the closure above all).
+    tree = ast.parse(Path(tnfa_module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("determinize", "tdfa.determinize"), ast.unparse(node)
+            assert not any(alias.name == "determinize" for alias in node.names), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any("determinize" in alias.name for alias in node.names), ast.unparse(node)
 
 
 def test_dot_dump_mentions_priorities_and_tags():
