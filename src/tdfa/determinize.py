@@ -64,7 +64,7 @@ def loop_span(classes, n_live: int):
     """What consumes a run of self-loops on the given classes, of n_live live
     classes; None for no classes.  If one live class e leaves the loop, e:
     the run ends at `text.find(e, pos, stop)`, or at stop, the input's first
-    dead byte or its end (`PlanFrame.dead_end`).  If none does, the dead
+    dead byte or its end (`PlanFrame.dead`).  If none does, the dead
     class.  Otherwise the `match` of a compiled `[...]*`: a find per exit
     class could scan far past a short run, and a loop on all of 256 classes
     leaves no byte to find."""
@@ -167,19 +167,21 @@ class PlanFrame:
     - `classes`, a bytes.translate table from byte to class.  Dead bytes go
       to the sentinel class n_live = len(alphabet), whose column is None in
       every row; classes covering all 256 bytes leave no sentinel;
-    - `rows`, dense lists of cells (target, *part, skip of target), part
-      being what the engine's `cell_payload(dfa, loops)` function gives for
-      the cell, loops being the self-loop table: per state, its self-loop
-      classes grouped by cell;
+    - `rows`, dense lists of cells (target, *tail), tail being what the
+      engine's `cell_payload(dfa, loops)` function gives for the cell and
+      its target's skip, loops being the self-loop table: per state, its
+      self-loop classes grouped by cell;
     - a state whose self-loops on some classes have a no-op cell (`no_op`)
       has a skip: the `loop_span` over those classes, an exit class to find
       or an `re` span.  `skip0` is the start state's;
     - `final`, the final flag per state;
     - `spans`, every span the plan made (`span`): the skips and the
-      engine's own loop spans.
+      engine's own loop spans;
+    - `dead`, the sentinel class if a plan with find spans has one, else
+      None: a match takes the bound of its finds once (`dead_end`).
     """
 
-    __slots__ = ("classes", "rows", "final", "skip0", "n_live", "spans")
+    __slots__ = ("classes", "rows", "final", "skip0", "n_live", "spans", "dead")
 
     def __init__(self, dfa: Automaton):
         b2c = dfa.byte_to_class
@@ -193,12 +195,13 @@ class PlanFrame:
         self.spans = []
         skip = [self.span([c for cell, cs in by_cell.items() if self.no_op(cell) for c in cs])
                 for by_cell in loops]
-        part = self.cell_payload(dfa, loops)
+        tail = self.cell_payload(dfa, loops)
         self.rows = [[None] * (max(self.classes) + 1) for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
-            self.rows[s][c] = (target, *part(s, target, cell), skip[target])
+            self.rows[s][c] = (target, *tail(s, target, cell, skip[target]))
         self.final = [s in dfa.finals for s in range(n)]
         self.skip0 = skip[dfa.s0]
+        self.dead = sentinel if sentinel < 256 and self.span_kinds()["find"] else None
 
     def span(self, classes):
         """The `loop_span` over classes, kept in `spans` to be counted."""
@@ -214,7 +217,7 @@ class PlanFrame:
 
     def dead_end(self, text: bytes) -> int:
         """The first dead byte of a translated input, else its length: where
-        every run ends at the latest.  Only a plan with find spans asks."""
+        every run ends at the latest."""
         end = text.find(self.n_live) if self.n_live < 256 else -1
         return end if end >= 0 else len(text)
 

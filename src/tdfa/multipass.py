@@ -16,12 +16,13 @@ The passes run on a match plan, built from the automaton on its first match
 on the frame both engines share (`determinize.PlanFrame`): the input is
 mapped to class bytes once with `bytes.translate`, and rows are dense lists
 of cells (target, backlinks, skip or None).  A span (`loop_span`: an exit
-class to find or an `re` span, as in `runtime`) lets the forward pass
-consume a run of self-loops at C speed:
+class to find up to the bound a match takes once, or an `re` span) lets
+the forward pass consume a run of self-loops at C speed:
 
 - a no-op loop maps every slot i to (i, ()), so walking back over it
   changes neither slot nor tags.  Its span sits on every cell into the
-  state: the pass skips the run on entry and records it as an int L;
+  state, and is `skip0` for the start state: the byte loop runs it before
+  the next byte steps, and records the run it skips as an int L;
 - a tagged loop: all self-loops of a state carry one other array, and it
   settles: following arr[i][0] from every slot reaches a fixed slot f
   (arr[f][0] == f) within d steps, its depth, after which every step back
@@ -200,7 +201,7 @@ class MatchPlan(PlanFrame):
                 depth = None if self.no_op(links) else _depth(links)
                 if depth is not None:
                     self.loops[s] = (bytes(c in cs for c in range(n)), self.span(cs), [links] * (depth + 1))
-        return lambda s, target, links: (links,)
+        return lambda s, target, links, skip: (links, skip)
 
 
 def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
@@ -218,42 +219,25 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
     rows, loops = plan.rows, plan.loops
     text = data.translate(plan.classes)
     n = len(text)
+    stop = n if plan.dead is None else text.find(plan.dead) % (n + 1)  # -1 maps to n
+    # A bytes iterator's __setstate__ (its pickle support) sets its
+    # position: one call, where islice would step through a run.
     it = iter(text)
     steps: list = []
     append = steps.append
     # Bytes consumed beyond one per step: the position is len(steps) + extra.
     extra = 0
     skipped = 0  # by tagged spans
-    stop = -1  # plan.dead_end(text), looked for when a find span first runs
     s = mp.s0
     skip = plan.skip0
-    if skip is not None:
-        if skip.__class__ is int:
-            stop = plan.dead_end(text)
-            end = text.find(skip, 0, stop)
-            if end < 0:
-                end = stop
-        else:
-            end = skip(text).end()
-        if end:
-            append(end)
-            extra = end - 1
-            # A bytes iterator's __setstate__ (its pickle support) sets its
-            # position: one call, where islice would step through the run.
-            it.__setstate__(end)
     row = rows[s]
     while True:
         for cls in it:
-            cell = row[cls]
-            if cell is None:
-                break
-            s, links, skip = cell
-            append(links)
+            # The skip of the state entered (or of the start state) runs
+            # before cls steps: a run it consumes starts at cls.
             if skip is not None:
                 pos = len(steps) + extra
                 if skip.__class__ is int:
-                    if stop < 0:
-                        stop = plan.dead_end(text)
                     end = text.find(skip, pos, stop)
                     if end < 0:
                         end = stop
@@ -263,6 +247,13 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
                     append(end - pos)
                     extra += end - pos - 1
                     it.__setstate__(end)
+                    skip = None
+                    continue
+            cell = row[cls]
+            if cell is None:
+                break
+            s, links, skip = cell
+            append(links)
             row = rows[s]
         else:
             break
@@ -277,8 +268,6 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
         pos = len(steps) + extra
         if pos < n and member[text[pos]]:
             if span.__class__ is int:
-                if stop < 0:
-                    stop = plan.dead_end(text)
                 end = text.find(span, pos, stop)
                 if end < 0:
                     end = stop

@@ -11,8 +11,8 @@ run at the match end position.
 match and kept until `Tdfa.invalidate()`.  The frame both engines share
 (`determinize.PlanFrame`) maps the input to class bytes once with
 `bytes.translate` and lays out dense rows of cells (target, steps or None,
-operation count, skip or None), skip being the op-free span of the target
-(below).  The register TDFA adds the steps and the count:
+operation count, skip or None), skip being the span the loop runs after
+the cell (below).  The register TDFA adds the steps and the count:
 
 - each distinct operation list is decoded once into flat (kind, dst, src)
   steps that the loop runs inline; an append of a multi-character history
@@ -28,31 +28,32 @@ operation count, skip or None), skip being the op-free span of the target
 - a state with op-free self-loops has a span over those classes (the
   frame's skip); on entry to the state the loop lets it consume the whole
   run of such bytes at C speed.  A span is the loop's one exit class, run
-  as `text.find(e, pos, stop)`, stop being the input's first dead byte
-  (looked for once, at the first find), or else a compiled `re` span
+  as `text.find(e, pos, stop)`, stop being the input's first dead byte or
+  its end, looked for once per match, or else a compiled `re` span
   (`loop_span`).  Each entry costs one call;
 - a state with no op-free self-loop whose self-loops all carry one list
-  with a loop summary has a bulk loop.  The summary is read off the list's
-  symbolic effect: each written register is a head, a set `r <- p|n` or a
-  single-character self-append `r <- r.h`, or a copy whose chain of copies
-  ends in a head or in a register the list does not write (golden's
-  `r6 <- r7 <- r7.p`, the shift chain of `(?:#a)*a{100}`).  Copy cycles,
-  appends from another register and longer histories have none.  The
-  steps of its self-loop cells end in a bulk step holding the span of
-  those classes and the summary, so the first loop byte runs as usual
-  (entries that leave at once pay no span call) and the step consumes the
-  rest of the run, L bytes, at C speed.  After it, a register at depth d
-  of a chain holds, for L <= d, the value before the run of the member L
-  steps closer to the head, and otherwise the head's value after
-  iteration L - d: a set position, nil, the unwritten register, or the
-  head's history after L - d appends of the run.  A copy tree's depths run
+  with a loop summary (`MatchPlan.bulk`) has a bulk loop.  The summary is
+  read off the list's symbolic effect: each written register is a head, a
+  set `r <- p|n` or a single-character self-append `r <- r.h`, or a copy
+  whose chain of copies ends in a head or in a register the list does not
+  write (golden's `r6 <- r7 <- r7.p`, the shift chain of
+  `(?:#a)*a{100}`).  Copy cycles, appends from another register and longer
+  histories have none.  Such a state has no skip, so its self-loop cells
+  hold the span of those classes in the skip slot: the first loop byte
+  runs its steps as usual (entries that leave at once pay no span call),
+  the span consumes the rest of the run, L bytes, at C speed, and
+  `_run_bulk` applies the summary in their place.  After it, a register at depth d of a
+  chain holds, for L <= d, the value before the run of the member L steps
+  closer to the head, and otherwise the head's value after iteration
+  L - d: a set position, nil, the unwritten register, or the head's
+  history after L - d appends of the run.  A copy tree's depths run
   1..depth without gaps, so an append head whose tree is depth deep
   stores one run node for its first L - m entries, then one single node
   for each of the last m, m = min(depth, L - 1): those are all its copies
   can read.  Each set register gets the last position of the run (or
   nil), the copies are filled in one pass over each chain, and the
   operation count grows by k * L for a list of k.  Plain set and append
-  loops are the chains of depth 0.  A bulk step so costs O(depth), never
+  loops are the chains of depth 0.  A bulk run so costs O(depth), never
   O(L): the single nodes are written from `range`s, and `PrefixTree.unpack`
   expands a run node with one `range` (see `PrefixTree`).
 
@@ -62,9 +63,10 @@ operations of the automaton's lists on the transitions taken (skipped
 op-free loops carry none, a bulk run counts every byte), `tree_nodes` the
 history entries those transitions appended, a run node counting each of
 its entries (the final and fallback operations run after the count), and
-`fallback` is 1 when the match took the fallback quasi-transition.  `run_ops` applies operation lists as
-written; it runs the final and fallback quasi-transitions and is the
-reference the decoded steps are tested against.
+`fallback` is 1 when the match took the fallback quasi-transition.
+`run_ops` applies operation lists as written; it runs the final and
+fallback quasi-transitions and is the reference the decoded steps are
+tested against.
 """
 
 from dataclasses import dataclass, field
@@ -154,7 +156,7 @@ def run_ops(ops, regs, tree: PrefixTree, pos: int):
 
 
 # Decoded step kinds, in the order the loop tests them.
-_COPY, _APPEND_P, _SET_P, _SET_N, _APPEND_N, _BULK = range(6)
+_COPY, _APPEND_P, _SET_P, _SET_N, _APPEND_N = range(5)
 
 # A run of consecutive copies of one offset becomes one slice move from
 # this many on; below it the plain copies cost less.
@@ -286,7 +288,7 @@ def _bulk_form(steps, n_ops: int) -> tuple | None:
 class MatchPlan(PlanFrame):
     """The automaton decoded for exec_tdfa (see the module docstring)."""
 
-    __slots__ = ("regs0",)
+    __slots__ = ("regs0", "bulk")
 
     @staticmethod
     def no_op(ops) -> bool:
@@ -304,19 +306,19 @@ class MatchPlan(PlanFrame):
                 steps = decoded[ops] = _decode_ops(ops)
             return steps
 
-        bulk: list = [None] * len(loops)
+        self.bulk = [None] * len(loops)
+        spans = {}  # a bulk state's span, for the skip slot of its self-loops
         for s, by_ops in enumerate(loops):
             if len(by_ops) == 1 and () not in by_ops:
                 [(ops, cs)] = by_ops.items()
-                form = _bulk_form(steps_of(ops), len(ops))
-                if form is not None:
-                    bulk[s] = (_BULK, self.span(cs), form)
+                self.bulk[s] = _bulk_form(steps_of(ops), len(ops))
+                if self.bulk[s] is not None:
+                    spans[s] = self.span(cs)
 
-        def cell(s, target, ops):
-            steps = steps_of(ops) if ops else None
-            if target == s and bulk[s] is not None:
-                steps += (bulk[s],)
-            return steps, len(ops)
+        def cell(s, target, ops, skip):
+            if target == s and s in spans:
+                skip = spans[s]
+            return (steps_of(ops) if ops else None), len(ops), skip
 
         return cell
 
@@ -332,6 +334,54 @@ def _read_values(tdfa: Tdfa, regs, tree: PrefixTree) -> dict:
     return values
 
 
+def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
+    """Apply the loop summary form for the loop bytes start..end - 1, those
+    after the first; returns the entries its run nodes hold beyond one each."""
+    _, appends, sets, chains = form
+    pred, offs = tree.pred, tree.offs
+    run = end - start
+    in_runs = 0
+    # An append head gets one run node for its first entries and one node
+    # for each of the last m, the m its copies can read from inside the run.
+    before = []  # the heads' values before the run
+    for r, p, depth in appends:
+        m = depth if depth < run else run - 1
+        node = len(pred)
+        before.append(regs[r])
+        pred.append(regs[r])
+        offs.append((start if p else -1, run - m))
+        if m:
+            pred += range(node, node + m)
+            offs += range(end - m, end) if p else [-1] * m
+        regs[r] = node + m
+        in_runs += run - m - 1
+        tree.runs = True
+    for head, head_kind, members in chains:
+        # The head's value after the run, which a member at depth d < run
+        # holds from d iterations earlier: one less per iteration for
+        # appends and set positions.
+        old = [regs[head]]  # values before the run, by depth
+        moves = True
+        if head_kind == "p":
+            top = end - 1
+        elif head_kind == "n":
+            top, moves = None, False
+        elif head_kind is None:
+            top, moves = old[0], False
+        else:  # an append, stored above
+            top, old[0] = old[0], before[head_kind]
+        for r, d in members:
+            del old[d:]
+            old.append(regs[r])
+            if run <= d:
+                regs[r] = old[d - run]
+            else:
+                regs[r] = top - d if moves else top
+    for r, p in sets:
+        regs[r] = end - 1 if p else None
+    return in_runs
+
+
 def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None = None) -> MatchOutcome:
     """Run the automaton over data.
 
@@ -343,9 +393,10 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     plan = tdfa._plan
     if plan is None:
         plan = tdfa._plan = MatchPlan(tdfa)
-    rows, final = plan.rows, plan.final
+    rows, final, bulk = plan.rows, plan.final, plan.bulk
     text = data.translate(plan.classes)
     n = len(text)
+    stop = n if plan.dead is None else text.find(plan.dead) % (n + 1)  # -1 maps to n
     tree = PrefixTree()
     pred, offs = tree.pred, tree.offs
     regs = plan.regs0.copy()
@@ -354,19 +405,20 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     state = tdfa.s0
     skip = plan.skip0
     pos = n_ops = 0
-    stop = -1  # plan.dead_end(text), looked for when a find span first runs
     match_pos = -1
     match_state = state
     while True:
         if skip is not None:
+            start = pos
             if skip.__class__ is int:
-                if stop < 0:
-                    stop = plan.dead_end(text)
                 pos = text.find(skip, pos, stop)
                 if pos < 0:
                     pos = stop
             else:
                 pos = skip(text, pos).end()
+            if bulk[state] is not None and pos > start:
+                n_ops += bulk[state][0] * (pos - start)
+                in_runs += _run_bulk(bulk[state], regs, tree, start, pos)
         if final[state]:
             match_pos = pos
             match_state = state
@@ -389,64 +441,10 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                     regs[dst] = pos
                 elif kind == _SET_N:
                     regs[dst] = None
-                elif kind == _APPEND_N:
+                else:  # _APPEND_N
                     pred.append(regs[src])
                     regs[dst] = len(offs)
                     offs.append(-1)
-                else:  # _BULK: dst is the span of the loop, src its closed form
-                    if dst.__class__ is int:
-                        if stop < 0:
-                            stop = plan.dead_end(text)
-                        end = text.find(dst, pos + 1, stop)
-                        if end < 0:
-                            end = stop
-                    else:
-                        end = dst(text, pos + 1).end()
-                    run = end - pos - 1
-                    if run:
-                        loop_ops, appends, sets, chains = src
-                        n_ops += loop_ops * run
-                        # An append head gets one run node for its first
-                        # entries and one node for each of the last m, the
-                        # m its copies can read from inside the run.
-                        before = []  # the heads' values before the run
-                        for r, p, depth in appends:
-                            m = depth if depth < run else run - 1
-                            node = len(pred)
-                            before.append(regs[r])
-                            pred.append(regs[r])
-                            offs.append((pos + 1 if p else -1, run - m))
-                            if m:
-                                pred += range(node, node + m)
-                                offs += range(end - m, end) if p else [-1] * m
-                            regs[r] = node + m
-                            in_runs += run - m - 1
-                            tree.runs = True
-                        for head, head_kind, members in chains:
-                            # The head's value after the run, which a
-                            # member at depth d < run holds from d
-                            # iterations earlier: one less per iteration
-                            # for appends and set positions.
-                            old = [regs[head]]  # values before the run, by depth
-                            moves = True
-                            if head_kind == "p":
-                                top = end - 1
-                            elif head_kind == "n":
-                                top, moves = None, False
-                            elif head_kind is None:
-                                top, moves = old[0], False
-                            else:  # an append, stored above
-                                top, old[0] = old[0], before[head_kind]
-                            for r, d in members:
-                                del old[d:]
-                                old.append(regs[r])
-                                if run <= d:
-                                    regs[r] = old[d - run]
-                                else:
-                                    regs[r] = top - d if moves else top
-                        for r, p in sets:
-                            regs[r] = end - 1 if p else None
-                        pos = end - 1
         pos += 1
 
     if counters is not None:

@@ -8,7 +8,7 @@ import tdfa
 from tdfa.determinize import Tdfa, determinize
 from tdfa.fuzz import _last, gen_pattern
 from tdfa.regops import APPEND, COPY, SET
-from tdfa.runtime import (SLICE_MIN, _APPEND_P, _BULK, _COPY, _SET_N, _SET_P, MatchPlan, PrefixTree,
+from tdfa.runtime import (SLICE_MIN, _APPEND_P, _COPY, _SET_N, _SET_P, MatchPlan, PrefixTree,
                           _decode_ops, exec_tdfa, run_ops)
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
@@ -387,9 +387,7 @@ def test_decoded_steps_keep_cycles_and_reads_of_overwritten_sources():
 
 
 def bulk_states(a) -> set:
-    plan = MatchPlan(a)
-    return {s for s, row in enumerate(plan.rows) for cell in row
-            if cell is not None and cell[1] and cell[1][-1][0] == _BULK}
+    return {s for s, form in enumerate(MatchPlan(a).bulk) if form is not None}
 
 
 def check_bulk(p, data: bytes, simulated: bool):
@@ -707,8 +705,7 @@ def test_loop_summaries_against_walk_on_runs_of_one_symbol():
         pattern = "(" + gen_pattern(rng, max_nodes=5) + ")*" + gen_pattern(rng, max_nodes=5)
         for kw in LONG_RUN_CONFIGS:
             a = tdfa.compile(pattern, **kw).tdfa
-            forms = [step[2] for row in MatchPlan(a).rows for cell in row if cell and cell[1]
-                     for step in cell[1] if step[0] == _BULK]
+            forms = [form for form in MatchPlan(a).bulk if form is not None]
             if not forms:
                 continue
             automata += 1

@@ -14,7 +14,7 @@ import tdfa
 from tdfa.fuzz import _last, gen_pattern
 from tdfa.multipass import MatchPlan as MultipassPlan
 from tdfa.multipass import match_forward
-from tdfa.runtime import _BULK, MatchPlan, exec_tdfa
+from tdfa.runtime import MatchPlan, exec_tdfa
 from tdfa.tnfa import simulate
 
 # The package attribute `tdfa.determinize` is the function of that name.
@@ -144,8 +144,9 @@ def test_bulk_step_with_a_find_span(pattern, span):
     # golden's loop on a ends at b, class 1.
     p = tdfa.compile(pattern, multi="auto")
     plan = MatchPlan(p.tdfa)
-    bulk = [step for row in plan.rows for cell in row if cell and cell[1] for step in cell[1] if step[0] == _BULK]
-    assert bulk and all(step[1] == span for step in bulk)
+    # A bulk state's self-loop cells hold its span in their skip slot.
+    bulk = [cell[3] for s, row in enumerate(plan.rows) for cell in row if cell and cell[0] == s and plan.bulk[s]]
+    assert bulk and all(skip == span for skip in bulk)
     sim = tdfa.compile(pattern, engine="simulation")
     for data in (b"a" * 500, b"a" * 500 + b"b" * 3, b"a" * 200 + b"z" + b"a" * 300 + b"b", b"a" * 500 + b"z"):
         counters: dict = {}
@@ -154,6 +155,41 @@ def test_bulk_step_with_a_find_span(pattern, span):
         assert counters["transitions"] == (dead[0] if dead else len(data))
         if out:
             assert {t: _last(v) for t, v in out.values.items()} == sim.match(data[: out.end]).values
+
+
+@pytest.mark.parametrize("multi", ["auto", "none"])
+def test_bulk_step_with_an_re_span(multi):
+    # The loop on a leaves at b or c, so its span is `re`, and the plan
+    # has no find span to bound.
+    p = tdfa.compile("(?:#a)*(?:b|cd)", multi=multi)
+    plan = MatchPlan(p.tdfa)
+    assert any(plan.bulk) and plan.span_kinds() == {"find": 0, "re": 1} and plan.dead is None
+    for data in (b"a" * 500, b"a" * 500 + b"b", b"a" * 200 + b"z" + b"a" * 300 + b"b", b"a" * 500 + b"z"):
+        want = simulate(p.tnfa, data, p.multi)
+        for mode in ("full", "prefix"):
+            counters: dict = {}
+            out = p.match(data, mode=mode, counters=counters)
+            assert (out.values if out else None) == want, (data, mode)
+            assert counters["transitions"] == data.find(b"z") % (len(data) + 1)
+            assert counters["fallback"] == 0
+
+
+@pytest.mark.parametrize("engine", list(CONFIGS))
+@pytest.mark.parametrize("pattern, kind", [("(?:a|b)*#c", "find"), ("(?:a|b)*#(?:c|dd)", "re")])
+def test_start_skip_ends_at_a_dead_byte_before_the_exit_class(engine, pattern, kind):
+    p = tdfa.compile(pattern, engine=engine)
+    skip0 = plan_of(p).skip0
+    assert skip0 is not None and (skip0.__class__ is int) == (kind == "find")
+    run = b"ab" * 100
+    for data in (run + b"z" + b"c", run + b"zdd", run + b"c", run + b"dd", run + b"z", b"c", b"z" + run + b"c"):
+        counters: dict = {}
+        want_counters: dict = {}
+        out = p.match(data, counters=counters)
+        want = simulate(p.tnfa, data, counters=want_counters)
+        assert (out.values if out else None) == want, data
+        assert counters["transitions"] == want_counters["transitions"], data
+        if engine == "multipass":
+            assert counters["skipped"] == len(data) - len(data.lstrip(b"ab")), data
 
 
 def test_multipass_tagged_loop_with_a_find_span():
