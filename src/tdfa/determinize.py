@@ -167,21 +167,26 @@ class PlanFrame:
     - `classes`, a bytes.translate table from byte to class.  Dead bytes go
       to the sentinel class n_live = len(alphabet), whose column is None in
       every row; classes covering all 256 bytes leave no sentinel;
-    - `rows`, dense lists of cells (target, *tail), tail being what the
-      engine's `cell_payload(dfa, loops)` function gives for the cell and
-      its target's skip, loops being the self-loop table: per state, its
-      self-loop classes grouped by cell;
+    - `rows`, dense lists of cells (target, *payload, skip), payload being
+      what the engine's `cell_payload(dfa)` function gives for the cell;
     - a state whose self-loops on some classes have a no-op cell (`no_op`)
       has a skip: the `loop_span` over those classes, an exit class to find
-      or an `re` span.  `skip0` is the start state's;
+      or an `re` span, in the skip slot of every cell into the state.
+      `skip0` is the start state's;
+    - a state whose self-loops all carry one cell, not a no-op, has the
+      engine's `summary` of its payload, or None, in `bulk`.  With a
+      summary, the skip slot of its self-loop cells holds the span over
+      their classes: the match loop runs every span at one site, before
+      the next byte steps, and there applies the summary to a run in
+      place of its steps;
     - `final`, the final flag per state;
-    - `spans`, every span the plan made (`span`): the skips and the
-      engine's own loop spans;
-    - `dead`, the sentinel class if a plan with find spans has one, else
-      None: a match takes the bound of its finds once (`dead_end`).
+    - `spans`, every span the plan made (`span`);
+    - `dead`, the sentinel class if some byte is dead and the plan has
+      find spans, else None: a match's finds stop at its first dead byte,
+      looked for once.
     """
 
-    __slots__ = ("classes", "rows", "final", "skip0", "n_live", "spans", "dead")
+    __slots__ = ("classes", "rows", "final", "skip0", "bulk", "n_live", "spans", "dead")
 
     def __init__(self, dfa: Automaton):
         b2c = dfa.byte_to_class
@@ -195,13 +200,21 @@ class PlanFrame:
         self.spans = []
         skip = [self.span([c for cell, cs in by_cell.items() if self.no_op(cell) for c in cs])
                 for by_cell in loops]
-        tail = self.cell_payload(dfa, loops)
+        payload = self.cell_payload(dfa)
+        self.bulk = [None] * n
+        loop_skip = skip.copy()  # the skip slot of each state's self-loop cells
+        for s, by_cell in enumerate(loops):
+            if len(by_cell) == 1:
+                [(cell, cs)] = by_cell.items()
+                if not self.no_op(cell) and (form := self.summary(*payload(cell))) is not None:
+                    self.bulk[s] = form
+                    loop_skip[s] = self.span(cs)
         self.rows = [[None] * (max(self.classes) + 1) for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
-            self.rows[s][c] = (target, *tail(s, target, cell, skip[target]))
+            self.rows[s][c] = (target, *payload(cell), loop_skip[s] if target == s else skip[target])
         self.final = [s in dfa.finals for s in range(n)]
         self.skip0 = skip[dfa.s0]
-        self.dead = sentinel if sentinel < 256 and self.span_kinds()["find"] else None
+        self.dead = sentinel if min(b2c) < 0 and self.span_kinds()["find"] else None
 
     def span(self, classes):
         """The `loop_span` over classes, kept in `spans` to be counted."""
@@ -214,12 +227,6 @@ class PlanFrame:
         """The plan's spans by kind: exit classes to find, and `re` spans."""
         finds = sum(span.__class__ is int for span in self.spans)
         return {"find": finds, "re": len(self.spans) - finds}
-
-    def dead_end(self, text: bytes) -> int:
-        """The first dead byte of a translated input, else its length: where
-        every run ends at the latest."""
-        end = text.find(self.n_live) if self.n_live < 256 else -1
-        return end if end >= 0 else len(text)
 
 
 class _State:

@@ -17,22 +17,23 @@ on the frame both engines share (`determinize.PlanFrame`): the input is
 mapped to class bytes once with `bytes.translate`, and rows are dense lists
 of cells (target, backlinks, skip or None).  A span (`loop_span`: an exit
 class to find up to the bound a match takes once, or an `re` span) lets
-the forward pass consume a run of self-loops at C speed:
+the forward pass consume a run of self-loops at C speed.  The pass runs a
+cell's skip before the next byte steps, the one site of every span:
 
 - a no-op loop maps every slot i to (i, ()), so walking back over it
-  changes neither slot nor tags.  Its span sits on every cell into the
-  state, and is `skip0` for the start state: the byte loop runs it before
-  the next byte steps, and records the run it skips as an int L;
+  changes neither slot nor tags.  Its span is the state's skip, on every
+  cell into the state and `skip0` for the start state, and the run it
+  consumes is recorded as an int L;
 - a tagged loop: all self-loops of a state carry one other array, and it
   settles: following arr[i][0] from every slot reaches a fixed slot f
   (arr[f][0] == f) within d steps, its depth, after which every step back
-  adds the history of f.  Its self-loop cells lead through PLAIN_LOOPS
-  copies of the state to one whose self-loop cells are None, so from the
-  next self-loop on the pass leaves its byte loop, and no other cell pays.
-  It records the array and, if the next byte loops too, lets the span
-  consume the run: the last d + 1 bytes stay arrays, and an int -r before
-  them stands for the r bytes before those.  A loop whose slots cycle
-  keeps per-byte steps.
+  adds the history of f.  Its summary in `bulk` is its tail, d + 1 copies
+  of the array.  Its self-loop cells lead through PLAIN_LOOPS copies of
+  the state to a last one whose self-loop cells hold the span, so the
+  first PLAIN_LOOPS + 1 self-loops of a run are plain steps and no other
+  cell pays.  The span consumes the rest of the run: its last d + 1
+  bytes stay arrays, and an int -r before them stands for the r bytes
+  before those.  A loop whose slots cycle keeps per-byte steps.
 
 The forward pass returns the last state and its steps in input order: the
 array of each transition taken and the ints of the runs.  The backward
@@ -166,42 +167,53 @@ PLAIN_LOOPS = 3
 class MatchPlan(PlanFrame):
     """The automaton laid out for the forward pass (see the module docstring).
     Rows past the automaton's states are copies of its tagged loop states,
-    PLAIN_LOOPS per state, chained by their self-loops; `state` maps each
-    row to its state.  `loops[s]` is (loop flag per class, span, tail) for
-    the last copy, else None, tail being depth + 1 copies of the array."""
+    PLAIN_LOOPS per state, chained by their self-loops; the last copy's
+    self-loop cells lead back to it and hold the loop's span, and `bulk`
+    holds the loop's tail, depth + 1 copies of its array, at that copy
+    alone.  `state` maps each row to its state."""
 
-    __slots__ = ("loops", "state")
+    __slots__ = ("state",)
 
     def __init__(self, mp: MultipassTdfa):
         super().__init__(mp)
         self.state = list(range(mp.n_states))
-        for s, loop in enumerate(self.loops[: mp.n_states]):
-            if loop is not None:
-                cells = {c: cell[1] for c, cell in enumerate(self.rows[s]) if cell and cell[0] == s}
+        for s, tail in enumerate(self.bulk[: mp.n_states]):
+            if tail is not None:
+                first = len(self.rows)
+                loop = [c for c, cell in enumerate(self.rows[s]) if cell and cell[0] == s]
                 copies = [self.rows[s]] + [self.rows[s].copy() for _ in range(PLAIN_LOOPS)]
                 for k, row in enumerate(copies):
-                    for c, links in cells.items():
-                        row[c] = (len(self.rows) + k, links, None) if k < PLAIN_LOOPS else None
+                    for c in loop:
+                        _, links, span = row[c]
+                        row[c] = (first + k, links, None) if k < PLAIN_LOOPS else (first + k - 1, links, span)
                 self.rows += copies[1:]
                 self.final += [self.final[s]] * PLAIN_LOOPS
-                self.loops[s] = None
-                self.loops += [None] * (PLAIN_LOOPS - 1) + [loop]
+                self.bulk[s] = None
+                self.bulk += [None] * (PLAIN_LOOPS - 1) + [tail]
                 self.state += [s] * PLAIN_LOOPS
 
     @staticmethod
     def no_op(links) -> bool:
         return all(link == (i, ()) for i, link in enumerate(links))
 
-    def cell_payload(self, mp: MultipassTdfa, loops):
-        n = max(self.classes) + 1
-        self.loops = [None] * len(loops)
-        for s, by_links in enumerate(loops):
-            if len(by_links) == 1:
-                [(links, cs)] = by_links.items()
-                depth = None if self.no_op(links) else _depth(links)
-                if depth is not None:
-                    self.loops[s] = (bytes(c in cs for c in range(n)), self.span(cs), [links] * (depth + 1))
-        return lambda s, target, links, skip: (links, skip)
+    @staticmethod
+    def summary(links) -> list | None:
+        depth = _depth(links)
+        return None if depth is None else [links] * (depth + 1)
+
+    def cell_payload(self, mp: MultipassTdfa):
+        return lambda links: (links,)
+
+
+def _tagged_run(steps: list, tail: list, run: int) -> int:
+    """Record a tagged loop's run of `run` bytes: its last len(tail) bytes
+    as the arrays of tail, and an int -r before them for the r bytes before
+    those.  Returns the bytes recorded beyond one per step."""
+    r = run - len(tail)
+    if r > 0:
+        steps.append(-r)
+    steps.extend(tail[:run])
+    return r - 1 if r > 0 else 0
 
 
 def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
@@ -216,7 +228,7 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
     plan = mp._plan
     if plan is None:
         plan = mp._plan = MatchPlan(mp)
-    rows, loops = plan.rows, plan.loops
+    rows, bulk = plan.rows, plan.bulk
     text = data.translate(plan.classes)
     n = len(text)
     stop = n if plan.dead is None else text.find(plan.dead) % (n + 1)  # -1 maps to n
@@ -227,61 +239,37 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
     append = steps.append
     # Bytes consumed beyond one per step: the position is len(steps) + extra.
     extra = 0
-    skipped = 0  # by tagged spans
+    skipped = 0  # by tagged runs
     s = mp.s0
     skip = plan.skip0
     row = rows[s]
-    while True:
-        for cls in it:
-            # The skip of the state entered (or of the start state) runs
-            # before cls steps: a run it consumes starts at cls.
-            if skip is not None:
-                pos = len(steps) + extra
-                if skip.__class__ is int:
-                    end = text.find(skip, pos, stop)
-                    if end < 0:
-                        end = stop
-                else:
-                    end = skip(text, pos).end()
-                if end > pos:
-                    append(end - pos)
-                    extra += end - pos - 1
-                    it.__setstate__(end)
-                    skip = None
-                    continue
-            cell = row[cls]
-            if cell is None:
-                break
-            s, links, skip = cell
-            append(links)
-            row = rows[s]
-        else:
-            break
-        # A dead byte, or a self-loop of a tagged loop state.
-        loop = loops[s]
-        if loop is None:
-            break
-        member, span, tail = loop
-        if not member[cls]:
-            break
-        append(tail[0])
-        pos = len(steps) + extra
-        if pos < n and member[text[pos]]:
-            if span.__class__ is int:
-                end = text.find(span, pos, stop)
+    for cls in it:
+        # The skip of the row entered (or of the start state) runs before
+        # cls steps: a run it consumes starts at cls.
+        if skip is not None:
+            pos = len(steps) + extra
+            if skip.__class__ is int:
+                end = text.find(skip, pos, stop)
                 if end < 0:
                     end = stop
             else:
-                end = span(text, pos).end()
-            skipped += end - pos
-            # The run's last bytes stay arrays: walking back over them
-            # reaches a fixed slot, where -r stands for r steps.
-            r = end - pos - len(tail)
-            if r > 0:
-                append(-r)
-                extra += r - 1
-            steps += tail[: end - pos]
-            it.__setstate__(end)
+                end = skip(text, pos).end()
+            if end > pos:
+                if bulk[s] is None:
+                    append(end - pos)
+                    extra += end - pos - 1
+                else:
+                    skipped += end - pos
+                    extra += _tagged_run(steps, bulk[s], end - pos)
+                it.__setstate__(end)
+                skip = None
+                continue
+        cell = row[cls]
+        if cell is None:
+            break
+        s, links, skip = cell
+        append(links)
+        row = rows[s]
     consumed = len(steps) + extra
     if counters is not None:
         counters["transitions"] = counters.get("transitions", 0) + consumed

@@ -12,7 +12,8 @@ match and kept until `Tdfa.invalidate()`.  The frame both engines share
 (`determinize.PlanFrame`) maps the input to class bytes once with
 `bytes.translate` and lays out dense rows of cells (target, steps or None,
 operation count, skip or None), skip being the span the loop runs after
-the cell (below).  The register TDFA adds the steps and the count:
+the cell (below), at the one site of every span.  The register TDFA adds
+the steps, the count and the loop summaries:
 
 - each distinct operation list is decoded once into flat (kind, dst, src)
   steps that the loop runs inline; an append of a multi-character history
@@ -32,21 +33,21 @@ the cell (below).  The register TDFA adds the steps and the count:
   its end, looked for once per match, or else a compiled `re` span
   (`loop_span`).  Each entry costs one call;
 - a state with no op-free self-loop whose self-loops all carry one list
-  with a loop summary (`MatchPlan.bulk`) has a bulk loop.  The summary is
+  with a loop summary (`PlanFrame.bulk`) has a bulk loop.  The summary is
   read off the list's symbolic effect: each written register is a head, a
   set `r <- p|n` or a single-character self-append `r <- r.h`, or a copy
   whose chain of copies ends in a head or in a register the list does not
   write (golden's `r6 <- r7 <- r7.p`, the shift chain of
   `(?:#a)*a{100}`).  Copy cycles, appends from another register and longer
-  histories have none.  Such a state has no skip, so its self-loop cells
-  hold the span of those classes in the skip slot: the first loop byte
-  runs its steps as usual (entries that leave at once pay no span call),
-  the span consumes the rest of the run, L bytes, at C speed, and
-  `_run_bulk` applies the summary in their place.  After it, a register at depth d of a
-  chain holds, for L <= d, the value before the run of the member L steps
-  closer to the head, and otherwise the head's value after iteration
-  L - d: a set position, nil, the unwritten register, or the head's
-  history after L - d appends of the run.  A copy tree's depths run
+  histories have none.  The frame puts the span of those classes in the
+  skip slot of the state's self-loop cells: the first loop byte runs its
+  steps as usual (entries that leave at once pay no span call), the span
+  consumes the rest of the run, L bytes, at C speed, and `_run_bulk`
+  applies the summary in their place.  After it, a register at depth d
+  of a chain holds, for L <= d, the value before the run of the member L
+  steps closer to the head, and otherwise the head's value after
+  iteration L - d: a set position, nil, the unwritten register, or the
+  head's history after L - d appends of the run.  A copy tree's depths run
   1..depth without gaps, so an append head whose tree is depth deep
   stores one run node for its first L - m entries, then one single node
   for each of the last m, m = min(depth, L - 1): those are all its copies
@@ -288,39 +289,26 @@ def _bulk_form(steps, n_ops: int) -> tuple | None:
 class MatchPlan(PlanFrame):
     """The automaton decoded for exec_tdfa (see the module docstring)."""
 
-    __slots__ = ("regs0", "bulk")
+    __slots__ = ("regs0",)
 
     @staticmethod
     def no_op(ops) -> bool:
         return not ops
 
-    def cell_payload(self, tdfa: Tdfa, loops):
+    summary = staticmethod(_bulk_form)
+
+    def cell_payload(self, tdfa: Tdfa):
         self.regs0 = [None] * (tdfa.max_reg + 1)
         for t in tdfa.multi:
             self.regs0[tdfa.r0[t]] = 0
         decoded: dict = {}
 
-        def steps_of(ops):
-            steps = decoded.get(ops)
-            if steps is None:
-                steps = decoded[ops] = _decode_ops(ops)
-            return steps
+        def payload(ops):
+            if ops and ops not in decoded:
+                decoded[ops] = _decode_ops(ops)
+            return decoded.get(ops), len(ops)
 
-        self.bulk = [None] * len(loops)
-        spans = {}  # a bulk state's span, for the skip slot of its self-loops
-        for s, by_ops in enumerate(loops):
-            if len(by_ops) == 1 and () not in by_ops:
-                [(ops, cs)] = by_ops.items()
-                self.bulk[s] = _bulk_form(steps_of(ops), len(ops))
-                if self.bulk[s] is not None:
-                    spans[s] = self.span(cs)
-
-        def cell(s, target, ops, skip):
-            if target == s and s in spans:
-                skip = spans[s]
-            return (steps_of(ops) if ops else None), len(ops), skip
-
-        return cell
+        return payload
 
 
 def _read_values(tdfa: Tdfa, regs, tree: PrefixTree) -> dict:

@@ -280,8 +280,9 @@ def test_tstring_symbols_are_one_byte_bytes():
 
 def test_loop_with_history_is_a_run():
     # The first a enters the loop state and the next three self-loops are
-    # plain steps (PLAIN_LOOPS); the fourth leaves the byte loop and the
-    # span consumes the other 1195.  Slot 0 is fixed (depth 0), so the run's
+    # plain steps (PLAIN_LOOPS) through its copies; the fourth steps too,
+    # onto the last copy's self-loop cell, whose span consumes the other
+    # 1195.  Slot 0 is fixed (depth 0), so the run's
     # last byte stays an array and -1194 stands for the rest.
     assert PLAIN_LOOPS == 3
     nfa, mp = mp_of("(?:#a)*")
@@ -301,7 +302,7 @@ def test_loop_moving_between_slots_settles():
     assert mp.delta[(3, cls_of(mp, "a"))] == (3, ((0, ()), (0, ()), (1, ())))
     for data in all_inputs(b"ab", 7):
         check_reprs(nfa, mp, data)
-    [(_, _, tail)] = [loop for loop in mp._plan.loops if loop]
+    [tail] = [tail for tail in mp._plan.bulk if tail]
     assert len(tail) == 3
     data = b"b" + b"a" * 1200 + b"b"
     assert check_reprs(nfa, mp, data)["skipped"] == 1194
@@ -314,7 +315,7 @@ def expected_counters(mp, data: bytes) -> dict:
     no-op self-loop, and every self-loop of a tagged loop state after
     PLAIN_LOOPS + 1 others in a row."""
     plan = mp._plan
-    tagged = {plan.state[a] for a, loop in enumerate(plan.loops) if loop}
+    tagged = {plan.state[a] for a, tail in enumerate(plan.bulk) if tail}
     s, loops = mp.s0, 0
     c = {"transitions": 0, "skipped": 0}
     for b in data:
@@ -339,7 +340,7 @@ def tagged_loop_corpus(seed: int, count: int):
     while len(out) < count:
         nfa, mp = mp_of(gen_pattern(rng, max_nodes=10, max_tags=5, alphabet="abc"))
         match_forward(mp, b"")  # builds the plan
-        if any(mp._plan.loops):
+        if any(mp._plan.bulk):
             out.append((nfa, mp))
     return out
 
@@ -368,6 +369,20 @@ def test_tagged_runs_inside_inputs():
             assert check_reprs(nfa, mp, data) == expected_counters(mp, data), data
 
 
+def test_short_tagged_runs_on_random_text():
+    # Random ab before the tail of (a|b)*(?:#a){10}: most runs on its two
+    # tagged loop states are short, and those of up to PLAIN_LOOPS + 1
+    # bytes stay plain steps, as the per-byte walk counts them.
+    nfa, mp = mp_of("(a|b)*(?:#a){10}")
+    rng = Random(34)
+    data = bytes(rng.choice(b"ab") for _ in range(2048)) + b"a" * 10
+    c = check_reprs(nfa, mp, data)
+    assert c == expected_counters(mp, data) and c["skipped"] > 0
+    assert sum(tail is not None for tail in mp._plan.bulk) == 2
+    fw = match_forward(mp, data)
+    assert extract_offset_lists(mp, data, fw) == simulate(nfa, data, frozenset(nfa.tags))
+
+
 def swapping_loop():
     """(?:#a)?(?:#a#a)* with its two alternating states folded into one whose
     slots are the thread at a pair boundary (0) and the one mid-pair (1).
@@ -389,7 +404,7 @@ def test_loop_whose_slots_cycle_keeps_per_byte_steps():
         assert c["skipped"] == 0
         _, steps = match_forward(mp, data)
         assert len(steps) == n and not any(isinstance(x, int) for x in steps)
-    assert mp._plan.loops == [None, None, None]
+    assert mp._plan.bulk == [None, None, None]
 
 
 def test_repeated_tag_in_a_loop_history():

@@ -11,10 +11,10 @@ import pytest
 from helpers import ANY_BYTE
 
 import tdfa
-from tdfa.fuzz import _last, gen_pattern
+from tdfa.fuzz import gen_pattern
 from tdfa.multipass import MatchPlan as MultipassPlan
-from tdfa.multipass import match_forward
-from tdfa.runtime import MatchPlan, exec_tdfa
+from tdfa.multipass import PLAIN_LOOPS
+from tdfa.runtime import MatchPlan
 from tdfa.tnfa import simulate
 
 # The package attribute `tdfa.determinize` is the function of that name.
@@ -106,9 +106,8 @@ def test_no_dead_class():
     for engine in CONFIGS:
         p = tdfa.compile(b"(" + ANY_BYTE + b"*)", engine=engine, multi="none")
         plan = plan_of(p)
-        assert plan.spans == [1]
+        assert plan.spans == [1] and plan.dead is None
         for data in (b"", bytes(range(256)), bytes(range(255, -1, -1)) * 3):
-            assert plan.dead_end(data.translate(plan.classes)) == len(data)
             counters: dict = {}
             assert p.match(data, counters=counters).values == {1: 0, 2: len(data)}
             assert counters["transitions"] == len(data)
@@ -138,23 +137,39 @@ def test_dead_byte_before_the_exit_class(engine):
         assert (out.kind, out.end, out.values) == ("prefix", 56, simulate(p.tnfa, data[:56]))
 
 
-@pytest.mark.parametrize("pattern, span", [("(?:#a)*", 1), (GOLDEN, 1)])
-def test_bulk_step_with_a_find_span(pattern, span):
+@pytest.mark.parametrize("engine", list(CONFIGS))
+@pytest.mark.parametrize("pattern", ["(?:#a)*", GOLDEN])
+def test_loop_summary_with_a_find_span(engine, pattern):
     # (?:#a)*: the loop on the one class a ends at a dead byte only;
-    # golden's loop on a ends at b, class 1.
-    p = tdfa.compile(pattern, multi="auto")
-    plan = MatchPlan(p.tdfa)
-    # A bulk state's self-loop cells hold its span in their skip slot.
-    bulk = [cell[3] for s, row in enumerate(plan.rows) for cell in row if cell and cell[0] == s and plan.bulk[s]]
-    assert bulk and all(skip == span for skip in bulk)
-    sim = tdfa.compile(pattern, engine="simulation")
+    # golden's loop on a ends at b.  Both spans find class 1.
+    p = tdfa.compile(pattern, engine=engine, multi="auto")
+    plan = plan_of(p)
+    summarized = [a for a, form in enumerate(plan.bulk) if form is not None]
+    assert summarized
+    for a in summarized:
+        # Its self-loop cells hold the span in their skip slot, and no cell
+        # entering it from another row does.
+        into = [(b, cell[-1]) for b, row in enumerate(plan.rows) for cell in row if cell and cell[0] == a]
+        assert any(b == a for b, _ in into)
+        assert all(skip == (1 if b == a else None) for b, skip in into)
+        if engine == "multipass":
+            # The summary is the last copy's, and the copies before it
+            # hold none and are entered with no span.
+            copies = [b for b, s in enumerate(plan.state) if s == plan.state[a]]
+            assert len(copies) == PLAIN_LOOPS + 1 and copies[-1] == a
+            assert all(plan.bulk[b] is None for b in copies[:-1])
+            assert all(cell[-1] is None for row in plan.rows for cell in row if cell and cell[0] in copies[:-1])
+    mode, repr_, multi = ("prefix", "offsets", p.multi) if engine == "tdfa" else ("full", "lists", frozenset(p.tags))
     for data in (b"a" * 500, b"a" * 500 + b"b" * 3, b"a" * 200 + b"z" + b"a" * 300 + b"b", b"a" * 500 + b"z"):
         counters: dict = {}
-        out = exec_tdfa(p.tdfa, data, "prefix", counters)
-        dead = [i for i, byte in enumerate(data) if p.tdfa.byte_to_class[byte] < 0]
+        out = p.match(data, mode=mode, repr_=repr_, counters=counters)
+        dead = [i for i, byte in enumerate(data) if p.tnfa.byte_to_class[byte] < 0]
         assert counters["transitions"] == (dead[0] if dead else len(data))
         if out:
-            assert {t: _last(v) for t, v in out.values.items()} == sim.match(data[: out.end]).values
+            assert out.values == simulate(p.tnfa, data[: out.end], multi)
+        if engine == "multipass" and data == b"a" * 500:
+            # The first a enters the loop, PLAIN_LOOPS + 1 self-loops step.
+            assert counters["skipped"] == 500 - PLAIN_LOOPS - 2
 
 
 @pytest.mark.parametrize("multi", ["auto", "none"])
@@ -190,20 +205,6 @@ def test_start_skip_ends_at_a_dead_byte_before_the_exit_class(engine, pattern, k
         assert counters["transitions"] == want_counters["transitions"], data
         if engine == "multipass":
             assert counters["skipped"] == len(data) - len(data.lstrip(b"ab")), data
-
-
-def test_multipass_tagged_loop_with_a_find_span():
-    # (?:#a)*: after PLAIN_LOOPS plain steps the tagged loop's span, a find
-    # of the dead class, takes the rest of the run.
-    p = tdfa.compile("(?:#a)*", engine="multipass")
-    data = b"a" * 1000
-    counters: dict = {}
-    assert p.match(data, repr_="lists", counters=counters).values == {1: list(range(1000))}
-    spans = [loop[1] for loop in p.mp._plan.loops if loop]
-    assert spans == [1] and counters["skipped"] == 995
-    counters = {}
-    assert match_forward(p.mp, b"a" * 500 + b"z" + b"a" * 499, counters) is None
-    assert counters["transitions"] == 500
 
 
 def test_prefix_fallback_after_a_find_span():
