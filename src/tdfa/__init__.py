@@ -94,7 +94,9 @@ class Pattern:
         if engine == "simulation":
             return
         if engine == "multipass":
-            self.mp = _mp.determinize_multipass(self.tnfa, max_states)
+            # Tags under no repetition of more than one pass occur at most
+            # once on any path, whatever `multi` asks for.
+            self.mp = _mp.determinize_multipass(self.tnfa, max_states, frozenset(self.tags) - auto_multi)
             report("multipass", self.mp)
             return
 
@@ -135,11 +137,11 @@ class Pattern:
             if fw is None:
                 return NO_MATCH
             if repr_ == "offsets":
-                values = _mp.extract_offsets(self.mp, data, fw)
+                values = _mp.extract_offsets(self.mp, data, fw, counters)
             elif repr_ == "lists":
-                values = _mp.extract_offset_lists(self.mp, data, fw)
+                values = _mp.extract_offset_lists(self.mp, data, fw, counters)
             else:
-                ts = _mp.extract_tstring(self.mp, data, fw)
+                ts = _mp.extract_tstring(self.mp, data, fw, counters)
                 return MatchOutcome("match", len(data), {}, tstring=ts)
             return MatchOutcome("match", len(data), values)
 

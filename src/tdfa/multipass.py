@@ -42,9 +42,17 @@ offset.  At a tagged run, the walk has just stepped over the run's last
 d + 1 arrays, so its slot is fixed: offsets subtract too, lists extend by a
 `range` per tag, and the tagged string fills strided slices.  Offsets stop
 as soon as every tag has its last value.
+
+A tag under no repetition of more than one pass (`once`) occurs once on
+every path, so its value can be read from either end.  The offsets pass
+reads such tags from the front too, while the path is forced: no-op runs
+and one-slot arrays, up to the first tagged run or wider array.  The two
+cursors take turns, the front never reading more steps than the back just
+took, so a leading field's tags cost a few steps, not the whole path, and
+no walk takes more than twice the steps of the back alone.
 """
 
-from itertools import chain
+from itertools import chain, islice
 
 from .determinize import Automaton, PlanFrame, Powerset, _State
 from .tnfa import Tnfa
@@ -59,15 +67,18 @@ class MultipassTdfa(Automaton):
     """Cells are backlink arrays: delta[(state, class)] = (target,
     backlinks), a backlink being (index into the previous transition's
     array, tag sequence); phi[state] = (index into the incoming array, final
-    tag sequence)."""
+    tag sequence).  `once` holds the tags that occur at most once on any
+    path, which the offsets pass also reads from the front."""
 
     dot_name = "multipass"
+    once: frozenset = frozenset()
 
     def stats(self) -> dict:
         return {
             "states": self.n_states,
             "finals": sorted(self.finals),
             "backlinks": sum(len(b) for _, b in self.delta.values()),
+            "once": sorted(self.once),
         }
 
     def format_cell(self, links) -> str:
@@ -134,8 +145,12 @@ class _Multipass(Powerset):
         return state.U[j], state.ql[j][1]
 
 
-def determinize_multipass(nfa: Tnfa, max_states: int = 100_000) -> MultipassTdfa:
-    return _Multipass(nfa, MultipassTdfa(nfa.tags, nfa.alphabet, nfa.byte_to_class), max_states, nfa.q0).run()
+def determinize_multipass(nfa: Tnfa, max_states: int = 100_000, once=frozenset()) -> MultipassTdfa:
+    """once: tags that occur at most once on any path, which
+    `extract_offsets` may read from the front of the path."""
+    mp = MultipassTdfa(nfa.tags, nfa.alphabet, nfa.byte_to_class)
+    mp.once = frozenset(once)
+    return _Multipass(nfa, mp, max_states, nfa.q0).run()
 
 
 def _depth(links) -> int | None:
@@ -290,42 +305,126 @@ def _backward(mp: MultipassTdfa, forward):
     return chain(((mp.phi[s],),), reversed(steps))
 
 
-def extract_offsets(mp: MultipassTdfa, data: bytes, forward) -> dict:
+def _walk_back(back, i: int, k: int, E: dict, n: int) -> tuple[int, int]:
+    """Record in E the first occurrence from the end of each tag the steps
+    of back reach, from slot i at offset k, until all n tags have one.
+    Returns the slot and offset reached."""
+    for step in back:
+        if step.__class__ is int:
+            k -= step if step > 0 else -step
+            continue
+        i, h = step[i]
+        k -= 1
+        if h:
+            for t in reversed(h):
+                if t > 0:
+                    if t not in E:
+                        E[t] = k
+                elif -t not in E:
+                    E[-t] = None
+            if len(E) == n:
+                break
+    return i, k
+
+
+# Steps the offsets walk takes from the back before the front cursor first
+# reads: a path this short is walked from the back alone.
+FRONT_AFTER = 32
+
+
+def _read_front(steps: list, f: int, end: int, pos: int, once, E: dict):
+    """Read the tags of once from steps[f:end] while the path is forced:
+    a no-op run moves the offset pos, and a one-slot array's only link is
+    the one every walk takes.  A tag of once occurs at most once on the
+    path, so its value there is its last.  Returns the next step, its
+    offset, and False if the front stopped: at a tagged run or a wider
+    array, or with every tag of once resolved."""
+    it = iter(steps)
+    it.__setstate__(f)
+    try:
+        for step in islice(it, end - f):
+            if step.__class__ is int:
+                if step < 0:
+                    break
+                pos += step
+                continue
+            ((_, h),) = step  # a wider array raises ValueError
+            if h:
+                for t in h:
+                    if t > 0:
+                        if t in once:
+                            E[t] = pos
+                    elif -t in once:
+                        E[-t] = None
+                if once <= E.keys():
+                    return len(steps) - it.__length_hint__(), pos + 1, False
+            pos += 1
+        else:
+            return end, pos, True
+    except ValueError:
+        pass
+    # The step it stopped at is unread.
+    return len(steps) - it.__length_hint__() - 1, pos, False
+
+
+def extract_offsets(mp: MultipassTdfa, data: bytes, forward, counters: dict | None = None) -> dict:
     """Last offset per tag; negative occurrences record nil (None).  Only
     the first occurrence from the end counts, so the walk stops once every
-    tag has one, and steps over a tagged run like a no-op one."""
+    tag has one, and steps over a tagged run like a no-op one.  On a path
+    of FRONT_AFTER steps or more, the tags of `mp.once` are also read from
+    the front (`_read_front`): the back walks in rounds of doubling length,
+    and after each the front reads at most as many steps, never past the
+    back.  With counters, adds both cursors' steps to "walked"."""
     E: dict = {}
     n = len(mp.tags)
-    i, k = 0, len(data) + 1
-    if n:
-        for step in _backward(mp, forward):
-            if step.__class__ is int:
-                k -= step if step > 0 else -step
-                continue
-            i, h = step[i]
-            k -= 1
-            if h:
-                for t in reversed(h):
-                    if t > 0:
-                        if t not in E:
-                            E[t] = k
-                    elif -t not in E:
-                        E[-t] = None
+    s, steps = forward
+    # As `_backward`, keeping rev to see how far the back has come.
+    rev = reversed(steps)
+    back = chain(((mp.phi[s],),), rev)
+    f = 0  # the front cursor's next step
+    once = mp.once
+    if not once or len(steps) < FRONT_AFTER:
+        if n:
+            _walk_back(back, 0, len(data) + 1, E, n)
+    else:
+        i, k = 0, len(data) + 1
+        pos = 0  # the offset of steps[f]
+        budget = FRONT_AFTER
+        front = True
+        while True:
+            i, k = _walk_back(islice(back, budget) if front else back, i, k, E, n)
+            end = rev.__length_hint__()
+            if not front or len(E) == n or not end:
+                break
+            # The back may have passed the front, or read the last tags of
+            # once itself.
+            if f < end and not once <= E.keys():
+                f, pos, front = _read_front(steps, f, min(end, f + budget), pos, once, E)
                 if len(E) == n:
                     break
+            else:
+                front = False
+            budget *= 2
+    if counters is not None:
+        # The final backlink and the steps the back walked, then the front's.
+        walked = 1 + len(steps) - rev.__length_hint__() + f if n else 0
+        counters["walked"] = counters.get("walked", 0) + walked
     return {t: E.get(t) for t in mp.tags}
 
 
-def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward) -> dict:
+def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward, counters: dict | None = None) -> dict:
     """All offsets per tag, oldest first; negative occurrences record -1.
 
     The walk runs backwards, so offsets are collected in reverse and each
     list flipped once at the end (prepending would be quadratic).  A tagged
     run extends each tag of h by a range, or goes step by step if a tag
-    occurs twice in h.
+    occurs twice in h.  With counters, adds the steps walked, the final
+    backlink included, to "walked".
     """
     E: dict[int, list] = {t: [] for t in mp.tags}
     i, k = 0, len(data) + 1
+    if counters is not None:
+        counters["walked"] = counters.get("walked", 0) + len(forward[1]) + 1
     for step in _backward(mp, forward):
         if step.__class__ is int:
             if step > 0:
@@ -356,14 +455,18 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward) -> dict:
     return E
 
 
-def extract_tstring(mp: MultipassTdfa, data: bytes, forward) -> list:
+def extract_tstring(mp: MultipassTdfa, data: bytes, forward, counters: dict | None = None) -> list:
     """The matched string interleaved with tags: ints are (signed) tag ids,
     single bytes are input symbols.  A tagged run of r steps is filled with
-    one strided slice per position of h and one for its symbols."""
+    one strided slice per position of h and one for its symbols.  The
+    steps are walked twice, to size the output and to fill it; with
+    counters, adds both walks and the final backlink to "walked"."""
     # A "c" view yields one-byte bytes objects: `tolist()` of a slice
     # gives a run's symbols, an index one symbol.
     symbols = memoryview(data).cast("c")
     s, steps = forward
+    if counters is not None:
+        counters["walked"] = counters.get("walked", 0) + 2 * len(steps) + 1
     i0, h = mp.phi[s]
     # Pre-size: one slot per symbol plus the history lengths.
     size = len(data) + len(h)

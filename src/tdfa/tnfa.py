@@ -15,7 +15,8 @@ covers, as RE2C labels a symbol transition with a set of classes.
 The builder keeps each AST node's tags and bytes by the node's id: the
 unrolled copies of a repetition build one body object, and the AST shares
 nodes (one `Sym` per byte, the subtrees the fixed-tag strip keeps), so
-each node is analysed once and each set's bytes are one frozenset.
+each node is analysed once.  A set is analysed at its root alone, by one
+walk, and its inner alternations get no entry.
 """
 
 from dataclasses import dataclass, field
@@ -61,6 +62,20 @@ def byte_classes(sets) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     return tuple(map(tuple, classes.values())), b2c
 
 
+def set_bytes(e: Alt) -> frozenset | None:
+    """The bytes of an alternation of symbols, nested or not, else None."""
+    codes, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is Alt:
+            stack += (node.right, node.left)
+        elif type(node) is Sym:
+            codes.append(node.code)
+        else:
+            return None
+    return frozenset(codes)
+
+
 class _Builder:
     """Builds fragments right to left: each fragment after the fragments
     that follow it, so states are created in exactly the reverse of
@@ -83,17 +98,18 @@ class _Builder:
     def info(self, e: TaggedRegex) -> tuple[tuple[int, ...], frozenset | None]:
         """The tag ids in e, ascending, as `tag_analysis` gives them, and
         the bytes of e if it is a symbol set (a Sym, or an alternation of
-        symbol sets), else None."""
+        symbol sets), else None.  A set is analysed at its root alone."""
         got = self.memo.get(id(e))
         if got is None:
             t = type(e)
-            if t is Cat or t is Alt:
-                (ltags, lset), (rtags, rset) = self.info(e.left), self.info(e.right)
+            if t is Alt and (members := set_bytes(e)) is not None:
+                got = ((), members)
+            elif t is Cat or t is Alt:
+                ltags, rtags = self.info(e.left)[0], self.info(e.right)[0]
                 # Tags are numbered in reading order, so the halves are
                 # usually ordered already and need no sort.
                 ordered = not ltags or not rtags or ltags[-1] < rtags[0]
-                tags = ltags + rtags if ordered else tuple(sorted(ltags + rtags))
-                got = (tags, lset | rset if t is Alt and lset is not None and rset is not None else None)
+                got = (ltags + rtags if ordered else tuple(sorted(ltags + rtags)), None)
             elif t is Sym:
                 got = ((), frozenset((e.code,)))
             elif t is Rep:

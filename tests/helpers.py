@@ -88,6 +88,26 @@ def all_inputs(alphabet: bytes, max_len: int):
             yield bytes(combo)
 
 
+def sample_match(e, rng: Random, extra: int) -> bytes:
+    """A string of the language of AST e: a random branch of each
+    alternation, and a random count of each repetition, at most `extra`
+    past its lower bound where it has no upper one."""
+    out = bytearray()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            out.append(node.code)
+        elif isinstance(node, Cat):
+            stack += (node.right, node.left)
+        elif isinstance(node, Alt):
+            stack.append(node.left if rng.random() < 0.5 else node.right)
+        elif isinstance(node, Rep):
+            hi = node.lo + extra if node.hi is None else node.hi
+            stack += [node.body] * rng.randint(node.lo, hi)
+    return bytes(out)
+
+
 _REPS = ((0, None), (1, None), (0, 1), (1, 2), (2, 2), (0, 0))
 
 

@@ -232,9 +232,20 @@ def test_compile_multipass_stats_and_dump(tmp_path, capsys):
     stats = json.loads(out)
     assert {"states", "finals", "backlinks"} <= stats.keys()
     assert stats["states"] > 0 and stats["finals"] and stats["backlinks"] > 0
+    # The first field's tags occur once on every path; the later fields'
+    # repeat.
+    assert stats["once"] == [1, 2]
     assert {p.name for p in tmp_path.iterdir()} == {"multipass.dot"}
     dot = (tmp_path / "multipass.dot").read_text()
     assert dot.startswith("digraph multipass") and "style=dashed" in dot
+
+
+@pytest.mark.parametrize("multi", ["none", "all"])
+def test_compile_multipass_once_tags_are_structural(capsys, multi):
+    # --multi changes no multipass automaton: golden's (a)* tags repeat
+    # and its other three occur once, whatever --multi says.
+    code, out, _ = run(capsys, "compile", GOLDEN, "--engine=multipass", f"--multi={multi}")
+    assert code == 0 and json.loads(out)["once"] == [3, 4, 5]
 
 
 def test_compile_minimize_dumps_the_optimized_automaton_before_minimization(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import functools
 import importlib
 from itertools import chain
 from random import Random
 
 import pytest
-from helpers import ANY_BYTE, EVERY_CLASS, all_inputs, closure_patterns
+from helpers import ANY_BYTE, EVERY_CLASS, all_inputs, closure_patterns, sample_match
 
+import tdfa
+from tdfa import multipass
 from tdfa.multipass import (
+    FRONT_AFTER,
     PLAIN_LOOPS,
     MatchPlan,
     MultipassTdfa,
@@ -436,3 +440,197 @@ def test_offsets_walk_back_to_a_tag_at_the_start(pattern):
     data = b"a" * 1500
     check_reprs(nfa, mp, data)
     assert extract_offsets(mp, data, match_forward(mp, data))[1] == 0
+
+
+# -- offsets from both ends -------------------------------------------------
+
+
+def alt(chars: str) -> str:
+    return "(?:" + "|".join(chars) + ")"
+
+
+def walk(mp, data: bytes) -> tuple[dict, int]:
+    """The offsets of data and the steps their walk took."""
+    c: dict = {}
+    values = extract_offsets(mp, data, match_forward(mp, data), c)
+    return values, c["walked"]
+
+
+@functools.cache
+def both_ends(pattern):
+    """Pattern's multipass automaton, and the one built from its TNFA with
+    no once-only tags."""
+    p = tdfa.compile(pattern, engine="multipass")
+    return p, determinize_multipass(p.tnfa)
+
+
+def check_both_ends(pattern, data: bytes) -> tuple[int, int]:
+    """The offsets of Pattern's automaton, read from both ends, equal the
+    simulation's and those of the automaton built with no once-only tags,
+    read from the back alone, in at most twice its steps.  Returns both
+    step counts."""
+    p, plain = both_ends(pattern)
+    got, steps = walk(p.mp, data)
+    want, back_steps = walk(plain, data)
+    assert got == want == simulate(p.tnfa, data), data
+    assert steps <= 2 * back_steps, (pattern, steps, back_steps)
+    return steps, back_steps
+
+
+def test_csv_offsets_walk_the_same_few_steps_at_any_size():
+    # Tags 1 and 2 occur once, in the first field: the front reads them in
+    # its first three steps (a, the no-op run of b, the comma), after one
+    # round from the back has read tags 3 and 4 in the last field.
+    assert tdfa.compile(CSV, engine="multipass").mp.once == {1, 2}
+    counts = []
+    for size in (10_000, 100_000):
+        rng = Random(29)
+        fields = [b"ab"]
+        while len(fields) * 5 < size:
+            fields.append(bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 8))))
+        steps, back_steps = check_both_ends(CSV, b",".join(fields + [b"cab"]))
+        assert back_steps > size // 4
+        counts.append(steps)
+    assert counts == [FRONT_AFTER + 3] * 2
+
+
+@pytest.mark.parametrize("size", [1_000, 100_000])
+def test_leading_tag_walks_a_constant_number_of_steps(size):
+    # Tag 1 is at offset 0 and nothing after it is tagged: from the back
+    # alone the walk takes every step and the final backlink.
+    steps, back_steps = check_both_ends("#(?:ab)*c", b"ab" * (size // 2) + b"c")
+    assert back_steps == size + 2
+    assert steps == FRONT_AFTER + 1
+
+
+# perfbench's patterns (short-records with its byte sets), the worst shape
+# for two cursors (a once-only tag in the middle of a forced path), and
+# tagged loops on random text.
+BOTH_ENDS_PATTERNS = [
+    "(?:a|b)*", "(?:a|b)*#(?:a|b)*", CSV, "(?:#a)*", GOLDEN, "(?:#a)*a{100}",
+    "(" + alt("abcdef012345") + "+)(?:,(" + alt("abcdef012345") + "+))*",
+    "(?:(" + alt("keyabc") + "+)=(" + alt("val012") + "*);)+",
+    "(" + ":".join([alt("0123456789") + "{2}"] * 3) + ") (INFO|WARN|ERROR) (" + alt("abcdefghijklmnopqrstuvwxyz ") + "+)",
+    "(?:ab)*,#(?:ab)*", "(a|b)*(?:#a){5}",
+]
+
+
+@pytest.mark.parametrize("pattern", BOTH_ENDS_PATTERNS)
+def test_both_ends_take_at_most_twice_the_steps_from_the_back(pattern):
+    rng = Random(41)
+    ast = parse_regex(pattern)
+    for extra in (2, 8, 40, 300):
+        for _ in range(6):
+            data = sample_match(ast, rng, extra)
+            if len(data) <= 3000:
+                check_both_ends(pattern, data)
+    # The worst shape: both cursors walk to the middle.
+    steps, back_steps = check_both_ends("(?:ab)*,#(?:ab)*", b"ab" * 1000 + b"," + b"ab" * 1000)
+    assert back_steps < steps <= 2 * back_steps
+
+
+@pytest.fixture(params=[1, FRONT_AFTER], ids=["front-first", "front-after-default"])
+def front_after(request, monkeypatch):
+    """The number of back steps before the front first reads: with 1, the
+    front reads even on short paths."""
+    monkeypatch.setattr(multipass, "FRONT_AFTER", request.param)
+    return request.param
+
+
+# (pattern, input, once-only tags, what the front does on the input):
+# "reads" a once-only tag the back has not reached, "stops" before it, at
+# a step it cannot decide, or stays "idle", as the back reads the tag in
+# its first round.
+EDGE_CASES = {
+    "at step 0": ("#(?:ab)*c", b"ab" * 60 + b"c", {1}, "reads"),
+    "only in phi": ("(?:#a)*,(?:ab)*#", b"aaa," + b"ab" * 60, {2}, "idle"),
+    "bypassed": ("(?:(x)|y)(?:ab)*(c)", b"y" + b"ab" * 60 + b"c", {1, 2, 3, 4}, "reads"),
+    "in a wider array": ("(?:(a)b|ac)(?:de)*", b"ac" + b"de" * 60, {1, 2}, "stops"),
+    "behind a wider array": ("(?:a|b)*b#(?:cd)*", b"ab" * 30 + b"b" + b"cd" * 60, {1}, "stops"),
+    "behind a tagged run": ("(?:#a)*b#(?:cd)*", b"a" * 60 + b"b" + b"cd" * 60, {2}, "stops"),
+    "after a repeated tag": ("(?:(a)){1,2}(?:bc)*#(?:de)*", b"a" + b"bc" * 60 + b"de" * 60, {3}, None),
+    "near the end": ("(?:(a)){1,2}(?:bc)*#(?:de){3}", b"a" + b"bc" * 60 + b"de" * 3, {3}, "idle"),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_once_tag_edge_cases(case, front_after):
+    pattern, data, once, front = EDGE_CASES[case]
+    assert both_ends(pattern)[0].mp.once == once
+    steps, back_steps = check_both_ends(pattern, data)
+    if front == "reads":
+        assert steps < back_steps
+    elif front == "stops":
+        # The back walks as far as alone, and the front reads only up to
+        # the step it cannot decide.
+        assert back_steps <= steps <= back_steps + PLAIN_LOOPS + 2
+    elif front == "idle" and front_after > 1:
+        assert steps == back_steps
+    nfa = both_ends(pattern)[0].tnfa
+    for short in all_inputs(bytes(sorted(set(data))), 5):
+        if simulate(nfa, short) is not None:
+            check_both_ends(pattern, short)
+
+
+def test_front_stops_where_the_back_has_been():
+    # Tags 1 and 2 are only at offsets 0 and 1, so the back walks every
+    # step.  Rounds: back 32, front 32, back 64, front 64, then the back's
+    # round of 128 reads tag 3 and passes the front, which reads no more.
+    pattern, data, _, _ = EDGE_CASES["after a repeated tag"]
+    steps, back_steps = check_both_ends(pattern, data)
+    assert FRONT_AFTER == 32
+    assert (steps, back_steps) == (back_steps + 96, 242)
+
+
+def test_front_rounds_double(monkeypatch):
+    # On the worst shape, the cursors take O(log n) turns.
+    calls = []
+    read_front = multipass._read_front
+    monkeypatch.setattr(multipass, "_read_front", lambda *args: calls.append(1) or read_front(*args))
+    for m in (1_000, 10_000):
+        check_both_ends("(?:ab)*,#(?:ab)*", b"ab" * m + b"," + b"ab" * m)
+    assert len(calls) <= 2 * (2 + 10_000 * 2 // FRONT_AFTER).bit_length()
+
+
+def test_wider_array_and_tagged_run_stop_the_front():
+    # The edge cases above stop the front where they mean to: the first
+    # b's array has two slots, and (?:#a)*'s run is a tagged one.
+    _, mp = mp_of("(?:a|b)*b#(?:cd)*")
+    _, steps = match_forward(mp, b"ab" * 30 + b"b" + b"cd" * 60)
+    assert steps[0] == 1 and len(steps[1]) == 2
+    _, mp = mp_of("(?:#a)*b#(?:cd)*")
+    _, steps = match_forward(mp, b"a" * 60 + b"b" + b"cd" * 60)
+    assert [len(x) for x in steps[:PLAIN_LOOPS + 2]] == [1] * (PLAIN_LOOPS + 2) and steps[PLAIN_LOOPS + 2] < 0
+
+
+@pytest.mark.parametrize("multi", ["all", "none", "auto", {1, 3}])
+def test_once_tags_are_structural_whatever_multi_says(multi):
+    p = tdfa.compile(GOLDEN, engine="multipass", multi=multi)
+    assert p.mp.once == {3, 4, 5}
+    data = b"a" * 100 + b"b" * 50
+    assert p.match(data).values == simulate(p.tnfa, data)
+
+
+def test_direct_determinize_walks_from_the_back_alone():
+    nfa, mp = mp_of("#(?:ab)*c")
+    assert mp.once == frozenset() and mp.stats()["once"] == []
+    data = b"ab" * 500 + b"c"
+    p = tdfa.compile("#(?:ab)*c", engine="multipass")
+    assert walk(mp, data) == (p.match(data).values, len(data) + 1)
+
+
+def test_walked_counts_each_backward_pass():
+    p = tdfa.compile(CSV, engine="multipass")
+    data = b",".join([b"abc", b"b", b"ca"] * 40)
+    _, steps = match_forward(p.mp, data)
+    walked = {}
+    for repr_ in ("offsets", "lists", "tstring"):
+        c: dict = {}
+        assert p.match(data, repr_=repr_, counters=c)
+        walked[repr_] = c["walked"]
+    # The tagged string walks the steps twice: to size its list, then to
+    # fill it.
+    assert walked == {"offsets": FRONT_AFTER + 3, "lists": len(steps) + 1, "tstring": 2 * len(steps) + 1}
+    c = {}
+    tdfa.compile("ab", engine="multipass").match(b"ab", counters=c)
+    assert c["walked"] == 0  # no tags: no walk
