@@ -381,30 +381,21 @@ def extract_offsets(mp: MultipassTdfa, data: bytes, forward, counters: dict | No
     # As `_backward`, keeping rev to see how far the back has come.
     rev = reversed(steps)
     back = chain(((mp.phi[s],),), rev)
-    f = 0  # the front cursor's next step
+    f = pos = 0  # the front cursor's next step and its offset
     once = mp.once
-    if not once or len(steps) < FRONT_AFTER:
-        if n:
-            _walk_back(back, 0, len(data) + 1, E, n)
-    else:
-        i, k = 0, len(data) + 1
-        pos = 0  # the offset of steps[f]
-        budget = FRONT_AFTER
-        front = True
-        while True:
-            i, k = _walk_back(islice(back, budget) if front else back, i, k, E, n)
-            end = rev.__length_hint__()
-            if not front or len(E) == n or not end:
-                break
-            # The back may have passed the front, or read the last tags of
-            # once itself.
-            if f < end and not once <= E.keys():
-                f, pos, front = _read_front(steps, f, min(end, f + budget), pos, once, E)
-                if len(E) == n:
-                    break
-            else:
-                front = False
-            budget *= 2
+    i, k = 0, len(data) + 1
+    # A round with no budget walks the back to the end.
+    budget = FRONT_AFTER if once and len(steps) >= FRONT_AFTER else None
+    while len(E) < n:
+        i, k = _walk_back(back if budget is None else islice(back, budget), i, k, E, n)
+        if budget is None or not (end := rev.__length_hint__()):
+            break
+        # The back may have passed the front, or read the last tags of
+        # once itself.
+        more = f < end and not once <= E.keys()
+        if more:
+            f, pos, more = _read_front(steps, f, min(end, f + budget), pos, once, E)
+        budget = budget * 2 if more else None
     if counters is not None:
         # The final backlink and the steps the back walked, then the front's.
         walked = 1 + len(steps) - rev.__length_hint__() + f if n else 0

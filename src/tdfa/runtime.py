@@ -65,9 +65,9 @@ op-free loops carry none, a bulk run counts every byte), `tree_nodes` the
 history entries those transitions appended, a run node counting each of
 its entries (the final and fallback operations run after the count), and
 `fallback` is 1 when the match took the fallback quasi-transition.
-`run_ops` applies operation lists as written; it runs the final and
-fallback quasi-transitions and is the reference the decoded steps are
-tested against.
+The plan decodes each state's final and fallback lists as it does the
+transitions' (slice moves included), and `_run_steps` runs the one the
+match ends with: only `_decode_ops` reads operation tuples.
 """
 
 from dataclasses import dataclass, field
@@ -97,14 +97,6 @@ class PrefixTree:
         self.pred = [0]
         self.offs = [-1]
         self.runs = False
-
-    def append(self, idx: int, hist: str, pos: int) -> int:
-        pred, offs = self.pred, self.offs
-        for ch in hist:
-            pred.append(idx)
-            offs.append(pos if ch == "p" else -1)
-            idx = len(pred) - 1
-        return idx
 
     def unpack(self, idx: int) -> list:
         pred, offs = self.pred, self.offs
@@ -144,18 +136,6 @@ class MatchOutcome:
 NO_MATCH = MatchOutcome("none")
 
 
-def run_ops(ops, regs, tree: PrefixTree, pos: int):
-    """Apply one operation list in order."""
-    for op in ops:
-        kind = op[0]
-        if kind == SET:
-            regs[op[1]] = pos if op[2] == "p" else None
-        elif kind == COPY:
-            regs[op[1]] = regs[op[2]]
-        else:
-            regs[op[1]] = tree.append(regs[op[2]], op[3], pos)
-
-
 # Decoded step kinds, in the order the loop tests them.
 _COPY, _APPEND_P, _SET_P, _SET_N, _APPEND_N = range(5)
 
@@ -165,7 +145,7 @@ SLICE_MIN = 8
 
 
 def _decode_ops(ops) -> tuple:
-    """Flat (kind, dst, src) steps with the effect of run_ops(ops)."""
+    """Flat (kind, dst, src) steps with the effect of ops run in order."""
     steps = []
     for op in ops:
         if op[0] == SET:
@@ -287,9 +267,11 @@ def _bulk_form(steps, n_ops: int) -> tuple | None:
 
 
 class MatchPlan(PlanFrame):
-    """The automaton decoded for exec_tdfa (see the module docstring)."""
+    """The automaton decoded for exec_tdfa (see the module docstring).
+    `phi` and `psi` map each final and fallback state to its decoded
+    list."""
 
-    __slots__ = ("regs0",)
+    __slots__ = ("regs0", "phi", "psi")
 
     @staticmethod
     def no_op(ops) -> bool:
@@ -308,6 +290,8 @@ class MatchPlan(PlanFrame):
                 decoded[ops] = _decode_ops(ops)
             return decoded.get(ops), len(ops)
 
+        self.phi = {s: payload(ops)[0] or () for s, ops in tdfa.phi.items()}
+        self.psi = {s: payload(ops)[0] or () for s, ops in tdfa.psi.items()}
         return payload
 
 
@@ -320,6 +304,20 @@ def _read_values(tdfa: Tdfa, regs, tree: PrefixTree) -> dict:
         else:
             values[t] = r
     return values
+
+
+def _run_steps(steps, regs, tree: PrefixTree, pos: int):
+    """Apply decoded steps at pos, as the match loop does."""
+    pred, offs = tree.pred, tree.offs
+    for kind, dst, src in steps:
+        if kind == _COPY:
+            regs[dst] = regs[src]
+        elif kind == _SET_P or kind == _SET_N:
+            regs[dst] = pos if kind == _SET_P else None
+        else:
+            pred.append(regs[src])
+            regs[dst] = len(offs)
+            offs.append(pos if kind == _APPEND_P else -1)
 
 
 def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
@@ -441,21 +439,12 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
         counters["tree_nodes"] = counters.get("tree_nodes", 0) + len(pred) - 1 + in_runs
         counters["fallback"] = counters.get("fallback", 0) + (mode != "full" and 0 <= match_pos < pos)
 
-    if mode == "full":
-        if match_pos != n:
-            return NO_MATCH
-        run_ops(tdfa.phi[match_state], regs, tree, n)
-        return MatchOutcome("match", n, _read_values(tdfa, regs, tree))
-
-    # longest-prefix mode
-    if match_pos < 0:
+    if match_pos < 0 or mode == "full" and match_pos != n:
         return NO_MATCH
-    if match_pos == pos:
-        quasi = tdfa.phi[match_state]
-    else:
-        quasi = tdfa.psi.get(match_state)
-        if quasi is None:
-            raise ValueError(f"final state {match_state} was left but has no fallback operations")
-    run_ops(quasi, regs, tree, match_pos)
-    kind = "match" if match_pos == n else "prefix"
-    return MatchOutcome(kind, match_pos, _read_values(tdfa, regs, tree))
+    # The final list if the match ends where the loop stopped, else the
+    # fallback one.
+    steps = plan.phi[match_state] if match_pos == pos else plan.psi.get(match_state)
+    if steps is None:
+        raise ValueError(f"final state {match_state} was left but has no fallback operations")
+    _run_steps(steps, regs, tree, match_pos)
+    return MatchOutcome("match" if match_pos == n else "prefix", match_pos, _read_values(tdfa, regs, tree))

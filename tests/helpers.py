@@ -11,7 +11,7 @@ from random import Random
 
 from tdfa.fuzz import gen_pattern
 from tdfa.optimizer import _bits, interferes
-from tdfa.regops import SET
+from tdfa.regops import COPY, SET
 from tdfa.resyntax import Alt, Cat, Empty, Rep, Sym, Tag
 from tdfa.tnfa import Tnfa
 
@@ -176,6 +176,29 @@ class NaiveRegisters:
             else:
                 src = self.vals[op[2]]
                 self.vals[op[1]] = list(src) + [pos if ch == "p" else -1 for ch in op[3]]
+
+
+def tree_append(tree, idx: int, hist: str, pos: int) -> int:
+    """Append the entries of hist, one node each, to the history at node
+    idx of a `runtime.PrefixTree`; returns the last node."""
+    for ch in hist:
+        tree.pred.append(idx)
+        tree.offs.append(pos if ch == "p" else -1)
+        idx = len(tree.pred) - 1
+    return idx
+
+
+def run_ops(ops, regs, tree, pos: int):
+    """Reference for the decoded steps the match plan runs: apply one
+    operation list in order, as written, on registers holding offsets or
+    nodes of a `runtime.PrefixTree`."""
+    for op in ops:
+        if op[0] == SET:
+            regs[op[1]] = pos if op[2] == "p" else None
+        elif op[0] == COPY:
+            regs[op[1]] = regs[op[2]]
+        else:
+            regs[op[1]] = tree_append(tree, regs[op[2]], op[3], pos)
 
 
 def state_rows(state) -> tuple:

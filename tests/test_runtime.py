@@ -8,12 +8,11 @@ import tdfa
 from tdfa.determinize import Tdfa, determinize
 from tdfa.fuzz import _last, gen_pattern
 from tdfa.regops import APPEND, COPY, SET
-from tdfa.runtime import (SLICE_MIN, _APPEND_P, _COPY, _SET_N, _SET_P, MatchPlan, PrefixTree,
-                          _decode_ops, exec_tdfa, run_ops)
+from tdfa.runtime import SLICE_MIN, MatchPlan, PrefixTree, _decode_ops, _run_steps, exec_tdfa
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
-from helpers import ANY_BYTE, EVERY_CLASS, NaiveRegisters, all_inputs
+from helpers import ANY_BYTE, EVERY_CLASS, NaiveRegisters, all_inputs, run_ops, tree_append
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
 CSV = "((?:a|b|c)+)(?:,((?:a|b|c)+))*"
@@ -77,21 +76,21 @@ def self_loops(a, state) -> list:
 
 def test_tree_append_empty_history():
     tree = PrefixTree()
-    assert tree.append(0, "", 5) == 0
+    assert tree_append(tree, 0, "", 5) == 0
 
 
 def test_tree_append_single():
     tree = PrefixTree()
-    idx = tree.append(0, "p", 3)
+    idx = tree_append(tree, 0, "p", 3)
     assert (tree.pred[idx], tree.offs[idx]) == (0, 3)
     assert tree.unpack(idx) == [3]
 
 
 def test_tree_shares_prefixes():
     tree = PrefixTree()
-    parent = tree.append(0, "p", 1)
-    a = tree.append(parent, "p", 2)
-    b = tree.append(parent, "n", 2)
+    parent = tree_append(tree, 0, "p", 1)
+    a = tree_append(tree, parent, "p", 2)
+    b = tree_append(tree, parent, "n", 2)
     assert tree.pred[a] == parent and tree.pred[b] == parent
     assert tree.unpack(a) == [1, 2]
     assert tree.unpack(b) == [1, -1]
@@ -100,7 +99,7 @@ def test_tree_shares_prefixes():
 def test_tree_unpack_root_and_np():
     tree = PrefixTree()
     assert tree.unpack(0) == []
-    idx = tree.append(0, "np", 5)
+    idx = tree_append(tree, 0, "np", 5)
     assert tree.unpack(idx) == [-1, 5]
 
 
@@ -292,34 +291,37 @@ def test_prefix_without_fallback_operations_raises():
         exec_tdfa(clone, b"abca,bc,d", "prefix")
 
 
+def test_left_final_start_state_without_fallback_operations_raises():
+    # s0 is final and "a" leads to the non-final s1, a dead end: the match
+    # falls back to s0, which has no psi list.
+    a = Tdfa.from_json(json.dumps({
+        "tags": [1], "multi": [], "alphabet": [97], "r0": {1: 1}, "rf": {1: 1}, "max_reg": 1,
+        "n_states": 2, "s0": 0, "finals": [0], "fallback": [], "delta": [[0, 0, 1, []]],
+        "phi": [[0, [(SET, 1, "p")]]], "psi": [],
+    }))
+    assert exec_tdfa(a, b"", "prefix").values == {1: 0}
+    with pytest.raises(ValueError, match="final state 0 "):
+        exec_tdfa(a, b"a", "prefix")
+
+
 # -- slice moves and bulk self-loops -----------------------------------------
 
 
-def run_steps(steps, regs, tree: PrefixTree, pos):
-    """Decoded steps (no bulk step) with the effect exec_tdfa's loop gives them."""
-    for kind, dst, src in steps:
-        if kind == _COPY:
-            regs[dst] = regs[src]
-        elif kind in (_SET_P, _SET_N):
-            regs[dst] = pos if kind == _SET_P else None
-        else:
-            regs[dst] = tree.append(regs[src], "p" if kind == _APPEND_P else "n", pos)
-
-
 def check_decoded(ops, rng) -> tuple:
-    """The decoded steps of ops agree with run_ops on a random register file
-    whose registers hold nil or nodes of a random tree; returns the steps."""
+    """The decoded steps of ops, run by the plan's runner, agree with
+    run_ops on a random register file whose registers hold nil or nodes of
+    a random tree; returns the steps."""
     steps = _decode_ops(ops)
     size = 2 + max(max(op[1], op[2] if op[0] != SET else 0) for op in ops)
     tree = PrefixTree()
     for _ in range(20):
-        tree.append(rng.randrange(len(tree.pred)), rng.choice("np"), rng.randrange(100))
+        tree_append(tree, rng.randrange(len(tree.pred)), rng.choice("np"), rng.randrange(100))
     regs = [rng.choice([None, rng.randrange(len(tree.pred))]) for _ in range(size)]
     want, want_tree = list(regs), PrefixTree()
     want_tree.pred, want_tree.offs = list(tree.pred), list(tree.offs)
     # "P" stands for the position: a set or an append stores it as given.
     run_ops(ops, want, want_tree, "P")
-    run_steps(steps, regs, tree, "P")
+    _run_steps(steps, regs, tree, "P")
     for r in range(size):
         if type(want[r]) is int:
             assert type(regs[r]) is int and tree.unpack(regs[r]) == want_tree.unpack(want[r]), (ops, r)
@@ -384,6 +386,18 @@ def test_decoded_steps_keep_cycles_and_reads_of_overwritten_sources():
         assert has_slice(steps) == sliced, ops
         if not sliced:
             assert list(steps) == [step for op in ops for step in _decode_ops((op,))]
+
+
+@pytest.mark.parametrize("kw", [{"opt": "none"}, {"multi": "all"}])
+def test_final_list_decodes_to_a_slice_move(kw):
+    # Ten tags set at the end: the final list copies them from the
+    # registers of the closure, SLICE_MIN or more with one offset.
+    p = tdfa.compile("(a)(a)(a)(a)(a)", **kw)
+    a = p.tdfa
+    [(state, steps)] = MatchPlan(a).phi.items()
+    assert any(type(dst) is slice for _, dst, _ in steps)
+    for data in all_inputs(b"ab", 7):
+        check_histories(p, data)
 
 
 def bulk_states(a) -> set:
