@@ -117,12 +117,16 @@ class Pattern:
               counters: dict | None = None) -> MatchOutcome:
         if isinstance(data, str):
             data = data.encode()
+        # Names first, then what the engine supports.
         if mode not in ("full", "prefix"):
             raise ValueError(f"unknown mode {mode!r}")
+        if repr_ != "offsets":
+            if repr_ not in ("lists", "tstring"):
+                raise ValueError(f"unknown representation {repr_!r}")
+            if self.engine != "multipass":
+                raise ValueError(f"representation {repr_!r} requires the multipass engine")
         if mode == "prefix" and self.engine != "tdfa":
             raise ValueError("longest-prefix mode requires the tdfa engine")
-        if repr_ != "offsets" and self.engine != "multipass":
-            raise ValueError(f"representation {repr_!r} requires the multipass engine")
 
         if self.engine == "simulation":
             values = _tnfa.simulate(self.tnfa, data, counters=counters)
@@ -131,8 +135,6 @@ class Pattern:
             return MatchOutcome("match", len(data), values)
 
         if self.engine == "multipass":
-            if repr_ not in ("offsets", "lists", "tstring"):
-                raise ValueError(f"unknown representation {repr_!r}")
             fw = _mp.match_forward(self.mp, data, counters)
             if fw is None:
                 return NO_MATCH

@@ -246,7 +246,8 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
     rows, bulk = plan.rows, plan.bulk
     text = data.translate(plan.classes)
     n = len(text)
-    stop = n if plan.dead is None else text.find(plan.dead) % (n + 1)  # -1 maps to n
+    # One past the first dead byte or the end, as in `exec_tdfa`.
+    bound = n + 1 if plan.dead is None else text.find(plan.dead) % (n + 1) + 1
     # A bytes iterator's __setstate__ (its pickle support) sets its
     # position: one call, where islice would step through a run.
     it = iter(text)
@@ -264,9 +265,7 @@ def match_forward(mp: MultipassTdfa, data: bytes, counters: dict | None = None):
         if skip is not None:
             pos = len(steps) + extra
             if skip.__class__ is int:
-                end = text.find(skip, pos, stop)
-                if end < 0:
-                    end = stop
+                end = text.find(skip, pos, bound) % bound
             else:
                 end = skip(text, pos).end()
             if end > pos:

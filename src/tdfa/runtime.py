@@ -16,58 +16,55 @@ the cell (below), at the one site of every span.  The register TDFA adds
 the steps, the count and the loop summaries:
 
 - each distinct operation list is decoded once into flat (kind, dst, src)
-  steps that the loop runs inline; an append of a multi-character history
-  is one step per character;
+  steps of four kinds that the loop runs inline: a copy, a set to the
+  position, and an append of "p" or of "n", one per history character.
+  Register 0 holds nil and no operation may write it, so a nil set is the
+  copy `r <- r0`;
 - copies with one offset src - dst to consecutive destinations (the
   shift chain r4..r101 <- r5..r102 of `(?:#a)*a{100}`) become one copy
   step whose dst and src are `slice`s, so `regs[dst] = regs[src]` moves
-  them all.  Only runs of at least SLICE_MIN = 8 copies do: a slice move
-  costs about as much as 5-6 plain copies.  The move takes the place of
-  the run's first copy in the list, and the result is checked
-  symbolically against the list when the plan is built; a failed check
-  keeps the plain steps;
+  them all.  Only runs of at least SLICE_MIN copies do: a slice move costs
+  about as much as 5-6 plain copies.  The move takes the place of the
+  run's first copy, and the result is checked symbolically against the
+  list when the plan is built; a failed check keeps the plain steps;
 - a state with op-free self-loops has a span over those classes (the
   frame's skip); on entry to the state the loop lets it consume the whole
-  run of such bytes at C speed.  A span is the loop's one exit class, run
-  as `text.find(e, pos, stop)`, stop being the input's first dead byte or
-  its end, looked for once per match, or else a compiled `re` span
-  (`loop_span`).  Each entry costs one call;
+  run of such bytes at C speed, in one call.  A span is the loop's one
+  exit class, run as `text.find(e, pos, bound) % bound`, bound being one
+  past the input's first dead byte (looked for once per match) or its
+  end, or else a compiled `re` span (`loop_span`);
 - a state with no op-free self-loop whose self-loops all carry one list
   with a loop summary (`PlanFrame.bulk`) has a bulk loop.  The summary is
-  read off the list's symbolic effect: each written register is a head, a
-  set `r <- p|n` or a single-character self-append `r <- r.h`, or a copy
+  read off the list's symbolic effect: each written register is a head,
+  a set `r <- p` or a single-character self-append `r <- r.h`, or a copy
   whose chain of copies ends in a head or in a register the list does not
-  write (golden's `r6 <- r7 <- r7.p`, the shift chain of
-  `(?:#a)*a{100}`).  Copy cycles, appends from another register and longer
-  histories have none.  The frame puts the span of those classes in the
-  skip slot of the state's self-loop cells: the first loop byte runs its
-  steps as usual (entries that leave at once pay no span call), the span
-  consumes the rest of the run, L bytes, at C speed, and `_run_bulk`
-  applies the summary in their place.  After it, a register at depth d
-  of a chain holds, for L <= d, the value before the run of the member L
-  steps closer to the head, and otherwise the head's value after
-  iteration L - d: a set position, nil, the unwritten register, or the
-  head's history after L - d appends of the run.  A copy tree's depths run
-  1..depth without gaps, so an append head whose tree is depth deep
-  stores one run node for its first L - m entries, then one single node
-  for each of the last m, m = min(depth, L - 1): those are all its copies
-  can read.  Each set register gets the last position of the run (or
-  nil), the copies are filled in one pass over each chain, and the
-  operation count grows by k * L for a list of k.  Plain set and append
-  loops are the chains of depth 0.  A bulk run so costs O(depth), never
-  O(L): the single nodes are written from `range`s, and `PrefixTree.unpack`
-  expands a run node with one `range` (see `PrefixTree`).
+  write, nil's register 0 among them (golden's `r6 <- r7 <- r7.p`, the
+  shift chain of `(?:#a)*a{100}`).  Copy cycles, appends from another
+  register and longer histories have none.  The frame puts the span of
+  those classes in the skip slot of the state's self-loop cells: the
+  first loop byte runs its steps as usual (entries that leave at once pay
+  no span call), the span consumes the rest of the run, L bytes, and
+  `_run_bulk` applies the summary in their place.  After it, a register
+  at depth d of a chain holds, for L <= d, the value before the run of
+  the member L steps closer to the head, and otherwise the head's value
+  after iteration L - d: a set position, the unwritten register, or the
+  head's history after L - d appends.  A copy tree's depths run 1..depth
+  without gaps, so an append head whose tree is depth deep stores one run
+  node for its first L - m entries, then one single node for each of the
+  last m, m = min(depth, L - 1): those are all its copies can read.  Set
+  registers get the run's last position, and the copies are filled in
+  one pass over each chain.  A bulk run so costs O(depth), never O(L),
+  and `PrefixTree.unpack` expands a run node with one `range`.
 
 Counters come from the same loop and add to what the dict holds:
 `transitions` is the number of bytes consumed, `operations` the number of
 operations of the automaton's lists on the transitions taken (skipped
 op-free loops carry none, a bulk run counts every byte), `tree_nodes` the
 history entries those transitions appended, a run node counting each of
-its entries (the final and fallback operations run after the count), and
-`fallback` is 1 when the match took the fallback quasi-transition.
-The plan decodes each state's final and fallback lists as it does the
-transitions' (slice moves included), and `_run_steps` runs the one the
-match ends with: only `_decode_ops` reads operation tuples.
+its entries (`PrefixTree.held`), and `fallback` is 1 when the match took
+the fallback quasi-transition.  The final and fallback lists run after
+the count, decoded as the transitions' are, by `_run_steps`: only
+`_decode_ops` reads operation tuples.
 """
 
 from dataclasses import dataclass, field
@@ -88,15 +85,16 @@ class PrefixTree:
     Nothing points into a run node: a register that reads a history from
     inside a bulk run gets a single node after it.  `runs` is set once a
     run node is stored; until then `unpack` walks the nodes with no test
-    per node.
+    per node.  `held` counts the entries run nodes hold beyond one each.
     """
 
-    __slots__ = ("pred", "offs", "runs")
+    __slots__ = ("pred", "offs", "runs", "held")
 
     def __init__(self):
         self.pred = [0]
         self.offs = [-1]
         self.runs = False
+        self.held = 0
 
     def unpack(self, idx: int) -> list:
         pred, offs = self.pred, self.offs
@@ -136,8 +134,9 @@ class MatchOutcome:
 NO_MATCH = MatchOutcome("none")
 
 
-# Decoded step kinds, in the order the loop tests them.
-_COPY, _APPEND_P, _SET_P, _SET_N, _APPEND_N = range(5)
+# Decoded step kinds, in the order the loop tests them.  A nil set is a
+# copy from register 0, which holds nil and which no operation writes.
+_COPY, _APPEND_P, _SET_P, _APPEND_N = range(4)
 
 # A run of consecutive copies of one offset becomes one slice move from
 # this many on; below it the plain copies cost less.
@@ -148,8 +147,10 @@ def _decode_ops(ops) -> tuple:
     """Flat (kind, dst, src) steps with the effect of ops run in order."""
     steps = []
     for op in ops:
+        if not op[1]:
+            raise ValueError(f"operation {op} writes register 0, which holds nil")
         if op[0] == SET:
-            steps.append((_SET_P if op[2] == "p" else _SET_N, op[1], 0))
+            steps.append((_SET_P if op[2] == "p" else _COPY, op[1], 0))
         elif op[0] == COPY or not op[3]:
             steps.append((_COPY, op[1], op[2]))
         else:
@@ -175,7 +176,7 @@ def _consecutive(dsts: list) -> list:
 
 def _effect(steps) -> dict:
     """Symbolic run of steps: each written register maps to a term over the
-    values before the list (a register number), "p", "n" and appends
+    values before the list (a register number, 0 for nil), "p" and appends
     (term, character)."""
     val = {}
     for kind, dst, src in steps:
@@ -187,8 +188,6 @@ def _effect(steps) -> dict:
                 val[dst] = val.get(src, src)
         elif kind == _SET_P:
             val[dst] = "p"
-        elif kind == _SET_N:
-            val[dst] = "n"
         else:
             val[dst] = (val.get(src, src), "p" if kind == _APPEND_P else "n")
     return val
@@ -224,21 +223,21 @@ def _bulk_form(steps, n_ops: int) -> tuple | None:
 
     It is read off the list's symbolic effect.  Its heads are the
     single-character self-appends, as (register, is "p", depth), and the
-    sets, as (register, is "p").  Every other written register must copy
+    registers set to the position.  Every other written register must copy
     one register: the copies form trees that hang from a head or from a
-    register the list does not write.  A chain is one such tree as (head,
-    kind, members), kind being the index of the head's append, "p" or "n"
-    for a set and None for an unwritten head, and members its (register,
-    depth) pairs in preorder.  The depths of a tree run 1..depth without
-    gaps; an append's depth is that of its tree, 0 when none hangs from
-    it.  Copy cycles, appends from another register and histories of more
-    than one character have no summary."""
+    register the list does not write, nil's register 0 among them.  A
+    chain is one such tree as (head, kind, members), kind being the index
+    of the head's append, "p" for a set and None for an unwritten head, and
+    members its (register, depth) pairs in preorder.  The depths of a tree
+    run 1..depth without gaps; an append's depth is that of its tree, 0
+    when none hangs from it.  Copy cycles, appends from another register
+    and histories of more than one character have no summary."""
     appends, sets, parent = [], [], {}
     for r, term in _effect(steps).items():
         if term == r:  # a self-copy writes nothing
             continue
-        if term in ("p", "n"):
-            sets.append((r, term == "p"))
+        if term == "p":
+            sets.append(r)
         elif type(term) is int:
             parent[r] = term
         elif term[0] == r:
@@ -248,8 +247,7 @@ def _bulk_form(steps, n_ops: int) -> tuple | None:
     children: dict = {}
     for r, src in parent.items():
         children.setdefault(src, []).append(r)
-    kinds = {r: k for k, (r, _) in enumerate(appends)}
-    kinds.update((r, "p" if p else "n") for r, p in sets)
+    kinds = {r: k for k, (r, _) in enumerate(appends)} | dict.fromkeys(sets, "p")
     chains = []
     for head in [r for r in children if r not in parent]:
         members = []
@@ -283,6 +281,8 @@ class MatchPlan(PlanFrame):
         self.regs0 = [None] * (tdfa.max_reg + 1)
         for t in tdfa.multi:
             self.regs0[tdfa.r0[t]] = 0
+        if self.regs0[0] is not None:
+            raise ValueError("a multi-valued tag starts in register 0, which holds nil")
         decoded: dict = {}
 
         def payload(ops):
@@ -312,8 +312,8 @@ def _run_steps(steps, regs, tree: PrefixTree, pos: int):
     for kind, dst, src in steps:
         if kind == _COPY:
             regs[dst] = regs[src]
-        elif kind == _SET_P or kind == _SET_N:
-            regs[dst] = pos if kind == _SET_P else None
+        elif kind == _SET_P:
+            regs[dst] = pos
         else:
             pred.append(regs[src])
             regs[dst] = len(offs)
@@ -322,11 +322,10 @@ def _run_steps(steps, regs, tree: PrefixTree, pos: int):
 
 def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
     """Apply the loop summary form for the loop bytes start..end - 1, those
-    after the first; returns the entries its run nodes hold beyond one each."""
-    _, appends, sets, chains = form
+    after the first; returns the operations they stand for."""
+    n_ops, appends, sets, chains = form
     pred, offs = tree.pred, tree.offs
     run = end - start
-    in_runs = 0
     # An append head gets one run node for its first entries and one node
     # for each of the last m, the m its copies can read from inside the run.
     before = []  # the heads' values before the run
@@ -340,7 +339,7 @@ def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
             pred += range(node, node + m)
             offs += range(end - m, end) if p else [-1] * m
         regs[r] = node + m
-        in_runs += run - m - 1
+        tree.held += run - m - 1
         tree.runs = True
     for head, head_kind, members in chains:
         # The head's value after the run, which a member at depth d < run
@@ -350,8 +349,6 @@ def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
         moves = True
         if head_kind == "p":
             top = end - 1
-        elif head_kind == "n":
-            top, moves = None, False
         elif head_kind is None:
             top, moves = old[0], False
         else:  # an append, stored above
@@ -363,9 +360,9 @@ def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
                 regs[r] = old[d - run]
             else:
                 regs[r] = top - d if moves else top
-    for r, p in sets:
-        regs[r] = end - 1 if p else None
-    return in_runs
+    for r in sets:
+        regs[r] = end - 1
+    return n_ops * run
 
 
 def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None = None) -> MatchOutcome:
@@ -382,11 +379,12 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     rows, final, bulk = plan.rows, plan.final, plan.bulk
     text = data.translate(plan.classes)
     n = len(text)
-    stop = n if plan.dead is None else text.find(plan.dead) % (n + 1)  # -1 maps to n
+    # One past stop, the first dead byte or the end: a span's find, modulo
+    # bound, maps -1 to stop, and at stop finds nothing but the dead class.
+    bound = n + 1 if plan.dead is None else text.find(plan.dead) % (n + 1) + 1
     tree = PrefixTree()
     pred, offs = tree.pred, tree.offs
     regs = plan.regs0.copy()
-    in_runs = 0  # history entries held by run nodes beyond one per node
 
     state = tdfa.s0
     skip = plan.skip0
@@ -397,14 +395,11 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
         if skip is not None:
             start = pos
             if skip.__class__ is int:
-                pos = text.find(skip, pos, stop)
-                if pos < 0:
-                    pos = stop
+                pos = text.find(skip, pos, bound) % bound
             else:
                 pos = skip(text, pos).end()
             if bulk[state] is not None and pos > start:
-                n_ops += bulk[state][0] * (pos - start)
-                in_runs += _run_bulk(bulk[state], regs, tree, start, pos)
+                n_ops += _run_bulk(bulk[state], regs, tree, start, pos)
         if final[state]:
             match_pos = pos
             match_state = state
@@ -425,8 +420,6 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
                     offs.append(pos)
                 elif kind == _SET_P:
                     regs[dst] = pos
-                elif kind == _SET_N:
-                    regs[dst] = None
                 else:  # _APPEND_N
                     pred.append(regs[src])
                     regs[dst] = len(offs)
@@ -436,7 +429,7 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     if counters is not None:
         counters["transitions"] = counters.get("transitions", 0) + pos
         counters["operations"] = counters.get("operations", 0) + n_ops
-        counters["tree_nodes"] = counters.get("tree_nodes", 0) + len(pred) - 1 + in_runs
+        counters["tree_nodes"] = counters.get("tree_nodes", 0) + len(pred) - 1 + tree.held
         counters["fallback"] = counters.get("fallback", 0) + (mode != "full" and 0 <= match_pos < pos)
 
     if match_pos < 0 or mode == "full" and match_pos != n:

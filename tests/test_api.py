@@ -84,6 +84,27 @@ def test_match_accepts_str_and_bytes():
     assert p.match("aa").values == p.match(b"aa").values
 
 
+@pytest.mark.parametrize("engine", ["tdfa", "simulation", "multipass"])
+def test_match_checks_names_before_the_engine(engine):
+    # An unknown mode or representation is named as such on every engine,
+    # whether or not the input matches; a known one the engine lacks is
+    # named with the engine it needs.
+    p = tdfa.compile("a", engine=engine)
+    for data in (b"a", b"b"):
+        for mode in ("full", "prefix"):
+            with pytest.raises(ValueError, match="^unknown representation 'bogus'$"):
+                p.match(data, mode, repr_="bogus")
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            p.match(data, "bogus", repr_="bogus")
+        if engine != "multipass":
+            for repr_ in ("lists", "tstring"):
+                with pytest.raises(ValueError, match=f"^representation '{repr_}' requires the multipass engine$"):
+                    p.match(data, repr_=repr_)
+        if engine != "tdfa":
+            with pytest.raises(ValueError, match="^longest-prefix mode requires the tdfa engine$"):
+                p.match(data, "prefix")
+
+
 def test_compiled_pattern_reusable_and_deterministic():
     p = tdfa.compile("(a|b)*ab", multi="none")
     rng = Random(3)

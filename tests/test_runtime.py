@@ -8,7 +8,7 @@ import tdfa
 from tdfa.determinize import Tdfa, determinize
 from tdfa.fuzz import _last, gen_pattern
 from tdfa.regops import APPEND, COPY, SET
-from tdfa.runtime import SLICE_MIN, MatchPlan, PrefixTree, _decode_ops, _run_steps, exec_tdfa
+from tdfa.runtime import SLICE_MIN, _COPY, MatchPlan, PrefixTree, _bulk_form, _decode_ops, _run_steps, exec_tdfa
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
@@ -310,13 +310,13 @@ def test_left_final_start_state_without_fallback_operations_raises():
 def check_decoded(ops, rng) -> tuple:
     """The decoded steps of ops, run by the plan's runner, agree with
     run_ops on a random register file whose registers hold nil or nodes of
-    a random tree; returns the steps."""
+    a random tree, register 0 nil as in a match; returns the steps."""
     steps = _decode_ops(ops)
     size = 2 + max(max(op[1], op[2] if op[0] != SET else 0) for op in ops)
     tree = PrefixTree()
     for _ in range(20):
         tree_append(tree, rng.randrange(len(tree.pred)), rng.choice("np"), rng.randrange(100))
-    regs = [rng.choice([None, rng.randrange(len(tree.pred))]) for _ in range(size)]
+    regs = [None] + [rng.choice([None, rng.randrange(len(tree.pred))]) for _ in range(size - 1)]
     want, want_tree = list(regs), PrefixTree()
     want_tree.pred, want_tree.offs = list(tree.pred), list(tree.offs)
     # "P" stands for the position: a set or an append stores it as given.
@@ -691,6 +691,11 @@ def test_bulk_loop_only_for_sets_and_one_character_self_appends(ops, bulk):
     ([(COPY, 4, 3), (COPY, 3, 1)], {1, 3, 4}, 2),
     # the shift chain of (?:#a)*a{10}, decoded to a slice move
     ([(COPY, r, r + 1) for r in range(2, 12)] + [(APPEND, 12, 12, "p")], set(range(1, 13)), 10),
+    # nil sets are copies from register 0: r4 <- r3 <- r2 <- n
+    ([(COPY, 4, 3), (COPY, 3, 2), (SET, 2, "n")], {1}, 3),
+    # a shift chain whose source run starts at register 0: r1..r9 <- r0..r8,
+    # the slice move of r9 <- r8, ..., r2 <- r1 and r1 <- n
+    ([(COPY, r, r - 1) for r in range(9, 1, -1)] + [(SET, 1, "n")], set(), 9),
 ])
 def test_loop_summaries_of_copy_chains(ops, multi, depth):
     # The prelude gives every register its own value: its position.
@@ -701,6 +706,33 @@ def test_loop_summaries_of_copy_chains(ops, multi, depth):
     # The first loop byte runs the plain steps, the bulk step the other n - 1.
     for n in (depth - 1, depth, depth + 1, depth + 2, 1500):
         check_against_walk(a, b"b" * len(prelude) + b"a" * n)
+
+
+def test_nil_sets_are_copies_from_register_0():
+    # r4 <- r3 <- r2 <- n: one chain from the unwritten register 0
+    steps = _decode_ops(((COPY, 4, 3), (COPY, 3, 2), (SET, 2, "n")))
+    assert steps == ((_COPY, 4, 3), (_COPY, 3, 2), (_COPY, 2, 0))
+    assert _bulk_form(steps, 3) == (3, (), (), ((0, None, ((2, 1), (3, 2), (4, 3))),))
+    # r1..r9 <- r0..r8 is one slice move, a chain nine deep from register 0
+    steps = _decode_ops(tuple((COPY, r, r - 1) for r in range(9, 1, -1)) + ((SET, 1, "n"),))
+    assert steps == ((_COPY, slice(1, 10), slice(0, 9)),)
+    assert _bulk_form(steps, 9) == (9, (), (), ((0, None, tuple((r, r) for r in range(1, 10))),))
+
+
+@pytest.mark.parametrize("ops", [[(SET, 0, "n")], [(COPY, 0, 2)], [(APPEND, 0, 1, "p")]])
+def test_plan_refuses_operations_that_write_register_0(ops):
+    # Register 0 holds nil, which a nil set copies: only a hand-written
+    # automaton can write it, and its first match refuses it.
+    a = loop_automaton(ops, multi={1})
+    with pytest.raises(ValueError, match="writes register 0"):
+        exec_tdfa(a, b"a")
+
+
+def test_plan_refuses_a_multi_valued_tag_that_starts_in_register_0():
+    a = loop_automaton([(APPEND, 1, 1, "p")])
+    a.r0[1] = 0
+    with pytest.raises(ValueError, match="starts in register 0"):
+        exec_tdfa(a, b"a")
 
 
 LONG_RUN_CONFIGS = [{}, {"multi": "all"}, {"multi": "none"}, {"opt": "none", "multi": "all"},
