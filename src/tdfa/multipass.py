@@ -40,8 +40,8 @@ array of each transition taken and the ints of the runs.  The backward
 passes walk them from the end.  A no-op run is one subtraction from the
 offset.  At a tagged run, the walk has just stepped over the run's last
 d + 1 arrays, so its slot is fixed: offsets subtract too, lists extend by a
-`range` per tag, and the tagged string fills strided slices.  Offsets stop
-as soon as every tag has its last value.
+slice of the shared offset table per tag, and the tagged string fills
+strided slices.  Offsets stop as soon as every tag has its last value.
 
 A tag under no repetition of more than one pass (`once`) occurs once on
 every path, so its value can be read from either end.  The offsets pass
@@ -55,6 +55,7 @@ no walk takes more than twice the steps of the back alone.
 from itertools import chain, islice
 
 from .determinize import Automaton, PlanFrame, Powerset, _State
+from .runtime import joined, offset_run
 from .tnfa import Tnfa
 
 
@@ -407,9 +408,10 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward, counters: dict
 
     The walk runs backwards, so offsets are collected in reverse and each
     list flipped once at the end (prepending would be quadratic).  A tagged
-    run extends each tag of h by a range, or goes step by step if a tag
-    occurs twice in h.  With counters, adds the steps walked, the final
-    backlink included, to "walked".
+    run extends each tag of h by a slice of the shared offset table
+    (`runtime.offset_run`), or goes step by step over one if a tag occurs
+    twice in h.  With counters, adds the steps walked, the final backlink
+    included, to "walked".
     """
     E: dict[int, list] = {t: [] for t in mp.tags}
     i, k = 0, len(data) + 1
@@ -424,11 +426,11 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward, counters: dict
             if len({abs(t) for t in h}) == len(h):
                 for t in reversed(h):
                     if t > 0:
-                        E[t].extend(range(k - 1, k - r - 1, -1))
+                        E[t] = joined(E[t], offset_run(k - r, k, True))
                     else:
-                        E[-t].extend([-1] * r)
+                        E[-t] = joined(E[-t], [-1] * r)
             else:
-                for x in range(k - 1, k - r - 1, -1):
+                for x in offset_run(k - r, k, True):
                     for t in reversed(h):
                         E[abs(t)].append(x if t > 0 else -1)
             k -= r

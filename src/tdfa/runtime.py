@@ -53,8 +53,14 @@ the steps, the count and the loop summaries:
   node for its first L - m entries, then one single node for each of the
   last m, m = min(depth, L - 1): those are all its copies can read.  Set
   registers get the run's last position, and the copies are filled in
-  one pass over each chain.  A bulk run so costs O(depth), never O(L),
-  and `PrefixTree.unpack` expands a run node with one `range`.
+  one pass over each chain.  A bulk run so costs O(depth), never O(L).
+
+Offset lists made in bulk (a run node's entries, the single nodes after
+it, the multipass lists' tagged runs) are slices of one table of offset
+ints shared by every match (`offset_run`), which copy references: a
+`range` makes a new int per offset above 256, and that set the time of a
+long run's history.  The table grows to the longest run a match asks for,
+up to OFFSETS_MAX offsets; a run past that is a `range`.
 
 Counters come from the same loop and add to what the dict holds:
 `transitions` is the number of bytes consumed, `operations` the number of
@@ -73,6 +79,32 @@ from .determinize import PlanFrame, Tdfa
 from .regops import COPY, SET
 
 
+# The most offsets the shared table holds: 40 B each at most, an int and
+# its slot.
+OFFSETS_MAX = 1 << 18
+_offsets: list = []  # _offsets[i] is i
+
+
+def offset_run(first: int, stop: int, down: bool = False) -> list:
+    """list(range(first, stop)), 0 <= first < stop, or its reverse when
+    down: a fresh list of the shared table's ints, or of new ones past
+    OFFSETS_MAX.
+
+    The table is never changed: a growth binds a longer copy, so a match
+    slicing the old one in another thread is unaffected.  Of two growths
+    at once, the later binding stays; both tables hold i at index i.  A
+    growth copies fewer references than the run it serves holds."""
+    global _offsets
+    table = _offsets
+    if len(table) < stop:
+        if stop > OFFSETS_MAX:
+            return list(range(stop - 1, first - 1, -1) if down else range(first, stop))
+        table = _offsets = table + list(range(len(table), stop))
+    if down:
+        return table[stop - 1 : first - 1 if first else None : -1]
+    return table[first:stop]
+
+
 class PrefixTree:
     """Growable tree of (pred, offs) nodes; index 0 is the empty sequence
     and a bypassed offset is stored as -1, as outcomes report it.  A nil
@@ -85,7 +117,9 @@ class PrefixTree:
     Nothing points into a run node: a register that reads a history from
     inside a bulk run gets a single node after it.  `runs` is set once a
     run node is stored; until then `unpack` walks the nodes with no test
-    per node.  `held` counts the entries run nodes hold beyond one each.
+    per node, and after it takes a run node's entries as one slice of the
+    shared offset table.  `held` counts the entries run nodes hold beyond
+    one each.
     """
 
     __slots__ = ("pred", "offs", "runs", "held")
@@ -108,15 +142,23 @@ class PrefixTree:
                 off = offs[idx]
                 if type(off) is tuple:  # a run node: its entries, last first
                     first, count = off
-                    if first < 0:
-                        out += [-1] * count
-                    else:
-                        out += range(first + count - 1, first - 1, -1)
+                    run = [-1] * count if first < 0 else offset_run(first, first + count, True)
+                    out = joined(out, run)
                 else:
                     out.append(off)
                 idx = pred[idx]
         out.reverse()
         return out
+
+
+def joined(out: list, run: list) -> list:
+    """out + run, made from whichever of the two fresh lists is longer:
+    moving references within a list costs less than copying them."""
+    if len(out) < len(run):
+        run[:0] = out
+        return run
+    out += run
+    return out
 
 
 @dataclass
@@ -143,12 +185,20 @@ _COPY, _APPEND_P, _SET_P, _APPEND_N = range(4)
 SLICE_MIN = 8
 
 
+def _check_registers(ops, regs: range):
+    """Refuse an operation that writes register 0, which holds nil, or
+    names a register outside regs."""
+    for op in ops:
+        if not op[1]:
+            raise ValueError(f"operation {op} writes register 0, which holds nil")
+        if op[1] not in regs or op[0] != SET and op[2] not in regs:
+            raise ValueError(f"operation {op} names a register outside {regs.start}..{regs.stop - 1}")
+
+
 def _decode_ops(ops) -> tuple:
     """Flat (kind, dst, src) steps with the effect of ops run in order."""
     steps = []
     for op in ops:
-        if not op[1]:
-            raise ValueError(f"operation {op} writes register 0, which holds nil")
         if op[0] == SET:
             steps.append((_SET_P if op[2] == "p" else _COPY, op[1], 0))
         elif op[0] == COPY or not op[3]:
@@ -278,15 +328,19 @@ class MatchPlan(PlanFrame):
     summary = staticmethod(_bulk_form)
 
     def cell_payload(self, tdfa: Tdfa):
+        regs = range(1, tdfa.max_reg + 1)
+        for verb, where in (("starts", tdfa.r0), ("ends", tdfa.rf)):
+            for t, r in where.items():
+                if r not in regs:
+                    raise ValueError(f"tag {t} {verb} in register {r}, outside 1..{tdfa.max_reg}")
         self.regs0 = [None] * (tdfa.max_reg + 1)
         for t in tdfa.multi:
             self.regs0[tdfa.r0[t]] = 0
-        if self.regs0[0] is not None:
-            raise ValueError("a multi-valued tag starts in register 0, which holds nil")
         decoded: dict = {}
 
         def payload(ops):
             if ops and ops not in decoded:
+                _check_registers(ops, regs)
                 decoded[ops] = _decode_ops(ops)
             return decoded.get(ops), len(ops)
 
@@ -337,7 +391,7 @@ def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
         offs.append((start if p else -1, run - m))
         if m:
             pred += range(node, node + m)
-            offs += range(end - m, end) if p else [-1] * m
+            offs += offset_run(end - m, end) if p else [-1] * m
         regs[r] = node + m
         tree.held += run - m - 1
         tree.runs = True

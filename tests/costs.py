@@ -13,7 +13,8 @@ slower, so it is never timed.
 The rows are the match shapes of perfbench's three workloads, on small
 seeded inputs generated here: per pattern, the tdfa engine in full and
 prefix mode (short records also with fixed tags) and the multipass engine
-with offsets.  Each row's vector is of one call, after a warm-up call has
+with offsets, and for the long-scan shapes also with lists and the tagged
+string.  Each row's vector is of one call, after a warm-up call has
 built the match plan.  tests/cost_pins.json pins them with the Python
 version they were taken on:
 
@@ -139,7 +140,9 @@ def rows():
             for mode, text in (("full", data), ("prefix", data + tail)):
                 yield f"{name} {label} {mode}", (lambda p=p, text=text, mode=mode: p.match(text, mode))
         mp = tdfa.compile(pattern, engine="multipass")
-        yield f"{name} multipass offsets", (lambda mp=mp, data=data: mp.match(data))
+        reprs = ("offsets", "lists", "tstring") if name.startswith("long-scan/") else ("offsets",)
+        for repr_ in reprs:
+            yield f"{name} multipass {repr_}", (lambda mp=mp, data=data, repr_=repr_: mp.match(data, repr_=repr_))
 
 
 def measure() -> dict:

@@ -433,6 +433,21 @@ def test_repeated_tag_in_a_loop_history():
         assert render_tstring(ts) == " ".join(["1 -1 a"] * n)
 
 
+def test_lists_of_a_tag_repeated_in_a_loop_history():
+    # Each b of (?:#{3}b)* records tag 1 three times at one offset: lists
+    # take a tagged run's offsets one at a time, three entries each.
+    nfa, mp = mp_of("(?:#{3}b)*")
+    assert any(tail is not None and tail[-1] == ((0, (1, 1, 1)),) for tail in MatchPlan(mp).bulk)
+    for n in (1, 5, 300, 1500):
+        data = b"b" * n
+        fw = match_forward(mp, data)
+        want = simulate(nfa, data, frozenset(nfa.tags))
+        assert extract_offset_lists(mp, data, fw) == want
+        assert want[1] == [k for k in range(n) for _ in range(3)]
+        # a tagged run past the plain steps, as an int -r
+        assert n < 300 or any(x.__class__ is int and x < 0 for x in fw[1])
+
+
 @pytest.mark.parametrize("pattern", ["#(?:a|b)*#", "#(?:#a)*"])
 def test_offsets_walk_back_to_a_tag_at_the_start(pattern):
     # Tag 2 is resolved at the end; tag 1 only at offset 0, 1500 bytes back.

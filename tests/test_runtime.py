@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 from random import Random
 
@@ -8,7 +10,9 @@ import tdfa
 from tdfa.determinize import Tdfa, determinize
 from tdfa.fuzz import _last, gen_pattern
 from tdfa.regops import APPEND, COPY, SET
-from tdfa.runtime import SLICE_MIN, _COPY, MatchPlan, PrefixTree, _bulk_form, _decode_ops, _run_steps, exec_tdfa
+from tdfa import runtime
+from tdfa.runtime import (SLICE_MIN, _COPY, MatchPlan, PrefixTree, _bulk_form, _decode_ops, _run_steps, exec_tdfa,
+                          offset_run)
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
@@ -495,14 +499,16 @@ MB = 1 << 20
 
 
 @pytest.mark.parametrize("pattern, n_b", [("(?:#a)*", 0), (GOLDEN, MB // 2), ("(?:#a)*a{100}", 0)])
-def test_bulk_match_of_1mb_peaks_under_48_bytes_per_byte(pattern, n_b):
+def test_bulk_match_of_1mb_peaks_under_48_bytes_per_byte(pattern, n_b, monkeypatch):
     # A bulk run stores a run node and as many single nodes as its deepest
     # copy reads, so the peak is the translated input and the unpacked
     # lists: about 42 B per byte, where two list slots per byte of a run
-    # peaked at 58.
+    # peaked at 58.  The shared offset table starts empty, so the peak
+    # counts whatever of it the match grows.
     data = b"a" * (MB - n_b) + b"b" * n_b
     p = tdfa.compile(pattern, multi="auto")
     p.match(data[:200])  # builds the match plan
+    monkeypatch.setattr(runtime, "_offsets", [])
     tracemalloc.start()
     try:
         out = p.match(data)
@@ -511,6 +517,75 @@ def test_bulk_match_of_1mb_peaks_under_48_bytes_per_byte(pattern, n_b):
         tracemalloc.stop()
     assert out.kind == "match"
     assert peak <= 48 * MB
+
+
+def test_offset_runs_starting_at_offset_0():
+    assert offset_run(0, 5) == [0, 1, 2, 3, 4]
+    assert offset_run(0, 5, True) == [4, 3, 2, 1, 0]
+    tree = PrefixTree()
+    tree.pred += [0, 1]
+    tree.offs += [(0, 300), 300]
+    tree.runs = True
+    assert tree.unpack(2) == list(range(301))
+
+
+def test_offset_runs_past_the_ceiling_are_ranges(monkeypatch):
+    monkeypatch.setattr(runtime, "OFFSETS_MAX", 16)
+    monkeypatch.setattr(runtime, "_offsets", [])
+    assert offset_run(3, 10) == list(range(3, 10))
+    assert runtime._offsets == list(range(10))
+    for first, stop in [(10, 17), (0, 40), (20, 30)]:
+        assert offset_run(first, stop) == list(range(first, stop))
+        assert offset_run(first, stop, True) == list(range(stop - 1, first - 1, -1))
+    table = runtime._offsets
+    assert table == list(range(10))  # runs past the ceiling leave it alone
+    assert offset_run(5, 16, True) == list(range(15, 4, -1))
+    # A growth binds a longer copy: a list another match slices stays.
+    assert runtime._offsets == list(range(16)) and table == list(range(10))
+    for pattern, fixed in [("(?:#a)*", 0), ("(?:#a)*a{10}", 10)]:
+        for n in (15, 16, 17, 40):
+            assert tdfa.compile(pattern).match(b"a" * n).values[1] == list(range(n - fixed))
+        mp = tdfa.compile(pattern, engine="multipass")
+        assert mp.match(b"a" * 40, repr_="lists").values[1] == list(range(40 - fixed))
+
+
+@pytest.mark.parametrize("engine, repr_", [("tdfa", "offsets"), ("multipass", "lists")])
+def test_editing_a_history_leaves_the_next_match_alone(engine, repr_):
+    p = tdfa.compile("(?:#a)*", engine=engine)
+    for n in (300, 1000):
+        history = p.match(b"a" * n, repr_=repr_).values[1]
+        assert history == list(range(n))
+        history[:] = [7] * n
+        history.append(8)
+        assert p.match(b"a" * n, repr_=repr_).values[1] == list(range(n))
+    assert runtime._offsets == list(range(len(runtime._offsets)))
+
+
+def test_threads_grow_the_offset_table_safely(monkeypatch):
+    monkeypatch.setattr(runtime, "_offsets", [])
+    p = tdfa.compile("(?:#a)*")
+    p.match(b"aa")
+    sizes = [1000, 5000, 20000, 60000]
+    got = {}
+
+    def match(n):
+        got[n] = [p.match(b"a" * m).values[1] == list(range(m)) for m in range(n // 4, n + 1, n // 4)]
+
+    threads = [threading.Thread(target=match, args=(n,)) for n in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {n: [True] * 4 for n in sizes}
+    table = runtime._offsets
+    assert len(table) >= 60000
+    assert all(table[i] == i for i in range(len(table)))
 
 
 def expand_tree(tree: PrefixTree) -> tuple:
@@ -732,6 +807,26 @@ def test_plan_refuses_a_multi_valued_tag_that_starts_in_register_0():
     a = loop_automaton([(APPEND, 1, 1, "p")])
     a.r0[1] = 0
     with pytest.raises(ValueError, match="starts in register 0"):
+        exec_tdfa(a, b"a")
+
+
+@pytest.mark.parametrize("ops, edit, message", [
+    ([(SET, 5, "p")], None, "names a register outside 1..2"),
+    ([(COPY, 1, 3)], None, "names a register outside 1..2"),
+    ([(APPEND, 1, 9, "p")], None, "names a register outside 1..2"),
+    ([(APPEND, 1, 1, "p")], ("rf", 99), "tag 1 ends in register 99"),
+    ([(APPEND, 1, 1, "p")], ("r0", 3), "tag 1 starts in register 3"),
+])
+def test_plan_refuses_registers_past_max_reg(ops, edit, message):
+    # A hand-written document loads; its first match refuses it, where the
+    # byte loop would raise IndexError.
+    doc = json.loads(loop_automaton([(APPEND, 1, 1, "p")]).to_json())
+    doc["delta"] = [[0, 0, 0, ops]]
+    if edit:
+        doc[edit[0]]["1"] = edit[1]
+    a = Tdfa.from_json(json.dumps(doc))
+    assert a.max_reg == 2
+    with pytest.raises(ValueError, match=message):
         exec_tdfa(a, b"a")
 
 
