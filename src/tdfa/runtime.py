@@ -55,12 +55,15 @@ the steps, the count and the loop summaries:
   registers get the run's last position, and the copies are filled in
   one pass over each chain.  A bulk run so costs O(depth), never O(L).
 
-Offset lists made in bulk (a run node's entries, the single nodes after
-it, the multipass lists' tagged runs) are slices of one table of offset
-ints shared by every match (`offset_run`), which copy references: a
-`range` makes a new int per offset above 256, and that set the time of a
-long run's history.  The table grows to the longest run a match asks for,
-up to OFFSETS_MAX offsets; a run past that is a `range`.
+The entries of a run of at least RUN_MIN offsets (a run node's, a
+multipass lists' tagged run's) are a slice of one table of offset ints
+shared by every match (`offset_run`), which copies references: a `range`
+makes a new int per offset above 256, and that set the time of a long
+run's history.  The table grows to the longest run a match asks for, up
+to OFFSETS_MAX offsets; a run past that is a `range`.  Shorter runs stay
+`range`s, which cost less than the calls.  So do the single nodes after a
+run node: the forward pass meets them at rising offsets, and taking them
+from the table would copy it once per run.
 
 Counters come from the same loop and add to what the dict holds:
 `transitions` is the number of bytes consumed, `operations` the number of
@@ -84,6 +87,12 @@ from .regops import COPY, SET
 OFFSETS_MAX = 1 << 18
 _offsets: list = []  # _offsets[i] is i
 
+# A run of offsets is taken from the table from this many on; below it a
+# `range` costs less than the calls.  Per run node (timeit), the two tie
+# at 32 offsets below 256, where a `range` makes no int, and the slice
+# wins from 16 on above it.
+RUN_MIN = 32
+
 
 def offset_run(first: int, stop: int, down: bool = False) -> list:
     """list(range(first, stop)), 0 <= first < stop, or its reverse when
@@ -93,7 +102,8 @@ def offset_run(first: int, stop: int, down: bool = False) -> list:
     The table is never changed: a growth binds a longer copy, so a match
     slicing the old one in another thread is unaffected.  Of two growths
     at once, the later binding stays; both tables hold i at index i.  A
-    growth copies fewer references than the run it serves holds."""
+    growth copies the whole table, so callers ask for a match's runs from
+    its last one down: a history then grows the table at most once."""
     global _offsets
     table = _offsets
     if len(table) < stop:
@@ -117,9 +127,9 @@ class PrefixTree:
     Nothing points into a run node: a register that reads a history from
     inside a bulk run gets a single node after it.  `runs` is set once a
     run node is stored; until then `unpack` walks the nodes with no test
-    per node, and after it takes a run node's entries as one slice of the
-    shared offset table.  `held` counts the entries run nodes hold beyond
-    one each.
+    per node, and after it takes the entries of a run node of at least
+    RUN_MIN as one slice of the shared offset table.  `held` counts the
+    entries run nodes hold beyond one each.
     """
 
     __slots__ = ("pred", "offs", "runs", "held")
@@ -142,8 +152,12 @@ class PrefixTree:
                 off = offs[idx]
                 if type(off) is tuple:  # a run node: its entries, last first
                     first, count = off
-                    run = [-1] * count if first < 0 else offset_run(first, first + count, True)
-                    out = joined(out, run)
+                    if first < 0:
+                        out += [-1] * count
+                    elif count < RUN_MIN:
+                        out += range(first + count - 1, first - 1, -1)
+                    else:
+                        out = joined(out, offset_run(first, first + count, True))
                 else:
                     out.append(off)
                 idx = pred[idx]
@@ -391,7 +405,7 @@ def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
         offs.append((start if p else -1, run - m))
         if m:
             pred += range(node, node + m)
-            offs += offset_run(end - m, end) if p else [-1] * m
+            offs += range(end - m, end) if p else [-1] * m
         regs[r] = node + m
         tree.held += run - m - 1
         tree.runs = True

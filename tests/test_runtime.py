@@ -532,6 +532,8 @@ def test_offset_runs_starting_at_offset_0():
 def test_offset_runs_past_the_ceiling_are_ranges(monkeypatch):
     monkeypatch.setattr(runtime, "OFFSETS_MAX", 16)
     monkeypatch.setattr(runtime, "_offsets", [])
+    for module in (runtime, tdfa.multipass):  # matches take runs of 4 on from the table
+        monkeypatch.setattr(module, "RUN_MIN", 4)
     assert offset_run(3, 10) == list(range(3, 10))
     assert runtime._offsets == list(range(10))
     for first, stop in [(10, 17), (0, 40), (20, 30)]:
@@ -558,6 +560,34 @@ def test_editing_a_history_leaves_the_next_match_alone(engine, repr_):
         history[:] = [7] * n
         history.append(8)
         assert p.match(b"a" * n, repr_=repr_).values[1] == list(range(n))
+    assert runtime._offsets == list(range(len(runtime._offsets)))
+
+
+@pytest.mark.parametrize("pattern", ["(?:(?:(#a)*a{2})b)*", "((?:#a)*a(?:#a)*b)*"])
+def test_many_bulk_runs_grow_the_offset_table_once_per_history(pattern, monkeypatch):
+    # The forward pass meets runs at rising offsets, the read-outs from the
+    # end down: were each run to grow the table, a match of many runs
+    # would copy it once per run.
+    growths = []
+
+    def counted(first, stop, down=False):
+        growths.append(stop > len(runtime._offsets))
+        return offset_run(first, stop, down)
+
+    for module in (runtime, tdfa.multipass):
+        monkeypatch.setattr(module, "offset_run", counted)
+    data = (b"a" * 40 + b"b" + b"a" * 3 + b"b") * 150
+    lists = {}
+    for engine, repr_ in (("tdfa", "offsets"), ("multipass", "lists")):
+        p = tdfa.compile(pattern, engine=engine)
+        p.match(b"ab")
+        monkeypatch.setattr(runtime, "_offsets", [])
+        growths.clear()
+        lists[engine] = p.match(data, repr_=repr_).values
+        assert sum(growths) <= len(lists[engine])
+        if engine == "tdfa":  # the multipass lists of the first pattern walk no tagged run
+            assert len(growths) >= 150
+    assert lists["tdfa"] == lists["multipass"]
     assert runtime._offsets == list(range(len(runtime._offsets)))
 
 
