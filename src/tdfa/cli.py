@@ -94,7 +94,7 @@ def cmd_compile(args) -> int:
                 files["tnfa.dot"] = tnfa_to_dot(value)
         elif name == "tdfa_raw":
             stats["tdfa_states"] = value.n_states
-            stats["tdfa_finals"] = sorted(value.finals)
+            stats["tdfa_finals"] = sorted(value.phi)
             stats["raw_registers"] = value.register_count()
             stats["raw_operations"] = value.op_count()
             if "tdfa" in render:

@@ -22,8 +22,9 @@ O(k) distinct ones.  Both engines share:
   and their arcs' classes plus one visit per class, and the construction
   builds no table per TNFA state;
 - `Automaton`, the container base (tags, the TNFA's byte classes,
-  `delta`, `phi`, the lazy match plan slot, dot output), and `PlanFrame`,
-  the part of a match plan both engines lay out the same way.
+  `delta`, `phi`, whose keys are the final states, the lazy match plan
+  slot, dot output), and `PlanFrame`, the part of a match plan both
+  engines lay out the same way.
 
 In the register TDFA, tag sequences collected by the closure are stored as
 lookahead and turned into register operations on the *outgoing*
@@ -119,11 +120,12 @@ def epsilon_closure(nfa: Tnfa, seeds) -> list:
 class Automaton:
     """The container both engines' automata share.
 
-    delta[(state, class)] = (target, cell) and phi[state] = final cell; what
-    a cell holds is the engine's, and so are `dot_name`, `format_cell` (a
-    cell as a dot label) and `dot_quasi` (the quasi-transitions to draw).
-    alphabet and byte_to_class are the TNFA's.  The match plan is built on
-    the first match and kept in `_plan` until `invalidate()`.
+    delta[(state, class)] = (target, cell) and phi[state] = final cell, so
+    phi's keys are the final states; what a cell holds is the engine's, and
+    so are `dot_name`, `format_cell` (a cell as a dot label) and
+    `dot_quasi` (the quasi-transitions to draw).  alphabet and
+    byte_to_class are the TNFA's.  The match plan is built on the first
+    match and kept in `_plan` until `invalidate()`.
     """
 
     def __init__(self, tags, alphabet, byte_to_class):
@@ -131,7 +133,6 @@ class Automaton:
         self.alphabet, self.byte_to_class = alphabet, byte_to_class
         self.n_states = 0
         self.s0 = 0
-        self.finals: set[int] = set()
         self.delta: dict[tuple[int, int], tuple] = {}
         self.phi: dict[int, tuple] = {}
         self._plan = None
@@ -149,7 +150,7 @@ class Automaton:
 
     def to_dot(self) -> str:
         lines = [f"digraph {self.dot_name} {{", "  rankdir=LR;", "  node [shape=circle];"]
-        lines += [f"  {s} [shape=doublecircle];" for s in sorted(self.finals)]
+        lines += [f"  {s} [shape=doublecircle];" for s in sorted(self.phi)]
         for (s, c), (target, cell) in sorted(self.delta.items()):
             label = dot_class(self.alphabet[c])
             if cell:
@@ -212,7 +213,7 @@ class PlanFrame:
         self.rows = [[None] * (max(self.classes) + 1) for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
             self.rows[s][c] = (target, *payload(cell), loop_skip[s] if target == s else skip[target])
-        self.final = [s in dfa.finals for s in range(n)]
+        self.final = [s in dfa.phi for s in range(n)]
         self.skip0 = skip[dfa.s0]
         self.dead = sentinel if min(b2c) < 0 and self.span_kinds()["find"] else None
 
@@ -323,7 +324,6 @@ class Powerset:
         qf = self.nfa.qf
         for j, (q, _) in enumerate(state.ql):
             if q == qf:
-                self.tdfa.finals.add(sid)
                 self.tdfa.phi[sid] = self.final_cell(state, j)
                 break
         return sid
@@ -381,7 +381,7 @@ class Tdfa(Automaton):
             "max_reg": self.max_reg,
             "n_states": self.n_states,
             "s0": self.s0,
-            "finals": sorted(self.finals),
+            "finals": sorted(self.phi),
             "fallback": sorted(self.psi),
             "delta": delta,
             "phi": sorted(self.phi.items()),
@@ -398,7 +398,6 @@ class Tdfa(Automaton):
         self.max_reg = doc["max_reg"]
         self.n_states = doc["n_states"]
         self.s0 = doc["s0"]
-        self.finals = set(doc["finals"])
         self.delta = {(s, c): (target, tuple(map(tuple, ops))) for s, c, target, ops in doc["delta"]}
         self.phi = {s: tuple(map(tuple, ops)) for s, ops in doc["phi"]}
         self.psi = {s: tuple(map(tuple, ops)) for s, ops in doc["psi"]}

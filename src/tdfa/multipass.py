@@ -39,9 +39,9 @@ The forward pass returns the last state and its steps in input order: the
 array of each transition taken and the ints of the runs.  The backward
 passes walk them from the end.  A no-op run is one subtraction from the
 offset.  At a tagged run, the walk has just stepped over the run's last
-d + 1 arrays, so its slot is fixed: offsets subtract too, lists extend by a
-slice of the shared offset table per tag (a `range` for a run shorter than
-`runtime.RUN_MIN`), and the tagged string fills strided slices.  Offsets
+d + 1 arrays, so its slot is fixed: offsets subtract too, lists extend by
+one run per tag, made by the rule the prefix tree's run nodes use
+(`runtime.extend_run`), and the tagged string fills strided slices.  Offsets
 stop as soon as every tag has its last value.
 
 A tag under no repetition of more than one pass (`once`) occurs once on
@@ -56,7 +56,7 @@ no walk takes more than twice the steps of the back alone.
 from itertools import chain, islice
 
 from .determinize import Automaton, PlanFrame, Powerset, _State
-from .runtime import RUN_MIN, joined, offset_run
+from .runtime import extend_run
 from .tnfa import Tnfa
 
 
@@ -78,7 +78,7 @@ class MultipassTdfa(Automaton):
     def stats(self) -> dict:
         return {
             "states": self.n_states,
-            "finals": sorted(self.finals),
+            "finals": sorted(self.phi),
             "backlinks": sum(len(b) for _, b in self.delta.values()),
             "once": sorted(self.once),
         }
@@ -409,11 +409,9 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward, counters: dict
 
     The walk runs backwards, so offsets are collected in reverse and each
     list flipped once at the end (prepending would be quadratic).  A tagged
-    run extends each tag of h by a slice of the shared offset table
-    (`runtime.offset_run`), or by a `range` if shorter than RUN_MIN, or
-    goes step by step over a slice if a tag occurs twice in h.  With
-    counters, adds the steps walked, the final backlink included, to
-    "walked".
+    run extends each tag of h by one `runtime.extend_run`, or goes step by
+    step over one if a tag occurs twice in h.  With counters, adds the
+    steps walked, the final backlink included, to "walked".
     """
     E: dict[int, list] = {t: [] for t in mp.tags}
     i, k = 0, len(data) + 1
@@ -427,14 +425,12 @@ def extract_offset_lists(mp: MultipassTdfa, data: bytes, forward, counters: dict
             r = -step
             if len({abs(t) for t in h}) == len(h):
                 for t in reversed(h):
-                    if t < 0:
-                        E[-t] += [-1] * r
-                    elif r < RUN_MIN:
-                        E[t] += range(k - 1, k - r - 1, -1)
+                    if t > 0:
+                        E[t] = extend_run(E[t], k - r, r)
                     else:
-                        E[t] = joined(E[t], offset_run(k - r, k, True))
+                        E[-t] = extend_run(E[-t], -1, r)
             else:
-                for x in offset_run(k - r, k, True):
+                for x in extend_run([], k - r, r):
                     for t in reversed(h):
                         E[abs(t)].append(x if t > 0 else -1)
             k -= r

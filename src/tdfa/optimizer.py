@@ -69,7 +69,7 @@ def find_fallback_states(tdfa: Tdfa) -> set[int]:
     non-accepting path; a final state falls back iff some transition leaves
     it for a non-final state.
     """
-    finals = tdfa.finals
+    finals = tdfa.phi
     return {s for (s, _), (target, _) in tdfa.delta.items() if s in finals and target not in finals}
 
 
@@ -86,7 +86,7 @@ def add_fallback_regops(tdfa: Tdfa):
     fallback = find_fallback_states(tdfa)
     if not fallback:
         return tdfa.psi
-    finals = tdfa.finals
+    finals = tdfa.phi
     arcs = arc_table(tdfa)
     # Written on the non-accepting continuations, before any backup is added.
     clobbered = {s: {op[1] for key in non_accepting_arcs(arcs, finals, s) for op in tdfa.delta[key][1]}
@@ -163,9 +163,9 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
     by_final: dict[int, int] = {}
     by_fallback: dict[int, int] = {}
     if tdfa.tags:
-        for s in sorted(tdfa.finals):
+        for s in sorted(tdfa.phi):
             by_final[s] = len(blocks)
-            blocks.append(Block("final", s, tdfa.phi.get(s, ())))
+            blocks.append(Block("final", s, tdfa.phi[s]))
         for s in sorted(tdfa.psi):
             by_fallback[s] = len(blocks)
             blocks.append(Block("fallback", s, tdfa.psi[s]))
@@ -203,7 +203,7 @@ def build_cfg(tdfa: Tdfa) -> RegCfg:
     # Fallback blocks: arcs to every block on a non-accepting path out of
     # their state (where execution may fall through to them).
     for s, bid in by_fallback.items():
-        path_blocks = {by_trans[key] for key in non_accepting_arcs(arcs, tdfa.finals, s) if key in by_trans}
+        path_blocks = {by_trans[key] for key in non_accepting_arcs(arcs, tdfa.phi, s) if key in by_trans}
         blocks[bid].succ = sorted(path_blocks)
     return cfg
 
@@ -575,8 +575,7 @@ def minimize(tdfa: Tdfa) -> Tdfa:
 
     part = renumber(
         (
-            s in tdfa.finals,
-            opid(tdfa.phi.get(s, ())) if s in tdfa.finals else -1,
+            opid(tdfa.phi[s]) if s in tdfa.phi else -1,
             opid(tdfa.psi[s]) if s in tdfa.psi else -1,
         )
         for s in range(n)
@@ -611,7 +610,6 @@ def minimize(tdfa: Tdfa) -> Tdfa:
     out.max_reg = tdfa.max_reg
     out.n_states = n_classes
     out.s0 = part[tdfa.s0]
-    out.finals = {part[s] for s in tdfa.finals}
     for (s, cls), (target, ops) in transitions:
         if rep[part[s]] == s:
             out.delta[(part[s], cls)] = (part[target], ops)

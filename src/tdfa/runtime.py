@@ -55,15 +55,16 @@ the steps, the count and the loop summaries:
   registers get the run's last position, and the copies are filled in
   one pass over each chain.  A bulk run so costs O(depth), never O(L).
 
-The entries of a run of at least RUN_MIN offsets (a run node's, a
-multipass lists' tagged run's) are a slice of one table of offset ints
-shared by every match (`offset_run`), which copies references: a `range`
-makes a new int per offset above 256, and that set the time of a long
+Every run of history entries a read-out meets, a run node's or a
+multipass lists' tagged run's, is made by one function, `extend_run`:
+count times -1 for a bypass run, a `range` when every offset is at most
+256 (CPython keeps those ints, so it makes none), and otherwise a slice of
+one table of offset ints shared by every match, which copies references
+where a `range` makes a new int per offset: that set the time of a long
 run's history.  The table grows to the longest run a match asks for, up
-to OFFSETS_MAX offsets; a run past that is a `range`.  Shorter runs stay
-`range`s, which cost less than the calls.  So do the single nodes after a
-run node: the forward pass meets them at rising offsets, and taking them
-from the table would copy it once per run.
+to OFFSETS_MAX offsets; a run past that is a `range`.  The single nodes
+after a run node are not runs: the forward pass meets them at rising
+offsets, and taking them from the table would copy it once per run.
 
 Counters come from the same loop and add to what the dict holds:
 `transitions` is the number of bytes consumed, `operations` the number of
@@ -87,32 +88,41 @@ from .regops import COPY, SET
 OFFSETS_MAX = 1 << 18
 _offsets: list = []  # _offsets[i] is i
 
-# A run of offsets is taken from the table from this many on; below it a
-# `range` costs less than the calls.  Per run node (timeit), the two tie
-# at 32 offsets below 256, where a `range` makes no int, and the slice
-# wins from 16 on above it.
-RUN_MIN = 32
+# Offsets up to this one are ints CPython keeps: a `range` of them makes
+# no new int.
+SMALL_MAX = 256
 
 
-def offset_run(first: int, stop: int, down: bool = False) -> list:
-    """list(range(first, stop)), 0 <= first < stop, or its reverse when
-    down: a fresh list of the shared table's ints, or of new ones past
-    OFFSETS_MAX.
+def extend_run(out: list, first: int, count: int) -> list:
+    """out extended by a run of count history entries, last first: the
+    offsets first + count - 1 down to first, or count times -1 when first
+    is -1.  Returns out or a fresh list that holds it.
 
-    The table is never changed: a growth binds a longer copy, so a match
-    slicing the old one in another thread is unaffected.  Of two growths
-    at once, the later binding stays; both tables hold i at index i.  A
-    growth copies the whole table, so callers ask for a match's runs from
-    its last one down: a history then grows the table at most once."""
+    A run that reaches past SMALL_MAX is a slice of the shared table,
+    moved into the longer of the two lists: moving references within a
+    list costs less than copying them.  The table is never changed: a growth
+    binds a longer copy, so a match slicing the old one in another thread
+    is unaffected.  Of two growths at once, the later binding stays; both
+    tables hold i at index i.  A growth copies the whole table, so callers
+    ask for a match's runs from its last one down: a history then grows
+    the table at most once."""
+    if first < 0:
+        out += [-1] * count
+        return out
+    stop = first + count
+    if stop <= SMALL_MAX + 1 or stop > OFFSETS_MAX:
+        out += range(stop - 1, first - 1, -1)
+        return out
     global _offsets
     table = _offsets
     if len(table) < stop:
-        if stop > OFFSETS_MAX:
-            return list(range(stop - 1, first - 1, -1) if down else range(first, stop))
         table = _offsets = table + list(range(len(table), stop))
-    if down:
-        return table[stop - 1 : first - 1 if first else None : -1]
-    return table[first:stop]
+    run = table[stop - 1 : first - 1 if first else None : -1]
+    if len(out) < count:
+        run[:0] = out
+        return run
+    out += run
+    return out
 
 
 class PrefixTree:
@@ -127,9 +137,9 @@ class PrefixTree:
     Nothing points into a run node: a register that reads a history from
     inside a bulk run gets a single node after it.  `runs` is set once a
     run node is stored; until then `unpack` walks the nodes with no test
-    per node, and after it takes the entries of a run node of at least
-    RUN_MIN as one slice of the shared offset table.  `held` counts the
-    entries run nodes hold beyond one each.
+    per node, and after it takes the entries of a run node in one
+    `extend_run`.  `held` counts the entries run nodes hold beyond one
+    each.
     """
 
     __slots__ = ("pred", "offs", "runs", "held")
@@ -151,28 +161,12 @@ class PrefixTree:
             while idx:
                 off = offs[idx]
                 if type(off) is tuple:  # a run node: its entries, last first
-                    first, count = off
-                    if first < 0:
-                        out += [-1] * count
-                    elif count < RUN_MIN:
-                        out += range(first + count - 1, first - 1, -1)
-                    else:
-                        out = joined(out, offset_run(first, first + count, True))
+                    out = extend_run(out, *off)
                 else:
                     out.append(off)
                 idx = pred[idx]
         out.reverse()
         return out
-
-
-def joined(out: list, run: list) -> list:
-    """out + run, made from whichever of the two fresh lists is longer:
-    moving references within a list costs less than copying them."""
-    if len(out) < len(run):
-        run[:0] = out
-        return run
-    out += run
-    return out
 
 
 @dataclass

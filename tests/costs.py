@@ -19,6 +19,7 @@ built the match plan.  tests/cost_pins.json pins them with the Python
 version they were taken on:
 
     PYTHONPATH=src python tests/costs.py           # print every row
+    PYTHONPATH=src python tests/costs.py --diff    # print the rows that moved
     PYTHONPATH=src python tests/costs.py --pin     # rewrite the pins
 """
 
@@ -153,6 +154,20 @@ def measure() -> dict:
     return out
 
 
+def diff(pinned: dict, vectors: dict):
+    """One line per row whose vector differs from its pin: each count that
+    moved, as pinned -> measured and the change in percent."""
+    for name in sorted(pinned.keys() | vectors.keys()):
+        old, new = pinned.get(name, {}), vectors.get(name, {})
+        moves = []
+        for key in sorted(old.keys() | new.keys()):
+            a, b = old.get(key, 0), new.get(key, 0)
+            if a != b:
+                moves.append(f"{key} {a} -> {b} ({(b - a) / a:+.1%})" if a else f"{key} {a} -> {b}")
+        if moves:
+            yield f"{name}: " + ", ".join(moves)
+
+
 def version() -> str:
     return "%d.%d" % sys.version_info[:2]
 
@@ -161,6 +176,9 @@ if __name__ == "__main__":
     vectors = measure()
     if sys.argv[1:] == ["--pin"]:
         PINS.write_text(json.dumps({"python": version(), "rows": vectors}, indent=1, sort_keys=True) + "\n")
+    elif sys.argv[1:] == ["--diff"]:
+        for line in diff(json.loads(PINS.read_text())["rows"], vectors):
+            print(line)
     else:
         for name, vector in vectors.items():
             print(name, json.dumps(vector, sort_keys=True))

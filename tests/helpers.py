@@ -232,7 +232,7 @@ def dense_minimize_partition(tdfa) -> list[int]:
         return [mapping.setdefault(k, len(mapping)) for k in keys]
 
     n = tdfa.n_states
-    part = renumber((s in tdfa.finals, opid(tdfa.phi.get(s, ())) if s in tdfa.finals else -1,
+    part = renumber((opid(tdfa.phi[s]) if s in tdfa.phi else -1,
                      opid(tdfa.psi[s]) if s in tdfa.psi else -1) for s in range(n))
     while True:
         rows = []

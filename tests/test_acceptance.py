@@ -38,7 +38,7 @@ def test_criterion_1_worked_example_golden_suite():
 
         raw = determinize(nfa)
         assert raw.n_states == 4
-        assert raw.finals == {1, 2, 3}
+        assert raw.phi.keys() == {1, 2, 3}
 
         opt = determinize(nfa)
         optimize(opt)

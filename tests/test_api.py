@@ -158,3 +158,27 @@ def test_value_shape_per_engine_under_default_multi():
                    "multipass": {1: 1, 2: 2, 3: 2}}
     lists = tdfa.compile("(a)*#", engine="multipass").match(b"aa", repr_="lists")
     assert lists.values == {1: [0, 1], 2: [1, 2], 3: [2]}
+
+
+@pytest.mark.parametrize("pattern, lists, tstring", [
+    # A path may not pass one program point twice without consuming a
+    # byte: the star's loop point stops a third, empty iteration, while
+    # the bounded repetition's third copy is a new program point.
+    ("(a?)*", {1: [0, 1], 2: [1, 2]}, "1 a 2 1 a 2"),
+    ("(a?){0,3}", {1: [0, 1, 2], 2: [1, 2, 2]}, "1 a 2 1 a 2 1 2"),
+])
+def test_empty_iterations_taken_after_the_input(pattern, lists, tstring):
+    last = {t: offsets[-1] for t, offsets in lists.items()}
+    for kw in ({}, {"use_minimize": True}, {"multi": "all"}):
+        p = tdfa.compile(pattern, **kw)
+        assert p.match(b"aa").values == lists, kw
+        prefix = p.match(b"aab", mode="prefix")
+        assert (prefix.kind, prefix.end, prefix.values) == ("prefix", 2, lists), kw
+    assert tdfa.compile(pattern, multi="none").match(b"aa").values == last
+    mp = tdfa.compile(pattern, engine="multipass")
+    assert mp.match(b"aa").values == last
+    assert mp.match(b"aa", repr_="lists").values == lists
+    assert render_tstring(mp.match(b"aa", repr_="tstring").tstring) == tstring
+    assert tdfa.compile(pattern, engine="simulation").match(b"aa").values == last
+    nfa = build_tnfa(parse_regex(pattern))
+    assert simulate(nfa, b"aa", multi=frozenset(nfa.tags)) == lists

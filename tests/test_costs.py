@@ -3,7 +3,8 @@
 - Cost pins: the bytecodes and C calls of one match per workload shape
   (tests/costs.py), equal to tests/cost_pins.json on the Python version
   the pins were taken on.  A change that moves a pin says by how much
-  and why, and rewrites the pins with `python tests/costs.py --pin`.
+  and why (`python tests/costs.py --diff` prints the rows that moved),
+  and rewrites the pins with `python tests/costs.py --pin`.
 - The byte loops' bytecode (`dis`, Python 3.11): `match_forward` carries
   no EXTENDED_ARG, and the argument of `exec_tdfa`'s closing
   JUMP_BACKWARD stays at most EXEC_TDFA_JUMP code units.  An argument
@@ -20,7 +21,7 @@ import pytest
 from tdfa.multipass import match_forward
 from tdfa.runtime import exec_tdfa
 
-from costs import PINS, measure, version
+from costs import PINS, diff, measure, version
 
 PINNED = json.loads(PINS.read_text())
 # 418 while nil sets were a step kind of their own.
@@ -31,8 +32,7 @@ EXEC_TDFA_JUMP = 373
 def test_cost_pins():
     got = measure()
     assert sorted(got) == sorted(PINNED["rows"])
-    moved = {name: (PINNED["rows"][name], vector) for name, vector in got.items() if vector != PINNED["rows"][name]}
-    assert not moved
+    assert not list(diff(PINNED["rows"], got))
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="code units differ between Python versions")

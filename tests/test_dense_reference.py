@@ -42,6 +42,6 @@ def test_minimize_partition_equals_the_dense_refinement():
             part = dense_minimize_partition(a)
             m = minimize(a)
             assert m.n_states == max(part) + 1 and m.s0 == part[a.s0], pattern
-            assert m.finals == {part[s] for s in a.finals}, pattern
+            assert m.phi.keys() == {part[s] for s in a.phi}, pattern
             want = {(part[s], c): (part[t], ops) for (s, c), (t, ops) in a.delta.items()}
             assert m.delta == want, pattern

@@ -49,7 +49,7 @@ def test_tag_projections():
 def test_golden_states_and_finals():
     tdfa = golden_tdfa()
     assert tdfa.n_states == 4
-    assert tdfa.finals == {1, 2, 3}
+    assert tdfa.phi.keys() == {1, 2, 3}
     assert tdfa.max_reg == 20
     assert tdfa.r0 == {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
     assert tdfa.rf == {1: 6, 2: 7, 3: 8, 4: 9, 5: 10}
@@ -224,7 +224,7 @@ def test_finality_matches_qf_membership():
     d.run()
     for sid, state in enumerate(d.states):
         has_qf = any(q == nfa.qf for q, _, _ in state_rows(state))
-        assert (sid in d.tdfa.finals) == has_qf
+        assert (sid in d.tdfa.phi) == has_qf
 
 
 def test_state_cap_raises():

@@ -77,7 +77,7 @@ def multipass_json(mp) -> str:
     return json.dumps({
         "n_states": mp.n_states,
         "s0": mp.s0,
-        "finals": sorted(mp.finals),
+        "finals": sorted(mp.phi),
         "delta": mp.per_byte_delta()[1],
         "phi": [[s, i, l] for s, (i, l) in sorted(mp.phi.items())],
     })

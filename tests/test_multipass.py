@@ -40,7 +40,7 @@ def cls_of(mp, ch):
 def test_golden_backlink_structure():
     mp = golden_mp()
     assert mp.n_states == 4
-    assert mp.finals == {1, 2, 3}
+    assert mp.phi.keys() == {1, 2, 3}
     a, b = cls_of(mp, "a"), cls_of(mp, "b")
     # two backlinks where the configurations originate in two TNFA states
     assert len(mp.delta[(0, a)][1]) == 2
@@ -396,7 +396,7 @@ def swapping_loop():
     swap = ((1, (3,)), (0, (2,)))
     mp.delta = {(0, 0): (1, ((0, (1,)), (0, (-1, 2)))), (1, 0): (2, swap), (2, 0): (2, swap)}
     mp.phi = {0: (0, (-1, -2, -3)), 1: (0, (-2, -3)), 2: (0, ())}
-    mp.n_states, mp.finals = 3, {0, 1, 2}
+    mp.n_states = 3
     return nfa, mp
 
 
@@ -420,7 +420,7 @@ def test_repeated_tag_in_a_loop_history():
     mp = MultipassTdfa(real.tags, real.alphabet, real.byte_to_class)
     a = cls_of(real, "a")
     mp.delta = {(0, a): (1, ((0, (1, -1)),)), (1, a): (1, ((0, (1, -1)),))}
-    mp.phi, mp.n_states, mp.finals = dict(real.phi), real.n_states, set(real.finals)
+    mp.phi, mp.n_states = dict(real.phi), real.n_states
     for n in (1, 2, 3, 50):
         data = b"a" * n
         fw = match_forward(mp, data)

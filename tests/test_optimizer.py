@@ -50,7 +50,7 @@ def regs(mask: int) -> set[int]:
 
 def clobbered(tdfa, s) -> set[int]:
     """The registers written on the non-accepting continuations of s."""
-    return {op[1] for key in non_accepting_arcs(arc_table(tdfa), tdfa.finals, s) for op in tdfa.delta[key][1]}
+    return {op[1] for key in non_accepting_arcs(arc_table(tdfa), tdfa.phi, s) for op in tdfa.delta[key][1]}
 
 
 def test_golden_has_no_fallback_states():
@@ -63,13 +63,13 @@ def test_fallback_state_after_optional_suffix():
     # exactly the final state reached after 'a', which continues into 'bc'
     assert len(fallback) == 1
     (s,) = fallback
-    assert s in tdfa.finals
+    assert s in tdfa.phi
     assert clobbered(tdfa, s) == set()  # no ops on the b/c continuation here
 
 
 def test_total_all_final_automaton_has_no_fallback():
     tdfa = build("(?:a|b)*")
-    assert tdfa.finals == set(range(tdfa.n_states))
+    assert tdfa.phi.keys() == set(range(tdfa.n_states))
     assert find_fallback_states(tdfa) == set()
 
 
@@ -91,7 +91,7 @@ def test_fallback_backup_copy_injected():
     add_fallback_regops(tdfa)
     for cls in range(len(tdfa.alphabet)):
         cell = tdfa.delta.get((s, cls))
-        if cell and cell[0] not in tdfa.finals:
+        if cell and cell[0] not in tdfa.phi:
             # prepended, so it reads the pre-transition value
             assert cell[1][0][0] == COPY
             assert cell[1][0][1] in tdfa.rf.values()
@@ -163,7 +163,7 @@ def test_fallback_arcs_cover_non_accepting_paths():
             u = stack.pop()
             for cls in range(len(tdfa.alphabet)):
                 cell = tdfa.delta.get((u, cls))
-                if cell and cell[0] not in tdfa.finals and cell[0] not in reach:
+                if cell and cell[0] not in tdfa.phi and cell[0] not in reach:
                     reach.add(cell[0])
                     stack.append(cell[0])
         for b in cfg.blocks[i].succ:

@@ -12,7 +12,7 @@ from tdfa.fuzz import _last, gen_pattern
 from tdfa.regops import APPEND, COPY, SET
 from tdfa import runtime
 from tdfa.runtime import (SLICE_MIN, _COPY, MatchPlan, PrefixTree, _bulk_form, _decode_ops, _run_steps, exec_tdfa,
-                          offset_run)
+                          extend_run)
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
@@ -32,7 +32,7 @@ def naive_walk(a, data: bytes, mode: str = "full"):
     for t in a.multi:
         regs[a.r0[t]] = 0
     state, pos, n_ops = a.s0, 0, 0
-    match_pos, match_state = (0 if state in a.finals else -1), state
+    match_pos, match_state = (0 if state in a.phi else -1), state
     for byte in data:
         cell = a.delta.get((state, a.byte_to_class[byte]))
         if cell is None:
@@ -40,7 +40,7 @@ def naive_walk(a, data: bytes, mode: str = "full"):
         run_ops(cell[1], regs, tree, pos)
         n_ops += len(cell[1])
         state, pos = cell[0], pos + 1
-        if state in a.finals:
+        if state in a.phi:
             match_pos, match_state = pos, state
     fallback = mode != "full" and 0 <= match_pos < pos
     counters = {"transitions": pos, "operations": n_ops, "tree_nodes": len(tree.pred) - 1, "fallback": int(fallback)}
@@ -236,7 +236,7 @@ def test_skip_in_final_state_then_fallback(multi):
     # The field state loops on every letter, one class; ",d" leaves it for
     # a dead end.
     state = state_after(a, b"abca,bc")
-    assert state in a.finals and state in a.psi
+    assert state in a.phi and state in a.psi
     assert [a.alphabet[c] for c in self_loops(a, state)] == [tuple(b"abc")]
     check_against_walk(a, b"abca,bc,d")
     want = exec_tdfa(a, b"abca,bc").values
@@ -306,6 +306,18 @@ def test_left_final_start_state_without_fallback_operations_raises():
     assert exec_tdfa(a, b"", "prefix").values == {1: 0}
     with pytest.raises(ValueError, match="final state 0 "):
         exec_tdfa(a, b"a", "prefix")
+
+
+def test_a_state_without_a_final_list_is_not_final():
+    # phi's keys are the final states: a document whose "finals" still
+    # names state 2 but whose phi lacks it loads with state 2 not final.
+    doc = json.loads(tdfa.compile("(a)b|(a)c").tdfa.to_json())
+    assert doc["finals"] == [2, 3]
+    doc["phi"] = [entry for entry in doc["phi"] if entry[0] != 2]
+    a = Tdfa.from_json(json.dumps(doc))
+    assert sorted(a.phi) == [3]
+    assert exec_tdfa(a, b"ab").kind == "none"
+    assert exec_tdfa(a, b"ac").values == {1: None, 2: None, 3: 0, 4: 1}
 
 
 # -- slice moves and bulk self-loops -----------------------------------------
@@ -455,7 +467,7 @@ def test_bulk_final_state_left_then_fallback(multi):
     p = tdfa.compile("(?:#a)*(?:bc)?", multi=multi)
     a = p.tdfa
     state = state_after(a, b"aa")
-    assert state in bulk_states(a) and state in a.finals and state in a.psi
+    assert state in bulk_states(a) and state in a.phi and state in a.psi
     for run in (1, 2, 3, 1500):
         data = b"a" * run + b"bx"
         counters = {}
@@ -519,9 +531,15 @@ def test_bulk_match_of_1mb_peaks_under_48_bytes_per_byte(pattern, n_b, monkeypat
     assert peak <= 48 * MB
 
 
-def test_offset_runs_starting_at_offset_0():
-    assert offset_run(0, 5) == [0, 1, 2, 3, 4]
-    assert offset_run(0, 5, True) == [4, 3, 2, 1, 0]
+def down(first: int, stop: int) -> list:
+    return list(range(stop - 1, first - 1, -1))
+
+
+def test_offset_runs_starting_at_offset_0(monkeypatch):
+    monkeypatch.setattr(runtime, "_offsets", [])
+    assert extend_run([], 0, 5) == [4, 3, 2, 1, 0]
+    assert extend_run([], 0, 300) == down(0, 300)
+    assert runtime._offsets == list(range(300))
     tree = PrefixTree()
     tree.pred += [0, 1]
     tree.offs += [(0, 300), 300]
@@ -530,25 +548,36 @@ def test_offset_runs_starting_at_offset_0():
 
 
 def test_offset_runs_past_the_ceiling_are_ranges(monkeypatch):
-    monkeypatch.setattr(runtime, "OFFSETS_MAX", 16)
+    monkeypatch.setattr(runtime, "OFFSETS_MAX", 300)
     monkeypatch.setattr(runtime, "_offsets", [])
-    for module in (runtime, tdfa.multipass):  # matches take runs of 4 on from the table
-        monkeypatch.setattr(module, "RUN_MIN", 4)
-    assert offset_run(3, 10) == list(range(3, 10))
-    assert runtime._offsets == list(range(10))
-    for first, stop in [(10, 17), (0, 40), (20, 30)]:
-        assert offset_run(first, stop) == list(range(first, stop))
-        assert offset_run(first, stop, True) == list(range(stop - 1, first - 1, -1))
+    assert extend_run([5], -1, 3) == [5, -1, -1, -1]
+    assert extend_run([], 3, 254) == down(3, 257)
+    assert runtime._offsets == []  # offsets up to 256 are ranges
+    assert extend_run([7], 250, 30) == [7] + down(250, 280)
+    assert runtime._offsets == list(range(280))
+    out = [7] * 40
+    assert extend_run(out, 260, 20) is out and out == [7] * 40 + down(260, 280)
+    for first, stop in [(280, 301), (0, 400), (290, 320)]:
+        assert extend_run([], first, stop - first) == down(first, stop)
     table = runtime._offsets
-    assert table == list(range(10))  # runs past the ceiling leave it alone
-    assert offset_run(5, 16, True) == list(range(15, 4, -1))
+    assert table == list(range(280))  # runs past the ceiling leave it alone
+    assert extend_run([], 5, 295) == down(5, 300)
     # A growth binds a longer copy: a list another match slices stays.
-    assert runtime._offsets == list(range(16)) and table == list(range(10))
+    assert runtime._offsets == list(range(300)) and table == list(range(280))
     for pattern, fixed in [("(?:#a)*", 0), ("(?:#a)*a{10}", 10)]:
-        for n in (15, 16, 17, 40):
+        for n in (299, 300, 301, 400):
             assert tdfa.compile(pattern).match(b"a" * n).values[1] == list(range(n - fixed))
         mp = tdfa.compile(pattern, engine="multipass")
-        assert mp.match(b"a" * 40, repr_="lists").values[1] == list(range(40 - fixed))
+        assert mp.match(b"a" * 400, repr_="lists").values[1] == list(range(400 - fixed))
+
+
+@pytest.mark.parametrize("engine, repr_", [("tdfa", "offsets"), ("multipass", "lists")])
+def test_runs_of_offsets_up_to_256_leave_the_offset_table_alone(engine, repr_, monkeypatch):
+    p = tdfa.compile("(?:#a)*", engine=engine)
+    p.match(b"aa", repr_=repr_)
+    monkeypatch.setattr(runtime, "_offsets", [])
+    assert p.match(b"a" * 200, repr_=repr_).values[1] == list(range(200))
+    assert runtime._offsets == []
 
 
 @pytest.mark.parametrize("engine, repr_", [("tdfa", "offsets"), ("multipass", "lists")])
@@ -568,25 +597,32 @@ def test_many_bulk_runs_grow_the_offset_table_once_per_history(pattern, monkeypa
     # The forward pass meets runs at rising offsets, the read-outs from the
     # end down: were each run to grow the table, a match of many runs
     # would copy it once per run.
-    growths = []
+    growths, calls = [], []
 
-    def counted(first, stop, down=False):
-        growths.append(stop > len(runtime._offsets))
-        return offset_run(first, stop, down)
+    class Table(list):
+        """The offset table, counting its growths: each is `table + more`."""
 
-    for module in (runtime, tdfa.multipass):
-        monkeypatch.setattr(module, "offset_run", counted)
+        def __add__(self, more):
+            growths.append(len(more))
+            return Table(list.__add__(self, more))
+
+    def counted(out, first, count):
+        calls.append(first)
+        return extend_run(out, first, count)
+
+    monkeypatch.setattr(runtime, "extend_run", counted)
     data = (b"a" * 40 + b"b" + b"a" * 3 + b"b") * 150
     lists = {}
     for engine, repr_ in (("tdfa", "offsets"), ("multipass", "lists")):
         p = tdfa.compile(pattern, engine=engine)
         p.match(b"ab")
-        monkeypatch.setattr(runtime, "_offsets", [])
+        monkeypatch.setattr(runtime, "_offsets", Table())
         growths.clear()
+        calls.clear()
         lists[engine] = p.match(data, repr_=repr_).values
-        assert sum(growths) <= len(lists[engine])
-        if engine == "tdfa":  # the multipass lists of the first pattern walk no tagged run
-            assert len(growths) >= 150
+        assert 0 < len(growths) <= len(lists[engine])
+        if engine == "tdfa":  # multipass calls the name it imported, uncounted
+            assert len(calls) >= 150
     assert lists["tdfa"] == lists["multipass"]
     assert runtime._offsets == list(range(len(runtime._offsets)))
 
