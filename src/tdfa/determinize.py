@@ -111,7 +111,7 @@ def epsilon_closure(nfa: Tnfa, seeds) -> list:
             if not arrows:
                 emit((q, x, h, l))
                 continue
-            for _, tag, p in reversed(arrows):
+            for tag, p in reversed(arrows):
                 if p not in seen:
                     stack.append((p, l + (tag,) if tag else l))
     return out
@@ -168,7 +168,7 @@ class PlanFrame:
     - `classes`, a bytes.translate table from byte to class.  Dead bytes go
       to the sentinel class n_live = len(alphabet), whose column is None in
       every row; classes covering all 256 bytes leave no sentinel;
-    - `rows`, dense lists of cells (target, *payload, skip), payload being
+    - `rows`, dense lists of cells (target, payload, skip), payload being
       what the engine's `cell_payload(dfa)` function gives for the cell;
     - a state whose self-loops on some classes have a no-op cell (`no_op`)
       has a skip: the `loop_span` over those classes, an exit class to find
@@ -193,6 +193,7 @@ class PlanFrame:
         b2c = dfa.byte_to_class
         self.n_live = sentinel = max(b2c) + 1
         self.classes = bytes(sentinel if c < 0 else c for c in b2c)
+        payload = self.cell_payload(dfa)
         n = dfa.n_states
         loops: list[dict] = [{} for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
@@ -201,21 +202,23 @@ class PlanFrame:
         self.spans = []
         skip = [self.span([c for cell, cs in by_cell.items() if self.no_op(cell) for c in cs])
                 for by_cell in loops]
-        payload = self.cell_payload(dfa)
         self.bulk = [None] * n
         loop_skip = skip.copy()  # the skip slot of each state's self-loop cells
         for s, by_cell in enumerate(loops):
             if len(by_cell) == 1:
                 [(cell, cs)] = by_cell.items()
-                if not self.no_op(cell) and (form := self.summary(*payload(cell))) is not None:
+                if not self.no_op(cell) and (form := self.summary(payload(cell))) is not None:
                     self.bulk[s] = form
                     loop_skip[s] = self.span(cs)
         self.rows = [[None] * (max(self.classes) + 1) for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
-            self.rows[s][c] = (target, *payload(cell), loop_skip[s] if target == s else skip[target])
+            self.rows[s][c] = (target, payload(cell), loop_skip[s] if target == s else skip[target])
         self.final = [s in dfa.phi for s in range(n)]
         self.skip0 = skip[dfa.s0]
         self.dead = sentinel if min(b2c) < 0 and self.span_kinds()["find"] else None
+
+    def cell_payload(self, dfa: Automaton):
+        return lambda cell: cell  # by default, the cell itself
 
     def span(self, classes):
         """The `loop_span` over classes, kept in `spans` to be counted."""

@@ -15,10 +15,11 @@ single offsets, offset lists, or the full tagged string.
 The passes run on a match plan, built from the automaton on its first match
 on the frame both engines share (`determinize.PlanFrame`): the input is
 mapped to class bytes once with `bytes.translate`, and rows are dense lists
-of cells (target, backlinks, skip or None).  A span (`loop_span`: an exit
-class to find up to the bound a match takes once, or an `re` span) lets
-the forward pass consume a run of self-loops at C speed.  The pass runs a
-cell's skip before the next byte steps, the one site of every span:
+of cells (target, payload, skip or None), the payload being the
+transition's backlink array.  A span (`loop_span`: an exit class to find
+up to the bound a match takes once, or an `re` span) lets the forward
+pass consume a run of self-loops at C speed.  The pass runs a cell's
+skip before the next byte steps, the one site of every span:
 
 - a no-op loop maps every slot i to (i, ()), so walking back over it
   changes neither slot nor tags.  Its span is the state's skip, on every
@@ -217,9 +218,6 @@ class MatchPlan(PlanFrame):
     def summary(links) -> list | None:
         depth = _depth(links)
         return None if depth is None else [links] * (depth + 1)
-
-    def cell_payload(self, mp: MultipassTdfa):
-        return lambda links: (links,)
 
 
 def _tagged_run(steps: list, tail: list, run: int) -> int:

@@ -11,9 +11,9 @@ run at the match end position.
 match and kept until `Tdfa.invalidate()`.  The frame both engines share
 (`determinize.PlanFrame`) maps the input to class bytes once with
 `bytes.translate` and lays out dense rows of cells (target, steps or None,
-operation count, skip or None), skip being the span the loop runs after
-the cell (below), at the one site of every span.  The register TDFA adds
-the steps, the count and the loop summaries:
+skip or None), skip being the span the loop runs after the cell (below),
+at the one site of every span.  The register TDFA adds the steps and the
+loop summaries:
 
 - each distinct operation list is decoded once into flat (kind, dst, src)
   steps of four kinds that the loop runs inline: a copy, a set to the
@@ -66,18 +66,19 @@ to OFFSETS_MAX offsets; a run past that is a `range`.  The single nodes
 after a run node are not runs: the forward pass meets them at rising
 offsets, and taking them from the table would copy it once per run.
 
-Counters come from the same loop and add to what the dict holds:
-`transitions` is the number of bytes consumed, `operations` the number of
-operations of the automaton's lists on the transitions taken (skipped
-op-free loops carry none, a bulk run counts every byte), `tree_nodes` the
-history entries those transitions appended, a run node counting each of
-its entries (`PrefixTree.held`), and `fallback` is 1 when the match took
-the fallback quasi-transition.  The final and fallback lists run after
-the count, decoded as the transitions' are, by `_run_steps`: only
+The byte loop keeps no counter: counters are read after it, when a dict
+is given, and add to what it holds.  `transitions` is the number of bytes
+consumed; `operations` the operations of the lists on the transitions
+taken, summed by a second walk of those bytes through `delta`;
+`tree_nodes` the history entries appended, a run node counting each of
+its entries; and `fallback` is 1 when the match took the fallback
+quasi-transition.  The final and fallback lists run after the counters
+are read, decoded as the transitions' are, by `_run_steps`: only
 `_decode_ops` reads operation tuples.
 """
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .determinize import PlanFrame, Tdfa
 from .regops import COPY, SET
@@ -138,17 +139,15 @@ class PrefixTree:
     inside a bulk run gets a single node after it.  `runs` is set once a
     run node is stored; until then `unpack` walks the nodes with no test
     per node, and after it takes the entries of a run node in one
-    `extend_run`.  `held` counts the entries run nodes hold beyond one
-    each.
+    `extend_run`.
     """
 
-    __slots__ = ("pred", "offs", "runs", "held")
+    __slots__ = ("pred", "offs", "runs")
 
     def __init__(self):
         self.pred = [0]
         self.offs = [-1]
         self.runs = False
-        self.held = 0
 
     def unpack(self, idx: int) -> list:
         pred, offs = self.pred, self.offs
@@ -221,17 +220,6 @@ def _decode_ops(ops) -> tuple:
     return tuple(steps)
 
 
-def _consecutive(dsts: list) -> list:
-    """Split sorted register numbers into runs of consecutive numbers."""
-    runs = [[dsts[0]]]
-    for d in dsts[1:]:
-        if d == runs[-1][-1] + 1:
-            runs[-1].append(d)
-        else:
-            runs.append([d])
-    return runs
-
-
 def _effect(steps) -> dict:
     """Symbolic run of steps: each written register maps to a term over the
     values before the list (a register number, 0 for nil), "p" and appends
@@ -262,7 +250,9 @@ def _with_slice_moves(plain: list) -> list | None:
             by_offset.setdefault(src - dst, {})[dst] = i
     out = list(plain)
     for offset, members in by_offset.items():
-        for dsts in _consecutive(sorted(members)):
+        # runs of consecutive destinations: d minus its index is constant along one
+        for _, run in groupby(enumerate(sorted(members)), lambda item: item[1] - item[0]):
+            dsts = [d for _, d in run]
             if len(dsts) >= SLICE_MIN:
                 where = sorted(members[d] for d in dsts)
                 first, last = dsts[0], dsts[-1] + 1
@@ -275,9 +265,9 @@ def _with_slice_moves(plain: list) -> list | None:
     return out if _effect(out) == _effect(plain) else None
 
 
-def _bulk_form(steps, n_ops: int) -> tuple | None:
-    """The loop summary of a self-loop list of n_ops operations, decoded to
-    steps: (operation count, appends, sets, chains), or None.
+def _bulk_form(steps) -> tuple | None:
+    """The loop summary of a self-loop list, decoded to steps: (appends,
+    sets, chains), or None.
 
     It is read off the list's symbolic effect.  Its heads are the
     single-character self-appends, as (register, is "p", depth), and the
@@ -319,13 +309,13 @@ def _bulk_form(steps, n_ops: int) -> tuple | None:
         return None  # the copies not reached from a head lie on a cycle
     depth = {head: max(d for _, d in members) for head, _, members in chains}
     appends = [(r, p, depth.get(r, 0)) for r, p in appends]
-    return n_ops, tuple(appends), tuple(sets), tuple(chains)
+    return tuple(appends), tuple(sets), tuple(chains)
 
 
 class MatchPlan(PlanFrame):
     """The automaton decoded for exec_tdfa (see the module docstring).
     `phi` and `psi` map each final and fallback state to its decoded
-    list."""
+    list.  Building it refuses a field naming a state, class, tag or register the automaton lacks."""
 
     __slots__ = ("regs0", "phi", "psi")
 
@@ -336,11 +326,20 @@ class MatchPlan(PlanFrame):
     summary = staticmethod(_bulk_form)
 
     def cell_payload(self, tdfa: Tdfa):
+        states = range(tdfa.n_states)
+        for name, values, valid in (("s0", [tdfa.s0], states), ("transition source", [s for s, _ in tdfa.delta], states),
+                                    ("transition target", [t for t, _ in tdfa.delta.values()], states),
+                                    ("class", [c for _, c in tdfa.delta], range(len(tdfa.alphabet))),
+                                    ("final state", tdfa.phi, states), ("fallback state", tdfa.psi, states),
+                                    ("multi", tdfa.multi, tdfa.tags)):
+            if bad := [v for v in values if v not in valid]:
+                raise ValueError(f"{name} names {bad[0]}, outside {valid}")
         regs = range(1, tdfa.max_reg + 1)
-        for verb, where in (("starts", tdfa.r0), ("ends", tdfa.rf)):
-            for t, r in where.items():
-                if r not in regs:
-                    raise ValueError(f"tag {t} {verb} in register {r}, outside 1..{tdfa.max_reg}")
+        # The optimizer drops the start registers no multi-valued tag reads.
+        for name, verb, where, needed in (("r0", "starts", tdfa.r0, tdfa.multi), ("rf", "ends", tdfa.rf, tdfa.tags)):
+            for t in where.keys() | needed:
+                if where.get(t) not in regs:
+                    raise ValueError(f"{name}: tag {t} {verb} in register {where.get(t)}, outside 1..{tdfa.max_reg}")
         self.regs0 = [None] * (tdfa.max_reg + 1)
         for t in tdfa.multi:
             self.regs0[tdfa.r0[t]] = 0
@@ -350,10 +349,10 @@ class MatchPlan(PlanFrame):
             if ops and ops not in decoded:
                 _check_registers(ops, regs)
                 decoded[ops] = _decode_ops(ops)
-            return decoded.get(ops), len(ops)
+            return decoded.get(ops)
 
-        self.phi = {s: payload(ops)[0] or () for s, ops in tdfa.phi.items()}
-        self.psi = {s: payload(ops)[0] or () for s, ops in tdfa.psi.items()}
+        self.phi = {s: payload(ops) or () for s, ops in tdfa.phi.items()}
+        self.psi = {s: payload(ops) or () for s, ops in tdfa.psi.items()}
         return payload
 
 
@@ -382,10 +381,10 @@ def _run_steps(steps, regs, tree: PrefixTree, pos: int):
             offs.append(pos if kind == _APPEND_P else -1)
 
 
-def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
+def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int):
     """Apply the loop summary form for the loop bytes start..end - 1, those
-    after the first; returns the operations they stand for."""
-    n_ops, appends, sets, chains = form
+    after the first."""
+    appends, sets, chains = form
     pred, offs = tree.pred, tree.offs
     run = end - start
     # An append head gets one run node for its first entries and one node
@@ -401,7 +400,6 @@ def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
             pred += range(node, node + m)
             offs += range(end - m, end) if p else [-1] * m
         regs[r] = node + m
-        tree.held += run - m - 1
         tree.runs = True
     for head, head_kind, members in chains:
         # The head's value after the run, which a member at depth d < run
@@ -424,7 +422,6 @@ def _run_bulk(form, regs, tree: PrefixTree, start: int, end: int) -> int:
                 regs[r] = top - d if moves else top
     for r in sets:
         regs[r] = end - 1
-    return n_ops * run
 
 
 def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None = None) -> MatchOutcome:
@@ -448,11 +445,8 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
     pred, offs = tree.pred, tree.offs
     regs = plan.regs0.copy()
 
-    state = tdfa.s0
-    skip = plan.skip0
-    pos = n_ops = 0
-    match_pos = -1
-    match_state = state
+    state, skip, pos = tdfa.s0, plan.skip0, 0
+    match_pos, match_state = -1, state
     while True:
         if skip is not None:
             start = pos
@@ -461,7 +455,7 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
             else:
                 pos = skip(text, pos).end()
             if bulk[state] is not None and pos > start:
-                n_ops += _run_bulk(bulk[state], regs, tree, start, pos)
+                _run_bulk(bulk[state], regs, tree, start, pos)
         if final[state]:
             match_pos = pos
             match_state = state
@@ -470,9 +464,8 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
         cell = rows[state][text[pos]]
         if cell is None:
             break
-        state, steps, k, skip = cell
+        state, steps, skip = cell
         if steps is not None:
-            n_ops += k
             for kind, dst, src in steps:
                 if kind == _COPY:
                     regs[dst] = regs[src]
@@ -489,9 +482,14 @@ def exec_tdfa(tdfa: Tdfa, data: bytes, mode: str = "full", counters: dict | None
         pos += 1
 
     if counters is not None:
+        delta, s, n_ops = tdfa.delta, tdfa.s0, 0
+        for c in text[:pos]:
+            s, ops = delta[s, c]
+            n_ops += len(ops)
+        held = sum(off[1] - 1 for off in offs if off.__class__ is tuple) if tree.runs else 0
         counters["transitions"] = counters.get("transitions", 0) + pos
         counters["operations"] = counters.get("operations", 0) + n_ops
-        counters["tree_nodes"] = counters.get("tree_nodes", 0) + len(pred) - 1 + tree.held
+        counters["tree_nodes"] = counters.get("tree_nodes", 0) + len(pred) - 1 + held
         counters["fallback"] = counters.get("fallback", 0) + (mode != "full" and 0 <= match_pos < pos)
 
     if match_pos < 0 or mode == "full" and match_pos != n:

@@ -32,11 +32,11 @@ class Tnfa:
     tags: tuple[int, ...]
     alphabet: tuple[tuple[int, ...], ...]  # each class's bytes
     byte_to_class: list[int]  # alphabet's inverse; -1 for other bytes
-    # eps[q]: ((priority, tag, target), ...) sorted by priority; tag is
+    # eps[q]: ((tag, target), ...), the first the highest priority; tag is
     # +t / -t / 0 for untagged.  arcs[q]: (classes, target) or None, the
     # classes ascending.  A state has no eps-transitions exactly when it
     # has an arc or is qf, which both closures rely on.
-    eps: list[tuple[tuple[int, int, int], ...]]
+    eps: list[tuple[tuple[int, int], ...]]
     arcs: list[tuple[tuple[int, ...], int] | None]
     _sim_moves: list | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -80,10 +80,10 @@ class _Builder:
     """Builds fragments right to left: each fragment after the fragments
     that follow it, so states are created in exactly the reverse of
     reading order and build_tnfa numbers the q-th state created n - 1 - q.
-    eps[q] holds that state's eps-transitions as (priority, tag, target)."""
+    eps[q] holds that state's eps-transitions as (tag, target), by priority."""
 
     def __init__(self):
-        self.eps: list[tuple[tuple[int, int, int], ...]] = []
+        self.eps: list[tuple[tuple[int, int], ...]] = []
         self.syms: list[tuple[int, frozenset, int]] = []  # (q, bytes, p)
         # (tags, bytes or None) per AST node, by id.
         self.memo: dict[int, tuple[tuple[int, ...], frozenset | None]] = {}
@@ -93,7 +93,7 @@ class _Builder:
         return len(self.eps) - 1
 
     def fork(self, first: int, second: int) -> int:
-        return self.new_state(((1, 0, first), (2, 0, second)))
+        return self.new_state(((0, first), (0, second)))
 
     def info(self, e: TaggedRegex) -> tuple[tuple[int, ...], frozenset | None]:
         """The tag ids in e, ascending, as `tag_analysis` gives them, and
@@ -138,7 +138,7 @@ class _Builder:
             s1 = self.build(e.left, self.chain(self.tags(e.right), qf))
             return self.fork(s1, s1n)
         if t is Tag:
-            return self.new_state(((1, e.tid, qf),))
+            return self.new_state(((e.tid, qf),))
         if t is Rep:
             return self.repeat(e.body, e.lo, e.hi, qf)
         if t is Empty:
@@ -150,7 +150,7 @@ class _Builder:
         (ascending, as `tags` gives them); an empty tag set adds no state
         and the chain collapses to qf."""
         for t in reversed(tag_ids):
-            qf = self.new_state(((1, -t, qf),))
+            qf = self.new_state(((-t, qf),))
         return qf
 
     def repeat(self, body: TaggedRegex, lo: int, hi: int | None, qf: int) -> int:
@@ -165,7 +165,7 @@ class _Builder:
         if hi is None:
             q1 = self.new_state()
             start = self.build(body, q1)
-            self.eps[q1] = ((1, 0, start), (2, 0, qf))  # repeat first: greedy
+            self.eps[q1] = ((0, start), (0, qf))  # repeat first: greedy
             optional = 0
         else:
             start = self.build(body, qf)
@@ -194,7 +194,7 @@ def build_tnfa(e: TaggedRegex) -> Tnfa:
     eps.reverse()
     for q, out in enumerate(eps):
         if out:
-            eps[q] = tuple([(pri, tag, last - p) for pri, tag, p in out])
+            eps[q] = tuple([(tag, last - p) for tag, p in out])
     arcs: list = [None] * len(eps)
     while syms:
         q, members, p = syms.pop()
@@ -222,7 +222,7 @@ def sim_moves(nfa: Tnfa) -> list:
     moves = nfa._sim_moves
     if moves is None:
         idx = nfa.tag_index()
-        moves = nfa._sim_moves = [tuple([(p, idx[abs(tag)] if tag else -1, tag > 0) for _, tag, p in reversed(out)])
+        moves = nfa._sim_moves = [tuple([(p, idx[abs(tag)] if tag else -1, tag > 0) for tag, p in reversed(out)])
                                   for out in nfa.eps]
     return moves
 
@@ -315,7 +315,7 @@ def tnfa_to_dot(nfa: Tnfa) -> str:
             classes, p = nfa.arcs[q]
             members = sorted(byte for c in classes for byte in nfa.alphabet[c])
             lines.append(f'  {q} -> {p} [label="{dot_class(members)}", style=bold];')
-        for pri, tag, p in nfa.eps[q]:
+        for pri, (tag, p) in enumerate(nfa.eps[q], 1):
             if tag == 0:
                 lines.append(f'  {q} -> {p} [label="{pri}"];')
             else:

@@ -60,7 +60,7 @@ def brute_force_match(nfa: Tnfa, data: bytes):
     def dfs(q, pos, seen, m):
         if q == nfa.qf:
             return dict(m) if pos == n else None
-        for _, tag, p in nfa.eps[q]:
+        for tag, p in nfa.eps[q]:
             if p in seen:
                 continue
             if tag == 0:
@@ -275,7 +275,7 @@ def stack_epsilon_closure(nfa: Tnfa, seeds) -> list:
         seen.add(q)
         out.append(cfg)
         _, x, h, l = cfg
-        for _, tag, p in reversed(nfa.eps[q]):
+        for tag, p in reversed(nfa.eps[q]):
             if p not in seen:
                 stack.append((p, x, h, l if tag == 0 else l + (tag,)))
     qf, arcs = nfa.qf, nfa.arcs

@@ -16,6 +16,7 @@ from tdfa.runtime import (SLICE_MIN, _COPY, MatchPlan, PrefixTree, _bulk_form, _
 from tdfa.tnfa import build_tnfa, simulate
 from tdfa.resyntax import parse_regex
 
+from costs import shapes
 from helpers import ANY_BYTE, EVERY_CLASS, NaiveRegisters, all_inputs, run_ops, tree_append
 
 GOLDEN = "(a)*#(?:a|#b)#b*"
@@ -853,11 +854,11 @@ def test_nil_sets_are_copies_from_register_0():
     # r4 <- r3 <- r2 <- n: one chain from the unwritten register 0
     steps = _decode_ops(((COPY, 4, 3), (COPY, 3, 2), (SET, 2, "n")))
     assert steps == ((_COPY, 4, 3), (_COPY, 3, 2), (_COPY, 2, 0))
-    assert _bulk_form(steps, 3) == (3, (), (), ((0, None, ((2, 1), (3, 2), (4, 3))),))
+    assert _bulk_form(steps) == ((), (), ((0, None, ((2, 1), (3, 2), (4, 3))),))
     # r1..r9 <- r0..r8 is one slice move, a chain nine deep from register 0
     steps = _decode_ops(tuple((COPY, r, r - 1) for r in range(9, 1, -1)) + ((SET, 1, "n"),))
     assert steps == ((_COPY, slice(1, 10), slice(0, 9)),)
-    assert _bulk_form(steps, 9) == (9, (), (), ((0, None, tuple((r, r) for r in range(1, 10))),))
+    assert _bulk_form(steps) == ((), (), ((0, None, tuple((r, r) for r in range(1, 10))),))
 
 
 @pytest.mark.parametrize("ops", [[(SET, 0, "n")], [(COPY, 0, 2)], [(APPEND, 0, 1, "p")]])
@@ -896,6 +897,80 @@ def test_plan_refuses_registers_past_max_reg(ops, edit, message):
         exec_tdfa(a, b"a")
 
 
+def edit_entry(field: str, i: int, j: int, value):
+    def edit(doc):
+        doc[field][i][j] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(s0=5), r"s0 names 5, outside range\(0, 5\)"),
+    (lambda doc: doc.update(s0=-1), "s0 names -1"),
+    (edit_entry("delta", 4, 0, 7), "transition source names 7"),
+    (edit_entry("delta", 4, 0, -1), "transition source names -1"),
+    # state 1 on c: a target of -2 would run row 3 and match ac as none
+    (edit_entry("delta", 4, 2, -2), "transition target names -2"),
+    (edit_entry("delta", 4, 2, 5), "transition target names 5"),
+    (edit_entry("delta", 4, 1, 3), r"class names 3, outside range\(0, 3\)"),
+    (edit_entry("delta", 4, 1, -1), "class names -1"),
+    # a final state outside the states would leave ac unmatched
+    (edit_entry("phi", 1, 0, 7), "final state names 7"),
+    (edit_entry("phi", 1, 0, -1), "final state names -1"),
+    (lambda doc: doc["psi"].append([5, []]), "fallback state names 5"),
+    (lambda doc: doc["multi"].append(9), r"multi names 9, outside \(1, 2, 3, 4\)"),
+    (lambda doc: doc["r0"].pop("2"), "r0: tag 2 starts in register None"),
+    (lambda doc: doc["rf"].pop("3"), "rf: tag 3 ends in register None"),
+])
+def test_plan_refuses_states_classes_and_tags_the_automaton_lacks(edit, message):
+    # A loaded document whose first match would raise IndexError or
+    # KeyError, or wrap a negative index, is refused when the plan is built.
+    doc = json.loads(tdfa.compile("(a)*b|(a)c").tdfa.to_json())
+    assert doc["delta"][4][:3] == [1, 2, 4] and doc["r0"].keys() == {"1", "2"}
+    assert exec_tdfa(Tdfa.from_json(json.dumps(doc)), b"ac").kind == "match"
+    edit(doc)
+    a = Tdfa.from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        exec_tdfa(a, b"ac")
+
+
+class CountingDict(dict):
+    """A dict that counts the lookups made by key."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_counters_are_read_after_the_match():
+    # The byte loop reads no transition of delta: an uncounted match looks
+    # nothing up, a counted one walks delta once over the bytes consumed.
+    # Its counters are those of the walk on every long-scan and
+    # short-records shape.
+    for name, pattern, kw, data, tail in shapes():
+        if name.startswith("compile-corpus/"):
+            continue
+        configs = [kw, dict(kw, fixed_tags=True)] if name.startswith("short-records/") else [kw]
+        for kw_ in configs:
+            a = tdfa.compile(pattern, **kw_).tdfa
+            for mode, text in (("full", data), ("prefix", data + tail)):
+                want, want_counters = naive_walk(a, text, mode)
+                delta, a.delta = a.delta, CountingDict(a.delta)
+                out = exec_tdfa(a, text, mode)
+                assert a.delta.lookups == 0, (name, mode)
+                counters = {}
+                assert exec_tdfa(a, text, mode, counters) == out
+                assert a.delta.lookups == counters["transitions"], (name, mode)
+                a.delta = delta
+                assert counters == want_counters, (name, mode)
+                assert ((out.end, out.values) if out else None) == want, (name, mode)
+
+
 LONG_RUN_CONFIGS = [{}, {"multi": "all"}, {"multi": "none"}, {"opt": "none", "multi": "all"},
                     {"fixed_tags": True}]
 
@@ -916,7 +991,7 @@ def test_loop_summaries_against_walk_on_runs_of_one_symbol():
             if not forms:
                 continue
             automata += 1
-            with_chains += any(form[3] for form in forms)
+            with_chains += any(form[2] for form in forms)
             for _ in range(8):
                 data = b"".join(bytes([rng.choice(b"ab")]) * rng.randint(1, 40) for _ in range(rng.randint(1, 6)))
                 check_against_walk(a, data)

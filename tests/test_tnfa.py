@@ -41,41 +41,41 @@ def test_build_symbol():
 def test_build_tag():
     nfa = build_tnfa(Tag(1))
     assert nfa.n_states == 2
-    assert nfa.eps[nfa.q0] == ((1, 1, nfa.qf),)
+    assert nfa.eps[nfa.q0] == ((1, nfa.qf),)
 
 
 def bypass_chain(nfa, q):
     """Follow a bypass chain from q: the tags it emits and where it ends."""
     tags = []
-    while len(nfa.eps[q]) == 1 and nfa.eps[q][0][1] < 0 and nfa.arcs[q] is None:
-        (_, tag, q), = nfa.eps[q]
+    while len(nfa.eps[q]) == 1 and nfa.eps[q][0][0] < 0 and nfa.arcs[q] is None:
+        (tag, q), = nfa.eps[q]
         tags.append(tag)
     return tags, q
 
 
 def test_bypass_chain_negates_tags_in_ascending_order():
     nfa = build_tnfa(parse_regex("(?:#b#)?"))
-    _, (_, _, bypass) = nfa.eps[nfa.q0]
+    _, (_, bypass) = nfa.eps[nfa.q0]
     assert bypass_chain(nfa, bypass) == ([-1, -2], nfa.qf)
     # each branch of an alternative ends in the chain of the other's tags
     nfa = build_tnfa(parse_regex("#a#|b#"))
-    (_, _, left), (_, _, right) = nfa.eps[nfa.q0]
+    (_, left), (_, right) = nfa.eps[nfa.q0]
     tags, b_start = bypass_chain(nfa, right)
     assert tags == [-1, -2] and nfa.arcs[b_start] == ((1,), b_start + 1)  # class 1: b
-    (_, _, after_a), = nfa.eps[left]
+    (_, after_a), = nfa.eps[left]
     (cls,), p = nfa.arcs[after_a]
     assert nfa.alphabet[cls] == (A,)
-    (_, _, second), = nfa.eps[p]
+    (_, second), = nfa.eps[p]
     assert bypass_chain(nfa, second) == ([-3], nfa.qf)
 
 
 def test_empty_bypass_chain_adds_no_state():
     nfa = build_tnfa(parse_regex("a?"))
-    assert nfa.n_states == 3 and nfa.eps[nfa.q0][1] == (2, 0, nfa.qf)
+    assert nfa.n_states == 3 and nfa.eps[nfa.q0][1] == (0, nfa.qf)
     nfa = build_tnfa(parse_regex("(?:a|bb)"))
     assert nfa.n_states == 5
     assert nfa.alphabet == ((A,), (B,))
-    (_, _, left), (_, _, right) = nfa.eps[nfa.q0]
+    (_, left), (_, right) = nfa.eps[nfa.q0]
     assert nfa.arcs[left] == ((0,), nfa.qf) and nfa.arcs[nfa.arcs[right][1]] == ((1,), nfa.qf)
 
 
@@ -126,8 +126,8 @@ def test_alphabet_is_the_bytes_of_the_arcs_built():
 
 def test_one_tag_bypass_chain_is_one_transition():
     nfa = build_tnfa(parse_regex("(?:#a)?"))
-    _, (_, _, bypass) = nfa.eps[nfa.q0]
-    assert nfa.eps[bypass] == ((1, -1, nfa.qf),) and nfa.arcs[bypass] is None
+    _, (_, bypass) = nfa.eps[nfa.q0]
+    assert nfa.eps[bypass] == ((-1, nfa.qf),) and nfa.arcs[bypass] is None
     assert nfa.n_states == 5
 
 
@@ -135,13 +135,13 @@ def test_build_golden_structure():
     nfa = golden_nfa()
     assert nfa.n_states == 18 and nfa.q0 == 0 and nfa.qf == 17
     # zero-repetition bypass emits -t1 -t2 along 0 -> 5 -> 6 -> 7
-    assert (2, 0, 5) in nfa.eps[0]
-    assert nfa.eps[5] == ((1, -1, 6),)
-    assert nfa.eps[6] == ((1, -2, 7),)
+    assert nfa.eps[0][1] == (0, 5)
+    assert nfa.eps[5] == ((-1, 6),)
+    assert nfa.eps[6] == ((-2, 7),)
     # the left alternative branch emits -t4 along 8 -> 9 -> 10 -> 13
-    assert (1, 0, 9) in nfa.eps[8]
+    assert nfa.eps[8][0] == (0, 9)
     assert nfa.alphabet == ((A,), (B,)) and nfa.arcs[9] == ((0,), 10)
-    assert nfa.eps[10] == ((1, -4, 13),)
+    assert nfa.eps[10] == ((-4, 13),)
     # final state has no outgoing transitions
     assert not nfa.eps[17] and nfa.arcs[17] is None
 
@@ -157,10 +157,13 @@ def test_eps_free_exactly_at_arcs_and_qf():
 
 
 def test_priorities_distinct_from_one():
+    # An eps-transition's priority is its place in eps[q], from 1, as the
+    # dot dump labels it.
     for pattern in (GOLDEN, "a|b|ab", "(?:ab)+", "a{2,4}"):
         nfa = build_tnfa(parse_regex(pattern))
-        for lst in nfa.eps:
-            assert [pri for pri, _, _ in lst] == list(range(1, len(lst) + 1))
+        labels = re.findall(r'^  (\d+) -> \d+ \[label="(\d+)', tnfa_to_dot(nfa), re.M)
+        assert sorted((int(q), int(pri)) for q, pri in labels) == [
+            (q, pri) for q, out in enumerate(nfa.eps) for pri in range(1, len(out) + 1)]
 
 
 def test_simulate_golden():
