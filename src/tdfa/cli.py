@@ -35,6 +35,22 @@ def _engine_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-states", type=int, default=100_000)
 
 
+def _at_least(lo: int):
+    """An argparse type: an int no less than lo."""
+    def check(text: str) -> int:
+        if (value := int(text)) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, not {value}")
+        return value
+    check.__name__ = "int"  # argparse's "invalid int value" for a non-int
+    return check
+
+
+def _nonempty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _multi_arg(value: str):
     """A comma list of ints as a set of tag ids; any other value goes to
     the library as is, which takes auto, none and all and rejects the rest."""
@@ -222,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fuzz", help="cross-check all engines against the simulation")
     f.add_argument("--seed", type=int, default=1)
-    f.add_argument("--count", type=int, default=1000)
-    f.add_argument("--max-nodes", type=int, default=10)
-    f.add_argument("--max-tags", type=int, default=6)
-    f.add_argument("--alphabet", default="ab")
-    f.add_argument("--max-len", type=int, default=6)
-    f.add_argument("--max-rep", type=int, default=3)
+    f.add_argument("--count", type=_at_least(0), default=1000)
+    f.add_argument("--max-nodes", type=_at_least(1), default=10)
+    f.add_argument("--max-tags", type=_at_least(0), default=6)
+    f.add_argument("--alphabet", type=_nonempty, default="ab")
+    f.add_argument("--max-len", type=_at_least(0), default=6)
+    f.add_argument("--max-rep", type=_at_least(0), default=3)
     f.add_argument("--multi", default="auto",
                    help="multi-valued tags: auto, none, all, or comma ids; a pattern runs with "
                         "those of the ids that are its tags")

@@ -165,9 +165,9 @@ class Automaton:
 class PlanFrame:
     """The part of a match plan both engines lay out the same way:
 
-    - `classes`, a bytes.translate table from byte to class.  Dead bytes go
-      to the sentinel class n_live = len(alphabet), whose column is None in
-      every row; classes covering all 256 bytes leave no sentinel;
+    - `classes`, the automaton's `byte_to_class` table itself.  Dead bytes
+      go to the sentinel class n_live = len(alphabet), whose column is None
+      in every row; classes covering all 256 bytes leave no sentinel;
     - `rows`, dense lists of cells (target, payload, skip), payload being
       what the engine's `cell_payload(dfa)` function gives for the cell;
     - a state whose self-loops on some classes have a no-op cell (`no_op`)
@@ -190,9 +190,8 @@ class PlanFrame:
     __slots__ = ("classes", "rows", "final", "skip0", "bulk", "n_live", "spans", "dead")
 
     def __init__(self, dfa: Automaton):
-        b2c = dfa.byte_to_class
-        self.n_live = sentinel = max(b2c) + 1
-        self.classes = bytes(sentinel if c < 0 else c for c in b2c)
+        self.classes, self.n_live = dfa.byte_to_class, len(dfa.alphabet)
+        width = max(self.classes) + 1  # n_live, or one more for the sentinel
         payload = self.cell_payload(dfa)
         n = dfa.n_states
         loops: list[dict] = [{} for _ in range(n)]
@@ -210,12 +209,12 @@ class PlanFrame:
                 if not self.no_op(cell) and (form := self.summary(payload(cell))) is not None:
                     self.bulk[s] = form
                     loop_skip[s] = self.span(cs)
-        self.rows = [[None] * (max(self.classes) + 1) for _ in range(n)]
+        self.rows = [[None] * width for _ in range(n)]
         for (s, c), (target, cell) in dfa.delta.items():
             self.rows[s][c] = (target, payload(cell), loop_skip[s] if target == s else skip[target])
         self.final = [s in dfa.phi for s in range(n)]
         self.skip0 = skip[dfa.s0]
-        self.dead = sentinel if min(b2c) < 0 and self.span_kinds()["find"] else None
+        self.dead = self.n_live if width > self.n_live and self.span_kinds()["find"] else None
 
     def cell_payload(self, dfa: Automaton):
         return lambda cell: cell  # by default, the cell itself
@@ -395,7 +394,10 @@ class Tdfa(Automaton):
     @classmethod
     def from_json(cls, text: str) -> "Tdfa":
         doc = json.loads(text)
-        self = cls(doc["tags"], *byte_classes([(byte,) for byte in doc["alphabet"]]), frozenset(doc["multi"]))
+        alphabet = doc["alphabet"]
+        if not all(type(b) is int for b in alphabet) or alphabet != sorted(set(alphabet) & set(range(256))):
+            raise ValueError(f"alphabet {alphabet} is not strictly increasing bytes in 0..255")
+        self = cls(doc["tags"], *byte_classes([(byte,) for byte in alphabet]), frozenset(doc["multi"]))
         self.r0 = {int(k): v for k, v in doc["r0"].items()}
         self.rf = {int(k): v for k, v in doc["rf"].items()}
         self.max_reg = doc["max_reg"]
@@ -418,15 +420,14 @@ class Determinizer(Powerset):
         self.tpos_of = nfa.tag_index()
         # States by (state, lookahead) signature, the mapping candidates.
         self.by_sig: dict = {}
-        # Fresh registers of the state being expanded, by (tag, rhs).
-        self.fresh_for = None
-        self.fresh: dict = {}
         # `project(h)` per inherited tag sequence h.
         self.projections: dict = {}
 
+    def step(self, sid: int):
+        self.fresh = {}  # the state's fresh registers, by (tag, rhs)
+        super().step(sid)
+
     def cell(self, sid: int, C):
-        if self.fresh_for != sid:
-            self.fresh_for, self.fresh = sid, {}
         target, ops = self.add_state(C, self.fresh)
         return target, tuple(ops)
 

@@ -31,7 +31,7 @@ class Tnfa:
     qf: int
     tags: tuple[int, ...]
     alphabet: tuple[tuple[int, ...], ...]  # each class's bytes
-    byte_to_class: list[int]  # alphabet's inverse; -1 for other bytes
+    byte_to_class: bytes  # alphabet's inverse as a translate table; len(alphabet) for other bytes
     # eps[q]: ((tag, target), ...), the first the highest priority; tag is
     # +t / -t / 0 for untagged.  arcs[q]: (classes, target) or None, the
     # classes ascending.  A state has no eps-transitions exactly when it
@@ -44,10 +44,11 @@ class Tnfa:
         return {t: i for i, t in enumerate(self.tags)}
 
 
-def byte_classes(sets) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+def byte_classes(sets) -> tuple[tuple[tuple[int, ...], ...], bytes]:
     """The coarsest partition of the bytes of sets in which every set is a
     union of classes, as byte tuples ordered by smallest byte (a partition
-    so ordered is its own), and each byte's class, -1 for the rest."""
+    so ordered is its own), and the bytes.translate table of each byte's
+    class, len(partition) for the bytes of no set."""
     member: dict = {}
     for i, s in enumerate(sets):
         for byte in s:
@@ -55,11 +56,11 @@ def byte_classes(sets) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     classes: dict = {}
     for byte in sorted(member):
         classes.setdefault(member[byte], []).append(byte)
-    b2c = [-1] * 256
+    b2c = [len(classes)] * 256
     for c, members in enumerate(classes.values()):
         for byte in members:
             b2c[byte] = c
-    return tuple(map(tuple, classes.values())), b2c
+    return tuple(map(tuple, classes.values())), bytes(b2c)
 
 
 def set_bytes(e: Alt) -> frozenset | None:
@@ -280,12 +281,11 @@ def simulate(nfa: Tnfa, data: bytes, multi=frozenset(), counters: dict | None = 
     configuration was left."""
     hist = [t in multi for t in nfa.tags]
     mark = [-1] * nfa.n_states
-    b2c, arcs = nfa.byte_to_class, nfa.arcs
+    arcs = nfa.arcs
     C = sim_epsilon_closure([(nfa.q0, [None] * len(hist))], nfa, 0, hist, mark)
     stepped = len(data)
-    for k, byte in enumerate(data, 1):
-        # Step across the arcs that read the byte's class; -1 matches none.
-        cls = b2c[byte]
+    for k, cls in enumerate(data.translate(nfa.byte_to_class), 1):
+        # Step across the arcs that read the byte's class; a dead byte's reads none.
         C = [(arc[1], m) for q, m in C if (arc := arcs[q]) is not None and cls in arc[0]]
         if not C:
             stepped = k - 1

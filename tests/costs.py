@@ -14,9 +14,10 @@ The rows are the match shapes of perfbench's three workloads, on small
 seeded inputs generated here: per pattern, the tdfa engine in full and
 prefix mode (short records also with fixed tags) and the multipass engine
 with offsets, and for the long-scan shapes also with lists and the tagged
-string.  Each row's vector is of one call, after a warm-up call has
-built the match plan.  tests/cost_pins.json pins them with the Python
-version they were taken on:
+string; and per pattern and engine, the build of the match plan of the
+compiled automaton.  Each row's vector is of one call, after a warm-up
+call, which builds the plan of a match row.  tests/cost_pins.json pins
+them with the Python version they were taken on:
 
     PYTHONPATH=src python tests/costs.py           # print every row
     PYTHONPATH=src python tests/costs.py --diff    # print the rows that moved
@@ -30,6 +31,7 @@ from pathlib import Path
 from random import Random
 
 import tdfa
+from tdfa import multipass, runtime
 
 PACKAGE = os.path.dirname(tdfa.__file__) + os.sep
 PINS = Path(__file__).parent / "cost_pins.json"
@@ -140,7 +142,10 @@ def rows():
             p = tdfa.compile(pattern, **kw_)
             for mode, text in (("full", data), ("prefix", data + tail)):
                 yield f"{name} {label} {mode}", (lambda p=p, text=text, mode=mode: p.match(text, mode))
+            if label == "tdfa":
+                yield f"{name} tdfa plan", (lambda a=p.tdfa: runtime.MatchPlan(a))
         mp = tdfa.compile(pattern, engine="multipass")
+        yield f"{name} multipass plan", (lambda a=mp.mp: multipass.MatchPlan(a))
         reprs = ("offsets", "lists", "tstring") if name.startswith("long-scan/") else ("offsets",)
         for repr_ in reprs:
             yield f"{name} multipass {repr_}", (lambda mp=mp, data=data, repr_=repr_: mp.match(data, repr_=repr_))

@@ -340,6 +340,29 @@ def test_no_bench_subcommand(capsys):
     assert "{compile,match,fuzz}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--alphabet=", "--alphabet: must not be empty"),
+    ("--max-nodes=0", "--max-nodes: must be at least 1, not 0"),
+    ("--max-rep=-1", "--max-rep: must be at least 0, not -1"),
+    ("--max-len=-1", "--max-len: must be at least 0, not -1"),
+    ("--count=-1", "--count: must be at least 0, not -1"),
+    ("--max-tags=-1", "--max-tags: must be at least 0, not -1"),
+    ("--count=x", "--count: invalid int value: 'x'"),
+])
+def test_fuzz_refuses_a_flag_out_of_range(capsys, flag, message):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "fuzz", flag)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fuzz_takes_each_flags_least_value(capsys):
+    code, out, _ = run(capsys, "fuzz", "--count=0", "--max-nodes=1", "--max-tags=0", "--max-len=0", "--max-rep=0")
+    assert code == 0 and out.startswith("ok: 0 patterns x 3 inputs (len<=0"), out
+    code, out, _ = run(capsys, "fuzz", "--count=20", "--max-nodes=1", "--max-tags=0", "--max-len=0", "--max-rep=0")
+    assert code == 0 and out.startswith("ok: 20 patterns"), out
+
+
 def test_fuzz_has_no_fault_switch(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "fuzz", "--mutate=skip-map-copies")

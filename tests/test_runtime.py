@@ -274,6 +274,16 @@ def test_full_byte_alphabet_has_no_sentinel():
         assert (out.values if out else None) == simulate(p.tnfa, data)
 
 
+@pytest.mark.parametrize("kw", [{}, {"use_minimize": True}, {"engine": "multipass"}])
+def test_plan_holds_the_tnfas_table(kw):
+    # One byte-to-class table, made with the TNFA: the automaton and its
+    # match plan hold that object, not a copy.
+    p = tdfa.compile(CSV, **kw)
+    assert p.match(b"abc,ab")
+    a = p.mp if kw.get("engine") == "multipass" else p.tdfa
+    assert a.byte_to_class is p.tnfa.byte_to_class and a._plan.classes is p.tnfa.byte_to_class
+
+
 def test_alternation_of_every_byte_is_one_class():
     # One class holds all 256 bytes: no byte is dead, so there is no
     # sentinel column, and every row is one cell wide.
@@ -931,6 +941,17 @@ def test_plan_refuses_states_classes_and_tags_the_automaton_lacks(edit, message)
     a = Tdfa.from_json(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
         exec_tdfa(a, b"ac")
+
+
+@pytest.mark.parametrize("alphabet", [[97, 98, 300], [97, 98, -1], [97, 97, 98]])
+def test_load_refuses_an_alphabet_of_other_than_increasing_bytes(alphabet):
+    # Unchecked, a byte out of range raises IndexError, -1 sorts first and
+    # shifts every class, and a repeated byte fails only at the first match.
+    doc = json.loads(tdfa.compile("(a)*b|(a)c").tdfa.to_json())
+    assert doc["alphabet"] == [97, 98, 99]
+    doc["alphabet"] = alphabet
+    with pytest.raises(ValueError, match="alphabet"):
+        Tdfa.from_json(json.dumps(doc))
 
 
 class CountingDict(dict):

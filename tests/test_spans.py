@@ -163,7 +163,7 @@ def test_loop_summary_with_a_find_span(engine, pattern):
     for data in (b"a" * 500, b"a" * 500 + b"b" * 3, b"a" * 200 + b"z" + b"a" * 300 + b"b", b"a" * 500 + b"z"):
         counters: dict = {}
         out = p.match(data, mode=mode, repr_=repr_, counters=counters)
-        dead = [i for i, byte in enumerate(data) if p.tnfa.byte_to_class[byte] < 0]
+        dead = [i for i, byte in enumerate(data) if p.tnfa.byte_to_class[byte] == len(p.tnfa.alphabet)]
         assert counters["transitions"] == (dead[0] if dead else len(data))
         if out:
             assert out.values == simulate(p.tnfa, data[: out.end], multi)

@@ -16,6 +16,7 @@ from tdfa.fuzz import cross_check
 from tdfa.resyntax import Sym, Tag, parse_regex
 from tdfa.tnfa import (
     build_tnfa,
+    byte_classes,
     dot_class,
     sim_epsilon_closure,
     simulate,
@@ -34,7 +35,7 @@ def test_build_symbol():
     nfa = build_tnfa(Sym(A))
     assert nfa.n_states == 2
     assert nfa.alphabet == ((A,),) and nfa.arcs[nfa.q0] == ((0,), nfa.qf)
-    assert nfa.byte_to_class == [0 if byte == A else -1 for byte in range(256)]
+    assert nfa.byte_to_class == bytes(0 if byte == A else 1 for byte in range(256))
     assert not nfa.eps[nfa.q0]
 
 
@@ -121,7 +122,12 @@ def test_alphabet_is_the_bytes_of_the_arcs_built():
     for pattern in ("ea{0,0}", "(?:e|a){0}e", "e(?:a|b|e){0,0}"):
         nfa = build_tnfa(parse_regex(pattern))
         assert nfa.alphabet == ((ord("e"),),), pattern
-        assert nfa.byte_to_class[ord("a")] == -1
+        assert nfa.byte_to_class[ord("a")] == len(nfa.alphabet)
+
+
+def test_every_byte_its_own_set_is_the_identity_table():
+    # 256 classes leave no byte dead, so the table needs no class 256.
+    assert byte_classes([(byte,) for byte in range(256)]) == (tuple((b,) for b in range(256)), bytes(range(256)))
 
 
 def test_one_tag_bypass_chain_is_one_transition():
